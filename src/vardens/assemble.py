@@ -149,7 +149,7 @@ def _scatter(local, row_dofs, col_dofs, shape):
     return M.tocsr()
 
 
-def _symmetric_scatter(local, dofs, n):
+def symmetric_scatter(local, dofs, n):
     """Scatter a symmetric form and make the result bitwise symmetric."""
     A = _scatter(local, dofs, dofs, (n, n))
     return 0.5 * (A + A.T)
@@ -159,14 +159,14 @@ def mass_matrix(tab, coef=None):
     """(coef u, v) on ``tab``'s space; bitwise symmetric (module docstring)."""
     w = tab.geom.wdet if coef is None else tab.geom.wdet * coef
     local = np.einsum("cq,qi,qj->cij", w, tab.vals, tab.vals, optimize=True)
-    return _symmetric_scatter(local, tab.cell_dofs, tab.space.n_dofs)
+    return symmetric_scatter(local, tab.cell_dofs, tab.space.n_dofs)
 
 
 def stiffness_matrix(tab, coef=None):
     """(coef grad u, grad v); bitwise symmetric (module docstring)."""
     w = tab.geom.wdet if coef is None else tab.geom.wdet * coef
     local = np.einsum("cq,cqid,cqjd->cij", w, tab.grads, tab.grads, optimize=True)
-    return _symmetric_scatter(local, tab.cell_dofs, tab.space.n_dofs)
+    return symmetric_scatter(local, tab.cell_dofs, tab.space.n_dofs)
 
 
 def convection_matrix(tab, wvec, coef=None):
@@ -177,23 +177,33 @@ def convection_matrix(tab, wvec, coef=None):
     return _scatter(local, tab.cell_dofs, tab.cell_dofs, (n, n))
 
 
-def rt_mass_matrix(rt_tab):
-    """(sigma, eta) on the H(div) space; bitwise symmetric (module docstring)."""
-    local = np.einsum(
+def rt_mass_blocks(rt_tab):
+    """Cell blocks (nc, n_local, n_local) of (sigma, eta) on the H(div) space."""
+    return np.einsum(
         "cq,cqid,cqjd->cij", rt_tab.geom.wdet, rt_tab.vals, rt_tab.vals,
         optimize=True,
     )
-    return _symmetric_scatter(local, rt_tab.cell_dofs, rt_tab.space.n_dofs)
+
+
+def rt_mass_matrix(rt_tab):
+    """(sigma, eta) on the H(div) space; bitwise symmetric (module docstring)."""
+    return symmetric_scatter(
+        rt_mass_blocks(rt_tab), rt_tab.cell_dofs, rt_tab.space.n_dofs
+    )
+
+
+def mixed_div_blocks(rt_tab, dg_tab):
+    """Cell blocks (nc, dG n_local, H(div) n_local) of (div eta_j, psi_m)."""
+    return np.einsum(
+        "cq,cqj,qm->cmj", rt_tab.geom.wdet, rt_tab.divs, dg_tab.vals,
+        optimize=True,
+    )
 
 
 def mixed_div_matrix(rt_tab, dg_tab):
     """(div eta_j, psi_m): rows on the dG space, columns on the H(div) space."""
-    local = np.einsum(
-        "cq,cqj,qm->cmj", rt_tab.geom.wdet, rt_tab.divs, dg_tab.vals,
-        optimize=True,
-    )
     return _scatter(
-        local, dg_tab.cell_dofs, rt_tab.cell_dofs,
+        mixed_div_blocks(rt_tab, dg_tab), dg_tab.cell_dofs, rt_tab.cell_dofs,
         (dg_tab.space.n_dofs, rt_tab.space.n_dofs),
     )
 
@@ -224,12 +234,16 @@ def load_vector(tab, values):
     )
 
 
+def rt_load_blocks(rt_tab, values):
+    """Cell vectors (nc, n_local) of (f, eta), f at quadrature points."""
+    return np.einsum("cq,cqd,cqid->ci", rt_tab.geom.wdet, values, rt_tab.vals,
+                     optimize=True)
+
+
 def rt_load(rt_tab, values):
     """(f, eta) with vector f at quadrature points, shape (nc, nq, d)."""
-    local = np.einsum("cq,cqd,cqid->ci", rt_tab.geom.wdet, values, rt_tab.vals,
-                      optimize=True)
     return np.bincount(
-        rt_tab.cell_dofs.ravel(), weights=local.ravel(),
+        rt_tab.cell_dofs.ravel(), weights=rt_load_blocks(rt_tab, values).ravel(),
         minlength=rt_tab.space.n_dofs,
     )
 
@@ -277,10 +291,6 @@ def eval_scalar(tab, field):
     return np.einsum("ci,qi->cq", field.coeffs[tab.cell_dofs], tab.vals)
 
 
-def eval_scalar_grad(tab, field):
-    return np.einsum("ci,cqid->cqd", field.coeffs[tab.cell_dofs], tab.grads)
-
-
 def eval_mini_vector(tab, field):
     """Point values (nc, nq, d) of a component-major vector field."""
     space = field.space
@@ -295,10 +305,6 @@ def eval_rt(rt_tab, field):
     return np.einsum(
         "ci,cqid->cqd", field.coeffs[rt_tab.cell_dofs], rt_tab.vals
     )
-
-
-def eval_rt_div(rt_tab, field):
-    return np.einsum("ci,cqi->cq", field.coeffs[rt_tab.cell_dofs], rt_tab.divs)
 
 
 def eval_dg_traces(trace, field):

@@ -277,7 +277,9 @@ class SourceEvaluator:
 
     @staticmethod
     def _points_key(x):
-        return (id(x), x.shape, float(x.flat[0]), float(x.flat[-1]))
+        """Key on the values of the points, so equal arrays share a cache
+        entry and an array changed in place gets a new one."""
+        return (x.shape, x.tobytes())
 
     def _u_duals(self, key, X, T):
         if not self.case.u_time_independent:
@@ -287,7 +289,8 @@ class SourceEvaluator:
         return self._u_cache[key]
 
     def _bundle(self, x, t):
-        key = (self._points_key(x), float(t))
+        points_key = self._points_key(x)
+        key = (points_key, float(t))
         if self._last is not None and self._last[0] == key:
             return self._last[1]
         case = self.case
@@ -295,7 +298,7 @@ class SourceEvaluator:
         case._count_kink_hits(x)
         X, T = make_vars(x, t)
         rho = case._rho_dual(X, T)
-        u = self._u_duals(self._points_key(x), X, T)
+        u = self._u_duals(points_key, X, T)
         p = case._p_dual(X, T)
         gr = rho.spatial_grad()
         uval = np.stack([c.val for c in u], axis=-1)

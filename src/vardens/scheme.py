@@ -83,10 +83,10 @@ class SchemeConfig:
                 raise ValueError("rho_min must be positive with the cutoff on")
 
 
-def cutoff(s, config: SchemeConfig):
-    """Lipschitz clamp of density samples into the configured band."""
+def cutoff_bounds(config: SchemeConfig):
+    """The band (lo, hi) that ``cutoff`` clamps into; None when it is off."""
     if config.cutoff_mode == "off":
-        return np.asarray(s, dtype=float)
+        return None
     if config.rho_min is None or config.rho_max is None:
         raise ValueError("cutoff bounds not set; initialize first")
     lo = 0.5 * config.rho_min
@@ -94,7 +94,15 @@ def cutoff(s, config: SchemeConfig):
     if config.cutoff_mode == "widened":
         lo /= config.widen_factor
         hi *= config.widen_factor
-    return np.clip(s, lo, hi)
+    return lo, hi
+
+
+def cutoff(s, config: SchemeConfig):
+    """Lipschitz clamp of density samples into the configured band."""
+    bounds = cutoff_bounds(config)
+    if bounds is None:
+        return np.asarray(s, dtype=float)
+    return np.clip(s, *bounds)
 
 
 @dataclass
@@ -413,8 +421,10 @@ class TimeStepper:
         mass = float(self.ones_rho @ new.rho.coeffs)
 
         rho_q = assemble.eval_scalar(self.p2_hi, new.rho)
-        lo, hi = 0.5 * cfg.rho_min, 1.5 * cfg.rho_max
-        active = bool(rho_q.min() < lo or rho_q.max() > hi)
+        bounds = cutoff_bounds(cfg)
+        active = bounds is not None and bool(
+            rho_q.min() < bounds[0] or rho_q.max() > bounds[1]
+        )
         return StepDiagnostics(
             new.n, new.t, energy, viscous, upwind, mass, active, wall,
         )

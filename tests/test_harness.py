@@ -195,3 +195,19 @@ def test_cli_entry_point_installed():
     )
     assert result.returncode == 0
     assert "study" in result.stdout
+
+
+def test_run_case_seconds_include_setup(monkeypatch):
+    import time
+
+    import vardens.harness as hmod
+
+    real = hmod.build_mesh
+
+    def slow_build_mesh(case, h):
+        time.sleep(0.2)
+        return real(case, h)
+
+    monkeypatch.setattr(hmod, "build_mesh", slow_build_mesh)
+    out = run_case(make_case("square2d"), 1 / 2, 1 / 8, T=1 / 8)
+    assert out["seconds"] >= 0.2

@@ -187,3 +187,19 @@ def test_source_evaluator_matches_direct_calls():
         ).max() < 1e-13
     # cached velocity duals reused across times for the same point set
     assert len(ev._u_cache) == 1
+
+
+def test_source_evaluator_keys_on_point_values():
+    """An array changed in place keeps its id, shape and end values, but
+    must not be served the velocity duals of its old contents."""
+    case = make_case("cube3d")
+    ev = case.make_source_evaluator(0.001)
+    x = np.random.default_rng(3).uniform(0, 1, size=(40, 7, 3))
+    g_old = ev.g(x, 0.05).copy()
+    x[1:-1] = np.random.default_rng(4).uniform(0, 1, size=(38, 7, 3))
+    g_new = ev.g(x, 0.05)
+    assert np.abs(g_new - case.scheme_momentum_source(x, 0.05, 0.001)).max() < 1e-13
+    assert np.abs(g_new[1:-1] - g_old[1:-1]).max() > 1e-3
+    # equal contents in a new array share the cache entry
+    ev.g(x.copy(), 0.1)
+    assert len(ev._u_cache) == 2

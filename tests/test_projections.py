@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from vardens import assemble, linalg
 from vardens.mesh import unit_cube_mesh, unit_square_mesh
@@ -204,3 +205,61 @@ def test_interpolate_mini_rate():
         )))
     for e1, e2 in zip(errs, errs[1:]):
         assert math.log(e1 / e2) / math.log(2.0) >= 1.8
+
+
+def _bordered_mixed_projection(ws, values):
+    """The projection through the global mixed system, bordered by the
+    multiplier's mean and factored by SuperLU."""
+    M = assemble.rt_mass_matrix(ws.rt_tab)
+    D = assemble.mixed_div_matrix(ws.rt_tab, ws.dg_tab)
+    Mff = M[ws.free, :][:, ws.free]
+    Df = D[:, ws.free]
+    K = sp.bmat([[Mff, Df.T], [Df, None]], format="csr")
+    mean = assemble.load_vector(ws.dg_tab, np.ones_like(ws.geom.wdet))
+    constraint = np.concatenate([np.zeros(len(ws.free)), mean])
+    Kc, _ = linalg.augment_with_constraint(
+        K, np.zeros(K.shape[0]), constraint
+    )
+    b = assemble.rt_load(ws.rt_tab, values)
+    rhs = np.concatenate([b[ws.free], np.zeros(ws.dg_space.n_dofs), [0.0]])
+    x = spla.splu(Kc.tocsc()).solve(rhs)
+    coeffs = np.zeros(ws.rt_space.n_dofs)
+    coeffs[ws.free] = x[: len(ws.free)]
+    return coeffs
+
+
+@pytest.mark.parametrize("make,n", [(unit_square_mesh, 8), (unit_cube_mesh, 3)])
+def test_rt_projection_matches_global_mixed_system(make, n):
+    mesh = make(n)
+    ws = RtProjectionWorkspace(mesh)
+    vel = MiniVectorSpace(mesh)
+    mini_tab = assemble.ScalarTab(vel.scalar, ws.geom)
+    rng = np.random.default_rng(17)
+    for _ in range(3):
+        v = FeField(vel, rng.standard_normal(vel.n_dofs))
+        sigma = ws.project(v)
+        ref = _bordered_mixed_projection(
+            ws, assemble.eval_mini_vector(mini_tab, v)
+        )
+        assert np.abs(sigma.coeffs - ref).max() <= 1e-10 * np.abs(ref).max()
+    # the pinned facet system is symmetric positive definite
+    S = ws.system_matrix.toarray()
+    assert (S == S.T).all()
+    eig = np.linalg.eigvalsh(S)
+    assert eig[0] > 1e-10 * eig[-1]
+
+
+def test_rt_projection_contracts_cube_n8():
+    """Nodal divergence and boundary flux stay within 1e-11 at h = 1/8."""
+    mesh = unit_cube_mesh(8)
+    ws = RtProjectionWorkspace(mesh)
+    vel = MiniVectorSpace(mesh)
+    fq = assemble.FacetQuadrature(mesh, 6)
+    flux_tab = assemble.RTFacetFlux(ws.rt_space, fq, mesh.boundary_facets)
+    case = make_case("cube3d")
+    rng = np.random.default_rng(8)
+    for v in (lambda x: case.u(x, 0.0),
+              FeField(vel, rng.standard_normal(vel.n_dofs))):
+        sigma = ws.project(v)
+        assert np.abs(rt_divergence_nodal(sigma)).max() <= 1e-11
+        assert np.abs(assemble.eval_rt_flux(flux_tab, sigma)).max() <= 1e-11

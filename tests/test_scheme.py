@@ -251,3 +251,19 @@ def test_3d_single_step_smoke():
     assert np.abs(st.B.T @ state.u.coeffs).max() <= 1e-10
     from vardens.projections import rt_divergence_nodal
     assert np.abs(rt_divergence_nodal(state.w)).max() < 1e-11
+
+
+@pytest.mark.parametrize("rho,mode,active", [
+    (1.6, "strict", True), (1.6, "widened", False), (1.6, "off", False),
+    (2.4, "widened", True), (2.4, "off", False),
+    (0.4, "strict", True), (0.4, "widened", False), (0.3, "widened", True),
+])
+def test_cutoff_active_follows_cutoff_mode(rho, mode, active):
+    """The flag reports clamping exactly where ``cutoff`` clamps: the strict
+    band is [0.5, 1.5] here, the widened one [1/3, 2.25], and off never
+    clamps."""
+    st = TimeStepper(unit_square_mesh(2), _config(
+        n_steps=1, cutoff_mode=mode, rho_min=1.0, rho_max=1.0))
+    _, diags = st.run(lambda x: np.full(x.shape[:-1], rho),
+                      lambda x: np.zeros_like(x))
+    assert diags[0].cutoff_active is active
