@@ -77,16 +77,23 @@ def factorize(matrix, symmetric=False):
     """SuperLU factorization with a fill-reducing column ordering.
 
     The ordering is COLAMD, or minimum degree on the pattern of A + A^T
-    with diagonal pivots preferred when ``symmetric`` is set; on the
-    symmetric facet system of the RT projection that gives 2.6x less fill.
+    with diagonal pivots preferred when ``symmetric`` is set, which needs a
+    structurally symmetric matrix.  It gives 2.6x less fill on the facet
+    system of the RT projection and 5x less on the bordered 3D velocity
+    saddle matrix.  Stored zeros are dropped first: the forms keep a fixed
+    sparsity pattern, so a matrix can hold entries that are zero for the
+    current coefficients (the outflow side's upwind blocks), and they would
+    only add fill.
     """
+    matrix = matrix.tocsc(copy=True)
+    matrix.eliminate_zeros()
     if symmetric:
         kw = {"permc_spec": "MMD_AT_PLUS_A",
               "options": {"SymmetricMode": True}}
     else:
         kw = {}
     try:
-        return spla.splu(matrix.tocsc(), **kw)
+        return spla.splu(matrix, **kw)
     except RuntimeError as exc:
         raise SingularMatrixError(
             f"singular factorization (suspect pivot row {_suspect_row(matrix)}): {exc}"

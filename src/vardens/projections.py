@@ -26,9 +26,8 @@ def project_dg(tab, f):
     """
     geom = tab.geom
     values = f(geom.points) if callable(f) else np.asarray(f)
-    local_mass = np.einsum("cq,qi,qj->cij", geom.wdet, tab.vals, tab.vals)
-    rhs = np.einsum("cq,cq,qi->ci", geom.wdet, values, tab.vals)
-    coeffs = np.linalg.solve(local_mass, rhs[..., None])[..., 0]
+    rhs = assemble.load_blocks(tab, values)
+    coeffs = np.linalg.solve(assemble.mass_blocks(tab), rhs[..., None])[..., 0]
     return FeField(tab.space, coeffs.reshape(-1))
 
 
@@ -103,11 +102,11 @@ class RtProjectionWorkspace:
         self._facet_weight = np.repeat(np.where(interior, 0.5, 0.0), d, axis=1)
 
         Hf = self._solve_local[:, :nfl, :nfl]
-        S = assemble.symmetric_scatter(
-            0.5 * (Hf + np.swapaxes(Hf, 1, 2))
-            * self._sign[:, :, None] * self._sign[:, None, :],
-            self._mult, space.n_facet_dofs,
-        )
+        nmult = space.n_facet_dofs
+        pattern = assemble.Pattern.build((nmult, nmult),
+                                         (self._mult, self._mult))[0]
+        S = pattern.matrix(0.5 * (Hf + np.swapaxes(Hf, 1, 2))
+                           * self._sign[:, :, None] * self._sign[:, None, :])
         self._keep = np.arange(1, space.n_facet_dofs)  # multiplier 0 pinned
         self.system_matrix = S[self._keep][:, self._keep]
         self.lu = linalg.factorize(self.system_matrix, symmetric=True)

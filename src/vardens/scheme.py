@@ -169,8 +169,15 @@ class TimeStepper:
             self.rt_space, self.fquad, mesh.interior_facets
         )
 
-        # fixed matrices
-        self.M_rho = assemble.mass_matrix(self.p2_lo)
+        # The density system M_rho + tau (C - U) lives on the union of the
+        # P2-dG cell and facet patterns, in CSC for the solvers, so it is a
+        # sum of data arrays.
+        n_rho = self.rho_space.n_dofs
+        self._rho_cells, self._rho_facets = assemble.Pattern.build(
+            (n_rho, n_rho), (self.p2_lo.cell_dofs,) * 2,
+            (self.trace.dofs,) * 2, csc=True,
+        )
+        self.M_rho = assemble.mass_matrix(self.p2_lo, pattern=self._rho_cells)
         self.ones_rho = assemble.load_vector(
             self.p2_lo, np.ones_like(self.geom_lo.wdet)
         )
@@ -187,12 +194,40 @@ class TimeStepper:
         self.free_vel = np.concatenate(
             [self.free_s + k * ns for k in range(d)]
         )
-        self.B_free = self.B[self.free_vel, :]
-        self.Ks_free = self.K_s[self.free_s, :][:, self.free_s]
+        self._build_saddle_template()
 
         self._mass_block_inv = None
         self._vel_lu = None
+        self._chi_cache = []
         self.last_reports = {}
+
+    def _build_saddle_template(self):
+        """Structure of the bordered velocity saddle matrix, built once.
+
+        The matrix is [[diag(A_s)_free, -B_free, 0], [-B_free^T, 0, -c],
+        [0, -c^T, 0]], with the MINI block A_s repeated per component.  It is
+        built once with entry numbers in place of values; each step then
+        fills its data with one gather from [A_s.data, -B.data, -c].
+        """
+        d = self.mesh.dim
+        pattern = self.mini_hi.pattern
+        nA, nB = pattern.nnz, self.B.nnz
+        A = pattern.with_data(np.arange(1.0, nA + 1))
+        B = sp.csr_matrix(
+            (np.arange(nA + 1.0, nA + nB + 1), self.B.indices, self.B.indptr),
+            shape=self.B.shape,
+        )[self.free_vel]
+        A_free = A[self.free_s][:, self.free_s]
+        K = sp.bmat([[sp.block_diag([A_free] * d), B], [B.T, None]])
+        zeros = np.zeros(d * len(self.free_s))
+        self._constraint = np.concatenate([zeros, self.c_p])
+        numbers = nA + nB + 1.0 + np.arange(len(self.c_p))
+        Kc, _ = linalg.augment_with_constraint(
+            K, np.zeros(K.shape[0]), np.concatenate([zeros, -numbers])
+        )
+        self._saddle = Kc
+        self._saddle_gather = Kc.data.astype(np.intp) - 1
+        self._saddle_fixed = np.concatenate([-self.B.data, -self.c_p])
 
     # ------------------------------------------------------------------
     def initialize(self, rho0, u0) -> StepState:
@@ -226,9 +261,10 @@ class TimeStepper:
             t_new = state.t + tau
         wvals = assemble.eval_rt(self.rt_lo, state.w)
         flux = assemble.eval_rt_flux(self.rt_flux, state.w)
-        C = assemble.convection_matrix(self.p2_lo, wvals)
-        U = assemble.upwind_matrix(self.trace, flux)
-        A = self.M_rho + tau * (C - U)
+        C = assemble.convection_matrix(self.p2_lo, wvals,
+                                       pattern=self._rho_cells)
+        U = assemble.upwind_matrix(self.trace, flux, pattern=self._rho_facets)
+        A = self._rho_cells.with_data(self.M_rho.data + tau * (C.data - U.data))
         rhs = self.M_rho @ state.rho.coeffs
         if cfg.f is not None:
             rhs = rhs + tau * assemble.load_vector(
@@ -258,64 +294,86 @@ class TimeStepper:
 
     def _mass_preconditioner(self):
         if self._mass_block_inv is None:
-            local = np.einsum(
-                "cq,qi,qj->cij", self.geom_lo.wdet,
-                self.p2_lo.vals, self.p2_lo.vals,
+            self._mass_block_inv = np.linalg.inv(
+                assemble.mass_blocks(self.p2_lo)
             )
-            self._mass_block_inv = np.linalg.inv(local)
         inv = self._mass_block_inv
         nloc = inv.shape[1]
 
         def apply(r):
-            return np.einsum(
-                "cij,cj->ci", inv, r.reshape(-1, nloc)
-            ).ravel()
+            return (inv @ r.reshape(-1, nloc, 1)).ravel()
 
         n = self.rho_space.n_dofs
         return spla.LinearOperator((n, n), apply)
 
-    def _solve_velocity_system(self, K, rhs, constraint):
+    def _solve_velocity_system(self, Kc, b):
         """Direct solve, or GMRES preconditioned by a lagged factorization.
 
-        The saddle matrix drifts slowly from step to step (only through the
-        cut-off density and lagged velocity), so one factorization
-        preconditions many subsequent solves; it is refreshed whenever the
-        iteration stalls.  The residual contract is enforced either way.
+        ``Kc`` is the bordered saddle matrix and the last unknown its
+        multiplier.  The saddle matrix drifts slowly from step to step (only
+        through the cut-off density and lagged velocity), so one
+        factorization preconditions many subsequent solves; it is refreshed
+        whenever the iteration stalls.  The bordered matrix is structurally
+        symmetric, so it is factored with the minimum-degree ordering.  The
+        residual contract is enforced either way.
         """
         mode = self.config.velocity_solver
         if mode == "auto":
             mode = "direct" if self.mesh.dim == 2 else "lagged-lu"
-        system = linalg.LinearSystem(K, rhs, constraint)
+        tol = self.config.solver_tol
+        system = linalg.LinearSystem(Kc, b)
         if mode == "direct":
-            return linalg.solve_constrained(system, self.config.solver_tol)
-
-        Kc, b = linalg.augment_with_constraint(K, rhs, constraint)
-        if self._vel_lu is None:
-            self._vel_lu = linalg.factorize(Kc)
-        precond = spla.LinearOperator(Kc.shape, self._vel_lu.solve)
-        try:
-            x, report = linalg.solve_gmres(
-                linalg.LinearSystem(Kc, b), self.config.solver_tol,
-                restart=40, maxiter=40, preconditioner=precond,
-            )
-        except linalg.ResidualError:
-            self._vel_lu = linalg.factorize(Kc)
-            x = self._vel_lu.solve(b)
-            res = np.linalg.norm(Kc @ x - b) / max(np.linalg.norm(b), 1e-300)
-            if res > self.config.solver_tol:
-                raise
-            report = linalg.SolveReport(res, 0, 0.0)
+            x, report = linalg.solve_direct(system, tol)
+        else:
+            if self._vel_lu is None:
+                self._vel_lu = linalg.factorize(Kc, symmetric=True)
+            precond = spla.LinearOperator(Kc.shape, self._vel_lu.solve)
+            try:
+                x, report = linalg.solve_gmres(
+                    system, tol, restart=40, maxiter=40,
+                    preconditioner=precond,
+                )
+            except linalg.ResidualError:
+                self._vel_lu = linalg.factorize(Kc, symmetric=True)
+                x = self._vel_lu.solve(b)
+                res = np.linalg.norm(Kc @ x - b) / max(np.linalg.norm(b), 1e-300)
+                if res > tol:
+                    raise
+                report = linalg.SolveReport(res, 0, 0.0)
+        # a nonzero multiplier means the constraint fights the equations:
+        # the unbordered residual K x - rhs is the top of Kc x - b plus lam c
         lam = x[-1]
-        x = x[:-1]
-        nb = max(np.linalg.norm(rhs), 1.0)
-        conflict = np.linalg.norm(K @ x - rhs) / nb
+        rhs = b[:-1]
+        conflict = np.linalg.norm(
+            (Kc @ x - b)[:-1] + lam * self._constraint
+        ) / max(np.linalg.norm(rhs), 1.0)
         if conflict > 1e-8:
             raise linalg.ConstraintConflictError(
                 f"constraint is inconsistent with the equations "
                 f"(original residual {conflict:.3e}, multiplier {lam:.3e})"
             )
         report.extras["multiplier"] = float(lam)
-        return x, report
+        return x[:-1], report
+
+    def _weighted_mass(self, rho):
+        """Samples of ``rho`` on the high rule, their cut-off chi, and the
+        MINI mass matrix weighted by chi.
+
+        The last two results are cached on the values of ``rho`` and the
+        cut-off band, so the mass matrix of the new density of one step is
+        the old one of the next.
+        """
+        band = cutoff_bounds(self.config)
+        for hit in self._chi_cache:
+            if hit[0] == band and np.array_equal(hit[1], rho.coeffs):
+                return hit[2:]
+        rho_q = assemble.eval_scalar(self.p2_hi, rho)
+        chi = cutoff(rho_q, self.config)
+        M = assemble.mass_matrix(self.mini_hi, chi)
+        self._chi_cache = self._chi_cache[-1:] + [
+            (band, rho.coeffs.copy(), rho_q, chi, M)
+        ]
+        return rho_q, chi, M
 
     # ------------------------------------------------------------------
     def velocity_step(self, state: StepState, rho_new: FeField, t_new=None):
@@ -326,51 +384,41 @@ class TimeStepper:
         if t_new is None:
             t_new = state.t + tau
 
-        rho_old_q = assemble.eval_scalar(self.p2_hi, state.rho)
-        rho_new_q = assemble.eval_scalar(self.p2_hi, rho_new)
-        chi_old = cutoff(rho_old_q, cfg)
-        chi_new = cutoff(rho_new_q, cfg)
-
-        M_old = assemble.mass_matrix(self.mini_hi, chi_old)
-        M_new = assemble.mass_matrix(self.mini_hi, chi_new)
+        _, _, M_old = self._weighted_mass(state.rho)
+        _, chi_new, M_new = self._weighted_mass(rho_new)
         u_old_q = assemble.eval_mini_vector(self.mini_hi, state.u)
         N = assemble.convection_matrix(self.mini_hi, u_old_q, coef=chi_new)
 
         A_s = (
-            (0.5 / tau) * (M_old + M_new)
-            + 0.5 * (N - N.T)
-            + cfg.mu * self.K_s
+            (0.5 / tau) * (M_old.data + M_new.data)
+            + 0.5 * (N.data - N.data[self.mini_hi.pattern.transpose_perm])
+            + cfg.mu * self.K_s.data
         )
-        A_free = A_s[self.free_s, :][:, self.free_s].tocsr()
+        source = np.concatenate([A_s, self._saddle_fixed])
+        Kc = sp.csc_matrix(
+            (source[self._saddle_gather], self._saddle.indices,
+             self._saddle.indptr), shape=self._saddle.shape,
+        )
 
         ns = self.vel_space.scalar.n_dofs
-        F = np.empty(d * len(self.free_s))
-        nf = len(self.free_s)
-        # the source load is smooth data; the lower rule over-integrates it
-        g_vals = cfg.g(self.geom_lo.points, t_new) if cfg.g is not None else None
-        for k in range(d):
-            comp = state.u.coeffs[k * ns : (k + 1) * ns]
-            Fk = (M_old @ comp) / tau
-            if g_vals is not None:
-                Fk = Fk + assemble.load_vector(self.mini_lo, g_vals[..., k])
-            F[k * nf : (k + 1) * nf] = Fk[self.free_s]
-
-        A_block = sp.block_diag([A_free] * d, format="csr")
-        K = sp.bmat(
-            [[A_block, -self.B_free], [-self.B_free.T, None]], format="csr"
+        F = (M_old @ state.u.coeffs.reshape(d, ns).T) / tau
+        if cfg.g is not None:
+            # the source load is smooth data; the lower rule over-integrates it
+            g_vals = cfg.g(self.geom_lo.points, t_new)
+            for k in range(d):
+                F[:, k] += assemble.load_vector(self.mini_lo, g_vals[..., k])
+        b = np.concatenate(
+            [F[self.free_s].T.ravel(), np.zeros(self.p_space.n_dofs + 1)]
         )
-        np_ = self.p_space.n_dofs
-        rhs = np.concatenate([F, np.zeros(np_)])
-        constraint = np.concatenate([np.zeros(d * nf), self.c_p])
-        x, report = self._solve_velocity_system(K, rhs, constraint)
+        x, report = self._solve_velocity_system(Kc, b)
         if not np.all(np.isfinite(x)):
             raise NumericalBreakdownError(
                 f"velocity coefficients not finite at step {state.n + 1}"
             )
 
+        nf = len(self.free_s)
         u_new = np.zeros(self.vel_space.n_dofs)
-        for k in range(d):
-            u_new[k * ns + self.free_s] = x[k * nf : (k + 1) * nf]
+        u_new[self.free_vel] = x[: d * nf]
         p_new = x[d * nf :]
 
         div_residual = float(np.abs(self.B.T @ u_new).max())
@@ -381,7 +429,6 @@ class TimeStepper:
             )
         self.last_reports["velocity"] = report
         self.last_reports["div_residual"] = div_residual
-        self.last_reports["M_new"] = M_new
         return (
             FeField(self.vel_space, u_new),
             FeField(self.p_space, p_new),
@@ -400,46 +447,43 @@ class TimeStepper:
         diag = self._diagnostics(state, new_state, time.perf_counter() - t0)
         return new_state, diag
 
+    def _energy(self, state, M):
+        """0.5||rho||^2 + 0.5 sum_k u_k^T M u_k, M the chi-weighted mass."""
+        rho = state.rho.coeffs
+        e = 0.5 * float(rho @ (self.M_rho @ rho))
+        for comp in state.u.coeffs.reshape(self.mesh.dim, -1):
+            e += 0.5 * float(comp @ (M @ comp))
+        return e
+
     def _diagnostics(self, old, new, wall):
         cfg = self.config
-        tau = cfg.tau
-        d = self.mesh.dim
-        ns = self.vel_space.scalar.n_dofs
-        M_new = self.last_reports["M_new"]
-        energy = 0.5 * float(new.rho.coeffs @ (self.M_rho @ new.rho.coeffs))
+        rho_q, _, M_new = self._weighted_mass(new.rho)
+        energy = self._energy(new, M_new)
         viscous = 0.0
-        for k in range(d):
-            comp = new.u.coeffs[k * ns : (k + 1) * ns]
-            energy += 0.5 * float(comp @ (M_new @ comp))
+        for comp in new.u.coeffs.reshape(self.mesh.dim, -1):
             viscous += float(comp @ (self.K_s @ comp))
-        viscous *= tau * cfg.mu
+        viscous *= cfg.tau * cfg.mu
 
         minus, plus = assemble.eval_dg_traces(self.trace, new.rho)
-        upwind = tau * assemble.upwind_jump_quadratic(
+        upwind = cfg.tau * assemble.upwind_jump_quadratic(
             self.trace, self.last_reports["upwind_flux"], minus, plus
         )
         mass = float(self.ones_rho @ new.rho.coeffs)
 
-        rho_q = assemble.eval_scalar(self.p2_hi, new.rho)
-        bounds = cutoff_bounds(cfg)
-        active = bounds is not None and bool(
-            rho_q.min() < bounds[0] or rho_q.max() > bounds[1]
-        )
+        # share of the density samples the cut-off clamped
+        band = cutoff_bounds(cfg)
+        clamped = 0 if band is None else int(np.count_nonzero(
+            (rho_q < band[0]) | (rho_q > band[1])
+        ))
+        fraction = clamped / rho_q.size
         return StepDiagnostics(
-            new.n, new.t, energy, viscous, upwind, mass, active, wall,
+            new.n, new.t, energy, viscous, upwind, mass, fraction > 0, wall,
+            extras={"cutoff_fraction": fraction},
         )
 
     def energy(self, state: StepState):
         """0.5||rho||^2 + int 0.5 chi(rho)|u|^2 for an arbitrary state."""
-        rho_q = assemble.eval_scalar(self.p2_hi, state.rho)
-        chi = cutoff(rho_q, self.config)
-        M = assemble.mass_matrix(self.mini_hi, chi)
-        ns = self.vel_space.scalar.n_dofs
-        e = 0.5 * float(state.rho.coeffs @ (self.M_rho @ state.rho.coeffs))
-        for k in range(self.mesh.dim):
-            comp = state.u.coeffs[k * ns : (k + 1) * ns]
-            e += 0.5 * float(comp @ (M @ comp))
-        return e
+        return self._energy(state, self._weighted_mass(state.rho)[2])
 
     def run(self, rho0, u0, diag_stream=None, on_step=None,
             check_energy=None):

@@ -275,16 +275,21 @@ class RT1Space:
         V = np.concatenate([facet_rows, interior_rows], axis=1)
         self.coeffs = np.linalg.inv(V)  # (nc, n_modes, n_local)
 
-    def tabulate(self, cells, points):
+    def tabulate(self, cells, points, basis_first=False):
         """Basis values (..., n_local, d) and divergences at physical points.
 
-        cells : (k,) cell indices; points : (k, nq, d).
+        cells : (k,) cell indices; points : (k, nq, d).  With
+        ``basis_first`` the values come as (k, n_local, nq, d).
         """
         mvals, mdivs = self._modes(cells, points)
         C = self.coeffs[cells]
-        vals = np.einsum("cqmd,cmi->cqid", mvals, C)
-        divs = np.einsum("cqm,cmi->cqi", mdivs, C)
-        return vals, divs
+        k, nq, nm, d = mvals.shape
+        modes = np.ascontiguousarray(np.swapaxes(mvals, 1, 2))
+        vals = (np.swapaxes(C, 1, 2) @ modes.reshape(k, nm, nq * d)).reshape(
+            k, -1, nq, d
+        )
+        divs = mdivs @ C
+        return (vals if basis_first else vals.transpose(0, 2, 1, 3)), divs
 
 
 @dataclass

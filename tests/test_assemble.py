@@ -293,14 +293,187 @@ def test_upwind_skew_identity_random(square8):
         assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(rhs))
 
 
-def test_matrix_market_dump(tmp_path):
-    m = unit_square_mesh(2)
-    geom = assemble.CellQuadrature(m, 4)
-    M = assemble.mass_matrix(assemble.ScalarTab(P1Space(m), geom))
-    out = tmp_path / "m.mtx"
-    with open(out, "w") as fh:
-        assemble.matrix_market_dump(M, fh)
-    import scipy.io
 
-    M2 = scipy.io.mmread(out)
-    assert np.abs((M - M2).toarray()).max() < 1e-15
+# -- the tensor-representation kernel against plain einsum references -----
+
+def _ref_scatter(local, rows, cols, shape):
+    import scipy.sparse as sp
+
+    r = np.repeat(rows, cols.shape[1], axis=1).ravel()
+    c = np.tile(cols, (1, rows.shape[1])).ravel()
+    return sp.coo_matrix((local.ravel(), (r, c)), shape=shape).tocsr()
+
+
+def _ref_grads(tab):
+    return np.einsum("qid,cde->cqie", tab.space.ref_grads(tab.geom.rule.points),
+                     tab.space.mesh.inv_jacobians)
+
+
+def _close(A, ref, rtol=1e-13):
+    scale = np.abs(ref).max()
+    if hasattr(ref, "toarray"):
+        return abs(A - ref).max() <= rtol * scale
+    return np.abs(np.asarray(A) - ref).max() <= rtol * scale
+
+
+@pytest.fixture(scope="module", params=[(unit_square_mesh, 8),
+                                        (unit_cube_mesh, 3)],
+                ids=["square8", "cube3"])
+def kernel_setup(request):
+    make_mesh, n = request.param
+    mesh = make_mesh(n)
+    d = mesh.dim
+    geom = assemble.CellQuadrature(mesh, 2 * (d + 1) + 2)
+    geom_lo = assemble.CellQuadrature(mesh, 6)
+    rng = np.random.default_rng(17)
+    return mesh, geom, geom_lo, rng
+
+
+def test_scalar_forms_match_einsum_references(kernel_setup):
+    mesh, geom, _, rng = kernel_setup
+    d = mesh.dim
+    coef = rng.uniform(0.5, 2.0, size=geom.wdet.shape)
+    wvec = rng.standard_normal(geom.wdet.shape + (d,))
+    for space in (P1Space(mesh), MiniScalarSpace(mesh), P2DGSpace(mesh)):
+        tab = assemble.ScalarTab(space, geom)
+        G = _ref_grads(tab)
+        w = geom.wdet * coef
+        dofs, n = tab.cell_dofs, space.n_dofs
+        refs = {
+            "mass": np.einsum("cq,qi,qj->cij", w, tab.vals, tab.vals),
+            "stiffness": np.einsum("cq,cqid,cqjd->cij", geom.wdet, G, G),
+            "stiffness_coef": np.einsum("cq,cqid,cqjd->cij", w, G, G),
+            "convection": np.einsum("cq,cqd,cqjd,qi->cij", w, wvec, G,
+                                    tab.vals),
+        }
+        got = {
+            "mass": assemble.mass_matrix(tab, coef),
+            "stiffness": assemble.stiffness_matrix(tab),
+            "stiffness_coef": assemble.stiffness_matrix(tab, coef),
+            "convection": assemble.convection_matrix(tab, wvec, coef=coef),
+        }
+        for key, local in refs.items():
+            ref = _ref_scatter(local, dofs, dofs, (n, n))
+            assert _close(got[key], ref), (space.kind, key)
+        np.testing.assert_array_equal(tab.grads, G)
+
+        f = rng.standard_normal(geom.wdet.shape)
+        ref = np.bincount(dofs.ravel(), minlength=n, weights=np.einsum(
+            "cq,cq,qi->ci", geom.wdet, f, tab.vals).ravel())
+        assert _close(assemble.load_vector(tab, f), ref)
+        field = FeField(space, rng.standard_normal(n))
+        ref = np.einsum("ci,qi->cq", field.coeffs[dofs], tab.vals)
+        assert _close(assemble.eval_scalar(tab, field), ref)
+
+
+def test_mixed_forms_match_einsum_references(kernel_setup):
+    mesh, geom, geom_lo, rng = kernel_setup
+    from vardens.spaces import MiniVectorSpace, P1DGSpace
+
+    d = mesh.dim
+    vel = MiniVectorSpace(mesh)
+    mini = assemble.ScalarTab(vel.scalar, geom)
+    p1 = assemble.ScalarTab(P1Space(mesh), geom)
+    G = _ref_grads(mini)
+    ns, np_ = vel.scalar.n_dofs, p1.space.n_dofs
+    ref = sum(
+        _ref_scatter(
+            np.einsum("cq,cqa,qm->cam", geom.wdet, G[..., k], p1.vals),
+            mini.cell_dofs + k * ns, p1.cell_dofs, (d * ns, np_))
+        for k in range(d))
+    assert _close(assemble.div_coupling(mini, p1), ref)
+
+    u = FeField(vel, rng.standard_normal(vel.n_dofs))
+    ref = np.stack([np.einsum("ci,qi->cq", u.coeffs[vel.component_slice(k)]
+                              [mini.cell_dofs], mini.vals)
+                    for k in range(d)], axis=-1)
+    assert _close(assemble.eval_mini_vector(mini, u), ref)
+
+    rt = RT1Space(mesh)
+    rt_tab = assemble.RTTab(rt, geom_lo)
+    dg_tab = assemble.ScalarTab(P1DGSpace(mesh), geom_lo)
+    V, wd = rt_tab.vals, geom_lo.wdet
+    ref = _ref_scatter(np.einsum("cq,cqid,cqjd->cij", wd, V, V),
+                       rt.cell_dofs, rt.cell_dofs, (rt.n_dofs,) * 2)
+    assert _close(assemble.rt_mass_matrix(rt_tab), ref)
+    ref = _ref_scatter(
+        np.einsum("cq,cqj,qm->cmj", wd, rt_tab.divs, dg_tab.vals),
+        dg_tab.cell_dofs, rt.cell_dofs, (dg_tab.space.n_dofs, rt.n_dofs))
+    assert _close(assemble.mixed_div_matrix(rt_tab, dg_tab), ref)
+
+    f = rng.standard_normal(wd.shape + (d,))
+    ref = np.bincount(rt.cell_dofs.ravel(), minlength=rt.n_dofs,
+                      weights=np.einsum("cq,cqd,cqid->ci", wd, f, V).ravel())
+    assert _close(assemble.rt_load(rt_tab, f), ref)
+    w = FeField(rt, rng.standard_normal(rt.n_dofs))
+    ref = np.einsum("ci,cqid->cqd", w.coeffs[rt.cell_dofs], V)
+    assert _close(assemble.eval_rt(rt_tab, w), ref)
+
+
+def test_facet_forms_match_einsum_references(kernel_setup):
+    mesh, _, _, rng = kernel_setup
+    p2 = P2DGSpace(mesh)
+    fq = assemble.FacetQuadrature(mesh, 6)
+    trace = assemble.DGFacetTrace(p2, fq)
+    rt = RT1Space(mesh)
+    flux_tab = assemble.RTFacetFlux(rt, fq, mesh.interior_facets)
+    w = FeField(rt, rng.standard_normal(rt.n_dofs))
+    s = assemble.eval_rt_flux(flux_tab, w)
+    ref = np.einsum("fi,fqi->fq", w.coeffs[flux_tab.cell_dofs], flux_tab.flux)
+    assert _close(s, ref)
+
+    Tm, Tp = trace.minus_vals, trace.plus_vals
+    md, pd = trace.minus_dofs, trace.plus_dofs
+    sw = s * trace.wscale
+    sm, spos = np.where(s < 0, sw, 0.0), np.where(s > 0, sw, 0.0)
+    shape = (p2.n_dofs,) * 2
+    ref = (_ref_scatter(np.einsum("fq,fqi,fqj->fij", sm, Tm, Tm), md, md, shape)
+           - _ref_scatter(np.einsum("fq,fqi,fqj->fij", sm, Tm, Tp), md, pd,
+                          shape)
+           + _ref_scatter(np.einsum("fq,fqi,fqj->fij", spos, Tp, Tm), pd, md,
+                          shape)
+           - _ref_scatter(np.einsum("fq,fqi,fqj->fij", spos, Tp, Tp), pd, pd,
+                          shape))
+    assert _close(assemble.upwind_matrix(trace, s), ref)
+
+    rho = FeField(p2, rng.standard_normal(p2.n_dofs))
+    minus, plus = assemble.eval_dg_traces(trace, rho)
+    assert _close(minus, np.einsum("fi,fqi->fq", rho.coeffs[md], Tm))
+    assert _close(plus, np.einsum("fi,fqi->fq", rho.coeffs[pd], Tp))
+
+
+def test_successive_matrices_share_no_data(square8):
+    geom = assemble.CellQuadrature(square8, 8)
+    tab = assemble.ScalarTab(MiniScalarSpace(square8), geom)
+    rng = np.random.default_rng(8)
+    wvec = rng.standard_normal(geom.wdet.shape + (2,))
+    for form in (lambda c: assemble.mass_matrix(tab, c),
+                 lambda c: assemble.convection_matrix(tab, wvec, coef=c)):
+        A1 = form(rng.uniform(0.5, 2.0, size=geom.wdet.shape))
+        kept = A1.data.copy()
+        A2 = form(rng.uniform(0.5, 2.0, size=geom.wdet.shape))
+        assert not np.shares_memory(A1.data, A2.data)
+        assert (A1.data == kept).all()
+        assert (A1.data != A2.data).any()
+
+
+def test_union_pattern_holds_each_part(square8):
+    """Cell and facet forms on one union pattern add as data arrays."""
+    p2 = P2DGSpace(square8)
+    geom = assemble.CellQuadrature(square8, 6)
+    tab = assemble.ScalarTab(p2, geom)
+    trace = assemble.DGFacetTrace(p2, assemble.FacetQuadrature(square8, 6))
+    n = p2.n_dofs
+    cells, facets = assemble.Pattern.build(
+        (n, n), (tab.cell_dofs,) * 2, (trace.dofs,) * 2, csc=True)
+    s = np.random.default_rng(9).standard_normal(trace.wscale.shape)
+    M = assemble.mass_matrix(tab, pattern=cells)
+    U = assemble.upwind_matrix(trace, s, pattern=facets)
+    assert M.format == U.format == "csc"
+    A = cells.with_data(M.data - U.data)
+    ref = assemble.mass_matrix(tab) - assemble.upwind_matrix(trace, s)
+    assert abs(A - ref).max() <= 1e-15 * abs(ref).max()
+    N = assemble.convection_matrix(
+        tab, np.random.default_rng(1).standard_normal(geom.wdet.shape + (2,)))
+    assert (tab.pattern.with_data(N.data[tab.pattern.transpose_perm])
+            != N.T).nnz == 0

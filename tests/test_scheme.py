@@ -9,8 +9,8 @@ from vardens import assemble
 from vardens.mesh import unit_cube_mesh, unit_square_mesh
 from vardens.mms import make_case
 from vardens.scheme import (NumericalBreakdownError, PositivityError,
-                            SchemeConfig, StepDiagnostics, TimeStepper,
-                            cutoff)
+                            SchemeConfig, StepDiagnostics, StepState,
+                            TimeStepper, cutoff)
 from vardens.spaces import FeField
 
 
@@ -267,3 +267,89 @@ def test_cutoff_active_follows_cutoff_mode(rho, mode, active):
     _, diags = st.run(lambda x: np.full(x.shape[:-1], rho),
                       lambda x: np.zeros_like(x))
     assert diags[0].cutoff_active is active
+
+
+@pytest.mark.parametrize("mode", ["strict", "widened", "off"])
+def test_cutoff_fraction_counts_clamped_samples(mode):
+    """The strict band is [0.5, 1.5] here and the widened one [1/3, 2.25];
+    the density ranges over [0.2, 2.7], so both clamp a part of it."""
+    st = TimeStepper(unit_square_mesh(4), _config(
+        n_steps=1, cutoff_mode=mode, rho_min=1.0, rho_max=1.0))
+    state, diags = st.run(lambda x: 0.2 + 2.5 * x[..., 0],
+                          lambda x: np.zeros_like(x))
+    rho_q = assemble.eval_scalar(st.p2_hi, state.rho)
+    lo, hi = {"strict": (0.5, 1.5), "widened": (0.5 / 1.5, 2.25),
+              "off": (-np.inf, np.inf)}[mode]
+    expected = np.count_nonzero((rho_q < lo) | (rho_q > hi)) / rho_q.size
+    fraction = diags[0].extras["cutoff_fraction"]
+    assert fraction == expected
+    assert (fraction > 0) is (mode != "off")
+    assert diags[0].cutoff_active is (fraction > 0)
+
+
+def test_energy_matches_diagnostics():
+    case = make_case("square2d")
+    cfg = _config(n_steps=3)
+    st = TimeStepper(unit_square_mesh(4), cfg)
+    state, diags = st.run(lambda x: case.rho(x, 0.0),
+                          lambda x: case.u(x, 0.0))
+    assert abs(st.energy(state) - diags[-1].energy) <= 1e-14
+    # a stepper with no cached mass matrices agrees as well
+    fresh = TimeStepper(st.mesh, cfg).energy(state)
+    assert abs(fresh - diags[-1].energy) <= 1e-14
+
+
+def test_velocity_step_cached_mass_is_bit_identical():
+    """M_old is reused from the previous step's M_new; the cache is keyed on
+    the density values, so changing them in place is seen."""
+    case = make_case("square2d")
+    m = unit_square_mesh(4)
+    cfg = _config(cutoff_mode="widened")
+    st = TimeStepper(m, cfg)
+    state = st.initialize(lambda x: case.rho(x, 0.0), lambda x: case.u(x, 0.0))
+    state, _ = st.step(state)
+    rho_new = st.density_step(state)
+
+    def same(a, b):
+        return all(np.array_equal(x.coeffs, y.coeffs) for x, y in zip(a, b))
+
+    cached = st.velocity_step(state, rho_new)
+    assert same(cached, TimeStepper(m, cfg).velocity_step(state, rho_new))
+    # a different old density, first as a new array, then changed in place
+    other = state.rho.copy()
+    other.coeffs *= 1.01
+    for rho_old in (other, state.rho):
+        if rho_old is state.rho:
+            state.rho.coeffs[:] = other.coeffs * 0.99
+        moved = StepState(state.n, state.t, rho_old, state.u, state.p,
+                          state.w)
+        got = st.velocity_step(moved, rho_new)
+        assert same(got, TimeStepper(m, cfg).velocity_step(moved, rho_new))
+        assert not same(got, cached)
+
+
+def test_lagged_velocity_solve_matches_constrained_direct():
+    """The 3D path: minimum-degree LU, then GMRES preconditioned by it."""
+    from vardens import linalg
+
+    case = make_case("cube3d")
+    src = case.make_source_evaluator(0.001)
+    st = TimeStepper(unit_cube_mesh(3), _config(
+        tau=1 / 64, cutoff_mode="widened", f=src.f, g=src.g))
+    solves = []
+    inner = st._solve_velocity_system
+
+    def record(Kc, b):
+        x, report = inner(Kc, b)
+        solves.append((Kc, b, x))
+        return x, report
+
+    st._solve_velocity_system = record
+    state = st.initialize(lambda x: case.rho(x, 0.0), lambda x: case.u(x, 0.0))
+    for _ in range(2):
+        state, _ = st.step(state)
+    assert st.last_reports["velocity"].iterations > 0  # GMRES on a lagged LU
+    for Kc, b, x in solves:
+        ref, _ = linalg.solve_constrained(linalg.LinearSystem(
+            Kc[:-1, :-1], b[:-1], st._constraint))
+        assert np.abs(x - ref).max() <= 1e-10 * np.abs(ref).max()
