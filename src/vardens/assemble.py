@@ -253,8 +253,6 @@ class DGFacetTrace:
         self.dofs = np.concatenate(
             [space.cell_dofs[self.minus], space.cell_dofs[self.plus]], axis=1
         )
-        self.minus_vals, self.plus_vals = np.split(self.vals, 2, axis=2)
-        self.minus_dofs, self.plus_dofs = np.split(self.dofs, 2, axis=1)
         self.wscale = fquad.wscale[fi]
 
     @staticmethod
@@ -309,16 +307,10 @@ def mass_matrix(tab, coef=None, pattern=None):
 
 def stiffness_matrix(tab, coef=None):
     """(coef grad u, grad v); bitwise symmetric (module docstring)."""
-    mesh = tab.space.mesh
-    inv = mesh.inv_jacobians
+    inv = tab.space.mesh.inv_jacobians
     G = (inv @ np.swapaxes(inv, 1, 2)).reshape(len(inv), -1)  # invJ invJ^T
-    if coef is None:
-        # the weight is |det| times the rule's: contract the rule into R
-        R = tab.geom.rule.weights @ tab._stiffness_ref.reshape(len(tab.vals), -1)
-        upper = (np.abs(mesh.dets)[:, None] * G) @ R.reshape(G.shape[1], -1)
-    else:
-        K = _weights(tab, coef)[:, :, None] * G[:, None, :]
-        upper = K.reshape(len(K), -1) @ tab._stiffness_ref
+    K = _weights(tab, coef)[:, :, None] * G[:, None, :]
+    upper = K.reshape(len(K), -1) @ tab._stiffness_ref
     return tab.pattern.matrix(_mirror(upper))
 
 

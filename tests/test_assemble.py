@@ -422,8 +422,9 @@ def test_facet_forms_match_einsum_references(kernel_setup):
     ref = np.einsum("fi,fqi->fq", w.coeffs[flux_tab.cell_dofs], flux_tab.flux)
     assert _close(s, ref)
 
-    Tm, Tp = trace.minus_vals, trace.plus_vals
-    md, pd = trace.minus_dofs, trace.plus_dofs
+    nloc = p2.n_local
+    Tm, Tp = trace.vals[..., :nloc], trace.vals[..., nloc:]
+    md, pd = trace.dofs[:, :nloc], trace.dofs[:, nloc:]
     sw = s * trace.wscale
     sm, spos = np.where(s < 0, sw, 0.0), np.where(s > 0, sw, 0.0)
     shape = (p2.n_dofs,) * 2
