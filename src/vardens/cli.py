@@ -73,7 +73,7 @@ def main(argv=None):
     spec = StudySpec(
         case=args.case, mode=args.mode, params=params, tau=args.tau,
         T=args.T, mu=args.mu, cutoff_mode=args.cutoff,
-        density_solver=args.solver, out_format=args.format,
+        density_solver=args.solver,
     )
     records = run_study(
         spec,

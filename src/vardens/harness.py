@@ -127,7 +127,6 @@ class StudySpec:
     mu: float = 0.001
     cutoff_mode: str = "widened"
     density_solver: str = "auto"
-    out_format: str = "csv"      # csv | md
 
     def __post_init__(self):
         if self.mode not in ("space", "time"):

@@ -1,10 +1,21 @@
-"""Manufactured exact solutions and automatic source-term derivation.
+"""Manufactured exact solutions and their source terms.
 
-Each case bundles closed-form density/velocity/pressure closures; the
-transport and momentum sources are derived by forward-mode dual-number
-differentiation of those closures (first-order partials in space and time
-plus the pure second spatial partials needed for the Laplacian), which
-avoids hand-transcribing the 3D nonlinear terms.
+Every shipped case is separable.  The velocity u(x) is steady by
+construction, and density and pressure are sums of (time factor) x (space
+factor) terms, rho = sum_k theta_k(t) a_k(x) and p = sum_j phi_j(t) b_j(x).
+The sources then split into spatial fields weighted by scalars of time:
+
+    f = sum_k [theta_k'(t) a_k + theta_k(t) u.grad a_k]
+    g = (sum_k theta_k a_k) (u.grad)u + sum_j phi_j grad b_j - mu lap u
+
+(plus (1/2) f u for the scheme's momentum source).  The fields a_k,
+u.grad a_k, u, (u.grad)u, lap u and grad b_j come from one forward-mode
+dual-number pass over space (first partials and the pure second spatial
+partials), which avoids hand-transcribing the 3D nonlinear terms.
+``SourceEvaluator`` runs that pass once per point set; each step then
+evaluates only the time factors, as duals on a 0-d time variable, and a
+few weighted sums.  Plain closures for rho, u and p are an independent
+transcription, used for initial data, error tracking and tests.
 
 Cases:
     square2d         smooth solution on the unit square
@@ -150,43 +161,45 @@ def dabspow(u: Dual, c: float) -> Dual:
     return u._chain(f, fp, fpp)
 
 
+def _space_vars(x):
+    d = x.shape[-1]
+    return [Dual.space_var(x[..., k], k, d) for k in range(d)]
+
+
 def make_vars(x, t):
     """Seed dual variables for points x (..., d) at scalar time t."""
     x = np.asarray(x, dtype=float)
-    d = x.shape[-1]
-    X = [Dual.space_var(x[..., k], k, d) for k in range(d)]
-    T = Dual.time_var(t, x.shape[:-1], d)
-    return X, T
+    return _space_vars(x), Dual.time_var(t, x.shape[:-1], x.shape[-1])
+
+
+def _at(factor, var):
+    """A term's factor at the dual variable(s) var; a constant is itself."""
+    return factor(var) if callable(factor) else factor
 
 
 class ExactCase:
-    """Closed-form (rho, u, p) with derived sources f and g."""
+    """Separable closed-form (rho, u, p) with derived sources f and g.
 
-    u_time_independent = True  # all shipped cases have steady velocity
+    ``rho_terms`` and ``p_terms`` are sequences of (time factor, space
+    factor) pairs.  A time factor maps a dual time variable to a Dual, a
+    space factor maps the dual coordinates to a Dual, and either may be a
+    constant instead.  ``u_space`` maps the dual coordinates to the list of
+    velocity components.  The plain closures are an independent
+    transcription of the same fields.
+    """
 
-    def __init__(self, name, dim, rho_dual, u_dual, p_dual,
-                 rho_plain, u_plain, p_plain, smoothness_exponent=None,
-                 kink_location=None):
+    def __init__(self, name, dim, rho_terms, u_space, p_terms,
+                 rho_plain, u_plain, p_plain, smoothness_exponent=None):
         self.name = name
         self.dim = dim
         self.smoothness_exponent = smoothness_exponent
-        self.kink_location = kink_location
-        self.kink_evaluations = 0  # points hit exactly on the kink set
-        self._rho_dual = rho_dual
-        self._u_dual = u_dual
-        self._p_dual = p_dual
+        self._rho_terms = rho_terms
+        self._u_space = u_space
+        self._p_terms = p_terms
         self._rho = rho_plain
         self._u = u_plain
         self._p = p_plain
         self._p_mean_cache = {}
-
-    def _count_kink_hits(self, x):
-        """Source evaluations exactly on the kink set use the right-limit
-        derivative convention; keep a tally so runs can report it."""
-        if self.kink_location is not None:
-            self.kink_evaluations += int(
-                np.count_nonzero(np.asarray(x) == self.kink_location)
-            )
 
     # plain evaluations -----------------------------------------------
     def rho(self, x, t):
@@ -207,36 +220,74 @@ class ExactCase:
             self._p_mean_cache[key] = float(w @ self._p(pts, t))
         return self._p_mean_cache[key]
 
-    # dual-derived quantities -------------------------------------------
+    # dual closures composed from the terms -----------------------------
+    def _rho_dual(self, X, T):
+        return sum(_at(a, T) * _at(b, X) for a, b in self._rho_terms)
+
+    def _u_dual(self, X, T):
+        return self._u_space(X)
+
+    def _p_dual(self, X, T):
+        return sum(_at(a, T) * _at(b, X) for a, b in self._p_terms)
+
+    # sources: spatial fields once, then time-weighted sums -------------
+    def _spatial(self, x):
+        """The sources' spatial fields at points x (..., d), one dual pass.
+
+        ``a`` and ``u_grad_a`` stack a_k and u.grad a_k over the density
+        terms, ``grad_b`` stacks grad b_j over the pressure terms; ``u``,
+        ``u_grad_u`` and ``lap_u`` carry the velocity in the last axis.
+        """
+        X = _space_vars(np.asarray(x, dtype=float))
+        u = self._u_space(X)
+        uval = np.stack([c.val for c in u], axis=-1)
+
+        def along_u(q):
+            return np.einsum("...d,...d->...", uval, q.spatial_grad())
+
+        a = [X[0]._lift(_at(s, X)) for _, s in self._rho_terms]
+        b = [X[0]._lift(_at(s, X)) for _, s in self._p_terms]
+        return {
+            "a": np.stack([s.val for s in a]),
+            "u_grad_a": np.stack([along_u(s) for s in a]),
+            "u": uval,
+            "u_grad_u": np.stack([along_u(c) for c in u], axis=-1),
+            "lap_u": np.stack([c.laplacian() for c in u], axis=-1),
+            "grad_b": np.stack([s.spatial_grad() for s in b]),
+        }
+
+    def _time_factors(self, terms, t):
+        """Values and time derivatives of the terms' time factors at t."""
+        T = Dual.time_var(t, (), self.dim)
+        w = [T._lift(_at(a, T)) for a, _ in terms]
+        return np.array([[float(v.val), float(v.dt())] for v in w]).T
+
+    def _combine(self, fields, t, mu, scheme=False):
+        """(f, g) at time t from the fields of ``_spatial`` (u is steady):
+
+            f = sum_k theta_k' a_k + theta_k u.grad a_k
+            g = rho (u.grad)u + sum_j phi_j grad b_j - mu lap u
+
+        with (1/2) f u added to g when ``scheme`` is set.
+        """
+        theta, dtheta = self._time_factors(self._rho_terms, t)
+        phi, _ = self._time_factors(self._p_terms, t)
+        f = (np.tensordot(dtheta, fields["a"], 1)
+             + np.tensordot(theta, fields["u_grad_a"], 1))
+        rho = np.tensordot(theta, fields["a"], 1)
+        g = (rho[..., None] * fields["u_grad_u"]
+             + np.tensordot(phi, fields["grad_b"], 1) - mu * fields["lap_u"])
+        if scheme:
+            g += 0.5 * f[..., None] * fields["u"]
+        return f, g
+
     def source_f(self, x, t):
         """Transport source: d_t rho + u . grad rho (u is divergence-free)."""
-        self._count_kink_hits(x)
-        X, T = make_vars(x, t)
-        rho = self._rho_dual(X, T)
-        u = self._u_dual(X, T)
-        gr = rho.spatial_grad()
-        adv = sum(u[k].val * gr[..., k] for k in range(self.dim))
-        return rho.dt() + adv
+        return self._combine(self._spatial(x), t, 0.0)[0]
 
     def source_g(self, x, t, mu):
         """Momentum source: rho d_t u + rho (u.grad)u + grad p - mu lap u."""
-        self._count_kink_hits(x)
-        X, T = make_vars(x, t)
-        rho = self._rho_dual(X, T)
-        u = self._u_dual(X, T)
-        p = self._p_dual(X, T)
-        gp = p.spatial_grad()
-        uval = np.stack([c.val for c in u], axis=-1)
-        out = np.empty_like(uval)
-        for k in range(self.dim):
-            gu = u[k].spatial_grad()
-            conv = np.einsum("...d,...d->...", uval, gu)
-            out[..., k] = (
-                rho.val * (u[k].dt() + conv)
-                + gp[..., k]
-                - mu * u[k].laplacian()
-            )
-        return out
+        return self._combine(self._spatial(x), t, mu)[1]
 
     def scheme_momentum_source(self, x, t, mu):
         """Momentum source consistent with the stabilized discrete form.
@@ -248,12 +299,10 @@ class ExactCase:
         the compensation is required for the exact solution to remain a
         solution of the discrete form.
         """
-        f = self.source_f(x, t)
-        return self.source_g(x, t, mu) + 0.5 * f[..., None] * self.u(x, t)
+        return self._combine(self._spatial(x), t, mu, scheme=True)[1]
 
     def div_u(self, x, t):
-        X, T = make_vars(x, t)
-        u = self._u_dual(X, T)
+        u = self._u_dual(*make_vars(x, t))
         return sum(u[k].spatial_grad()[..., k] for k in range(self.dim))
 
     def make_source_evaluator(self, mu):
@@ -261,19 +310,21 @@ class ExactCase:
 
 
 class SourceEvaluator:
-    """Per-run source closures sharing one dual pass per (points, time).
+    """Per-run source closures: the spatial fields once per point set, one
+    combination per (point set, time).
 
     The transport and momentum sources are needed at the same quadrature
-    points within a step; this evaluator derives both from a single pass
-    and, since the shipped velocities are steady, reuses the velocity
-    duals across steps for each distinct point set.
+    points every step.  The dual pass over space runs on the first call
+    for each distinct point set; a new time costs only the scalar time
+    factors and a few weighted sums of the cached fields, and ``f`` and
+    ``g`` at one (points, time) share one combination.
     """
 
     def __init__(self, case, mu):
         self.case = case
         self.mu = mu
-        self._u_cache = {}
-        self._last = None  # (key, t) -> dict
+        self._u_cache = {}  # points key -> spatial fields of the case
+        self._last = None  # ((points key, t), (f, g))
 
     @staticmethod
     def _points_key(x):
@@ -281,63 +332,32 @@ class SourceEvaluator:
         entry and an array changed in place gets a new one."""
         return (x.shape, x.tobytes())
 
-    def _u_duals(self, key, X, T):
-        if not self.case.u_time_independent:
-            return self.case._u_dual(X, T)
-        if key not in self._u_cache:
-            self._u_cache[key] = self.case._u_dual(X, T)
-        return self._u_cache[key]
-
-    def _bundle(self, x, t):
+    def _sources(self, x, t):
         points_key = self._points_key(x)
         key = (points_key, float(t))
-        if self._last is not None and self._last[0] == key:
-            return self._last[1]
-        case = self.case
-        d = case.dim
-        case._count_kink_hits(x)
-        X, T = make_vars(x, t)
-        rho = case._rho_dual(X, T)
-        u = self._u_duals(points_key, X, T)
-        p = case._p_dual(X, T)
-        gr = rho.spatial_grad()
-        uval = np.stack([c.val for c in u], axis=-1)
-        f = rho.dt() + np.einsum("...d,...d->...", uval, gr)
-        gp = p.spatial_grad()
-        g = np.empty_like(uval)
-        for k in range(d):
-            gu = u[k].spatial_grad()
-            conv = np.einsum("...d,...d->...", uval, gu)
-            g[..., k] = (
-                rho.val * (u[k].dt() + conv)
-                + gp[..., k]
-                - self.mu * u[k].laplacian()
-                + 0.5 * f * uval[..., k]
-            )
-        out = {"f": f, "g": g}
-        self._last = (key, out)
-        return out
+        if self._last is None or self._last[0] != key:
+            if points_key not in self._u_cache:
+                self._u_cache[points_key] = self.case._spatial(x)
+            fields = self._u_cache[points_key]
+            self._last = (key, self.case._combine(fields, t, self.mu,
+                                                  scheme=True))
+        return self._last[1]
 
     def f(self, x, t):
-        return self._bundle(np.asarray(x, dtype=float), t)["f"]
+        return self._sources(np.asarray(x, dtype=float), t)[0]
 
     def g(self, x, t):
-        return self._bundle(np.asarray(x, dtype=float), t)["g"]
+        return self._sources(np.asarray(x, dtype=float), t)[1]
 
 
 def _unit_box_rule(dim, n):
     x, w = roots_legendre(n)
     x = 0.5 * (x + 1.0)
     w = 0.5 * w
-    grids = np.meshgrid(*([x] * dim), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    weights = np.ones(pts.shape[0])
-    for k in range(dim):
-        weights *= np.broadcast_to(
-            w[(None,) * k + (slice(None),) + (None,) * (dim - 1 - k)],
-            [n] * dim,
-        ).ravel()
-    return pts, weights
+    pts = np.stack([g.ravel() for g in np.meshgrid(*[x] * dim, indexing="ij")],
+                   axis=-1)
+    weights = np.meshgrid(*[w] * dim, indexing="ij")
+    return pts, np.prod([g.ravel() for g in weights], axis=0)
 
 
 # --------------------------------------------------------------------------
@@ -345,12 +365,13 @@ def _unit_box_rule(dim, n):
 # --------------------------------------------------------------------------
 
 def _square2d():
-    def rho_dual(X, T):
-        x, y = X
-        st = dsin(T)
-        return 2.0 + x * (x - 1.0) * dcos(st) + y * (y - 1.0) * dsin(st)
+    rho_terms = (
+        (1.0, 2.0),
+        (lambda T: dcos(dsin(T)), lambda X: X[0] * (X[0] - 1.0)),
+        (lambda T: dsin(dsin(T)), lambda X: X[1] * (X[1] - 1.0)),
+    )
 
-    def u_dual(X, T):
+    def u_space(X):
         x, y = X
         sx, sy = dsin(math.pi * x), dsin(math.pi * y)
         return [
@@ -358,9 +379,8 @@ def _square2d():
             -1.0 * dsin(2.0 * math.pi * x) * sy * sy,
         ]
 
-    def p_dual(X, T):
-        x, y = X
-        return T * x + y - 0.5 * (T + 1.0)
+    p_terms = ((lambda T: T, lambda X: X[0] - 0.5),
+               (1.0, lambda X: X[1] - 0.5))
 
     def rho(x, t):
         st = math.sin(t)
@@ -377,24 +397,20 @@ def _square2d():
     def p(x, t):
         return t * x[..., 0] + x[..., 1] - 0.5 * (t + 1.0)
 
-    return ExactCase("square2d", 2, rho_dual, u_dual, p_dual, rho, u, p)
+    return ExactCase("square2d", 2, rho_terms, u_space, p_terms, rho, u, p)
 
 
 def _cube_velocity_dual(X):
-    x, y, z = X
-    sx, sy, sz = dsin(math.pi * x), dsin(math.pi * y), dsin(math.pi * z)
-    s2x, s2y, s2z = (
-        dsin(2.0 * math.pi * x), dsin(2.0 * math.pi * y),
-        dsin(2.0 * math.pi * z),
-    )
+    s = [dsin(math.pi * c) for c in X]
+    s2 = [dsin(2.0 * math.pi * c) for c in X]
     return [
-        sx * sx * s2y * s2z,
-        s2x * (sy * sy) * s2z,
-        -2.0 * s2x * s2y * (sz * sz),
+        s[0] * s[0] * s2[1] * s2[2],
+        s2[0] * (s[1] * s[1]) * s2[2],
+        -2.0 * s2[0] * s2[1] * (s[2] * s[2]),
     ]
 
 
-def _cube_velocity(x):
+def _cube_velocity(x, t):
     px, py, pz = np.pi * x[..., 0], np.pi * x[..., 1], np.pi * x[..., 2]
     return np.stack([
         np.sin(px) ** 2 * np.sin(2 * py) * np.sin(2 * pz),
@@ -403,9 +419,11 @@ def _cube_velocity(x):
     ], axis=-1)
 
 
-def _cube_pressure_dual(X, T):
-    x, y, z = X
-    return T * (x + y) + z - 0.5 * (T + 1.0)
+# p = t (x + y - 1/2) + (z - 1/2) in both 3D cases
+_CUBE_PRESSURE_TERMS = (
+    (lambda T: T, lambda X: X[0] + X[1] - 0.5),
+    (1.0, lambda X: X[2] - 0.5),
+)
 
 
 def _cube_pressure(x, t):
@@ -413,25 +431,20 @@ def _cube_pressure(x, t):
 
 
 def _cube3d():
-    def rho_dual(X, T):
-        x, y, z = X
-        osc = dsin(math.pi * T + 0.5 * math.pi)
-        return 2.0 + (1.0 / 3.0) * (
-            dsin(math.pi * x) + dsin(math.pi * y) + dsin(math.pi * z)
-        ) * osc
+    rho_terms = (
+        (1.0, 2.0),
+        (lambda T: dsin(math.pi * T + 0.5 * math.pi),
+         lambda X: (1.0 / 3.0) * (dsin(math.pi * X[0]) + dsin(math.pi * X[1])
+                                  + dsin(math.pi * X[2]))),
+    )
 
     def rho(x, t):
         osc = math.sin(math.pi * t + 0.5 * math.pi)
-        return 2.0 + (1.0 / 3.0) * (
-            np.sin(np.pi * x[..., 0]) + np.sin(np.pi * x[..., 1])
-            + np.sin(np.pi * x[..., 2])
-        ) * osc
+        return 2.0 + (1.0 / 3.0) * np.sin(np.pi * x).sum(axis=-1) * osc
 
-    return ExactCase(
-        "cube3d", 3, rho_dual, lambda X, T: _cube_velocity_dual(X),
-        _cube_pressure_dual, rho, lambda x, t: _cube_velocity(x),
-        _cube_pressure,
-    )
+    return ExactCase("cube3d", 3, rho_terms, _cube_velocity_dual,
+                     _CUBE_PRESSURE_TERMS, rho, _cube_velocity,
+                     _cube_pressure)
 
 
 _NONSMOOTH_C = 1.51
@@ -439,14 +452,12 @@ _NONSMOOTH_C = 1.51
 
 def _cube3d_nonsmooth():
     c = _NONSMOOTH_C
-
-    def rho_dual(X, T):
-        x, y, z = X
-        st = dsin(T)
-        gx = dabspow(x - 0.5, c)
-        gy = dabspow(y - 0.5, c)
-        gz = dabspow(z - 0.5, c)
-        return 2.0 + gx * dcos(st) + (gy + gz) * dsin(st)
+    rho_terms = (
+        (1.0, 2.0),
+        (lambda T: dcos(dsin(T)), lambda X: dabspow(X[0] - 0.5, c)),
+        (lambda T: dsin(dsin(T)),
+         lambda X: dabspow(X[1] - 0.5, c) + dabspow(X[2] - 0.5, c)),
+    )
 
     def rho(x, t):
         st = math.sin(t)
@@ -456,10 +467,9 @@ def _cube3d_nonsmooth():
         return 2.0 + gx * math.cos(st) + (gy + gz) * math.sin(st)
 
     return ExactCase(
-        "cube3d_nonsmooth", 3, rho_dual,
-        lambda X, T: _cube_velocity_dual(X), _cube_pressure_dual,
-        rho, lambda x, t: _cube_velocity(x), _cube_pressure,
-        smoothness_exponent=c, kink_location=0.5,
+        "cube3d_nonsmooth", 3, rho_terms, _cube_velocity_dual,
+        _CUBE_PRESSURE_TERMS, rho, _cube_velocity, _cube_pressure,
+        smoothness_exponent=c,
     )
 
 
@@ -477,16 +487,6 @@ def make_case(name: str) -> ExactCase:
         raise ValueError(
             f"unknown case {name!r}; choose from {sorted(_CASES)}"
         ) from None
-
-
-def source_f(case: ExactCase, x, t):
-    """Transport source of ``case`` at points x and time t."""
-    return case.source_f(x, t)
-
-
-def source_g(case: ExactCase, x, t, mu):
-    """Momentum source of ``case`` at points x and time t."""
-    return case.source_g(x, t, mu)
 
 
 def hand_coded_square2d_f(x, t):
