@@ -13,8 +13,6 @@ def _add_common(p):
     p.add_argument("--mu", type=parse_fraction, default=0.001)
     p.add_argument("--cutoff", choices=["strict", "widened", "off"],
                    default="widened")
-    p.add_argument("--solver", choices=["auto", "direct", "gmres"],
-                   default="auto", help="density-system solver")
 
 
 def main(argv=None):
@@ -57,8 +55,7 @@ def main(argv=None):
         try:
             result = run_case(
                 case, h, args.tau, T=args.T, mu=args.mu,
-                cutoff_mode=args.cutoff, density_solver=args.solver,
-                diag_stream=diag,
+                cutoff_mode=args.cutoff, diag_stream=diag,
             )
         finally:
             if diag:
@@ -73,7 +70,6 @@ def main(argv=None):
     spec = StudySpec(
         case=args.case, mode=args.mode, params=params, tau=args.tau,
         T=args.T, mu=args.mu, cutoff_mode=args.cutoff,
-        density_solver=args.solver,
     )
     records = run_study(
         spec,

@@ -68,7 +68,7 @@ def build_mesh(case, h):
 
 
 def run_case(case, h, tau, T=0.25, mu=0.001, cutoff_mode="widened",
-             density_solver="auto", diag_stream=None):
+             diag_stream=None):
     """Time-march one manufactured problem; returns errors and timings.
 
     Tracks the max-over-steps L2 errors of density and velocity, evaluated
@@ -80,7 +80,6 @@ def run_case(case, h, tau, T=0.25, mu=0.001, cutoff_mode="widened",
     sources = case.make_source_evaluator(mu)
     config = SchemeConfig(
         tau=tau, mu=mu, T=T, cutoff_mode=cutoff_mode,
-        density_solver=density_solver,
         f=sources.f,
         g=sources.g,
     )
@@ -126,7 +125,6 @@ class StudySpec:
     T: float = 0.25
     mu: float = 0.001
     cutoff_mode: str = "widened"
-    density_solver: str = "auto"
 
     def __post_init__(self):
         if self.mode not in ("space", "time"):
@@ -171,7 +169,6 @@ def run_study(spec: StudySpec, progress=None):
             result = run_case(
                 case, h, tau, T=spec.T, mu=spec.mu,
                 cutoff_mode=spec.cutoff_mode,
-                density_solver=spec.density_solver,
             )
             rec.E_rho = result["E_rho"]
             rec.E_u = result["E_u"]

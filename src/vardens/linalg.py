@@ -1,11 +1,13 @@
-"""Sparse solvers for the three system shapes the scheme produces.
+"""Sparse solvers for the system shapes the scheme produces.
 
-The primary path is a sparse direct factorization (SuperLU with its
-fill-reducing column ordering).  Saddle-point systems with a zero-mean
-constraint are bordered by one Lagrange multiplier row/column, which keeps
-the matrix symmetric whenever the blocks are.  A restarted GMRES path with
-incomplete-LU (or caller-supplied) preconditioning is available for the
-larger 3D transport systems.
+The scheme's per-step systems go through restarted GMRES with a
+preconditioner the caller builds for the system: inverse cell-mass blocks
+for the density, a lagged SuperLU factorization for the velocity.
+``factorize`` gives that factorization and the one of the RT projection.
+Saddle-point systems with a zero-mean constraint are bordered by one
+Lagrange multiplier row/column, which keeps the matrix symmetric whenever
+the blocks are.  The direct solves are the exact references the tests
+compare against.
 
 Every solve asserts its own relative residual before returning.
 """
@@ -149,13 +151,10 @@ def solve_constrained(system: LinearSystem, tol: float = 1e-10):
 
 
 def solve_gmres(system: LinearSystem, tol: float = 1e-10, restart: int = 60,
-                maxiter: int = 400, preconditioner=None):
-    """Restarted GMRES with ILU (default) or caller-supplied preconditioning."""
+                maxiter: int = 400, *, preconditioner):
+    """Restarted GMRES with a caller-supplied preconditioner."""
     A = system.matrix.tocsc()
     t0 = time.perf_counter()
-    if preconditioner is None:
-        ilu = spla.spilu(A, drop_tol=1e-5, fill_factor=10)
-        preconditioner = spla.LinearOperator(A.shape, ilu.solve)
     iters = 0
 
     def count(_):

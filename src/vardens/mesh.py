@@ -148,22 +148,6 @@ class Mesh:
         rel = points - v0[(slice(None),) + (None,) * (points.ndim - 2)]
         return np.einsum("ced,c...d->c...e", Binv, rel)
 
-    def dump(self, stream):
-        """Plain-text listing of vertices, cells, and facets."""
-        print(f"mesh dim {self.dim} h {self.h:.17g}", file=stream)
-        for i, v in enumerate(self.vertices):
-            print("vertex", i, *(f"{x:.17g}" for x in v), file=stream)
-        for i, c in enumerate(self.cells):
-            print("cell", i, *c, file=stream)
-        for i in range(self.n_facets):
-            print(
-                "facet", i, *self.facet_vertices[i],
-                int(self.facet_minus[i]), int(self.facet_plus[i]),
-                *(f"{x:.17g}" for x in self.facet_normals[i]),
-                f"{self.facet_measures[i]:.17g}",
-                file=stream,
-            )
-
 
 def unit_square_mesh(n: int) -> Mesh:
     """n x n grid of the unit square split into 2n^2 right triangles.
@@ -236,10 +220,3 @@ def unit_cube_mesh(n: int) -> Mesh:
                     tet = [vid(*(corner + s)) for s in local]
                     cells.append(tuple(tet))
     return Mesh(3, vertices, cells)
-
-
-def affine_map(mesh: Mesh, cell: int):
-    """Affine reference-to-physical map data (jacobian, inverse, determinant)."""
-    if not 0 <= cell < mesh.n_cells:
-        raise ValueError(f"cell index {cell} out of range")
-    return mesh.jacobians[cell], mesh.inv_jacobians[cell], float(mesh.dets[cell])

@@ -59,8 +59,6 @@ class SchemeConfig:
     cutoff_mode: str = "strict"      # strict | widened | off
     widen_factor: float = 1.5
     solver_tol: float = 1e-10
-    density_solver: str = "auto"     # auto | direct | gmres
-    velocity_solver: str = "auto"    # auto | direct | lagged-lu
     f: object = None                 # f(x, t) transport source
     g: object = None                 # g(x, t) momentum source
 
@@ -270,14 +268,10 @@ class TimeStepper:
             rhs = rhs + tau * assemble.load_vector(
                 self.p2_lo, cfg.f(self.geom_lo.points, t_new)
             )
-        system = linalg.LinearSystem(A, rhs)
-        if self._density_solver() == "direct":
-            x, report = linalg.solve_direct(system, cfg.solver_tol)
-        else:
-            x, report = linalg.solve_gmres(
-                system, cfg.solver_tol,
-                preconditioner=self._mass_preconditioner(),
-            )
+        x, report = linalg.solve_gmres(
+            linalg.LinearSystem(A, rhs), cfg.solver_tol,
+            preconditioner=self._mass_preconditioner(),
+        )
         if not np.all(np.isfinite(x)):
             raise NumericalBreakdownError(
                 f"density coefficients not finite at step {state.n + 1}"
@@ -285,12 +279,6 @@ class TimeStepper:
         self.last_reports["density"] = report
         self.last_reports["upwind_flux"] = flux
         return FeField(self.rho_space, x)
-
-    def _density_solver(self):
-        mode = self.config.density_solver
-        if mode == "auto":
-            return "direct" if self.mesh.dim == 2 else "gmres"
-        return mode
 
     def _mass_preconditioner(self):
         if self._mass_block_inv is None:
@@ -307,7 +295,7 @@ class TimeStepper:
         return spla.LinearOperator((n, n), apply)
 
     def _solve_velocity_system(self, Kc, b):
-        """Direct solve, or GMRES preconditioned by a lagged factorization.
+        """GMRES preconditioned by a lagged factorization.
 
         ``Kc`` is the bordered saddle matrix and the last unknown its
         multiplier.  The saddle matrix drifts slowly from step to step (only
@@ -315,31 +303,24 @@ class TimeStepper:
         factorization preconditions many subsequent solves; it is refreshed
         whenever the iteration stalls.  The bordered matrix is structurally
         symmetric, so it is factored with the minimum-degree ordering.  The
-        residual contract is enforced either way.
+        residual contract is enforced on GMRES and on the refresh alike.
         """
-        mode = self.config.velocity_solver
-        if mode == "auto":
-            mode = "direct" if self.mesh.dim == 2 else "lagged-lu"
         tol = self.config.solver_tol
-        system = linalg.LinearSystem(Kc, b)
-        if mode == "direct":
-            x, report = linalg.solve_direct(system, tol)
-        else:
-            if self._vel_lu is None:
-                self._vel_lu = linalg.factorize(Kc, symmetric=True)
-            precond = spla.LinearOperator(Kc.shape, self._vel_lu.solve)
-            try:
-                x, report = linalg.solve_gmres(
-                    system, tol, restart=40, maxiter=40,
-                    preconditioner=precond,
-                )
-            except linalg.ResidualError:
-                self._vel_lu = linalg.factorize(Kc, symmetric=True)
-                x = self._vel_lu.solve(b)
-                res = np.linalg.norm(Kc @ x - b) / max(np.linalg.norm(b), 1e-300)
-                if res > tol:
-                    raise
-                report = linalg.SolveReport(res, 0, 0.0)
+        if self._vel_lu is None:
+            self._vel_lu = linalg.factorize(Kc, symmetric=True)
+        precond = spla.LinearOperator(Kc.shape, self._vel_lu.solve)
+        try:
+            x, report = linalg.solve_gmres(
+                linalg.LinearSystem(Kc, b), tol, restart=40, maxiter=40,
+                preconditioner=precond,
+            )
+        except linalg.ResidualError:
+            self._vel_lu = linalg.factorize(Kc, symmetric=True)
+            x = self._vel_lu.solve(b)
+            res = np.linalg.norm(Kc @ x - b) / max(np.linalg.norm(b), 1e-300)
+            if res > tol:
+                raise
+            report = linalg.SolveReport(res, 0, 0.0)
         # a nonzero multiplier means the constraint fights the equations:
         # the unbordered residual K x - rhs is the top of Kc x - b plus lam c
         lam = x[-1]

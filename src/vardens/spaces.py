@@ -309,43 +309,3 @@ class FeField:
 
     def copy(self):
         return FeField(self.space, self.coeffs.copy())
-
-
-_SPACE_KINDS = {
-    "P1": P1Space,
-    "P1_dG": P1DGSpace,
-    "P2_dG": P2DGSpace,
-    "P1b": MiniScalarSpace,
-    "P1b_vector": MiniVectorSpace,
-    "RT1": RT1Space,
-}
-
-
-def make_space(kind, mesh):
-    try:
-        cls = _SPACE_KINDS[kind]
-    except KeyError:
-        raise ValueError(f"unknown space kind {kind!r}") from None
-    return cls(mesh)
-
-
-def eval_basis(space, cell, ref_points):
-    """Local shape function values on one cell.
-
-    For scalar spaces returns (values, physical gradients); for the H(div)
-    space returns (values, divergences) with ``ref_points`` mapped through
-    the cell's affine map first.
-    """
-    ref_points = np.atleast_2d(ref_points)
-    if isinstance(space, RT1Space):
-        mesh = space.mesh
-        v0 = mesh.vertices[mesh.cells[cell, 0]]
-        phys = v0 + ref_points @ mesh.jacobians[cell].T
-        vals, divs = space.tabulate(np.array([cell]), phys[None])
-        return vals[0], divs[0]
-    vals = space.ref_values(ref_points)
-    grads = np.einsum(
-        "qid,de->qie", space.ref_grads(ref_points),
-        space.mesh.inv_jacobians[cell],
-    )
-    return vals, grads

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from vardens import assemble, linalg, mms
 from vardens.mesh import unit_square_mesh
@@ -159,6 +160,10 @@ def test_gmres_with_ilu_matches_direct():
     rng = np.random.default_rng(0)
     b = rng.standard_normal(A.shape[0])
     xd, _ = linalg.solve_direct(linalg.LinearSystem(A, b))
-    xi, report = linalg.solve_gmres(linalg.LinearSystem(A, b))
+    ilu = spla.spilu(A.tocsc(), drop_tol=1e-5, fill_factor=10)
+    xi, report = linalg.solve_gmres(
+        linalg.LinearSystem(A, b),
+        preconditioner=spla.LinearOperator(A.shape, ilu.solve),
+    )
     assert report.iterations > 0
     assert np.abs(xd - xi).max() < 1e-8

@@ -1,12 +1,11 @@
 """Structured mesh construction, facet orientation, and geometric maps."""
 
-import io
 import math
 
 import numpy as np
 import pytest
 
-from vardens.mesh import Mesh, affine_map, unit_cube_mesh, unit_square_mesh
+from vardens.mesh import Mesh, unit_cube_mesh, unit_square_mesh
 
 
 def test_smallest_square_mesh():
@@ -121,20 +120,17 @@ def test_divergence_theorem_affine_field(make, ns):
 def test_affine_map_reference_simplex_identity():
     ref = Mesh(2, np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
                np.array([[0, 1, 2]]))
-    B, Binv, det = affine_map(ref, 0)
-    assert np.allclose(B, np.eye(2))
-    assert np.allclose(Binv, np.eye(2))
-    assert abs(det - 1.0) < 1e-15
+    assert np.allclose(ref.jacobians[0], np.eye(2))
+    assert np.allclose(ref.inv_jacobians[0], np.eye(2))
+    assert abs(ref.dets[0] - 1.0) < 1e-15
 
 
 def test_affine_map_determinant_is_factorial_times_volume():
     m = unit_square_mesh(2)
     for c in range(m.n_cells):
-        _, _, det = affine_map(m, c)
+        det = m.dets[c]
         assert abs(abs(det) - 2 * m.volumes[c]) < 1e-14
         assert abs(abs(det) - 0.25) < 1e-14
-    with pytest.raises(ValueError):
-        affine_map(m, m.n_cells)
 
 
 def test_reflected_cell_is_reoriented():
@@ -162,14 +158,3 @@ def test_reference_coords_roundtrip():
     pts = np.einsum("cqk,ckd->cqd", lam, m.vertices[m.cells[cells]])
     ref = m.reference_coords(cells, pts)
     assert np.abs(ref - lam[:, :, 1:]).max() < 1e-12
-
-
-def test_mesh_dump_roundtrippable_text():
-    m = unit_square_mesh(2)
-    buf = io.StringIO()
-    m.dump(buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0].startswith("mesh dim 2")
-    assert sum(1 for ln in lines if ln.startswith("vertex")) == m.n_vertices
-    assert sum(1 for ln in lines if ln.startswith("cell")) == m.n_cells
-    assert sum(1 for ln in lines if ln.startswith("facet")) == m.n_facets

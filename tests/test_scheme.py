@@ -313,6 +313,9 @@ def test_velocity_step_cached_mass_is_bit_identical():
     def same(a, b):
         return all(np.array_equal(x.coeffs, y.coeffs) for x, y in zip(a, b))
 
+    # every solve factors its own matrix afresh, as a new stepper does, so
+    # both sides precondition GMRES with the same LU
+    st._vel_lu = None
     cached = st.velocity_step(state, rho_new)
     assert same(cached, TimeStepper(m, cfg).velocity_step(state, rho_new))
     # a different old density, first as a new array, then changed in place
@@ -323,18 +326,27 @@ def test_velocity_step_cached_mass_is_bit_identical():
             state.rho.coeffs[:] = other.coeffs * 0.99
         moved = StepState(state.n, state.t, rho_old, state.u, state.p,
                           state.w)
+        st._vel_lu = None
         got = st.velocity_step(moved, rho_new)
         assert same(got, TimeStepper(m, cfg).velocity_step(moved, rho_new))
         assert not same(got, cached)
 
 
-def test_lagged_velocity_solve_matches_constrained_direct():
-    """The 3D path: minimum-degree LU, then GMRES preconditioned by it."""
+# the same small problem on each dimension's mesh
+_IN_2D_AND_3D = pytest.mark.parametrize("name,mesh", [
+    ("square2d", lambda: unit_square_mesh(4)),
+    ("cube3d", lambda: unit_cube_mesh(3)),
+], ids=["square2d", "cube3d"])
+
+
+@_IN_2D_AND_3D
+def test_lagged_velocity_solve_matches_constrained_direct(name, mesh):
+    """Minimum-degree LU, then GMRES preconditioned by it."""
     from vardens import linalg
 
-    case = make_case("cube3d")
+    case = make_case(name)
     src = case.make_source_evaluator(0.001)
-    st = TimeStepper(unit_cube_mesh(3), _config(
+    st = TimeStepper(mesh(), _config(
         tau=1 / 64, cutoff_mode="widened", f=src.f, g=src.g))
     solves = []
     inner = st._solve_velocity_system
@@ -352,4 +364,32 @@ def test_lagged_velocity_solve_matches_constrained_direct():
     for Kc, b, x in solves:
         ref, _ = linalg.solve_constrained(linalg.LinearSystem(
             Kc[:-1, :-1], b[:-1], st._constraint))
+        assert np.abs(x - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+@_IN_2D_AND_3D
+def test_density_gmres_matches_direct(name, mesh, monkeypatch):
+    """GMRES on the inverse cell-mass blocks against a direct solve."""
+    from vardens import linalg
+
+    case = make_case(name)
+    src = case.make_source_evaluator(0.001)
+    st = TimeStepper(mesh(), _config(
+        tau=1 / 64, cutoff_mode="widened", f=src.f, g=src.g))
+    solves = []
+    inner = linalg.solve_gmres
+
+    def record(system, *args, **kwargs):
+        x, report = inner(system, *args, **kwargs)
+        if system.matrix.shape[0] == st.rho_space.n_dofs:
+            solves.append((system, x))
+        return x, report
+
+    monkeypatch.setattr(linalg, "solve_gmres", record)
+    state = st.initialize(lambda x: case.rho(x, 0.0), lambda x: case.u(x, 0.0))
+    for _ in range(2):
+        state, _ = st.step(state)
+    assert len(solves) == 2
+    for system, x in solves:
+        ref, _ = linalg.solve_direct(system)
         assert np.abs(x - ref).max() <= 1e-10 * np.abs(ref).max()

@@ -8,13 +8,7 @@ from vardens.mesh import unit_cube_mesh, unit_square_mesh
 from vardens.quadrature import reference_simplex_measure, simplex_rule
 from vardens.spaces import (FeField, MiniScalarSpace, MiniVectorSpace,
                             P1DGSpace, P1Space, P2DGSpace, RT1Space,
-                            barycentric, eval_basis, make_space)
-
-
-def test_make_space_rejects_unknown_kind():
-    m = unit_square_mesh(1)
-    with pytest.raises(ValueError, match="unknown space kind"):
-        make_space("P3_hermite", m)
+                            barycentric)
 
 
 def test_p1_vertex_indicator_pattern():
@@ -148,15 +142,16 @@ def test_rt_divergence_theorem_per_basis_function():
         assert np.abs(vol - bnd).max() < 1e-13
 
 
-def test_eval_basis_dispatch():
+def test_basis_evaluation_shapes():
     m = unit_square_mesh(2)
     pts = np.array([[0.25, 0.25], [1 / 3, 1 / 3]])
-    vals, grads = eval_basis(make_space("P1", m), 0, pts)
-    assert vals.shape == (2, 3) and grads.shape == (2, 3, 2)
-    vals, divs = eval_basis(make_space("RT1", m), 0, pts)
-    assert vals.shape == (2, 8, 2) and divs.shape == (2, 8)
-    mini = make_space("P1b", m)
-    vals, _ = eval_basis(mini, 1, np.array([[1 / 3, 1 / 3]]))
+    p1 = P1Space(m)
+    assert p1.ref_values(pts).shape == (2, 3)
+    assert p1.ref_grads(pts).shape == (2, 3, 2)
+    phys = m.vertices[m.cells[0, 0]] + pts @ m.jacobians[0].T
+    vals, divs = RT1Space(m).tabulate(np.array([0]), phys[None])
+    assert vals.shape == (1, 2, 8, 2) and divs.shape == (1, 2, 8)
+    vals = MiniScalarSpace(m).ref_values(np.array([[1 / 3, 1 / 3]]))
     assert abs(vals[0, -1] - 1.0) < 1e-14
 
 
