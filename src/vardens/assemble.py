@@ -9,8 +9,18 @@ the reference basis, e.g. ``R[q, ij] = phi_qi phi_qj`` for the mass or
 quadrature weights, the coefficient and the inverse Jacobian are folded
 into a coefficient matrix K with one row per cell, and one GEMM ``K @ R``
 gives every local block.  The H(div) basis is built in physical
-coordinates, so its forms and evaluators are batched matmuls over cells on
-tabulations stored with the basis index first.
+coordinates, but each cell's basis is the contravariant Piola image of one
+reference basis, reordered and scaled per cell (Rognes, Kirby & Logg,
+"Efficient assembly of H(div) and H(curl) conforming finite elements",
+SISC 31, 2009).  So its evaluators and loads are one GEMM against the
+reference basis at the reference points, and no physical basis values are
+stored; only the set-up forms tabulate the physical basis.
+
+Work whose temporaries would grow with the mesh (pattern slots, the
+stiffness, convection and divergence forms, the upwind blocks, the H(div)
+set-up forms) runs over ``CHUNK`` cells or facets at a time.  Each chunk
+computes exactly what the whole batch would, so the results do not depend
+on the chunk size.
 
 Local blocks are scattered through a ``Pattern``: the CSR (or CSC)
 structure of the global matrix, built once per pair of row and column dof
@@ -35,6 +45,15 @@ import numpy as np
 import scipy.sparse as sp
 
 from .quadrature import facet_rule, reference_simplex_measure, simplex_rule
+from .spaces import barycentric
+
+# Cells or facets per chunk in the loops that bound set-up temporaries.
+CHUNK = 512
+
+
+def _chunks(n):
+    """Consecutive slices of at most ``CHUNK`` items covering range(n)."""
+    return [slice(a, min(a + CHUNK, n)) for a in range(0, n, CHUNK)]
 
 
 class Pattern:
@@ -57,26 +76,45 @@ class Pattern:
     @classmethod
     def build(cls, shape, *blocks, csc=False):
         """One pattern per (row_dofs, col_dofs) pair, all on the union of
-        their entries; each dof map is (n_items, n_local)."""
+        their entries; each dof map is (n_items, n_local).
+
+        The union is the structure of I_major^T I_minor, with I the
+        item-by-dof incidence of the stacked maps, so no array of every
+        local entry is formed; the slots are then looked up chunk by chunk.
+        """
         nrow, ncol = shape
-        nminor = nrow if csc else ncol
-        keys = []
-        for rows, cols in blocks:
-            r = rows.astype(np.int64)[:, :, None]
-            c = cols.astype(np.int64)[:, None, :]
-            keys.append((c * nrow + r if csc else r * ncol + c).ravel())
-        uniq, slot = np.unique(np.concatenate(keys), return_inverse=True)
-        major, minor = np.divmod(uniq, nminor)
-        itype = np.int32 if max(shape + (len(uniq),)) < 2**31 else np.int64
-        indptr = np.searchsorted(
-            major, np.arange((ncol if csc else nrow) + 1)
-        ).astype(itype)
-        indices = minor.astype(itype)
+        major, minor = (1, 0) if csc else (0, 1)
+
+        def incidence(k):
+            maps = [b[k] for b in blocks]
+            ptr = np.concatenate([[0]] + [np.full(len(m), m.shape[1])
+                                          for m in maps]).cumsum()
+            idx = np.concatenate([m.ravel() for m in maps])
+            return sp.csr_matrix((np.ones(len(idx), dtype=np.int32), idx, ptr),
+                                 shape=(len(ptr) - 1, shape[k]))
+
+        S = (incidence(major).T @ incidence(minor)).tocsr()
+        S.sort_indices()
+        nminor = shape[minor]
+        itype = np.int32 if max(shape + (S.nnz,)) < 2**31 else np.int64
+        indptr = S.indptr.astype(itype)
+        indices = S.indices.astype(itype)
+        keys = np.repeat(np.arange(shape[major], dtype=np.int64),
+                         np.diff(indptr)) * nminor + indices
+        del S
         for a in (indptr, indices):  # shared by every matrix made from it
             a.setflags(write=False)
-        ends = np.cumsum([len(k) for k in keys])[:-1]
-        return tuple(cls(shape, indptr, indices, s, csc)
-                     for s in np.split(slot, ends))
+        out = []
+        for rows, cols in blocks:
+            slot = np.empty((len(rows), rows.shape[1], cols.shape[1]),
+                            dtype=np.intp)
+            for s in _chunks(len(rows)):
+                r = rows[s, :, None].astype(np.int64)
+                c = cols[s, None, :].astype(np.int64)
+                slot[s] = np.searchsorted(keys, c * nrow + r if csc
+                                          else r * ncol + c)
+            out.append(cls(shape, indptr, indices, slot.ravel(), csc))
+        return tuple(out)
 
     def matrix(self, local):
         """The matrix with local blocks ``local``, scattered in cell order."""
@@ -187,21 +225,41 @@ class ScalarTab:
 
 
 class RTTab:
-    """H(div) basis values and divergences at cell quadrature points.
+    """The H(div) space at cell quadrature points, without basis values.
 
-    ``vals_t`` (nc, n_local, nq, d) holds the values basis index first, so
-    evaluation and loads are batched matmuls; ``vals`` is its (nc, nq,
-    n_local, d) view.
+    Each local basis is the contravariant Piola image of one reference
+    basis (``RT1Space.piola_map``; Rognes, Kirby & Logg, SISC 31, 2009): a
+    field with local coefficients c is J_K sum_i chat_i phihat_i / det J_K
+    on cell K, with chat c reordered and then scaled on the facet dofs and
+    multiplied by adj(J_K) on the interior ones.  Its values are one GEMM
+    of every cell's chat against the reference basis at the rule's
+    reference points, ``ref_vals`` (n_local, nq d), and then J_K / det J_K
+    per cell.  Loads are the transpose: on affine cells the rule's weights
+    are det J_K times the reference weights, which cancel the 1/det J_K,
+    so ``ref_loads`` (nq d, n_local) carries the reference weights.
+
+    Besides those two tables the tab holds O(n_local) numbers per cell:
+    ``ref_dofs``, the global dofs in reference order, ``local_index``, the
+    flat index of each local entry among the cells' reference entries, the
+    facet ``scale``, ``adj`` = adj(J_K), and ``piola_t`` = J_K^T / det J_K.
     """
 
     def __init__(self, space, geom):
         self.space = space
         self.geom = geom
         self.cell_dofs = space.cell_dofs
-        self.vals_t, self.divs = space.tabulate(
-            np.arange(space.mesh.n_cells), geom.points, basis_first=True
-        )
-        self.vals = self.vals_t.transpose(0, 2, 1, 3)
+        mesh = space.mesh
+        nc, nl = space.cell_dofs.shape
+        order, self.scale = space.piola_map()
+        self.ref_dofs = np.take_along_axis(space.cell_dofs, order, axis=1)
+        self.local_index = (np.argsort(order, axis=1)
+                            + nl * np.arange(nc)[:, None])
+        self.adj = mesh.dets[:, None, None] * mesh.inv_jacobians
+        self.piola_t = np.ascontiguousarray(
+            np.swapaxes(mesh.jacobians, 1, 2) / mesh.dets[:, None, None])
+        vals = space.reference_values(geom.rule.points)  # (nl, nq, d)
+        self.ref_vals = vals.reshape(nl, -1)
+        self.ref_loads = (vals * geom.rule.weights[:, None]).reshape(nl, -1).T
 
 
 class FacetQuadrature:
@@ -268,10 +326,16 @@ class DGFacetTrace:
 
 
 class RTFacetFlux:
-    """Normal flux of the H(div) basis at facet quadrature points.
+    """Normal flux of H(div) fields at facet quadrature points.
 
-    Evaluated from the minus cell; normal-trace continuity makes the value
-    single-valued for conforming coefficient vectors.
+    The normal trace of RT1 on a facet is P1, and the facet's d dofs are
+    its mean-scaled moments against the facet's P1 nodal functions:
+    dof = G phi, with phi the nodal values of w.nu and G = (I + 11^T) /
+    (d (d+1)) the mean-scaled mass matrix of the facet's barycentric
+    coordinates.  The flux at the points is then the facet dofs times one
+    (d, nq) table, ``G^-1`` times the barycentric coordinates of the
+    points.  It depends on the facet's dofs alone, so it is single-valued
+    and equals the normal trace from either adjacent cell.
     """
 
     def __init__(self, space, fquad, facets=None):
@@ -280,12 +344,10 @@ class RTFacetFlux:
             facets = np.arange(mesh.n_facets)
         self.facets = facets
         self.space = space
-        cells = mesh.facet_minus[facets]
-        vals, _ = space.tabulate(cells, fquad.points[facets])
-        normals = mesh.facet_normals[facets]
-        self.flux = np.einsum("fqid,fd->fqi", vals, normals)
-        self.cell_dofs = space.cell_dofs[cells]
-        self.wscale = fquad.wscale[facets]
+        d = space.dim
+        self.dofs = facets[:, None] * d + np.arange(d)
+        lam = barycentric(fquad.rule.points, d - 1)       # (nq, d)
+        self.table = (d * (d + 1) * np.eye(d) - d) @ lam.T  # G^-1 lam^T
 
 
 def _weights(tab, coef):
@@ -309,52 +371,61 @@ def stiffness_matrix(tab, coef=None):
     """(coef grad u, grad v); bitwise symmetric (module docstring)."""
     inv = tab.space.mesh.inv_jacobians
     G = (inv @ np.swapaxes(inv, 1, 2)).reshape(len(inv), -1)  # invJ invJ^T
-    K = _weights(tab, coef)[:, :, None] * G[:, None, :]
-    upper = K.reshape(len(K), -1) @ tab._stiffness_ref
+    w = _weights(tab, coef)
+    R = tab._stiffness_ref
+    upper = np.empty((len(G), R.shape[1]))
+    for s in _chunks(len(G)):
+        K = w[s, :, None] * G[s, None, :]
+        upper[s] = K.reshape(len(K), -1) @ R
     return tab.pattern.matrix(_mirror(upper))
 
 
 def convection_matrix(tab, wvec, coef=None, pattern=None):
     """(coef (wvec . grad u), v) with wvec given at quadrature points."""
-    inv = tab.space.mesh.inv_jacobians
-    K = np.matmul(wvec, np.swapaxes(inv, 1, 2)) * _weights(tab, coef)[..., None]
-    local = K.reshape(len(K), -1) @ tab._convection_ref
+    inv_t = np.swapaxes(tab.space.mesh.inv_jacobians, 1, 2)
+    w = _weights(tab, coef)
+    R = tab._convection_ref
+    local = np.empty((len(w), R.shape[1]))
+    for s in _chunks(len(w)):
+        K = np.matmul(wvec[s], inv_t[s]) * w[s, :, None]
+        local[s] = K.reshape(len(K), -1) @ R
     nloc = tab.vals.shape[1]
     return (pattern or tab.pattern).matrix(local.reshape(-1, nloc, nloc))
 
 
-def _basis_rows(rt_tab):
-    """The H(div) values as (nc, n_local, nq * d)."""
-    nc, nloc = rt_tab.vals_t.shape[:2]
-    return rt_tab.vals_t.reshape(nc, nloc, -1)
+def rt_blocks(rt_tab, dg_tab=None):
+    """Cell blocks of (sigma, eta) on the H(div) space, (nc, n_local,
+    n_local) and exactly symmetric, and with ``dg_tab`` those of
+    (div eta_j, psi_m), (nc, dG n_local, n_local), else None.
 
-
-def rt_mass_blocks(rt_tab):
-    """Cell blocks (nc, n_local, n_local) of (sigma, eta) on the H(div) space,
-    exactly symmetric."""
-    X = _basis_rows(rt_tab)
-    d = rt_tab.space.dim
-    w = np.repeat(rt_tab.geom.wdet, d, axis=1)[:, None, :]
-    L = (X * w) @ np.swapaxes(X, 1, 2)
-    return 0.5 * (L + np.swapaxes(L, 1, 2))
+    One pass tabulates the basis ``CHUNK`` cells at a time.
+    """
+    space, geom = rt_tab.space, rt_tab.geom
+    nc, nl, d = len(rt_tab.cell_dofs), space.n_local, space.dim
+    M = np.empty((nc, nl, nl))
+    B = None if dg_tab is None else np.empty((nc, dg_tab.vals.shape[1], nl))
+    for s in _chunks(nc):
+        vals, divs = space.tabulate(np.arange(nc)[s], geom.points[s])
+        X = np.swapaxes(vals, 1, 2).reshape(len(vals), nl, -1)
+        w = np.repeat(geom.wdet[s], d, axis=1)[:, None, :]
+        L = (X * w) @ np.swapaxes(X, 1, 2)
+        M[s] = 0.5 * (L + np.swapaxes(L, 1, 2))
+        if B is not None:
+            B[s] = dg_tab.vals.T @ (geom.wdet[s][..., None] * divs)
+    return M, B
 
 
 def rt_mass_matrix(rt_tab):
     """(sigma, eta) on the H(div) space; bitwise symmetric (module docstring)."""
     pattern = _square_pattern(rt_tab.cell_dofs, rt_tab.space.n_dofs)
-    return pattern.matrix(rt_mass_blocks(rt_tab))
-
-
-def mixed_div_blocks(rt_tab, dg_tab):
-    """Cell blocks (nc, dG n_local, H(div) n_local) of (div eta_j, psi_m)."""
-    return dg_tab.vals.T @ (rt_tab.geom.wdet[..., None] * rt_tab.divs)
+    return pattern.matrix(rt_blocks(rt_tab)[0])
 
 
 def mixed_div_matrix(rt_tab, dg_tab):
     """(div eta_j, psi_m): rows on the dG space, columns on the H(div) space."""
     shape = (dg_tab.space.n_dofs, rt_tab.space.n_dofs)
     pattern = Pattern.build(shape, (dg_tab.cell_dofs, rt_tab.cell_dofs))[0]
-    return pattern.matrix(mixed_div_blocks(rt_tab, dg_tab))
+    return pattern.matrix(rt_blocks(rt_tab, dg_tab)[1])
 
 
 def div_coupling(mini_tab, p1_tab):
@@ -364,10 +435,13 @@ def div_coupling(mini_tab, p1_tab):
     nc = len(mini_tab.cell_dofs)
     # K[(c, k), (q, e)] = w_cq invJ_cek; R[(q, e), (a, m)] = dpsi_qae q_qm
     inv_t = np.swapaxes(mini_tab.space.mesh.inv_jacobians, 1, 2)
-    K = mini_tab.geom.wdet[:, None, :, None] * inv_t[:, :, None, :]
     R = (np.swapaxes(mini_tab.ref_grads, 1, 2)[:, :, :, None]
          * p1_tab.vals[:, None, None, :])
-    local = K.reshape(nc * d, -1) @ R.reshape(K.shape[2] * d, -1)
+    R = R.reshape(-1, R.shape[2] * R.shape[3])
+    local = np.empty((nc, d, R.shape[1]))
+    for s in _chunks(nc):
+        K = mini_tab.geom.wdet[s, None, :, None] * inv_t[s, :, None, :]
+        local[s] = (K.reshape(-1, R.shape[0]) @ R).reshape(-1, d, R.shape[1])
     rows = (mini_tab.cell_dofs[:, None, :]
             + ns * np.arange(d)[:, None]).reshape(nc, -1)
     shape = (d * ns, p1_tab.space.n_dofs)
@@ -389,9 +463,14 @@ def load_vector(tab, values):
 
 
 def rt_load_blocks(rt_tab, values):
-    """Cell vectors (nc, n_local) of (f, eta), f at quadrature points."""
-    f = (rt_tab.geom.wdet[..., None] * values).reshape(len(values), -1, 1)
-    return (_basis_rows(rt_tab) @ f)[..., 0]
+    """Cell vectors (nc, n_local) of (f, eta), f at quadrature points: the
+    transpose of ``eval_rt``, weighted by the rule (``RTTab``)."""
+    nc, nfl = rt_tab.scale.shape
+    F = values @ rt_tab.space.mesh.jacobians
+    dchat = F.reshape(nc, -1) @ rt_tab.ref_loads
+    dchat[:, :nfl] *= rt_tab.scale
+    dchat[:, nfl:] = np.einsum("cji,cj->ci", rt_tab.adj, dchat[:, nfl:])
+    return dchat.ravel()[rt_tab.local_index]
 
 
 def rt_load(rt_tab, values):
@@ -417,9 +496,12 @@ def upwind_matrix(trace, flux, pattern=None):
         [np.where(flux < 0.0, sw, 0.0), np.where(flux > 0.0, sw, 0.0)], axis=1
     )
     nfi, nloc2, nq = trace.rows.shape
-    rows = trace.rows.reshape(nfi, 2, nloc2 // 2, nq) * inflow[:, :, None, :]
-    local = rows.reshape(nfi, nloc2, nq) @ trace.vals
-    np.negative(local[:, :, nloc2 // 2:], out=local[:, :, nloc2 // 2:])
+    half = nloc2 // 2
+    local = np.empty((nfi, nloc2, nloc2))
+    for s in _chunks(nfi):
+        rows = trace.rows[s].reshape(-1, 2, half, nq) * inflow[s, :, None, :]
+        np.matmul(rows.reshape(-1, nloc2, nq), trace.vals[s], out=local[s])
+    np.negative(local[:, :, half:], out=local[:, :, half:])
     return (pattern or trace.pattern).matrix(local)
 
 
@@ -449,10 +531,13 @@ def eval_mini_vector(tab, field):
 
 
 def eval_rt(rt_tab, field):
-    """Point values (nc, nq, d) of an H(div) field."""
-    nc, _, nq, d = rt_tab.vals_t.shape
-    coeffs = field.coeffs[rt_tab.cell_dofs][:, None, :]
-    return (coeffs @ _basis_rows(rt_tab)).reshape(nc, nq, d)
+    """Point values (nc, nq, d) of an H(div) field (``RTTab``)."""
+    nc, nfl = rt_tab.scale.shape
+    chat = field.coeffs[rt_tab.ref_dofs]
+    chat[:, :nfl] *= rt_tab.scale
+    chat[:, nfl:] = np.einsum("cij,cj->ci", rt_tab.adj, chat[:, nfl:])
+    U = (chat @ rt_tab.ref_vals).reshape(nc, -1, rt_tab.space.dim)
+    return U @ rt_tab.piola_t
 
 
 def eval_dg_traces(trace, field):
@@ -465,5 +550,4 @@ def eval_dg_traces(trace, field):
 
 def eval_rt_flux(flux_tab, field):
     """Normal flux w.nu (minus to plus) at facet quadrature points."""
-    coeffs = field.coeffs[flux_tab.cell_dofs][:, :, None]
-    return (flux_tab.flux @ coeffs)[..., 0]
+    return field.coeffs[flux_tab.dofs] @ flux_tab.table

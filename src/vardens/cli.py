@@ -71,20 +71,20 @@ def main(argv=None):
         case=args.case, mode=args.mode, params=params, tau=args.tau,
         T=args.T, mu=args.mu, cutoff_mode=args.cutoff,
     )
-    records = run_study(
-        spec,
-        progress=lambda r: print(
-            f"  h={r.h:.6g} tau={r.tau:.6g} "
-            + (f"FAILED: {r.message}" if r.failed
-               else f"E_rho={r.E_rho:.3e} E_u={r.E_u:.3e} "
-                    f"({r.seconds:.1f}s)"),
-            file=sys.stderr,
-        ),
-    )
-    csv = records_to_csv(records)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(csv)
+    done = []
+
+    def progress(r):
+        print(f"  h={r.h:.6g} tau={r.tau:.6g} "
+              + (f"FAILED: {r.message}" if r.failed
+                 else f"E_rho={r.E_rho:.3e} E_u={r.E_u:.3e} "
+                      f"({r.seconds:.1f}s)"),
+              file=sys.stderr)
+        done.append(r)
+        if args.out:  # rewritten per row, so a killed study keeps its rows
+            with open(args.out, "w") as fh:
+                fh.write(records_to_csv(done))
+
+    records = run_study(spec, progress=progress)
     print(records_to_table(records, markdown=args.format == "md"))
     return 2 if any(r.failed for r in records) else 0
 

@@ -149,8 +149,13 @@ class ConvergenceRecord:
 
 
 def run_study(spec: StudySpec, progress=None):
-    """Run every row of the study; row failures are recorded, not raised."""
+    """Run every row of the study; row failures are recorded, not raised.
+
+    Each row's orders against the row before it are set as soon as it
+    finishes, so ``progress(rec)`` sees the row as it will be returned.
+    """
     case = make_case(spec.case)
+    scale = "h" if spec.mode == "space" else "tau"
     records = []
     for value in spec.params:
         if spec.mode == "space":
@@ -176,21 +181,14 @@ def run_study(spec: StudySpec, progress=None):
         except Exception as exc:  # row failure: record and continue
             rec.failed = True
             rec.message = f"{type(exc).__name__}: {exc}"
+        prev = records[-1] if records else None
+        if not rec.failed and prev is not None and not prev.failed:
+            x1, x2 = getattr(prev, scale), getattr(rec, scale)
+            rec.order_rho = compute_order(prev.E_rho, x1, rec.E_rho, x2)
+            rec.order_u = compute_order(prev.E_u, x1, rec.E_u, x2)
         records.append(rec)
         if progress is not None:
             progress(rec)
-
-    scale = "h" if spec.mode == "space" else "tau"
-    prev = None
-    for rec in records:
-        if rec.failed or prev is None or prev.failed:
-            prev = rec
-            continue
-        x1 = getattr(prev, scale)
-        x2 = getattr(rec, scale)
-        rec.order_rho = compute_order(prev.E_rho, x1, rec.E_rho, x2)
-        rec.order_u = compute_order(prev.E_u, x1, rec.E_u, x2)
-        prev = rec
     return records
 
 

@@ -30,6 +30,13 @@ import math
 import numpy as np
 from scipy.special import roots_legendre
 
+# Points per chunk of the dual pass in ``ExactCase._spatial``; each dual
+# temporary then holds at most a few MB.
+CHUNK_POINTS = 8192
+# The point axis of each field of ``ExactCase._spatial``.
+_POINT_AXIS = {"a": 1, "u_grad_a": 1, "grad_b": 1,
+               "u": 0, "u_grad_u": 0, "lap_u": 0}
+
 
 class Dual:
     """Vectorized dual number: value, d+1 first partials (space then time),
@@ -237,8 +244,27 @@ class ExactCase:
         ``a`` and ``u_grad_a`` stack a_k and u.grad a_k over the density
         terms, ``grad_b`` stacks grad b_j over the pressure terms; ``u``,
         ``u_grad_u`` and ``lap_u`` carry the velocity in the last axis.
+        The pass runs over ``CHUNK_POINTS`` points at a time, so its dual
+        temporaries do not grow with the point set.
         """
-        X = _space_vars(np.asarray(x, dtype=float))
+        x = np.asarray(x, dtype=float)
+        pts = x.reshape(-1, x.shape[-1])
+        out = {}
+        for a in range(0, max(len(pts), 1), CHUNK_POINTS):
+            part = self._spatial_points(pts[a:a + CHUNK_POINTS])
+            for key, v in part.items():
+                ax = _POINT_AXIS[key]
+                if key not in out:
+                    out[key] = np.empty(v.shape[:ax] + (len(pts),)
+                                        + v.shape[ax + 1:])
+                np.moveaxis(out[key], ax, 0)[a:a + CHUNK_POINTS] = (
+                    np.moveaxis(v, ax, 0))
+        return {key: v.reshape(v.shape[:ax] + x.shape[:-1] + v.shape[ax + 1:])
+                for key, v in out.items() for ax in [_POINT_AXIS[key]]}
+
+    def _spatial_points(self, x):
+        """``_spatial`` on a flat point list (npts, d)."""
+        X = _space_vars(x)
         u = self._u_space(X)
         uval = np.stack([c.val for c in u], axis=-1)
 
@@ -323,25 +349,27 @@ class SourceEvaluator:
     def __init__(self, case, mu):
         self.case = case
         self.mu = mu
-        self._u_cache = {}  # points key -> spatial fields of the case
-        self._last = None  # ((points key, t), (f, g))
+        self._u_cache = []  # [(points, spatial fields)], one per point set
+        self._last = None  # (points, t, (f, g))
 
-    @staticmethod
-    def _points_key(x):
-        """Key on the values of the points, so equal arrays share a cache
-        entry and an array changed in place gets a new one."""
-        return (x.shape, x.tobytes())
+    def _fields(self, x):
+        """The cached entry of the point set equal to ``x``, compared by
+        value, so an array changed in place gets a new entry."""
+        for entry in self._u_cache:
+            if np.array_equal(entry[0], x):
+                return entry
+        entry = (x.copy(), self.case._spatial(x))
+        self._u_cache.append(entry)
+        return entry
 
     def _sources(self, x, t):
-        points_key = self._points_key(x)
-        key = (points_key, float(t))
-        if self._last is None or self._last[0] != key:
-            if points_key not in self._u_cache:
-                self._u_cache[points_key] = self.case._spatial(x)
-            fields = self._u_cache[points_key]
-            self._last = (key, self.case._combine(fields, t, self.mu,
-                                                  scheme=True))
-        return self._last[1]
+        t = float(t)
+        last = self._last
+        if last is None or last[1] != t or not np.array_equal(last[0], x):
+            points, fields = self._fields(x)
+            self._last = (points, t, self.case._combine(fields, t, self.mu,
+                                                        scheme=True))
+        return self._last[2]
 
     def f(self, x, t):
         return self._sources(np.asarray(x, dtype=float), t)[0]

@@ -82,8 +82,7 @@ class RtProjectionWorkspace:
         self.free = np.flatnonzero(mask)
 
         # local blocks and the inverse of every cell's mixed system
-        Mk = assemble.rt_mass_blocks(self.rt_tab)
-        Bk = assemble.mixed_div_blocks(self.rt_tab, self.dg_tab)
+        Mk, Bk = assemble.rt_blocks(self.rt_tab, self.dg_tab)
         nl, nm = space.n_local, d + 1
         A = np.zeros((nc, nl + nm, nl + nm))
         A[:, :nl, :nl] = Mk
@@ -118,8 +117,10 @@ class RtProjectionWorkspace:
         self._div_fix = np.linalg.pinv(divs[:, :, nfl:])
 
         # the assembled mixed system, for the residual check
-        M = assemble.rt_mass_matrix(self.rt_tab)
-        D = assemble.mixed_div_matrix(self.rt_tab, self.dg_tab)
+        n, dofs, dg = space.n_dofs, space.cell_dofs, self.dg_space
+        M = assemble.Pattern.build((n, n), (dofs, dofs))[0].matrix(Mk)
+        D = assemble.Pattern.build((dg.n_dofs, n),
+                                   (dg.cell_dofs, dofs))[0].matrix(Bk)
         self._Mff = M[self.free, :][:, self.free]
         self._Df = D[:, self.free]
         self.last_report = None

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .mesh import Mesh
 from .quadrature import reference_simplex_measure, simplex_rule
 
 
@@ -173,6 +174,12 @@ class MiniVectorSpace:
         return np.concatenate([sb + k * ns for k in range(self.dim)])
 
 
+def _reference_mesh(dim):
+    """The reference simplex as a one-cell mesh."""
+    return Mesh(dim, np.vstack([np.zeros(dim), np.eye(dim)]),
+                [np.arange(dim + 1)])
+
+
 class RT1Space:
     """H(div)-conforming space of order 1: w|_K in P1(K)^d + x P1(K).
 
@@ -275,11 +282,12 @@ class RT1Space:
         V = np.concatenate([facet_rows, interior_rows], axis=1)
         self.coeffs = np.linalg.inv(V)  # (nc, n_modes, n_local)
 
-    def tabulate(self, cells, points, basis_first=False):
-        """Basis values (..., n_local, d) and divergences at physical points.
+    def tabulate(self, cells, points):
+        """Basis values (k, nq, n_local, d) and divergences (k, nq, n_local)
+        at physical points.
 
-        cells : (k,) cell indices; points : (k, nq, d).  With
-        ``basis_first`` the values come as (k, n_local, nq, d).
+        cells : (k,) cell indices; points : (k, nq, d).  The values are a
+        view of a (k, n_local, nq, d) array.
         """
         mvals, mdivs = self._modes(cells, points)
         C = self.coeffs[cells]
@@ -289,7 +297,47 @@ class RT1Space:
             k, -1, nq, d
         )
         divs = mdivs @ C
-        return (vals if basis_first else vals.transpose(0, 2, 1, 3)), divs
+        return vals.transpose(0, 2, 1, 3), divs
+
+    def reference_values(self, ref_points):
+        """Values (n_local, nq, d) of the reference basis at reference
+        points: the basis for the same dofs on the reference simplex."""
+        ref = RT1Space(_reference_mesh(self.dim))
+        vals, _ = ref.tabulate(np.array([0]), ref_points[None])
+        return vals[0].transpose(1, 0, 2)
+
+    def piola_map(self):
+        """Each cell's local basis through the reference basis.
+
+        The contravariant Piola map u = J uhat / det J, x = v0 + J xi,
+        keeps normal-flux moments against matching facet functions and
+        takes cell averages to adj(J) = det J J^-1 times them.  So a field
+        with local coefficients c is J sum_i chat_i phihat_i / det J on
+        cell K, where in reference dof order chat is c reordered by
+        ``order`` (n_cells, n_local) and then multiplied, on the facet
+        dofs, by ``scale`` (n_cells, (d+1) d) = s |F| / |Fhat|, with s = +1
+        where the global normal leaves K and -1 otherwise, and on the
+        interior dofs by adj(J).  The reference dof i of local facet f
+        belongs to the facet's i-th vertex in local order, the local dof
+        to its i-th vertex in sorted global order.
+        """
+        mesh, d = self.mesh, self.dim
+        nc = mesh.n_cells
+        ref = _reference_mesh(d)
+        # the cell's vertices on local facet f (opposite vertex f), in order
+        verts = np.array([[m for m in range(d + 1) if m != f]
+                          for f in range(d + 1)])
+        rank = np.argsort(np.argsort(mesh.cells[:, verts], axis=2), axis=2)
+        order = np.concatenate(
+            [(d * np.arange(d + 1)[:, None] + rank).reshape(nc, -1),
+             np.broadcast_to(np.arange(d * (d + 1), self.n_local),
+                             (nc, d))], axis=1)
+        faces = mesh.cell_facets
+        sign = np.where(mesh.facet_minus[faces] == np.arange(nc)[:, None],
+                        1.0, -1.0)
+        ratio = mesh.facet_measures[faces] / ref.facet_measures[
+            ref.cell_facets[0]]
+        return order, np.repeat(sign * ratio, d, axis=1)
 
 
 @dataclass

@@ -392,12 +392,13 @@ def test_mixed_forms_match_einsum_references(kernel_setup):
     rt = RT1Space(mesh)
     rt_tab = assemble.RTTab(rt, geom_lo)
     dg_tab = assemble.ScalarTab(P1DGSpace(mesh), geom_lo)
-    V, wd = rt_tab.vals, geom_lo.wdet
+    V, divs = rt.tabulate(np.arange(mesh.n_cells), geom_lo.points)
+    wd = geom_lo.wdet
     ref = _ref_scatter(np.einsum("cq,cqid,cqjd->cij", wd, V, V),
                        rt.cell_dofs, rt.cell_dofs, (rt.n_dofs,) * 2)
     assert _close(assemble.rt_mass_matrix(rt_tab), ref)
     ref = _ref_scatter(
-        np.einsum("cq,cqj,qm->cmj", wd, rt_tab.divs, dg_tab.vals),
+        np.einsum("cq,cqj,qm->cmj", wd, divs, dg_tab.vals),
         dg_tab.cell_dofs, rt.cell_dofs, (dg_tab.space.n_dofs, rt.n_dofs))
     assert _close(assemble.mixed_div_matrix(rt_tab, dg_tab), ref)
 
@@ -419,7 +420,12 @@ def test_facet_forms_match_einsum_references(kernel_setup):
     flux_tab = assemble.RTFacetFlux(rt, fq, mesh.interior_facets)
     w = FeField(rt, rng.standard_normal(rt.n_dofs))
     s = assemble.eval_rt_flux(flux_tab, w)
-    ref = np.einsum("fi,fqi->fq", w.coeffs[flux_tab.cell_dofs], flux_tab.flux)
+    # the normal trace from the minus cell's basis, tabulated there
+    fi = mesh.interior_facets
+    cells = mesh.facet_minus[fi]
+    vals, _ = rt.tabulate(cells, fq.points[fi])
+    ref = np.einsum("fi,fqid,fd->fq", w.coeffs[rt.cell_dofs[cells]], vals,
+                    mesh.facet_normals[fi])
     assert _close(s, ref)
 
     nloc = p2.n_local

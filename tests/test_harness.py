@@ -174,6 +174,42 @@ def test_cli_run_and_study(tmp_path):
     assert len(text.strip().splitlines()) == 3
 
 
+def test_cli_study_keeps_finished_rows_when_killed(monkeypatch, tmp_path):
+    import vardens.harness as hmod
+
+    real = hmod.run_case
+    calls = {"k": 0}
+
+    def interrupted(case, h, tau, **kw):
+        calls["k"] += 1
+        if calls["k"] == 2:
+            raise KeyboardInterrupt
+        return real(case, h, tau, **kw)
+
+    monkeypatch.setattr(hmod, "run_case", interrupted)
+    out = tmp_path / "study.csv"
+    with pytest.raises(KeyboardInterrupt):
+        cli.main([
+            "study", "--case", "square2d", "--mode", "space",
+            "--params", "1/2,1/4", "--tau", "1/16", "--T", "0.25",
+            "--out", str(out),
+        ])
+    lines = out.read_text().strip().splitlines()
+    assert lines[0] == "h,tau,E_rho,order_rho,E_u,order_u,seconds"
+    assert len(lines) == 2 and lines[1].startswith("0.5,0.0625,")
+
+
+def test_study_orders_are_set_as_rows_finish():
+    seen = []
+    spec = StudySpec(case="square2d", mode="space", params=[1 / 2, 1 / 4],
+                     tau=1 / 16, T=0.25)
+    records = run_study(spec, progress=lambda r: seen.append(
+        (r.order_rho, r.order_u)))
+    assert math.isnan(seen[0][0]) and math.isnan(seen[0][1])
+    assert seen[1] == (records[1].order_rho, records[1].order_u)
+    assert not math.isnan(seen[1][0])
+
+
 def test_cli_reports_failure_exit_code(monkeypatch):
     import vardens.harness as hmod
 

@@ -1,0 +1,160 @@
+"""Memory bounds: chunked kernels equal their one-batch forms bit for bit,
+the H(div) tabs hold no per-basis-function tables, and the set-up of a
+stepper stays within a measured allocation budget."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from vardens import assemble, mms
+from vardens.mesh import unit_cube_mesh, unit_square_mesh
+from vardens.scheme import SchemeConfig, TimeStepper
+from vardens.spaces import (FeField, MiniScalarSpace, P1Space, P2DGSpace,
+                            RT1Space)
+
+
+@pytest.fixture(scope="module")
+def cube6():
+    mesh = unit_cube_mesh(6)
+    assert mesh.n_cells > assemble.CHUNK  # several chunks
+    return mesh
+
+
+def _same(A, B):
+    return (np.array_equal(A.indptr, B.indptr)
+            and np.array_equal(A.indices, B.indices)
+            and np.array_equal(A.data, B.data))
+
+
+def test_pattern_build_matches_one_batch_unique(cube6):
+    p2 = P2DGSpace(cube6)
+    trace = assemble.DGFacetTrace(p2, assemble.FacetQuadrature(cube6, 6))
+    blocks = ((p2.cell_dofs,) * 2, (trace.dofs,) * 2)
+    n = p2.n_dofs
+    for csc in (False, True):
+        keys = []
+        for rows, cols in blocks:
+            r = rows.astype(np.int64)[:, :, None]
+            c = cols.astype(np.int64)[:, None, :]
+            keys.append((c * n + r if csc else r * n + c).ravel())
+        uniq, slot = np.unique(np.concatenate(keys), return_inverse=True)
+        major, minor = np.divmod(uniq, n)
+        got = assemble.Pattern.build((n, n), *blocks, csc=csc)
+        ends = np.cumsum([len(k) for k in keys])[:-1]
+        for pattern, ref_slot in zip(got, np.split(slot, ends)):
+            assert np.array_equal(pattern.indptr,
+                                  np.searchsorted(major, np.arange(n + 1)))
+            assert np.array_equal(pattern.indices, minor)
+            assert np.array_equal(pattern.slot, ref_slot)
+            assert pattern.indices.dtype == np.int32
+
+
+def test_chunked_forms_match_one_batch(cube6):
+    d = cube6.dim
+    geom = assemble.CellQuadrature(cube6, 2 * (d + 1) + 2)
+    mini = assemble.ScalarTab(MiniScalarSpace(cube6), geom)
+    p1 = assemble.ScalarTab(P1Space(cube6), geom)
+    rng = np.random.default_rng(5)
+    coef = rng.uniform(0.5, 2.0, size=geom.wdet.shape)
+    wvec = rng.standard_normal(geom.wdet.shape + (d,))
+    nc = cube6.n_cells
+    inv = cube6.inv_jacobians
+    inv_t = np.swapaxes(inv, 1, 2)
+
+    G = (inv @ inv_t).reshape(nc, -1)
+    K = (geom.wdet * coef)[:, :, None] * G[:, None, :]
+    upper = K.reshape(nc, -1) @ mini._stiffness_ref
+    ref = mini.pattern.matrix(assemble._mirror(upper))
+    assert _same(assemble.stiffness_matrix(mini, coef), ref)
+
+    K = np.matmul(wvec, inv_t) * (geom.wdet * coef)[..., None]
+    local = K.reshape(nc, -1) @ mini._convection_ref
+    nloc = mini.vals.shape[1]
+    ref = mini.pattern.matrix(local.reshape(nc, nloc, nloc))
+    assert _same(assemble.convection_matrix(mini, wvec, coef=coef), ref)
+
+    K = geom.wdet[:, None, :, None] * inv_t[:, :, None, :]
+    R = (np.swapaxes(mini.ref_grads, 1, 2)[:, :, :, None]
+         * p1.vals[:, None, None, :])
+    local = K.reshape(nc * d, -1) @ R.reshape(K.shape[2] * d, -1)
+    got = assemble.div_coupling(mini, p1)
+    ns = mini.space.n_dofs
+    rows = (mini.cell_dofs[:, None, :] + ns * np.arange(d)[:, None]
+            ).reshape(nc, -1)
+    pattern = assemble.Pattern.build(got.shape, (rows, p1.cell_dofs))[0]
+    assert _same(got, pattern.matrix(local.reshape(nc, rows.shape[1], -1)))
+
+
+def test_chunked_upwind_matches_one_batch(cube6):
+    trace = assemble.DGFacetTrace(P2DGSpace(cube6),
+                                  assemble.FacetQuadrature(cube6, 6))
+    assert len(trace.facets) > assemble.CHUNK
+    flux = np.random.default_rng(6).standard_normal(trace.wscale.shape)
+    sw = flux * trace.wscale
+    inflow = np.stack([np.where(flux < 0.0, sw, 0.0),
+                       np.where(flux > 0.0, sw, 0.0)], axis=1)
+    nfi, nloc2, nq = trace.rows.shape
+    rows = trace.rows.reshape(nfi, 2, nloc2 // 2, nq) * inflow[:, :, None, :]
+    local = rows.reshape(nfi, nloc2, nq) @ trace.vals
+    local[:, :, nloc2 // 2:] *= -1.0
+    assert _same(assemble.upwind_matrix(trace, flux),
+                 trace.pattern.matrix(local))
+
+
+@pytest.mark.parametrize("name", ["cube3d", "cube3d_nonsmooth"])
+def test_chunked_spatial_fields_match_one_pass(cube6, monkeypatch, name):
+    case = mms.make_case(name)
+    x = assemble.CellQuadrature(cube6, 6).points
+    assert x[..., 0].size > mms.CHUNK_POINTS
+    got = case._spatial(x)
+    monkeypatch.setattr(mms, "CHUNK_POINTS", x[..., 0].size)
+    ref = case._spatial(x)
+    assert got.keys() == ref.keys()
+    for key in ref:
+        assert got[key].shape == ref[key].shape, key
+        assert np.array_equal(got[key], ref[key], equal_nan=True), key
+
+
+@pytest.mark.parametrize("make_mesh, n", [(unit_square_mesh, 8),
+                                          (unit_cube_mesh, 3)])
+def test_rt_tabs_hold_no_basis_tables(make_mesh, n):
+    mesh = make_mesh(n)
+    d = mesh.dim
+    space = RT1Space(mesh)
+    geom = assemble.CellQuadrature(mesh, 6)
+    fquad = assemble.FacetQuadrature(mesh, 6)
+    tab = assemble.RTTab(space, geom)
+    flux = assemble.RTFacetFlux(space, fquad, mesh.interior_facets)
+    w = FeField(space, np.random.default_rng(2).standard_normal(space.n_dofs))
+    assemble.eval_rt(tab, w)
+    assemble.eval_rt_flux(flux, w)
+    assemble.rt_load(tab, np.ones(geom.wdet.shape + (d,)))
+    for obj, items, nq in ((tab, mesh.n_cells, geom.npoints),
+                           (flux, len(mesh.interior_facets), fquad.npoints)):
+        arrays = [v for v in vars(obj).values() if isinstance(v, np.ndarray)]
+        assert arrays
+        for a in arrays:
+            assert a.size <= items * nq * (d + 1), (type(obj).__name__,
+                                                    a.shape)
+
+
+# Peak traced allocation of TimeStepper(unit_cube_mesh(6)) plus initialize
+# was 88.2 MB when this bound was set; the bound is 1.25 times that.
+SETUP_PEAK_BOUND_MB = 1.25 * 88.2
+
+
+def test_stepper_setup_allocation_is_bounded():
+    case = mms.make_case("cube3d")
+    mesh = unit_cube_mesh(6)
+    config = SchemeConfig(tau=1 / 512, mu=0.001, n_steps=1,
+                          cutoff_mode="widened")
+    tracemalloc.start()
+    try:
+        stepper = TimeStepper(mesh, config)
+        stepper.initialize(lambda x: case.rho(x, 0.0),
+                           lambda x: case.u(x, 0.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 1e6 <= SETUP_PEAK_BOUND_MB, peak / 1e6
