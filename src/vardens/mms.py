@@ -439,11 +439,12 @@ def _cube_velocity_dual(X):
 
 
 def _cube_velocity(x, t):
+    # the six distinct sines, each evaluated once
     px, py, pz = np.pi * x[..., 0], np.pi * x[..., 1], np.pi * x[..., 2]
+    sx, sy, sz = np.sin(px) ** 2, np.sin(py) ** 2, np.sin(pz) ** 2
+    s2x, s2y, s2z = np.sin(2 * px), np.sin(2 * py), np.sin(2 * pz)
     return np.stack([
-        np.sin(px) ** 2 * np.sin(2 * py) * np.sin(2 * pz),
-        np.sin(2 * px) * np.sin(py) ** 2 * np.sin(2 * pz),
-        -2.0 * np.sin(2 * px) * np.sin(2 * py) * np.sin(pz) ** 2,
+        sx * s2y * s2z, s2x * sy * s2z, -2.0 * s2x * s2y * sz,
     ], axis=-1)
 
 

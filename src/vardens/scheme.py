@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import assemble, linalg
 from .projections import RtProjectionWorkspace, interpolate_mini, project_dg
@@ -252,7 +251,8 @@ class TimeStepper:
 
     # ------------------------------------------------------------------
     def density_step(self, state: StepState, t_new=None) -> FeField:
-        """Upwind dG transport solve for the new density."""
+        """Upwind dG transport solve for the new density, by GMRES on the
+        inverse cell-mass blocks started from the old density."""
         cfg = self.config
         tau = cfg.tau
         if t_new is None:
@@ -270,7 +270,7 @@ class TimeStepper:
             )
         x, report = linalg.solve_gmres(
             linalg.LinearSystem(A, rhs), cfg.solver_tol,
-            preconditioner=self._mass_preconditioner(),
+            preconditioner=self._mass_preconditioner(), x0=state.rho.coeffs,
         )
         if not np.all(np.isfinite(x)):
             raise NumericalBreakdownError(
@@ -291,28 +291,31 @@ class TimeStepper:
         def apply(r):
             return (inv @ r.reshape(-1, nloc, 1)).ravel()
 
-        n = self.rho_space.n_dofs
-        return spla.LinearOperator((n, n), apply)
+        return apply
 
-    def _solve_velocity_system(self, Kc, b):
-        """GMRES preconditioned by a lagged factorization.
+    def _solve_velocity_system(self, Kc, b, x0):
+        """GMRES preconditioned on the right by a lagged factorization.
 
         ``Kc`` is the bordered saddle matrix and the last unknown its
-        multiplier.  The saddle matrix drifts slowly from step to step (only
-        through the cut-off density and lagged velocity), so one
-        factorization preconditions many subsequent solves; it is refreshed
-        whenever the iteration stalls.  The bordered matrix is structurally
-        symmetric, so it is factored with the minimum-degree ordering.  The
-        residual contract is enforced on GMRES and on the refresh alike.
+        multiplier; ``x0`` is the starting guess, the previous step's
+        velocity and pressure.  The saddle matrix drifts slowly from step
+        to step (only through the cut-off density and lagged velocity), so
+        one factorization preconditions many subsequent solves.  When one
+        cycle of 40 GMRES iterations does not converge, the matrix is
+        refactored and solved directly; that report has 0 iterations, the
+        wall time of the whole solve and ``extras["refreshed"]``.  The
+        bordered matrix is structurally symmetric, so it is factored with
+        the minimum-degree ordering.  The residual contract is enforced on
+        GMRES and on the refresh alike.
         """
         tol = self.config.solver_tol
+        t0 = time.perf_counter()
         if self._vel_lu is None:
             self._vel_lu = linalg.factorize(Kc, symmetric=True)
-        precond = spla.LinearOperator(Kc.shape, self._vel_lu.solve)
         try:
             x, report = linalg.solve_gmres(
                 linalg.LinearSystem(Kc, b), tol, restart=40, maxiter=40,
-                preconditioner=precond,
+                preconditioner=self._vel_lu.solve, x0=x0,
             )
         except linalg.ResidualError:
             self._vel_lu = linalg.factorize(Kc, symmetric=True)
@@ -320,7 +323,9 @@ class TimeStepper:
             res = np.linalg.norm(Kc @ x - b) / max(np.linalg.norm(b), 1e-300)
             if res > tol:
                 raise
-            report = linalg.SolveReport(res, 0, 0.0)
+            report = linalg.SolveReport(
+                res, 0, time.perf_counter() - t0, {"refreshed": True}
+            )
         # a nonzero multiplier means the constraint fights the equations:
         # the unbordered residual K x - rhs is the top of Kc x - b plus lam c
         lam = x[-1]
@@ -391,7 +396,10 @@ class TimeStepper:
         b = np.concatenate(
             [F[self.free_s].T.ravel(), np.zeros(self.p_space.n_dofs + 1)]
         )
-        x, report = self._solve_velocity_system(Kc, b)
+        x0 = np.concatenate(
+            [state.u.coeffs[self.free_vel], state.p.coeffs, [0.0]]
+        )
+        x, report = self._solve_velocity_system(Kc, b, x0)
         if not np.all(np.isfinite(x)):
             raise NumericalBreakdownError(
                 f"velocity coefficients not finite at step {state.n + 1}"
@@ -457,9 +465,15 @@ class TimeStepper:
             (rho_q < band[0]) | (rho_q > band[1])
         ))
         fraction = clamped / rho_q.size
+        velocity = self.last_reports["velocity"]
         return StepDiagnostics(
             new.n, new.t, energy, viscous, upwind, mass, fraction > 0, wall,
-            extras={"cutoff_fraction": fraction},
+            extras={
+                "cutoff_fraction": fraction,
+                "density_iterations": self.last_reports["density"].iterations,
+                "velocity_iterations": velocity.iterations,
+                "velocity_refreshed": velocity.extras.get("refreshed", False),
+            },
         )
 
     def energy(self, state: StepState):

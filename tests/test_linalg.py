@@ -9,6 +9,7 @@ import scipy.sparse.linalg as spla
 
 from vardens import assemble, linalg, mms
 from vardens.mesh import unit_square_mesh
+from vardens.scheme import SchemeConfig, TimeStepper
 from vardens.spaces import FeField, MiniVectorSpace, P1Space
 
 
@@ -167,3 +168,68 @@ def test_gmres_with_ilu_matches_direct():
     )
     assert report.iterations > 0
     assert np.abs(xd - xi).max() < 1e-8
+
+
+def _density_system():
+    """A nonsymmetric upwind-dG density matrix M + tau (C - U), its
+    inverse cell-mass preconditioner and a random right-hand side."""
+    case = mms.make_case("square2d")
+    st = TimeStepper(unit_square_mesh(6), SchemeConfig(
+        tau=1 / 8, mu=1e-3, n_steps=1, cutoff_mode="widened"))
+    state = st.initialize(lambda x: case.rho(x, 0.0),
+                          lambda x: case.u(x, 0.0))
+    C = assemble.convection_matrix(st.p2_lo, assemble.eval_rt(st.rt_lo,
+                                                              state.w))
+    U = assemble.upwind_matrix(st.trace,
+                               assemble.eval_rt_flux(st.rt_flux, state.w))
+    A = (st.M_rho + st.config.tau * (C - U)).tocsc()
+    b = np.random.default_rng(4).standard_normal(A.shape[0])
+    return A, st._mass_preconditioner(), b
+
+
+@pytest.mark.parametrize("restart", [60, 4])
+def test_gmres_on_upwind_density_matches_direct(restart):
+    A, precond, b = _density_system()
+    assert abs(A - A.T).max() > 1e-3          # upwinding is not symmetric
+    ref, _ = linalg.solve_direct(linalg.LinearSystem(A, b))
+    x, report = linalg.solve_gmres(
+        linalg.LinearSystem(A, b), restart=restart, preconditioner=precond)
+    assert report.iterations > 0
+    if restart == 4:
+        assert report.iterations > restart    # it restarted and converged
+    assert report.residual <= 1e-10
+    assert np.abs(x - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+def test_gmres_exact_preconditioner_takes_one_iteration():
+    A, _, b = _density_system()
+    lu = linalg.factorize(A)
+    _, report = linalg.solve_gmres(linalg.LinearSystem(A, b),
+                                   preconditioner=lu.solve)
+    assert report.iterations == 1
+
+
+def test_gmres_from_the_solution_takes_no_iteration():
+    A, precond, b = _density_system()
+    ref, _ = linalg.solve_direct(linalg.LinearSystem(A, b))
+    x, report = linalg.solve_gmres(linalg.LinearSystem(A, b),
+                                   preconditioner=precond, x0=ref)
+    assert report.iterations == 0
+    assert np.array_equal(x, ref)
+
+
+def test_gmres_zero_rhs_returns_zeros():
+    A, precond, b = _density_system()
+    for x0 in (None, b):
+        x, report = linalg.solve_gmres(
+            linalg.LinearSystem(A, np.zeros_like(b)), preconditioner=precond,
+            x0=x0)
+        assert report.iterations == 0
+        assert not x.any()
+
+
+def test_gmres_raises_when_maxiter_is_spent():
+    A, precond, b = _density_system()
+    with pytest.raises(linalg.ResidualError):
+        linalg.solve_gmres(linalg.LinearSystem(A, b), maxiter=2,
+                           preconditioner=precond)

@@ -309,3 +309,17 @@ def test_space_closures_run_once_per_point_set(name):
         (ev.f if k % 2 else ev.g)(x, k / 512)
     assert len(calls) == first
     assert len(ev._u_cache) == 1
+
+
+@pytest.mark.parametrize("name", ["cube3d", "cube3d_nonsmooth"])
+def test_cube_velocity_bitwise_equals_twelve_sine_form(name):
+    """The exact cube velocity evaluates each distinct sine once; the
+    values are bitwise those of the form with one sine per factor."""
+    x = np.random.default_rng(5).uniform(0, 1, size=(384, 64, 3))
+    px, py, pz = np.pi * x[..., 0], np.pi * x[..., 1], np.pi * x[..., 2]
+    ref = np.stack([
+        np.sin(px) ** 2 * np.sin(2 * py) * np.sin(2 * pz),
+        np.sin(2 * px) * np.sin(py) ** 2 * np.sin(2 * pz),
+        -2.0 * np.sin(2 * px) * np.sin(2 * py) * np.sin(pz) ** 2,
+    ], axis=-1)
+    assert np.array_equal(make_case(name).u(x, 0.3), ref)

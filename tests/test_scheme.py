@@ -4,6 +4,7 @@ import io
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from vardens import assemble
 from vardens.mesh import unit_cube_mesh, unit_square_mesh
@@ -351,8 +352,8 @@ def test_lagged_velocity_solve_matches_constrained_direct(name, mesh):
     solves = []
     inner = st._solve_velocity_system
 
-    def record(Kc, b):
-        x, report = inner(Kc, b)
+    def record(Kc, b, x0):
+        x, report = inner(Kc, b, x0)
         solves.append((Kc, b, x))
         return x, report
 
@@ -393,3 +394,57 @@ def test_density_gmres_matches_direct(name, mesh, monkeypatch):
     for system, x in solves:
         ref, _ = linalg.solve_direct(system)
         assert np.abs(x - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+def test_step_records_solver_iterations_and_refreshes():
+    case = make_case("square2d")
+    st = TimeStepper(unit_square_mesh(4), _config(n_steps=3))
+    state = st.initialize(lambda x: case.rho(x, 0.0), lambda x: case.u(x, 0.0))
+    for _ in range(3):
+        state, diag = st.step(state)
+        density = st.last_reports["density"]
+        velocity = st.last_reports["velocity"]
+        assert diag.extras["density_iterations"] == density.iterations > 0
+        assert diag.extras["velocity_iterations"] == velocity.iterations > 0
+        assert diag.extras["velocity_refreshed"] is False
+    assert StepDiagnostics.csv_header() == (
+        "n,t,energy,dissipation,mass,cutoff_active")
+
+
+def test_stale_velocity_factor_is_refreshed_within_one_cycle(monkeypatch):
+    """A preconditioner factored from another matrix stalls GMRES; the step
+    refactors after one cycle of 40 iterations and still meets the solve's
+    residual and divergence contracts."""
+    from vardens import linalg, projections
+
+    case = make_case("square2d")
+    st = TimeStepper(unit_square_mesh(8), _config(n_steps=2))
+    state = st.initialize(lambda x: case.rho(x, 0.0), lambda x: case.u(x, 0.0))
+    state, _ = st.step(state)
+    n = st._saddle.shape[0]
+    scale = 10.0 ** np.random.default_rng(2).uniform(-3, 3, n)
+    st._vel_lu = stale = linalg.factorize(sp.diags(scale, format="csc"))
+
+    failures = []
+    inner = linalg.solve_gmres
+
+    def record(system, *args, **kwargs):
+        try:
+            return inner(system, *args, **kwargs)
+        except linalg.ResidualError as exc:
+            failures.append((kwargs.get("restart"), str(exc)))
+            raise
+
+    monkeypatch.setattr(linalg, "solve_gmres", record)
+    state, diag = st.step(state)
+    assert [restart for restart, _ in failures] == [40]
+    assert "after 40 iterations" in failures[0][1]
+    report = st.last_reports["velocity"]
+    assert st._vel_lu is not stale
+    assert report.extras["refreshed"] is True and report.iterations == 0
+    assert report.wall_time > 0.0
+    assert report.residual <= 1e-10
+    assert st.last_reports["div_residual"] <= 1e-10
+    assert np.abs(projections.rt_divergence_nodal(state.w)).max() <= 1e-11
+    assert diag.extras["velocity_refreshed"] is True
+    assert diag.extras["velocity_iterations"] == 0
