@@ -22,11 +22,18 @@ set-up forms) runs over ``CHUNK`` cells or facets at a time.  Each chunk
 computes exactly what the whole batch would, so the results do not depend
 on the chunk size.
 
-Local blocks are scattered through a ``Pattern``: the CSR (or CSC)
-structure of the global matrix, built once per pair of row and column dof
-maps, with the slot of every local entry in the data array.  A new matrix
-costs one ``np.bincount`` over the slots.  Forms built on one pattern share
-its structure, so a linear combination of them is one of their data arrays.
+Local blocks are scattered through a ``Pattern``: the CSR structure of the
+global matrix, built once per pair of row and column dof maps, with the
+slot of every local entry in the data array.  A new matrix costs one
+``np.bincount`` over the slots.  Forms built on one pattern share its
+structure, so a linear combination of them is one of their data arrays.
+
+The density transport needs no pattern.  The P2-dG dofs are numbered cell
+by cell, so its operator is block-sparse (BSR) over cell blocks: the upwind
+form stores an off-diagonal block only for a facet's inflow side
+(``upwind_matrix``), and the cell forms add to the diagonal blocks.  The
+convection by an H(div) field is read off the field's reference
+coefficients, one GEMM against one reference tensor (``RTConvection``).
 
 The symmetric forms (``mass_matrix``, ``stiffness_matrix``,
 ``rt_mass_matrix``) are bitwise symmetric by construction, so the saddle
@@ -57,7 +64,7 @@ def _chunks(n):
 
 
 class Pattern:
-    """Sparse structure of an assembled form and the slot of each local entry.
+    """CSR structure of an assembled form and the slot of each local entry.
 
     ``slot`` holds, for every local entry (cell, i, j) in C order, its
     position in the data array; ``matrix(local)`` sums the local blocks into
@@ -65,25 +72,23 @@ class Pattern:
     share its ``indptr`` and ``indices`` arrays.
     """
 
-    def __init__(self, shape, indptr, indices, slot, csc):
+    def __init__(self, shape, indptr, indices, slot):
         self.shape = shape
         self.indptr = indptr
         self.indices = indices
         self.slot = slot
-        self.csc = csc
         self.nnz = len(indices)
 
     @classmethod
-    def build(cls, shape, *blocks, csc=False):
+    def build(cls, shape, *blocks):
         """One pattern per (row_dofs, col_dofs) pair, all on the union of
         their entries; each dof map is (n_items, n_local).
 
-        The union is the structure of I_major^T I_minor, with I the
-        item-by-dof incidence of the stacked maps, so no array of every
-        local entry is formed; the slots are then looked up chunk by chunk.
+        The union is the structure of I_row^T I_col, with I the item-by-dof
+        incidence of the stacked maps, so no array of every local entry is
+        formed; the slots are then looked up chunk by chunk.
         """
         nrow, ncol = shape
-        major, minor = (1, 0) if csc else (0, 1)
 
         def incidence(k):
             maps = [b[k] for b in blocks]
@@ -93,14 +98,13 @@ class Pattern:
             return sp.csr_matrix((np.ones(len(idx), dtype=np.int32), idx, ptr),
                                  shape=(len(ptr) - 1, shape[k]))
 
-        S = (incidence(major).T @ incidence(minor)).tocsr()
+        S = (incidence(0).T @ incidence(1)).tocsr()
         S.sort_indices()
-        nminor = shape[minor]
         itype = np.int32 if max(shape + (S.nnz,)) < 2**31 else np.int64
         indptr = S.indptr.astype(itype)
         indices = S.indices.astype(itype)
-        keys = np.repeat(np.arange(shape[major], dtype=np.int64),
-                         np.diff(indptr)) * nminor + indices
+        keys = np.repeat(np.arange(nrow, dtype=np.int64),
+                         np.diff(indptr)) * ncol + indices
         del S
         for a in (indptr, indices):  # shared by every matrix made from it
             a.setflags(write=False)
@@ -111,9 +115,8 @@ class Pattern:
             for s in _chunks(len(rows)):
                 r = rows[s, :, None].astype(np.int64)
                 c = cols[s, None, :].astype(np.int64)
-                slot[s] = np.searchsorted(keys, c * nrow + r if csc
-                                          else r * ncol + c)
-            out.append(cls(shape, indptr, indices, slot.ravel(), csc))
+                slot[s] = np.searchsorted(keys, r * ncol + c)
+            out.append(cls(shape, indptr, indices, slot.ravel()))
         return tuple(out)
 
     def matrix(self, local):
@@ -123,8 +126,8 @@ class Pattern:
         return self.with_data(data)
 
     def with_data(self, data):
-        kind = sp.csc_matrix if self.csc else sp.csr_matrix
-        return kind((data, self.indices, self.indptr), shape=self.shape)
+        return sp.csr_matrix((data, self.indices, self.indptr),
+                             shape=self.shape)
 
     @functools.cached_property
     def transpose_perm(self):
@@ -262,6 +265,39 @@ class RTTab:
         self.ref_loads = (vals * geom.rule.weights[:, None]).reshape(nl, -1).T
 
 
+class RTConvection:
+    """Cell blocks of (w . grad u, v) on a scalar tab, w an H(div) field.
+
+    With w the contravariant Piola image J what / det J and grad u =
+    J^-T grad uhat, w . grad u = what . grad uhat / det J, and dx =
+    |det J| dxi.  So a cell's block is sign(det J) sum_a chat_a T_a, with
+    chat the cell's reference coefficients of w (``RTTab``) and one
+    reference tensor T_a[i, j] = sum_q w_q phihat_a . grad phihat_j phihat_i
+    at the reference points (Rognes, Kirby & Logg, SISC 31, 2009).  The
+    mesh orients every cell positively, which the set-up checks, so the
+    blocks are one GEMM chat @ T with no geometry in it.  T contracts the
+    tab's convection reference with the reference H(div) basis at the same
+    rule: the sum is the one ``convection_matrix`` makes of ``eval_rt``
+    values, reassociated.
+    """
+
+    def __init__(self, tab, rt_tab):
+        rule = tab.geom.rule
+        if not np.array_equal(rule.points, rt_tab.geom.rule.points):
+            raise ValueError("the tabs must share one quadrature rule")
+        if np.any(tab.space.mesh.dets <= 0.0):
+            raise ValueError("every cell must be positively oriented")
+        self.rt_tab = rt_tab
+        self.nloc = tab.vals.shape[1]
+        weights = np.repeat(rule.weights, tab.space.dim)
+        self.ref = (rt_tab.ref_vals * weights) @ tab._convection_ref
+
+    def blocks(self, field):
+        """Cell blocks (nc, nloc, nloc) of the convection by ``field``."""
+        local = _rt_ref_coeffs(self.rt_tab, field) @ self.ref
+        return local.reshape(-1, self.nloc, self.nloc)
+
+
 class FacetQuadrature:
     """Shared physical quadrature on every facet.
 
@@ -320,10 +356,6 @@ class DGFacetTrace:
         vals = space.ref_values(ref.reshape(-1, d))
         return vals.reshape(nfi, nq, -1)
 
-    @functools.cached_property
-    def pattern(self):
-        return _square_pattern(self.dofs, self.space.n_dofs)
-
 
 class RTFacetFlux:
     """Normal flux of H(div) fields at facet quadrature points.
@@ -359,12 +391,9 @@ def mass_blocks(tab, coef=None):
     return _mirror(_weights(tab, coef) @ tab._mass_ref)
 
 
-def mass_matrix(tab, coef=None, pattern=None):
-    """(coef u, v) on ``tab``'s space; bitwise symmetric (module docstring).
-
-    The matrix lives on ``pattern``, by default the tab's cell pattern.
-    """
-    return (pattern or tab.pattern).matrix(mass_blocks(tab, coef))
+def mass_matrix(tab, coef=None):
+    """(coef u, v) on ``tab``'s space; bitwise symmetric (module docstring)."""
+    return tab.pattern.matrix(mass_blocks(tab, coef))
 
 
 def stiffness_matrix(tab, coef=None):
@@ -380,7 +409,7 @@ def stiffness_matrix(tab, coef=None):
     return tab.pattern.matrix(_mirror(upper))
 
 
-def convection_matrix(tab, wvec, coef=None, pattern=None):
+def convection_matrix(tab, wvec, coef=None):
     """(coef (wvec . grad u), v) with wvec given at quadrature points."""
     inv_t = np.swapaxes(tab.space.mesh.inv_jacobians, 1, 2)
     w = _weights(tab, coef)
@@ -390,7 +419,7 @@ def convection_matrix(tab, wvec, coef=None, pattern=None):
         K = np.matmul(wvec[s], inv_t[s]) * w[s, :, None]
         local[s] = K.reshape(len(K), -1) @ R
     nloc = tab.vals.shape[1]
-    return (pattern or tab.pattern).matrix(local.reshape(-1, nloc, nloc))
+    return tab.pattern.matrix(local.reshape(-1, nloc, nloc))
 
 
 def rt_blocks(rt_tab, dg_tab=None):
@@ -481,28 +510,63 @@ def rt_load(rt_tab, values):
     )
 
 
-def upwind_matrix(trace, flux, pattern=None):
-    """Sum over cells of <w.[[rho]], phi> on the inflow boundary.
+def upwind_matrix(trace, flux):
+    """Sum over cells of <w.[[rho]], phi> on the inflow boundary, as a
+    block-sparse (BSR) matrix over cell blocks.
 
     ``flux`` holds w.nu (minus to plus) at the interior facet quadrature
     points; the inflow side is resolved per quadrature point by the sign of
-    the flux, points with zero flux contribute nothing.  Per facet the
-    local block over the stacked [minus; plus] basis is one matmul whose
-    rows carry the inflow weight of their side; the plus side's columns
-    are then negated, which is the jump.
+    the flux, points with zero flux contribute nothing.  The dG dofs are
+    numbered cell by cell, so block row and column c are cell c.  Only the
+    rows of a facet's inflow side are nonzero: weighted by |w.nu| at the
+    inflow points, their matmul with the other side's traces is that
+    side's off-diagonal block, and minus their matmul with their own traces
+    is added to the cell's diagonal block by one incidence product.  Every
+    block row holds its diagonal block first, at ``indptr[c]``, then its
+    off-diagonal blocks by column.
     """
-    sw = flux * trace.wscale
-    inflow = np.stack(
-        [np.where(flux < 0.0, sw, 0.0), np.where(flux > 0.0, sw, 0.0)], axis=1
-    )
     nfi, nloc2, nq = trace.rows.shape
-    half = nloc2 // 2
-    local = np.empty((nfi, nloc2, nloc2))
-    for s in _chunks(nfi):
-        rows = trace.rows[s].reshape(-1, 2, half, nq) * inflow[s, :, None, :]
-        np.matmul(rows.reshape(-1, nloc2, nq), trace.vals[s], out=local[s])
-    np.negative(local[:, :, half:], out=local[:, :, half:])
-    return (pattern or trace.pattern).matrix(local)
+    nloc = nloc2 // 2
+    nc = trace.space.mesh.n_cells
+    sw = flux * trace.wscale
+    # per side, minus then plus: its cells, |w.nu| at its inflow points and
+    # its half of the stacked traces, whose rows are side_rows[2 f + side]
+    cells = (trace.minus, trace.plus)
+    weights = (np.where(flux < 0.0, -sw, 0.0), np.where(flux > 0.0, sw, 0.0))
+    halves = (slice(nloc), slice(nloc, None))
+    side_rows = trace.rows.reshape(2 * nfi, nloc, nq)
+    facets = [np.flatnonzero(w.any(axis=1)) for w in weights]
+    own = np.concatenate([cells[k][facets[k]] for k in (0, 1)])
+    other = np.concatenate([cells[1 - k][facets[k]] for k in (0, 1)])
+    npair = len(own)
+    # off-diagonal blocks row by row and by column, each row's diagonal first
+    order = np.argsort(own * nc + other)
+    pair_ptr = np.searchsorted(own[order], np.arange(nc + 1))
+    indptr = pair_ptr + np.arange(nc + 1)
+    slot = np.empty(npair, dtype=np.intp)
+    slot[order] = np.arange(npair) + own[order] + 1
+    indices = np.empty(nc + npair, dtype=np.intp)
+    indices[indptr[:-1]] = np.arange(nc)
+    indices[slot] = other
+    data = np.empty((nc + npair, nloc, nloc))
+    own_blocks = np.empty((npair, nloc, nloc))
+    start = 0
+    for k in (0, 1):
+        f = facets[k]
+        for s in _chunks(len(f)):
+            fs = f[s]
+            rows = np.take(side_rows, 2 * fs + k, axis=0)
+            rows *= weights[k][fs, None, :]
+            both = rows @ np.take(trace.vals, fs, axis=0)
+            pairs = slice(start + s.start, start + s.stop)
+            own_blocks[pairs] = both[:, :, halves[k]]
+            data[slot[pairs]] = both[:, :, halves[1 - k]]
+        start += len(f)
+    incidence = sp.csr_matrix((np.full(npair, -1.0), order, pair_ptr),
+                              shape=(nc, npair))
+    diag = incidence @ own_blocks.reshape(npair, nloc * nloc)
+    data[indptr[:-1]] = diag.reshape(nc, nloc, nloc)
+    return sp.bsr_matrix((data, indices, indptr), shape=(nc * nloc,) * 2)
 
 
 def upwind_jump_quadratic(trace, flux, minus_vals, plus_vals):
@@ -530,22 +594,29 @@ def eval_mini_vector(tab, field):
     return np.moveaxis(comps @ tab.vals.T, 0, -1)
 
 
-def eval_rt(rt_tab, field):
-    """Point values (nc, nq, d) of an H(div) field (``RTTab``)."""
-    nc, nfl = rt_tab.scale.shape
+def _rt_ref_coeffs(rt_tab, field):
+    """Every cell's reference coefficients chat (nc, n_local) of an H(div)
+    field: its local coefficients reordered, then scaled on the facet dofs
+    and multiplied by adj(J) on the interior ones (``RTTab``)."""
+    nfl = rt_tab.scale.shape[1]
     chat = field.coeffs[rt_tab.ref_dofs]
     chat[:, :nfl] *= rt_tab.scale
     chat[:, nfl:] = np.einsum("cij,cj->ci", rt_tab.adj, chat[:, nfl:])
-    U = (chat @ rt_tab.ref_vals).reshape(nc, -1, rt_tab.space.dim)
-    return U @ rt_tab.piola_t
+    return chat
+
+
+def eval_rt(rt_tab, field):
+    """Point values (nc, nq, d) of an H(div) field (``RTTab``)."""
+    U = _rt_ref_coeffs(rt_tab, field) @ rt_tab.ref_vals
+    return U.reshape(len(U), -1, rt_tab.space.dim) @ rt_tab.piola_t
 
 
 def eval_dg_traces(trace, field):
     """Minus and plus side traces (nfi, nq) of a dG field."""
-    coeffs = field.coeffs[trace.dofs][:, :, None]
-    nfi, nloc2, nq = trace.rows.shape
-    both = (trace.rows * coeffs).reshape(nfi, 2, nloc2 // 2, nq).sum(axis=2)
-    return both[:, 0], both[:, 1]
+    nloc = trace.rows.shape[1] // 2
+    coeffs = field.coeffs[trace.dofs][:, None, :]
+    return tuple((coeffs[:, :, s] @ trace.rows[:, s])[:, 0]
+                 for s in (slice(nloc), slice(nloc, None)))
 
 
 def eval_rt_flux(flux_tab, field):

@@ -91,8 +91,7 @@ def factorize(matrix, symmetric=False):
     system of the RT projection and 5x less on the bordered 3D velocity
     saddle matrix.  Stored zeros are dropped first: the forms keep a fixed
     sparsity pattern, so a matrix can hold entries that are zero for the
-    current coefficients (the outflow side's upwind blocks), and they would
-    only add fill.
+    current coefficients, and they would only add fill.
     """
     matrix = matrix.tocsc(copy=True)
     matrix.eliminate_zeros()

@@ -166,15 +166,16 @@ class TimeStepper:
             self.rt_space, self.fquad, mesh.interior_facets
         )
 
-        # The density system M_rho + tau (C - U) lives on the union of the
-        # P2-dG cell and facet patterns, in CSC for the solvers, so it is a
-        # sum of data arrays.
-        n_rho = self.rho_space.n_dofs
-        self._rho_cells, self._rho_facets = assemble.Pattern.build(
-            (n_rho, n_rho), (self.p2_lo.cell_dofs,) * 2,
-            (self.trace.dofs,) * 2, csc=True,
+        # The P2-dG dofs are numbered cell by cell, so the density matrices
+        # are block-sparse over cell blocks: the mass is block diagonal, and
+        # the transport operator adds to the upwind matrix's blocks.
+        self.rho_convection = assemble.RTConvection(self.p2_lo, self.rt_lo)
+        self._rho_mass_blocks = assemble.mass_blocks(self.p2_lo)
+        nc = mesh.n_cells
+        self.M_rho = sp.bsr_matrix(
+            (self._rho_mass_blocks, np.arange(nc), np.arange(nc + 1)),
+            shape=(self.rho_space.n_dofs,) * 2,
         )
-        self.M_rho = assemble.mass_matrix(self.p2_lo, pattern=self._rho_cells)
         self.ones_rho = assemble.load_vector(
             self.p2_lo, np.ones_like(self.geom_lo.wdet)
         )
@@ -250,6 +251,23 @@ class TimeStepper:
         return StepState(0, 0.0, rho_h, u_h, p_h, w_h)
 
     # ------------------------------------------------------------------
+    def density_matrix(self, w):
+        """M_rho + tau (C - U) for the transport field ``w`` as a BSR matrix
+        over cell blocks, and the normal flux of ``w`` on the interior
+        facets.
+
+        It is the upwind matrix scaled by -tau, with the mass and tau times
+        the convection added to its diagonal blocks, which lead their block
+        rows (``assemble.upwind_matrix``).
+        """
+        tau = self.config.tau
+        flux = assemble.eval_rt_flux(self.rt_flux, w)
+        A = assemble.upwind_matrix(self.trace, flux)
+        A.data *= -tau
+        A.data[A.indptr[:-1]] += (self._rho_mass_blocks
+                                  + tau * self.rho_convection.blocks(w))
+        return A, flux
+
     def density_step(self, state: StepState, t_new=None) -> FeField:
         """Upwind dG transport solve for the new density, by GMRES on the
         inverse cell-mass blocks started from the old density."""
@@ -257,21 +275,23 @@ class TimeStepper:
         tau = cfg.tau
         if t_new is None:
             t_new = state.t + tau
-        wvals = assemble.eval_rt(self.rt_lo, state.w)
-        flux = assemble.eval_rt_flux(self.rt_flux, state.w)
-        C = assemble.convection_matrix(self.p2_lo, wvals,
-                                       pattern=self._rho_cells)
-        U = assemble.upwind_matrix(self.trace, flux, pattern=self._rho_facets)
-        A = self._rho_cells.with_data(self.M_rho.data + tau * (C.data - U.data))
+        A, flux = self.density_matrix(state.w)
         rhs = self.M_rho @ state.rho.coeffs
         if cfg.f is not None:
             rhs = rhs + tau * assemble.load_vector(
                 self.p2_lo, cfg.f(self.geom_lo.points, t_new)
             )
-        x, report = linalg.solve_gmres(
-            linalg.LinearSystem(A, rhs), cfg.solver_tol,
-            preconditioner=self._mass_preconditioner(), x0=state.rho.coeffs,
-        )
+        try:
+            x, report = linalg.solve_gmres(
+                linalg.LinearSystem(A, rhs), cfg.solver_tol,
+                preconditioner=self._mass_preconditioner(),
+                x0=state.rho.coeffs,
+            )
+        except linalg.ResidualError as exc:
+            raise linalg.ResidualError(
+                f"density solve at step {state.n + 1}: {exc}"
+            ) from exc
+        report.extras["blocks"] = len(A.indices)
         if not np.all(np.isfinite(x)):
             raise NumericalBreakdownError(
                 f"density coefficients not finite at step {state.n + 1}"
@@ -282,9 +302,7 @@ class TimeStepper:
 
     def _mass_preconditioner(self):
         if self._mass_block_inv is None:
-            self._mass_block_inv = np.linalg.inv(
-                assemble.mass_blocks(self.p2_lo)
-            )
+            self._mass_block_inv = np.linalg.inv(self._rho_mass_blocks)
         inv = self._mass_block_inv
         nloc = inv.shape[1]
 
@@ -465,12 +483,14 @@ class TimeStepper:
             (rho_q < band[0]) | (rho_q > band[1])
         ))
         fraction = clamped / rho_q.size
+        density = self.last_reports["density"]
         velocity = self.last_reports["velocity"]
         return StepDiagnostics(
             new.n, new.t, energy, viscous, upwind, mass, fraction > 0, wall,
             extras={
                 "cutoff_fraction": fraction,
-                "density_iterations": self.last_reports["density"].iterations,
+                "density_iterations": density.iterations,
+                "density_blocks": density.extras["blocks"],
                 "velocity_iterations": velocity.iterations,
                 "velocity_refreshed": velocity.extras.get("refreshed", False),
             },

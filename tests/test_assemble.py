@@ -1,11 +1,15 @@
 """Cell and facet form assembly, including the upwind transport terms."""
 
+import copy
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from vardens import assemble
-from vardens.mesh import unit_cube_mesh, unit_square_mesh
+from vardens.mesh import Mesh, unit_cube_mesh, unit_square_mesh
 from vardens.projections import RtProjectionWorkspace, project_dg
+from vardens.scheme import SchemeConfig, TimeStepper
 from vardens.spaces import (FeField, MiniScalarSpace, P1Space, P2DGSpace,
                             RT1Space)
 
@@ -297,8 +301,6 @@ def test_upwind_skew_identity_random(square8):
 # -- the tensor-representation kernel against plain einsum references -----
 
 def _ref_scatter(local, rows, cols, shape):
-    import scipy.sparse as sp
-
     r = np.repeat(rows, cols.shape[1], axis=1).ravel()
     c = np.tile(cols, (1, rows.shape[1])).ravel()
     return sp.coo_matrix((local.ravel(), (r, c)), shape=shape).tocsr()
@@ -314,6 +316,23 @@ def _close(A, ref, rtol=1e-13):
     if hasattr(ref, "toarray"):
         return abs(A - ref).max() <= rtol * scale
     return np.abs(np.asarray(A) - ref).max() <= rtol * scale
+
+
+def _upwind_reference(trace, s):
+    """The upwind matrix for the flux ``s``, one einsum per pair of sides."""
+    nloc = trace.space.n_local
+    Tm, Tp = trace.vals[..., :nloc], trace.vals[..., nloc:]
+    md, pd = trace.dofs[:, :nloc], trace.dofs[:, nloc:]
+    sw = s * trace.wscale
+    sm, spos = np.where(s < 0, sw, 0.0), np.where(s > 0, sw, 0.0)
+    shape = (trace.space.n_dofs,) * 2
+    return (
+        _ref_scatter(np.einsum("fq,fqi,fqj->fij", sm, Tm, Tm), md, md, shape)
+        - _ref_scatter(np.einsum("fq,fqi,fqj->fij", sm, Tm, Tp), md, pd, shape)
+        + _ref_scatter(np.einsum("fq,fqi,fqj->fij", spos, Tp, Tm), pd, md,
+                       shape)
+        - _ref_scatter(np.einsum("fq,fqi,fqj->fij", spos, Tp, Tp), pd, pd,
+                       shape))
 
 
 @pytest.fixture(scope="module", params=[(unit_square_mesh, 8),
@@ -428,21 +447,11 @@ def test_facet_forms_match_einsum_references(kernel_setup):
                     mesh.facet_normals[fi])
     assert _close(s, ref)
 
+    assert _close(assemble.upwind_matrix(trace, s), _upwind_reference(trace, s))
+
     nloc = p2.n_local
     Tm, Tp = trace.vals[..., :nloc], trace.vals[..., nloc:]
     md, pd = trace.dofs[:, :nloc], trace.dofs[:, nloc:]
-    sw = s * trace.wscale
-    sm, spos = np.where(s < 0, sw, 0.0), np.where(s > 0, sw, 0.0)
-    shape = (p2.n_dofs,) * 2
-    ref = (_ref_scatter(np.einsum("fq,fqi,fqj->fij", sm, Tm, Tm), md, md, shape)
-           - _ref_scatter(np.einsum("fq,fqi,fqj->fij", sm, Tm, Tp), md, pd,
-                          shape)
-           + _ref_scatter(np.einsum("fq,fqi,fqj->fij", spos, Tp, Tm), pd, md,
-                          shape)
-           - _ref_scatter(np.einsum("fq,fqi,fqj->fij", spos, Tp, Tp), pd, pd,
-                          shape))
-    assert _close(assemble.upwind_matrix(trace, s), ref)
-
     rho = FeField(p2, rng.standard_normal(p2.n_dofs))
     minus, plus = assemble.eval_dg_traces(trace, rho)
     assert _close(minus, np.einsum("fi,fqi->fq", rho.coeffs[md], Tm))
@@ -464,23 +473,77 @@ def test_successive_matrices_share_no_data(square8):
         assert (A1.data != A2.data).any()
 
 
-def test_union_pattern_holds_each_part(square8):
-    """Cell and facet forms on one union pattern add as data arrays."""
-    p2 = P2DGSpace(square8)
+def test_transpose_perm_transposes_convection(square8):
     geom = assemble.CellQuadrature(square8, 6)
-    tab = assemble.ScalarTab(p2, geom)
-    trace = assemble.DGFacetTrace(p2, assemble.FacetQuadrature(square8, 6))
-    n = p2.n_dofs
-    cells, facets = assemble.Pattern.build(
-        (n, n), (tab.cell_dofs,) * 2, (trace.dofs,) * 2, csc=True)
-    s = np.random.default_rng(9).standard_normal(trace.wscale.shape)
-    M = assemble.mass_matrix(tab, pattern=cells)
-    U = assemble.upwind_matrix(trace, s, pattern=facets)
-    assert M.format == U.format == "csc"
-    A = cells.with_data(M.data - U.data)
-    ref = assemble.mass_matrix(tab) - assemble.upwind_matrix(trace, s)
-    assert abs(A - ref).max() <= 1e-15 * abs(ref).max()
+    tab = assemble.ScalarTab(P2DGSpace(square8), geom)
     N = assemble.convection_matrix(
         tab, np.random.default_rng(1).standard_normal(geom.wdet.shape + (2,)))
     assert (tab.pattern.with_data(N.data[tab.pattern.transpose_perm])
             != N.T).nnz == 0
+
+
+# -- the block-sparse density operator ------------------------------------
+
+def test_mesh_orients_every_cell_positively():
+    """A clockwise cell is reordered, so RTConvection's sign(det J) is 1."""
+    mesh = Mesh(2, np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), [[0, 2, 1]])
+    assert (mesh.dets > 0).all()
+
+
+def test_rt_convection_matches_quadrature_convection(kernel_setup):
+    mesh, _, geom_lo, rng = kernel_setup
+    tab = assemble.ScalarTab(P2DGSpace(mesh), geom_lo)
+    rt = RT1Space(mesh)
+    rt_tab = assemble.RTTab(rt, geom_lo)
+    conv = assemble.RTConvection(tab, rt_tab)
+    w = FeField(rt, rng.standard_normal(rt.n_dofs))
+    nc = mesh.n_cells
+    got = sp.bsr_matrix((conv.blocks(w), np.arange(nc), np.arange(nc + 1)),
+                        shape=(tab.space.n_dofs,) * 2)
+    ref = assemble.convection_matrix(tab, assemble.eval_rt(rt_tab, w))
+    assert _close(got, ref, 1e-14)
+
+    flipped = copy.copy(mesh)
+    flipped.dets = mesh.dets.copy()
+    flipped.dets[0] *= -1.0
+    with pytest.raises(ValueError, match="positively oriented"):
+        assemble.RTConvection(
+            assemble.ScalarTab(P2DGSpace(flipped), geom_lo), rt_tab)
+
+
+def test_upwind_stores_inflow_blocks_only(kernel_setup):
+    """For a one-signed flux every facet has one inflow side and one
+    nonzero off-diagonal block, in that side's block row."""
+    mesh, _, _, rng = kernel_setup
+    trace = assemble.DGFacetTrace(P2DGSpace(mesh),
+                                  assemble.FacetQuadrature(mesh, 6))
+    nc = mesh.n_cells
+    for sign, inflow_cells in ((1.0, trace.plus), (-1.0, trace.minus)):
+        s = sign * rng.uniform(0.5, 1.5, trace.wscale.shape)
+        U = assemble.upwind_matrix(trace, s)
+        assert U.format == "bsr"
+        rows = np.repeat(np.arange(nc), np.diff(U.indptr))
+        assert np.array_equal(U.indices[U.indptr[:-1]], np.arange(nc))
+        off = U.indices != rows
+        assert np.array_equal(np.sort(rows[off]), np.sort(inflow_cells))
+        assert (np.abs(U.data[off]).max(axis=(1, 2)) > 0.0).all()
+        assert _close(U, _upwind_reference(trace, s))
+
+
+@pytest.mark.parametrize("make_mesh,n", [(unit_square_mesh, 8),
+                                         (unit_cube_mesh, 3)])
+def test_density_operator_matches_quadrature_reference(make_mesh, n):
+    """M_rho + tau (C - U) from the reference coefficients and the inflow
+    blocks against the mass, the quadrature convection on ``eval_rt``
+    values and the einsum upwind reference."""
+    st = TimeStepper(make_mesh(n), SchemeConfig(tau=1 / 8, mu=1e-3,
+                                                 n_steps=1))
+    rng = np.random.default_rng(12)
+    w = st.workspace.project(
+        FeField(st.rt_space, rng.standard_normal(st.rt_space.n_dofs)))
+    A, flux = st.density_matrix(w)
+    assert A.format == "bsr"
+    C = assemble.convection_matrix(st.p2_lo, assemble.eval_rt(st.rt_lo, w))
+    ref = assemble.mass_matrix(st.p2_lo) + st.config.tau * (
+        C - _upwind_reference(st.trace, flux))
+    assert _close(A, ref, 1e-14)

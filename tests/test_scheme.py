@@ -411,6 +411,35 @@ def test_step_records_solver_iterations_and_refreshes():
         "n,t,energy,dissipation,mass,cutoff_active")
 
 
+def test_step_records_density_blocks():
+    case = make_case("square2d")
+    st = TimeStepper(unit_square_mesh(4), _config(n_steps=2))
+    state = st.initialize(lambda x: case.rho(x, 0.0), lambda x: case.u(x, 0.0))
+    nc, nfi = st.mesh.n_cells, len(st.trace.facets)
+    for _ in range(2):
+        A, _ = st.density_matrix(state.w)
+        state, diag = st.step(state)
+        assert diag.extras["density_blocks"] == len(A.indices)
+        assert nc < len(A.indices) <= nc + 2 * nfi
+
+
+def test_failed_density_solve_names_the_solve_and_step(monkeypatch):
+    from vardens import linalg
+
+    case = make_case("square2d")
+    st = TimeStepper(unit_square_mesh(4), _config(n_steps=2))
+    state = st.initialize(lambda x: case.rho(x, 0.0), lambda x: case.u(x, 0.0))
+    state, _ = st.step(state)
+
+    def fail(*args, **kwargs):
+        raise linalg.ResidualError("gmres: residual 1.0e-03 above 1.0e-12")
+
+    monkeypatch.setattr(linalg, "solve_gmres", fail)
+    with pytest.raises(linalg.ResidualError,
+                       match=r"^density solve at step 2: gmres: residual"):
+        st.density_step(state)
+
+
 def test_stale_velocity_factor_is_refreshed_within_one_cycle(monkeypatch):
     """A preconditioner factored from another matrix stalls GMRES; the step
     refactors after one cycle of 40 iterations and still meets the solve's
