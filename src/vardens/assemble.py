@@ -17,10 +17,9 @@ reference basis at the reference points, and no physical basis values are
 stored; only the set-up forms tabulate the physical basis.
 
 Work whose temporaries would grow with the mesh (pattern slots, the
-stiffness, convection and divergence forms, the upwind blocks, the H(div)
-set-up forms) runs over ``CHUNK`` cells or facets at a time.  Each chunk
-computes exactly what the whole batch would, so the results do not depend
-on the chunk size.
+stiffness, convection and divergence forms, the H(div) set-up forms) runs
+over ``CHUNK`` cells at a time.  Each chunk computes exactly what the whole
+batch would, so the results do not depend on the chunk size.
 
 Local blocks are scattered through a ``Pattern``: the CSR structure of the
 global matrix, built once per pair of row and column dof maps, with the
@@ -34,6 +33,11 @@ form stores an off-diagonal block only for a facet's inflow side
 (``upwind_matrix``), and the cell forms add to the diagonal blocks.  The
 convection by an H(div) field is read off the field's reference
 coefficients, one GEMM against one reference tensor (``RTConvection``).
+The facet forms follow the same idea: a cell's dG basis on a facet is one
+of (d+1) d! reference trace tables (``DGFacetTrace``), so the upwind blocks
+of all facet sides with one pair of tables are one GEMM of their inflow
+weights against a product tensor of the two tables, and the traces of a
+field are one GEMM per table.
 
 The symmetric forms (``mass_matrix``, ``stiffness_matrix``,
 ``rt_mass_matrix``) are bitwise symmetric by construction, so the saddle
@@ -47,6 +51,7 @@ identical inputs produce bit-identical matrices.
 """
 
 import functools
+import itertools
 
 import numpy as np
 import scipy.sparse as sp
@@ -323,38 +328,91 @@ class FacetQuadrature:
 
 
 class DGFacetTrace:
-    """Two-sided traces of a dG space on the interior facets.
+    """Two-sided traces of a dG space on the interior facets, as reference
+    trace tables.
 
-    ``dofs`` (nfi, 2 n_local) and ``rows`` (nfi, 2 n_local, nq) stack the
-    minus side's basis before the plus side's; ``vals`` (nfi, nq,
-    2 n_local) is a view of ``rows``.
+    The facet rule is parametrized from the facet's sorted global vertices
+    (``FacetQuadrature``), so a cell's basis at a facet's points depends
+    only on which local facet it is and on the order of the facet's sorted
+    vertices among the cell's local vertices: one of (d+1) d! reference
+    tables, 24 in 3D and 6 in 2D (the tensor representation of Kirby &
+    Logg, ACM TOMS 32, 2006, applied to facets).  ``tables`` (n_tables, nq,
+    n_local) holds them, tabulated at the reference images of the rule's
+    points, and ``table`` (nfi, 2) is the table of the minus and of the
+    plus side of every interior facet, read off the cell connectivity.
+    ``dofs`` (nfi, 2 n_local) stacks the minus side's dofs before the plus
+    side's.  ``groups[k]`` lists, for side k (0 minus, 1 plus), every table
+    with the facets whose side k uses it.
     """
 
     def __init__(self, space, fquad):
         mesh = space.mesh
+        d = mesh.dim
         self.space = space
         self.fquad = fquad
         fi = mesh.interior_facets
         self.facets = fi
         self.minus = mesh.facet_minus[fi]
         self.plus = mesh.facet_plus[fi]
-        pts = fquad.points[fi]
-        self.rows = np.concatenate(
-            [np.swapaxes(self._traces(space, mesh, cells, pts), 1, 2)
-             for cells in (self.minus, self.plus)], axis=1,
-        )
-        self.vals = np.swapaxes(self.rows, 1, 2)
         self.dofs = np.concatenate(
             [space.cell_dofs[self.minus], space.cell_dofs[self.plus]], axis=1
         )
         self.wscale = fquad.wscale[fi]
+        perms = np.array(list(itertools.permutations(range(d))))
+        # local facet i is opposite local vertex i; ``facet_local[i]`` lists
+        # its local vertices, and local vertex j sits at reference vertex j
+        facet_local = np.array([[j for j in range(d + 1) if j != i]
+                                for i in range(d + 1)])
+        ref_vertices = np.vstack([np.zeros(d), np.eye(d)])
+        lam = barycentric(fquad.rule.points, d - 1)  # (nq, d)
+        self.tables = np.stack([
+            space.ref_values(lam @ ref_vertices[facet_local[i][perm]])
+            for i in range(d + 1) for perm in perms
+        ])
+        # a permutation's index in ``perms`` from its base-d code
+        powers = d ** np.arange(d)
+        perm_index = np.zeros(d ** d, dtype=np.intp)
+        perm_index[perms @ powers] = np.arange(len(perms))
+        ids = []
+        for cells in (self.minus, self.plus):
+            i = np.argmax(mesh.cell_facets[cells] == fi[:, None], axis=1)
+            verts = np.take_along_axis(mesh.cells[cells], facet_local[i],
+                                       axis=1)
+            order = np.argsort(verts, axis=1)  # sorted vertex -> position
+            ids.append(i * len(perms) + perm_index[order @ powers])
+        self.table = np.stack(ids, axis=1)
+        self.groups = [_groups(self.table[:, k]) for k in (0, 1)]
 
-    @staticmethod
-    def _traces(space, mesh, cells, pts):
-        ref = mesh.reference_coords(cells, pts)
-        nfi, nq, d = ref.shape
-        vals = space.ref_values(ref.reshape(-1, d))
-        return vals.reshape(nfi, nq, -1)
+    @functools.cached_property
+    def _inflow_groups(self):
+        """The facet sides grouped by (own table, other table).
+
+        Facet side p = k nfi + f is side k of facet f.  Returns the sides
+        sorted by group, the group boundaries in that order, the own and the
+        other cell of every side, and per group the (nq, 2 n_local^2)
+        product tensor [T_a[q, i] T_a[q, j] | T_a[q, i] T_b[q, j]], with
+        T_a the own side's table and T_b the other side's: the inflow
+        weights times it are the side's own and other block.
+        """
+        ntab = len(self.tables)
+        groups = _groups(self.table.T.ravel() * ntab
+                         + self.table[:, ::-1].T.ravel())
+        keys = np.array([key for key, _ in groups])
+        Ta, Tb = self.tables[keys // ntab], self.tables[keys % ntab]
+        P = np.stack([Ta[..., :, None] * Ta[..., None, :],
+                      Ta[..., :, None] * Tb[..., None, :]], axis=2)
+        return (np.concatenate([sides for _, sides in groups]),
+                np.cumsum([0] + [len(sides) for _, sides in groups]),
+                np.concatenate([self.minus, self.plus]),
+                np.concatenate([self.plus, self.minus]),
+                P.reshape(len(keys), P.shape[1], -1))
+
+
+def _groups(ids):
+    """(id, items with that id) for every id in ``ids``, in id order."""
+    order = np.argsort(ids, kind="stable")
+    values, starts = np.unique(ids[order], return_index=True)
+    return list(zip(values, np.split(order, starts[1:])))
 
 
 class RTFacetFlux:
@@ -518,27 +576,28 @@ def upwind_matrix(trace, flux):
     points; the inflow side is resolved per quadrature point by the sign of
     the flux, points with zero flux contribute nothing.  The dG dofs are
     numbered cell by cell, so block row and column c are cell c.  Only the
-    rows of a facet's inflow side are nonzero: weighted by |w.nu| at the
-    inflow points, their matmul with the other side's traces is that
-    side's off-diagonal block, and minus their matmul with their own traces
-    is added to the cell's diagonal block by one incidence product.  Every
-    block row holds its diagonal block first, at ``indptr[c]``, then its
-    off-diagonal blocks by column.
+    rows of a facet's inflow side are nonzero.  The facet sides with inflow
+    are taken group by group of (own table, other table)
+    (``DGFacetTrace``): one GEMM of their weights |w.nu| at the inflow
+    points against the group's product tensor gives every side's own block
+    and its off-diagonal block with the other side.  Minus the own blocks
+    are added to the cells' diagonal blocks by one incidence product.
+    Every block row holds its diagonal block first, at ``indptr[c]``, then
+    its off-diagonal blocks by column.
     """
-    nfi, nloc2, nq = trace.rows.shape
-    nloc = nloc2 // 2
+    nloc = trace.tables.shape[2]
+    nb = nloc * nloc
     nc = trace.space.mesh.n_cells
+    sides, ptr, own_cells, other_cells, P = trace._inflow_groups
     sw = flux * trace.wscale
-    # per side, minus then plus: its cells, |w.nu| at its inflow points and
-    # its half of the stacked traces, whose rows are side_rows[2 f + side]
-    cells = (trace.minus, trace.plus)
-    weights = (np.where(flux < 0.0, -sw, 0.0), np.where(flux > 0.0, sw, 0.0))
-    halves = (slice(nloc), slice(nloc, None))
-    side_rows = trace.rows.reshape(2 * nfi, nloc, nq)
-    facets = [np.flatnonzero(w.any(axis=1)) for w in weights]
-    own = np.concatenate([cells[k][facets[k]] for k in (0, 1)])
-    other = np.concatenate([cells[1 - k][facets[k]] for k in (0, 1)])
-    npair = len(own)
+    # |w.nu| at the inflow points of every facet side, minus sides first
+    inflow = np.concatenate([flux < 0.0, flux > 0.0])
+    W = np.where(inflow, np.concatenate([-sw, sw]), 0.0)
+    has = W.any(axis=1)[sides]
+    pairs = sides[has]  # the sides with inflow, group by group
+    bounds = np.concatenate([[0], np.cumsum(has)])[ptr]
+    own, other = own_cells[pairs], other_cells[pairs]
+    npair = len(pairs)
     # off-diagonal blocks row by row and by column, each row's diagonal first
     order = np.argsort(own * nc + other)
     pair_ptr = np.searchsorted(own[order], np.arange(nc + 1))
@@ -549,23 +608,16 @@ def upwind_matrix(trace, flux):
     indices[indptr[:-1]] = np.arange(nc)
     indices[slot] = other
     data = np.empty((nc + npair, nloc, nloc))
-    own_blocks = np.empty((npair, nloc, nloc))
-    start = 0
-    for k in (0, 1):
-        f = facets[k]
-        for s in _chunks(len(f)):
-            fs = f[s]
-            rows = np.take(side_rows, 2 * fs + k, axis=0)
-            rows *= weights[k][fs, None, :]
-            both = rows @ np.take(trace.vals, fs, axis=0)
-            pairs = slice(start + s.start, start + s.stop)
-            own_blocks[pairs] = both[:, :, halves[k]]
-            data[slot[pairs]] = both[:, :, halves[1 - k]]
-        start += len(f)
+    own_blocks = np.empty((npair, nb))
+    W = W[pairs]
+    for g in np.flatnonzero(np.diff(bounds)):
+        s = slice(bounds[g], bounds[g + 1])
+        both = W[s] @ P[g]
+        own_blocks[s] = both[:, :nb]
+        data[slot[s]] = both[:, nb:].reshape(-1, nloc, nloc)
     incidence = sp.csr_matrix((np.full(npair, -1.0), order, pair_ptr),
                               shape=(nc, npair))
-    diag = incidence @ own_blocks.reshape(npair, nloc * nloc)
-    data[indptr[:-1]] = diag.reshape(nc, nloc, nloc)
+    data[indptr[:-1]] = (incidence @ own_blocks).reshape(nc, nloc, nloc)
     return sp.bsr_matrix((data, indices, indptr), shape=(nc * nloc,) * 2)
 
 
@@ -612,11 +664,18 @@ def eval_rt(rt_tab, field):
 
 
 def eval_dg_traces(trace, field):
-    """Minus and plus side traces (nfi, nq) of a dG field."""
-    nloc = trace.rows.shape[1] // 2
-    coeffs = field.coeffs[trace.dofs][:, None, :]
-    return tuple((coeffs[:, :, s] @ trace.rows[:, s])[:, 0]
-                 for s in (slice(nloc), slice(nloc, None)))
+    """Minus and plus side traces (nfi, nq) of a dG field, one GEMM per
+    side and reference table (``DGFacetTrace``)."""
+    nloc = trace.tables.shape[2]
+    coeffs = field.coeffs[trace.dofs]
+    out = []
+    for k, groups in enumerate(trace.groups):
+        side = coeffs[:, k * nloc:(k + 1) * nloc]
+        vals = np.empty(trace.wscale.shape)
+        for table, facets in groups:
+            vals[facets] = side[facets] @ trace.tables[table].T
+        out.append(vals)
+    return tuple(out)
 
 
 def eval_rt_flux(flux_tab, field):

@@ -85,19 +85,30 @@ def _suspect_row(A):
 def factorize(matrix, symmetric=False):
     """SuperLU factorization with a fill-reducing column ordering.
 
-    The ordering is COLAMD, or minimum degree on the pattern of A + A^T
-    with diagonal pivots preferred when ``symmetric`` is set, which needs a
-    structurally symmetric matrix.  It gives 2.6x less fill on the facet
-    system of the RT projection and 5x less on the bordered 3D velocity
-    saddle matrix.  Stored zeros are dropped first: the forms keep a fixed
-    sparsity pattern, so a matrix can hold entries that are zero for the
-    current coefficients, and they would only add fill.
+    The ordering is COLAMD, or, when ``symmetric`` is set, minimum degree on
+    the pattern of A + A^T with SuperLU's symmetric mode, which needs a
+    structurally symmetric matrix.  That mode takes a diagonal pivot
+    whenever it is at least ``DiagPivotThresh = 0.01`` times the largest
+    entry of its column, so the fill-reducing order survives; at SuperLU's
+    default threshold of 1.0 it pivots off the diagonal and loses it.  On
+    the bordered 3D velocity saddle matrix at h = 1/8, L + U has 0.53 M
+    nonzeros against 1.37 M at threshold 1.0 (at h = 1/16 threshold 1.0
+    runs out of memory).  The threshold is not 0: the saddle matrices have
+    zero diagonal entries that must be pivoted away.  At 0 the first
+    step's factors on the unit square (h = 1/16) and on the cube (h = 1/4)
+    solve a random right-hand side to relative residuals of 0.19 and 9.4.
+    The facet system of the RT projection is SPD and its fill barely
+    moves: 52,837 nonzeros in L + U against 53,009 on the square at
+    h = 1/16, the same on the cube at h = 1/8.
+    Stored zeros are dropped first: the forms keep a fixed sparsity
+    pattern, so a matrix can hold entries that are zero for the current
+    coefficients, and they would only add fill.
     """
     matrix = matrix.tocsc(copy=True)
     matrix.eliminate_zeros()
     if symmetric:
         kw = {"permc_spec": "MMD_AT_PLUS_A",
-              "options": {"SymmetricMode": True}}
+              "options": {"SymmetricMode": True, "DiagPivotThresh": 0.01}}
     else:
         kw = {}
     try:

@@ -14,8 +14,16 @@ dual-number pass over space (first partials and the pure second spatial
 partials), which avoids hand-transcribing the 3D nonlinear terms.
 ``SourceEvaluator`` runs that pass once per point set; each step then
 evaluates only the time factors, as duals on a 0-d time variable, and a
-few weighted sums.  Plain closures for rho, u and p are an independent
-transcription, used for initial data, error tracking and tests.
+few weighted sums.
+
+The plain (non-dual) rho, u and p are an independent transcription, used
+for initial data, error tracking and tests.  The plain rho is its own list
+of (time factor) x (space factor) terms.  ``ExactCase`` keeps the space
+factors for the last point set, and the values of the steady u, so
+tracking the error at the same quadrature points every step evaluates no
+trigonometric or power function of the points after the first step.  The
+terms are summed in the order of the closed-form formulas, so the cached
+values equal those formulas bit for bit.
 
 Cases:
     square2d         smooth solution on the unit square
@@ -110,20 +118,18 @@ class Dual:
 
     __rmul__ = __mul__
 
-    def _chain(self, f, fp, fpp):
-        """Unary composition with value f, derivative fp, second fpp.
+    def _chain(self, val, dfdu, d2fdu2):
+        """Unary composition f(self), given f, f' and f'' at ``self.val``.
 
         An unbounded second derivative (the |.|^c kink) propagates as
         inf/nan in the hessian slots only; values and first partials stay
         finite, so the quiet arithmetic is intentional.
         """
         d = self.dim
-        val = f(self.val)
-        dfdu = fp(self.val)
         grad = dfdu[..., None] * self.grad
         with np.errstate(invalid="ignore"):
             hess = (
-                fpp(self.val)[..., None] * self.grad[..., :d] ** 2
+                d2fdu2[..., None] * self.grad[..., :d] ** 2
                 + dfdu[..., None] * self.hess
             )
         return Dual(val, grad, hess, d)
@@ -140,11 +146,13 @@ class Dual:
 
 
 def dsin(u: Dual) -> Dual:
-    return u._chain(np.sin, np.cos, lambda v: -np.sin(v))
+    s, c = np.sin(u.val), np.cos(u.val)
+    return u._chain(s, c, -s)
 
 
 def dcos(u: Dual) -> Dual:
-    return u._chain(np.cos, lambda v: -np.sin(v), lambda v: -np.cos(v))
+    s, c = np.sin(u.val), np.cos(u.val)
+    return u._chain(c, -s, -c)
 
 
 def dabspow(u: Dual, c: float) -> Dual:
@@ -154,18 +162,10 @@ def dabspow(u: Dual, c: float) -> Dual:
     kink; the unbounded second derivative is reported as inf there.
     """
     sign = np.where(np.asarray(u.val) >= 0.0, 1.0, -1.0)
-
-    def f(v):
-        return np.abs(v) ** c
-
-    def fp(v):
-        return c * sign * np.abs(v) ** (c - 1.0)
-
-    def fpp(v):
-        with np.errstate(divide="ignore"):
-            return c * (c - 1.0) * np.abs(v) ** (c - 2.0)
-
-    return u._chain(f, fp, fpp)
+    v = np.abs(u.val)
+    with np.errstate(divide="ignore"):
+        fpp = c * (c - 1.0) * v ** (c - 2.0)
+    return u._chain(v ** c, c * sign * v ** (c - 1.0), fpp)
 
 
 def _space_vars(x):
@@ -184,6 +184,30 @@ def _at(factor, var):
     return factor(var) if callable(factor) else factor
 
 
+class _LastPointSet:
+    """Fields of the points, kept for the point set of the last call.
+
+    ``compute`` maps a field's name to its function of the points.  Points
+    are compared by value (like ``SourceEvaluator._fields``), so an array
+    changed in place is computed afresh; the fields share one copy of the
+    points.  One set is enough: a run tracks its errors at one set of
+    quadrature points every step, and holding no other set keeps the
+    memory of a study, which runs one case on mesh after mesh, bounded.
+    """
+
+    def __init__(self, compute):
+        self.compute = compute
+        self.points = None
+        self.values = {}
+
+    def __call__(self, name, x):
+        if self.points is None or not np.array_equal(self.points, x):
+            self.points, self.values = x.copy(), {}
+        if name not in self.values:
+            self.values[name] = self.compute[name](x)
+        return self.values[name]
+
+
 class ExactCase:
     """Separable closed-form (rho, u, p) with derived sources f and g.
 
@@ -191,29 +215,44 @@ class ExactCase:
     factor) pairs.  A time factor maps a dual time variable to a Dual, a
     space factor maps the dual coordinates to a Dual, and either may be a
     constant instead.  ``u_space`` maps the dual coordinates to the list of
-    velocity components.  The plain closures are an independent
-    transcription of the same fields.
+    velocity components.  The plain fields are an independent transcription
+    of the same fields: ``rho_plain_terms`` are (time factor, space factor)
+    pairs of a float time and of points (..., d), either of which may be a
+    constant; ``u_plain`` maps points to the steady velocity and ``p_plain``
+    maps (points, time) to the pressure.
     """
 
     def __init__(self, name, dim, rho_terms, u_space, p_terms,
-                 rho_plain, u_plain, p_plain, smoothness_exponent=None):
+                 rho_plain_terms, u_plain, p_plain, smoothness_exponent=None):
         self.name = name
         self.dim = dim
         self.smoothness_exponent = smoothness_exponent
         self._rho_terms = rho_terms
         self._u_space = u_space
         self._p_terms = p_terms
-        self._rho = rho_plain
-        self._u = u_plain
+        self._rho_plain_terms = rho_plain_terms
         self._p = p_plain
         self._p_mean_cache = {}
+        self._plain = _LastPointSet({
+            "rho": lambda x: [_at(a, x) for _, a in rho_plain_terms],
+            "u": u_plain,
+        })
 
     # plain evaluations -----------------------------------------------
     def rho(self, x, t):
-        return self._rho(np.asarray(x, dtype=float), t)
+        """sum_k theta_k(t) a_k(x) in term order, the a_k kept for the last
+        point set."""
+        space = self._plain("rho", np.asarray(x, dtype=float))
+        out = None
+        for (theta, _), a in zip(self._rho_plain_terms, space):
+            term = a * _at(theta, t)
+            out = term if out is None else out + term
+        return out
 
     def u(self, x, t):
-        return self._u(np.asarray(x, dtype=float), t)
+        """The steady velocity, kept for the last point set; a new array
+        each call."""
+        return self._plain("u", np.asarray(x, dtype=float)).copy()
 
     def p(self, x, t):
         """Pressure re-centered to zero mean over the unit domain."""
@@ -410,12 +449,16 @@ def _square2d():
     p_terms = ((lambda T: T, lambda X: X[0] - 0.5),
                (1.0, lambda X: X[1] - 0.5))
 
-    def rho(x, t):
-        st = math.sin(t)
-        return (2.0 + x[..., 0] * (x[..., 0] - 1.0) * math.cos(st)
-                + x[..., 1] * (x[..., 1] - 1.0) * math.sin(st))
+    # rho = 2 + x (x - 1) cos(sin t) + y (y - 1) sin(sin t)
+    rho_plain = (
+        (1.0, 2.0),
+        (lambda t: math.cos(math.sin(t)),
+         lambda x: x[..., 0] * (x[..., 0] - 1.0)),
+        (lambda t: math.sin(math.sin(t)),
+         lambda x: x[..., 1] * (x[..., 1] - 1.0)),
+    )
 
-    def u(x, t):
+    def u(x):
         px, py = np.pi * x[..., 0], np.pi * x[..., 1]
         return np.stack([
             np.sin(px) ** 2 * np.sin(2.0 * py),
@@ -425,7 +468,8 @@ def _square2d():
     def p(x, t):
         return t * x[..., 0] + x[..., 1] - 0.5 * (t + 1.0)
 
-    return ExactCase("square2d", 2, rho_terms, u_space, p_terms, rho, u, p)
+    return ExactCase("square2d", 2, rho_terms, u_space, p_terms, rho_plain,
+                     u, p)
 
 
 def _cube_velocity_dual(X):
@@ -438,7 +482,7 @@ def _cube_velocity_dual(X):
     ]
 
 
-def _cube_velocity(x, t):
+def _cube_velocity(x):
     # the six distinct sines, each evaluated once
     px, py, pz = np.pi * x[..., 0], np.pi * x[..., 1], np.pi * x[..., 2]
     sx, sy, sz = np.sin(px) ** 2, np.sin(py) ** 2, np.sin(pz) ** 2
@@ -467,12 +511,15 @@ def _cube3d():
                                   + dsin(math.pi * X[2]))),
     )
 
-    def rho(x, t):
-        osc = math.sin(math.pi * t + 0.5 * math.pi)
-        return 2.0 + (1.0 / 3.0) * np.sin(np.pi * x).sum(axis=-1) * osc
+    # rho = 2 + (1/3) (sin pi x + sin pi y + sin pi z) sin(pi t + pi/2)
+    rho_plain = (
+        (1.0, 2.0),
+        (lambda t: math.sin(math.pi * t + 0.5 * math.pi),
+         lambda x: (1.0 / 3.0) * np.sin(np.pi * x).sum(axis=-1)),
+    )
 
     return ExactCase("cube3d", 3, rho_terms, _cube_velocity_dual,
-                     _CUBE_PRESSURE_TERMS, rho, _cube_velocity,
+                     _CUBE_PRESSURE_TERMS, rho_plain, _cube_velocity,
                      _cube_pressure)
 
 
@@ -488,16 +535,18 @@ def _cube3d_nonsmooth():
          lambda X: dabspow(X[1] - 0.5, c) + dabspow(X[2] - 0.5, c)),
     )
 
-    def rho(x, t):
-        st = math.sin(t)
-        gx = np.abs(x[..., 0] - 0.5) ** c
-        gy = np.abs(x[..., 1] - 0.5) ** c
-        gz = np.abs(x[..., 2] - 0.5) ** c
-        return 2.0 + gx * math.cos(st) + (gy + gz) * math.sin(st)
+    # rho = 2 + |x - 1/2|^c cos(sin t) + (|y - 1/2|^c + |z - 1/2|^c) sin(sin t)
+    rho_plain = (
+        (1.0, 2.0),
+        (lambda t: math.cos(math.sin(t)),
+         lambda x: np.abs(x[..., 0] - 0.5) ** c),
+        (lambda t: math.sin(math.sin(t)),
+         lambda x: np.abs(x[..., 1] - 0.5) ** c + np.abs(x[..., 2] - 0.5) ** c),
+    )
 
     return ExactCase(
         "cube3d_nonsmooth", 3, rho_terms, _cube_velocity_dual,
-        _CUBE_PRESSURE_TERMS, rho, _cube_velocity, _cube_pressure,
+        _CUBE_PRESSURE_TERMS, rho_plain, _cube_velocity, _cube_pressure,
         smoothness_exponent=c,
     )
 

@@ -124,7 +124,7 @@ class RtProjectionWorkspace:
         self._Mff = M[self.free, :][:, self.free]
         self._Df = D[:, self.free]
         self.last_report = None
-        self._field_tabs = {}
+        self._field_tabs = []  # [(space, tab)]
 
     def _values_at_quad(self, v):
         if callable(v):
@@ -138,14 +138,19 @@ class RtProjectionWorkspace:
             if isinstance(space, RT1Space):
                 return assemble.eval_rt(self.rt_tab, v)
             if isinstance(space, MiniVectorSpace):
-                key = id(space)
-                if key not in self._field_tabs:
-                    self._field_tabs[key] = assemble.ScalarTab(
-                        space.scalar, self.geom
-                    )
-                return assemble.eval_mini_vector(self._field_tabs[key], v)
+                return assemble.eval_mini_vector(self._mini_tab(space), v)
             raise ValueError(f"cannot project fields of kind {space.kind}")
         raise ValueError("expected a callable, point values, or FeField")
+
+    def _mini_tab(self, space):
+        """The tab of ``space`` on the workspace's rule, one per space held;
+        the space itself is held, so a freed space's id cannot be reused."""
+        for held, tab in self._field_tabs:
+            if held is space:
+                return tab
+        tab = assemble.ScalarTab(space.scalar, self.geom)
+        self._field_tabs.append((space, tab))
+        return tab
 
     def project(self, v, tol=1e-10):
         """Divergence-free, zero-flux projection of a square-integrable field."""

@@ -318,10 +318,23 @@ def _close(A, ref, rtol=1e-13):
     return np.abs(np.asarray(A) - ref).max() <= rtol * scale
 
 
+def _reference_traces(trace):
+    """Minus and plus side traces (nfi, nq, n_local) of the basis, each at
+    the reference coordinates of the physical facet points in its cell."""
+    space, mesh = trace.space, trace.space.mesh
+    pts = trace.fquad.points[trace.facets]
+    out = []
+    for cells in (trace.minus, trace.plus):
+        ref = mesh.reference_coords(cells, pts)
+        vals = space.ref_values(ref.reshape(-1, mesh.dim))
+        out.append(vals.reshape(len(cells), pts.shape[1], -1))
+    return out
+
+
 def _upwind_reference(trace, s):
     """The upwind matrix for the flux ``s``, one einsum per pair of sides."""
     nloc = trace.space.n_local
-    Tm, Tp = trace.vals[..., :nloc], trace.vals[..., nloc:]
+    Tm, Tp = _reference_traces(trace)
     md, pd = trace.dofs[:, :nloc], trace.dofs[:, nloc:]
     sw = s * trace.wscale
     sm, spos = np.where(s < 0, sw, 0.0), np.where(s > 0, sw, 0.0)
@@ -450,12 +463,30 @@ def test_facet_forms_match_einsum_references(kernel_setup):
     assert _close(assemble.upwind_matrix(trace, s), _upwind_reference(trace, s))
 
     nloc = p2.n_local
-    Tm, Tp = trace.vals[..., :nloc], trace.vals[..., nloc:]
+    Tm, Tp = _reference_traces(trace)
     md, pd = trace.dofs[:, :nloc], trace.dofs[:, nloc:]
     rho = FeField(p2, rng.standard_normal(p2.n_dofs))
     minus, plus = assemble.eval_dg_traces(trace, rho)
     assert _close(minus, np.einsum("fi,fqi->fq", rho.coeffs[md], Tm))
     assert _close(plus, np.einsum("fi,fqi->fq", rho.coeffs[pd], Tp))
+
+
+def test_trace_tables_match_reference_coordinates(kernel_setup):
+    """Every facet side's reference table equals the basis at the
+    reference coordinates of the physical facet points in its cell."""
+    mesh = kernel_setup[0]
+    d = mesh.dim
+    trace = assemble.DGFacetTrace(P2DGSpace(mesh),
+                                  assemble.FacetQuadrature(mesh, 6))
+    assert len(trace.tables) == (d + 1) * (2 if d == 2 else 6)
+    for k, ref in enumerate(_reference_traces(trace)):
+        got = trace.tables[trace.table[:, k]]
+        assert np.abs(got - ref).max() <= 1e-14
+        # ``groups`` lists every facet of side k once, under its table
+        facets = np.concatenate([f for _, f in trace.groups[k]])
+        assert np.array_equal(np.sort(facets), np.arange(len(trace.facets)))
+        for table, f in trace.groups[k]:
+            assert (trace.table[f, k] == table).all()
 
 
 def test_successive_matrices_share_no_data(square8):

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from vardens import assemble, linalg, mms
-from vardens.mesh import unit_square_mesh
+from vardens.mesh import unit_cube_mesh, unit_square_mesh
 from vardens.scheme import SchemeConfig, TimeStepper
 from vardens.spaces import FeField, MiniVectorSpace, P1Space
 
@@ -233,3 +233,42 @@ def test_gmres_raises_when_maxiter_is_spent():
     with pytest.raises(linalg.ResidualError):
         linalg.solve_gmres(linalg.LinearSystem(A, b), maxiter=2,
                            preconditioner=precond)
+
+
+@pytest.mark.parametrize("name,make_mesh,n,tau,bound", [
+    ("square2d", unit_square_mesh, 16, 1 / 256, 0.35),
+    ("cube3d", unit_cube_mesh, 4, 1 / 512, 0.8),
+])
+def test_saddle_factor_keeps_its_fill_reducing_order(
+        name, make_mesh, n, tau, bound, monkeypatch):
+    """The first step's bordered velocity matrix, factored symmetrically:
+    with diagonal pivots preferred down to 1% of the column maximum, the
+    fill stays well below SuperLU's default threshold of 1.0 (which pivots
+    off the diagonal and loses the order), and the factor solves to
+    rounding.  A few pivots still leave the diagonal, where the saddle
+    matrix has zero diagonal entries."""
+    case = mms.make_case(name)
+    st = TimeStepper(make_mesh(n), SchemeConfig(tau=tau, mu=1e-3, n_steps=1))
+    state = st.initialize(lambda x: case.rho(x, 0.0),
+                          lambda x: case.u(x, 0.0))
+    factored = []
+    inner = linalg.factorize
+
+    def record(matrix, symmetric=False):
+        lu = inner(matrix, symmetric)
+        factored.append((matrix, symmetric, lu))
+        return lu
+
+    monkeypatch.setattr(linalg, "factorize", record)
+    st.step(state)
+    [(K, symmetric, lu)] = factored
+    assert symmetric
+    K = K.tocsc()
+    K.eliminate_zeros()
+    default = spla.splu(K, permc_spec="MMD_AT_PLUS_A",
+                        options={"SymmetricMode": True})
+    fill = lu.L.nnz + lu.U.nnz
+    assert fill < bound * (default.L.nnz + default.U.nnz)
+    b = np.random.default_rng(7).standard_normal(K.shape[0])
+    x = lu.solve(b)
+    assert np.linalg.norm(K @ x - b) <= 1e-12 * np.linalg.norm(b)

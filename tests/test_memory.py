@@ -85,17 +85,6 @@ def test_chunked_forms_match_one_batch(cube6):
     assert _same(got, pattern.matrix(local.reshape(nc, rows.shape[1], -1)))
 
 
-def test_chunked_upwind_matches_one_batch(cube6, monkeypatch):
-    trace = assemble.DGFacetTrace(P2DGSpace(cube6),
-                                  assemble.FacetQuadrature(cube6, 6))
-    flux = np.random.default_rng(6).standard_normal(trace.wscale.shape)
-    for inflow in (flux < 0.0, flux > 0.0):  # several chunks on each side
-        assert np.count_nonzero(inflow.any(axis=1)) > assemble.CHUNK
-    got = assemble.upwind_matrix(trace, flux)
-    monkeypatch.setattr(assemble, "CHUNK", len(trace.facets))
-    assert _same(got, assemble.upwind_matrix(trace, flux))
-
-
 @pytest.mark.parametrize("name", ["cube3d", "cube3d_nonsmooth"])
 def test_chunked_spatial_fields_match_one_pass(cube6, monkeypatch, name):
     case = mms.make_case(name)

@@ -1,5 +1,7 @@
 """Manufactured solutions: closures, dual arithmetic, and derived sources."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -323,3 +325,88 @@ def test_cube_velocity_bitwise_equals_twelve_sine_form(name):
         -2.0 * np.sin(2 * px) * np.sin(2 * py) * np.sin(pz) ** 2,
     ], axis=-1)
     assert np.array_equal(make_case(name).u(x, 0.3), ref)
+
+
+# -- the plain fields, kept per point set ----------------------------------
+
+def _closed_form_rho(name, x, t):
+    """The plain densities as single closed-form expressions."""
+    if name == "square2d":
+        st = math.sin(t)
+        return (2.0 + x[..., 0] * (x[..., 0] - 1.0) * math.cos(st)
+                + x[..., 1] * (x[..., 1] - 1.0) * math.sin(st))
+    if name == "cube3d":
+        osc = math.sin(math.pi * t + 0.5 * math.pi)
+        return 2.0 + (1.0 / 3.0) * np.sin(np.pi * x).sum(axis=-1) * osc
+    c = mms._NONSMOOTH_C
+    st = math.sin(t)
+    gx, gy, gz = (np.abs(x[..., k] - 0.5) ** c for k in range(3))
+    return 2.0 + gx * math.cos(st) + (gy + gz) * math.sin(st)
+
+
+def _closed_form_u(name, x):
+    px, py = np.pi * x[..., 0], np.pi * x[..., 1]
+    if name == "square2d":
+        return np.stack([np.sin(px) ** 2 * np.sin(2.0 * py),
+                         -np.sin(2.0 * px) * np.sin(py) ** 2], axis=-1)
+    pz = np.pi * x[..., 2]
+    sx, sy, sz = np.sin(px) ** 2, np.sin(py) ** 2, np.sin(pz) ** 2
+    s2x, s2y, s2z = np.sin(2 * px), np.sin(2 * py), np.sin(2 * pz)
+    return np.stack([sx * s2y * s2z, s2x * sy * s2z, -2.0 * s2x * s2y * sz],
+                    axis=-1)
+
+
+@pytest.mark.parametrize("name,n", [("square2d", 16), ("cube3d", 8),
+                                    ("cube3d_nonsmooth", 4)])
+def test_cached_plain_fields_equal_closed_forms_bitwise(name, n):
+    """On the quadrature points the benchmark tracks errors at, the cached
+    rho and u equal the closed-form expressions bit for bit."""
+    from vardens import assemble, harness, scheme
+
+    case = make_case(name)
+    x = assemble.CellQuadrature(harness.build_mesh(case, 1.0 / n),
+                                scheme.CELL_DEGREE_LOW).points
+    for t in (0.0, 1 / 512, 0.1, 0.25, 1.3):
+        assert np.array_equal(case.rho(x, t), _closed_form_rho(name, x, t))
+        assert np.array_equal(case.u(x, t), _closed_form_u(name, x))
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_plain_fields_are_computed_once_per_point_set(name, monkeypatch):
+    """The space factors and u are computed on the first call at a point
+    set and again only when the points change, compared by value."""
+    case = make_case(name)
+    calls = []
+    monkeypatch.setattr(case._plain, "compute", {
+        name: (lambda x, f=f: calls.append(1) or f(x))
+        for name, f in case._plain.compute.items()})
+    rng = np.random.default_rng(12)
+    x = rng.uniform(0, 1, size=(40, 6, case.dim))
+    for t in (0.0, 0.1, 0.2):
+        case.rho(x, t)
+        case.u(x.copy(), t)  # equal contents in a new array
+    assert len(calls) == 2
+    u = case.u(x, 0.2)
+    u[:] = 0.0  # the caller owns the returned array
+    x[1:-1] = rng.uniform(0, 1, size=(38, 6, case.dim))  # changed in place
+    assert np.array_equal(case.rho(x, 0.2), _closed_form_rho(name, x, 0.2))
+    assert np.array_equal(case.u(x, 0.2), _closed_form_u(name, x))
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_plain_fields_never_run_the_dual_pass(name, monkeypatch):
+    case = make_case(name)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the plain fields ran a dual closure")
+
+    monkeypatch.setattr(case, "_spatial", fail)
+    monkeypatch.setattr(case, "_u_space", fail)
+    monkeypatch.setattr(case, "_rho_terms", ((fail, fail),))
+    monkeypatch.setattr(case, "_p_terms", ((fail, fail),))
+    x = np.random.default_rng(13).uniform(0, 1, size=(30, case.dim))
+    for t in (0.0, 0.1):
+        assert np.array_equal(case.rho(x, t), _closed_form_rho(name, x, t))
+        assert np.array_equal(case.u(x, t), _closed_form_u(name, x))
+        assert np.isfinite(case.p(x, t)).all()

@@ -411,6 +411,41 @@ def test_step_records_solver_iterations_and_refreshes():
         "n,t,energy,dissipation,mass,cutoff_active")
 
 
+def test_step_records_velocity_factor_fill():
+    """A step that factors the velocity matrix reports nnz(L) + nnz(U);
+    the steps that reuse the factor report none."""
+    case = make_case("square2d")
+    st = TimeStepper(unit_square_mesh(4), _config(n_steps=2))
+    state = st.initialize(lambda x: case.rho(x, 0.0), lambda x: case.u(x, 0.0))
+    state, diag = st.step(state)
+    fill = st._vel_lu.L.nnz + st._vel_lu.U.nnz
+    assert diag.extras["velocity_factor_nnz"] == fill > 0
+    assert st.last_reports["velocity"].extras["velocity_factor_nnz"] == fill
+    state, diag = st.step(state)
+    assert "velocity_factor_nnz" not in diag.extras
+    assert "velocity_factor_nnz" not in st.last_reports["velocity"].extras
+
+
+def test_density_solve_converges_at_large_time_step():
+    """A density ratio of 100 transported at tau = 1: the mass-block
+    preconditioner ignores transport, so each density solve takes well
+    over a thousand GMRES iterations, and it must still converge.  ``run``
+    asserts the energy inequality (zero sources)."""
+    case = make_case("square2d")
+
+    def rho0(x):
+        return 1.0 + 49.5 * (1.0 + np.tanh((x[..., 1] - 0.5) / 0.1))
+
+    st = TimeStepper(unit_square_mesh(8), _config(tau=1.0, n_steps=2))
+    state, diags = st.run(rho0, lambda x: case.u(x, 0.0))
+    init = st.initialize(rho0, lambda x: case.u(x, 0.0))
+    mass0 = float(st.ones_rho @ init.rho.coeffs)
+    assert state.n == 2
+    assert max(d.extras["density_iterations"] for d in diags) > 1000
+    for d in diags:
+        assert abs(d.mass - mass0) <= 1e-9
+
+
 def test_step_records_density_blocks():
     case = make_case("square2d")
     st = TimeStepper(unit_square_mesh(4), _config(n_steps=2))
@@ -477,3 +512,5 @@ def test_stale_velocity_factor_is_refreshed_within_one_cycle(monkeypatch):
     assert np.abs(projections.rt_divergence_nodal(state.w)).max() <= 1e-11
     assert diag.extras["velocity_refreshed"] is True
     assert diag.extras["velocity_iterations"] == 0
+    assert diag.extras["velocity_factor_nnz"] == (st._vel_lu.L.nnz
+                                                  + st._vel_lu.U.nnz)
