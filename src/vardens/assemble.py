@@ -8,18 +8,19 @@ the reference basis, e.g. ``R[q, ij] = phi_qi phi_qj`` for the mass or
 ``R[(q, d), ij] = phi_qi dphi_qjd`` for the convection.  Per call the
 quadrature weights, the coefficient and the inverse Jacobian are folded
 into a coefficient matrix K with one row per cell, and one GEMM ``K @ R``
-gives every local block.  The H(div) basis is built in physical
-coordinates, but each cell's basis is the contravariant Piola image of one
-reference basis, reordered and scaled per cell (Rognes, Kirby & Logg,
-"Efficient assembly of H(div) and H(curl) conforming finite elements",
-SISC 31, 2009).  So its evaluators and loads are one GEMM against the
-reference basis at the reference points, and no physical basis values are
-stored; only the set-up forms tabulate the physical basis.
+gives every local block.  The H(div) basis exists only on the reference
+cell: each cell's basis is the contravariant Piola image of it, reordered
+and scaled per cell (Rognes, Kirby & Logg, "Efficient assembly of H(div)
+and H(curl) conforming finite elements", SISC 31, 2009).  So its
+evaluators and loads are one GEMM against the reference basis at the
+reference points, and its mass and divergence forms are reference tensors
+mapped by each cell's Piola matrix (``rt_blocks``); no physical basis is
+tabulated.
 
 Work whose temporaries would grow with the mesh (pattern slots, the
-stiffness, convection and divergence forms, the H(div) set-up forms) runs
-over ``CHUNK`` cells at a time.  Each chunk computes exactly what the whole
-batch would, so the results do not depend on the chunk size.
+stiffness, convection and divergence forms) runs over ``CHUNK`` cells at a
+time.  Each chunk computes exactly what the whole batch would, so the
+results do not depend on the chunk size.
 
 Local blocks are scattered through a ``Pattern``: the CSR structure of the
 global matrix, built once per pair of row and column dof maps, with the
@@ -247,25 +248,20 @@ class RTTab:
     so ``ref_loads`` (nq d, n_local) carries the reference weights.
 
     Besides those two tables the tab holds O(n_local) numbers per cell:
-    ``ref_dofs``, the global dofs in reference order, ``local_index``, the
-    flat index of each local entry among the cells' reference entries, the
-    facet ``scale``, ``adj`` = adj(J_K), and ``piola_t`` = J_K^T / det J_K.
+    ``ref_dofs``, the global dofs in reference order, and ``piola_t`` =
+    J_K^T / det J_K; the facet scales and adj(J_K) are the space's.
     """
 
     def __init__(self, space, geom):
         self.space = space
         self.geom = geom
         self.cell_dofs = space.cell_dofs
-        mesh = space.mesh
-        nc, nl = space.cell_dofs.shape
-        order, self.scale = space.piola_map()
-        self.ref_dofs = np.take_along_axis(space.cell_dofs, order, axis=1)
-        self.local_index = (np.argsort(order, axis=1)
-                            + nl * np.arange(nc)[:, None])
-        self.adj = mesh.dets[:, None, None] * mesh.inv_jacobians
+        mesh, nl = space.mesh, space.n_local
+        self.ref_dofs = np.take_along_axis(space.cell_dofs,
+                                           space.piola_map[0], axis=1)
         self.piola_t = np.ascontiguousarray(
             np.swapaxes(mesh.jacobians, 1, 2) / mesh.dets[:, None, None])
-        vals = space.reference_values(geom.rule.points)  # (nl, nq, d)
+        vals = np.swapaxes(space.reference_basis(geom.rule.points)[0], 0, 1)
         self.ref_vals = vals.reshape(nl, -1)
         self.ref_loads = (vals * geom.rule.weights[:, None]).reshape(nl, -1).T
 
@@ -428,12 +424,7 @@ class RTFacetFlux:
     and equals the normal trace from either adjacent cell.
     """
 
-    def __init__(self, space, fquad, facets=None):
-        mesh = space.mesh
-        if facets is None:
-            facets = np.arange(mesh.n_facets)
-        self.facets = facets
-        self.space = space
+    def __init__(self, space, fquad, facets):
         d = space.dim
         self.dofs = facets[:, None] * d + np.arange(d)
         lam = barycentric(fquad.rule.points, d - 1)       # (nq, d)
@@ -485,21 +476,30 @@ def rt_blocks(rt_tab, dg_tab=None):
     n_local) and exactly symmetric, and with ``dg_tab`` those of
     (div eta_j, psi_m), (nc, dG n_local, n_local), else None.
 
-    One pass tabulates the basis ``CHUNK`` cells at a time.
+    Both are reference tensors mapped by each cell's Piola matrix T
+    (``RT1Space.piola_map``).  The mass of the reference basis, R[(a, b),
+    (i, j)] = sum_q w_q phihat_qia phihat_qjb, contracted with G_K =
+    J^T J / det J, is the mass of the mapped reference basis, and the
+    block is T^T (G_K R) T averaged with its transpose.  div(J phihat /
+    det J) = div phihat / det J, so the divergence block is the
+    geometry-free Bhat T.  The mesh orients every cell positively.
     """
-    space, geom = rt_tab.space, rt_tab.geom
-    nc, nl, d = len(rt_tab.cell_dofs), space.n_local, space.dim
-    M = np.empty((nc, nl, nl))
-    B = None if dg_tab is None else np.empty((nc, dg_tab.vals.shape[1], nl))
-    for s in _chunks(nc):
-        vals, divs = space.tabulate(np.arange(nc)[s], geom.points[s])
-        X = np.swapaxes(vals, 1, 2).reshape(len(vals), nl, -1)
-        w = np.repeat(geom.wdet[s], d, axis=1)[:, None, :]
-        L = (X * w) @ np.swapaxes(X, 1, 2)
-        M[s] = 0.5 * (L + np.swapaxes(L, 1, 2))
-        if B is not None:
-            B[s] = dg_tab.vals.T @ (geom.wdet[s][..., None] * divs)
-    return M, B
+    space, rule = rt_tab.space, rt_tab.geom.rule
+    mesh, nl = space.mesh, space.n_local
+    vals, divs = space.reference_basis(rule.points)
+    wvals = vals * rule.weights[:, None, None]
+    R = np.einsum("qia,qjb->abij", wvals, vals).reshape(-1, nl * nl)
+    J = mesh.jacobians
+    G = np.swapaxes(J, 1, 2) @ J / mesh.dets[:, None, None]
+    L = (G.reshape(len(G), -1) @ R).reshape(-1, nl, nl)
+    L = space.to_local(slice(None), np.swapaxes(
+        space.to_local(slice(None), L), 1, 2))
+    M = 0.5 * (L + np.swapaxes(L, 1, 2))
+    if dg_tab is None:
+        return M, None
+    B = (dg_tab.vals.T * rule.weights) @ divs
+    return M, space.to_local(slice(None),
+                             np.broadcast_to(B, (len(G),) + B.shape))
 
 
 def rt_mass_matrix(rt_tab):
@@ -552,12 +552,9 @@ def load_vector(tab, values):
 def rt_load_blocks(rt_tab, values):
     """Cell vectors (nc, n_local) of (f, eta), f at quadrature points: the
     transpose of ``eval_rt``, weighted by the rule (``RTTab``)."""
-    nc, nfl = rt_tab.scale.shape
-    F = values @ rt_tab.space.mesh.jacobians
-    dchat = F.reshape(nc, -1) @ rt_tab.ref_loads
-    dchat[:, :nfl] *= rt_tab.scale
-    dchat[:, nfl:] = np.einsum("cji,cj->ci", rt_tab.adj, dchat[:, nfl:])
-    return dchat.ravel()[rt_tab.local_index]
+    space = rt_tab.space
+    F = (values @ space.mesh.jacobians).reshape(len(values), -1)
+    return space.to_local(slice(None), F @ rt_tab.ref_loads)
 
 
 def rt_load(rt_tab, values):
@@ -650,10 +647,11 @@ def _rt_ref_coeffs(rt_tab, field):
     """Every cell's reference coefficients chat (nc, n_local) of an H(div)
     field: its local coefficients reordered, then scaled on the facet dofs
     and multiplied by adj(J) on the interior ones (``RTTab``)."""
-    nfl = rt_tab.scale.shape[1]
+    _, scale, adj = rt_tab.space.piola_map
+    nfl = scale.shape[1]
     chat = field.coeffs[rt_tab.ref_dofs]
-    chat[:, :nfl] *= rt_tab.scale
-    chat[:, nfl:] = np.einsum("cij,cj->ci", rt_tab.adj, chat[:, nfl:])
+    chat[:, :nfl] *= scale
+    chat[:, nfl:] = np.einsum("cij,cj->ci", adj, chat[:, nfl:])
     return chat
 
 

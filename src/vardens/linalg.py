@@ -153,18 +153,25 @@ def solve_constrained(system: LinearSystem, tol: float = 1e-10):
     xl = lu.solve(b)
     x, lam = xl[:-1], xl[-1]
     res = _check(K, xl, b, tol, "constrained solve")
-    # a nonzero multiplier means the constraint fights the equations:
-    # A x - b = -lam * c, so the original system's residual exposes it
-    nb = max(np.linalg.norm(system.rhs), 1.0)
-    conflict = np.linalg.norm(system.matrix @ x - system.rhs) / nb
+    check_constraint(system.matrix @ x - system.rhs, system.rhs, lam)
+    return x, SolveReport(
+        res, 0, time.perf_counter() - t0, {"multiplier": float(lam)}
+    )
+
+
+def check_constraint(residual, rhs, lam):
+    """Raise ``ConstraintConflictError`` unless the unbordered residual
+    A x - rhs of a bordered solve is at most 1e-8 max(||rhs||, 1).
+
+    A nonzero multiplier ``lam`` means the constraint fights the equations:
+    A x - rhs = lam c, so the unbordered residual exposes it.
+    """
+    conflict = np.linalg.norm(residual) / max(np.linalg.norm(rhs), 1.0)
     if conflict > 1e-8:
         raise ConstraintConflictError(
             f"constraint is inconsistent with the equations "
             f"(original residual {conflict:.3e}, multiplier {lam:.3e})"
         )
-    return x, SolveReport(
-        res, 0, time.perf_counter() - t0, {"multiplier": float(lam)}
-    )
 
 
 def solve_gmres(system: LinearSystem, tol: float = 1e-10, restart: int = 60,

@@ -48,7 +48,6 @@ class Mesh:
                 diam = np.maximum(
                     diam, np.linalg.norm(diffs[:, a] - diffs[:, b], axis=1)
                 )
-        self.cell_diameters = diam
         self.h = float(diam.max())
 
     @property

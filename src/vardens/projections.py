@@ -66,12 +66,12 @@ class RtProjectionWorkspace:
     system, with p recovered from the cells.
     """
 
-    def __init__(self, mesh, geom=None, rt_space=None, rt_tab=None,
-                 quad_degree=6):
+    def __init__(self, mesh, geom=None):
         self.mesh = mesh
-        self.geom = geom or assemble.CellQuadrature(mesh, quad_degree)
-        self.rt_space = rt_space or RT1Space(mesh)
-        self.rt_tab = rt_tab or assemble.RTTab(self.rt_space, self.geom)
+        # degree 6 integrates the loads of MINI fields on RT1 exactly
+        self.geom = geom or assemble.CellQuadrature(mesh, 6)
+        self.rt_space = RT1Space(mesh)
+        self.rt_tab = assemble.RTTab(self.rt_space, self.geom)
         self.dg_space = P1DGSpace(mesh)
         self.dg_tab = assemble.ScalarTab(self.dg_space, self.geom)
         space, d, nc = self.rt_space, mesh.dim, mesh.n_cells
@@ -112,9 +112,8 @@ class RtProjectionWorkspace:
 
         # interior-dof correction: the pseudo-inverse of the interior dofs'
         # nodal divergences removes the non-constant part of div w
-        _, divs = space.tabulate(np.arange(nc), mesh.vertices[mesh.cells])
-        self._nodal_div = divs
-        self._div_fix = np.linalg.pinv(divs[:, :, nfl:])
+        self._nodal_div = space.nodal_divergences()
+        self._div_fix = np.linalg.pinv(self._nodal_div[:, :, nfl:])
 
         # the assembled mixed system, for the residual check
         n, dofs, dg = space.n_dofs, space.cell_dofs, self.dg_space
@@ -210,17 +209,15 @@ def project_rt_divfree(workspace: RtProjectionWorkspace, v, tol=1e-10):
 def rt_divergence_nodal(field):
     """Nodal values of div(sigma) on every cell (the P1 coefficients)."""
     space = field.space
-    mesh = space.mesh
-    verts = mesh.vertices[mesh.cells]  # (nc, d+1, d)
-    _, divs = space.tabulate(np.arange(mesh.n_cells), verts)
-    return np.einsum("ci,cqi->cq", field.coeffs[space.cell_dofs], divs)
+    return np.einsum("ci,cvi->cv", field.coeffs[space.cell_dofs],
+                     space.nodal_divergences())
 
 
-def interpolate_mini(space: MiniVectorSpace, u0, boundary_tol=1e-12):
+def interpolate_mini(space: MiniVectorSpace, u0):
     """Nodal interpolation into the P1+bubble space; bubble dofs stay zero.
 
     Boundary vertex dofs are set exactly to zero; if ``u0`` is nonzero
-    there beyond ``boundary_tol`` a warning is recorded.
+    there beyond 1e-12 a warning is recorded.
     """
     mesh = space.mesh
     vals = np.asarray(u0(mesh.vertices), dtype=float)
@@ -228,7 +225,7 @@ def interpolate_mini(space: MiniVectorSpace, u0, boundary_tol=1e-12):
         raise ValueError("u0 must return one d-vector per vertex")
     bverts = np.unique(mesh.facet_vertices[mesh.boundary_facets].ravel())
     worst = float(np.abs(vals[bverts]).max()) if len(bverts) else 0.0
-    if worst > boundary_tol:
+    if worst > 1e-12:
         warnings.warn(
             f"interpolated velocity is nonzero on the boundary "
             f"(max {worst:.3e}); clamping to zero",

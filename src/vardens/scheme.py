@@ -31,6 +31,7 @@ from .spaces import FeField, MiniVectorSpace, P1Space, P2DGSpace
 CELL_DEGREE_LOW = 6          # transport + mixed projection forms
 FACET_DEGREE = 6
 DENSITY_RESTART = 60         # GMRES restart length of the density solve
+SOLVER_TOL = 1e-10           # relative residual of every solve
 
 
 def _cell_degree_high(dim):
@@ -48,7 +49,7 @@ class NumericalBreakdownError(Exception):
 
 @dataclass
 class SchemeConfig:
-    """Time step, viscosity, horizon, cut-off and solver settings."""
+    """Time step, viscosity, horizon, cut-off and source settings."""
 
     tau: float
     mu: float
@@ -58,7 +59,6 @@ class SchemeConfig:
     rho_max: float | None = None
     cutoff_mode: str = "strict"      # strict | widened | off
     widen_factor: float = 1.5
-    solver_tol: float = 1e-10
     f: object = None                 # f(x, t) transport source
     g: object = None                 # g(x, t) momentum source
 
@@ -248,8 +248,7 @@ class TimeStepper:
         rho_h = project_dg(self.p2_hi, rho0)
         u_h = interpolate_mini(self.vel_space, u0)
         p_h = FeField(self.p_space, np.zeros(self.p_space.n_dofs))
-        w_h = self.workspace.project(u_h, self.config.solver_tol)
-        return StepState(0, 0.0, rho_h, u_h, p_h, w_h)
+        return StepState(0, 0.0, rho_h, u_h, p_h, self._project(u_h, 0))
 
     # ------------------------------------------------------------------
     def density_matrix(self, w):
@@ -291,7 +290,7 @@ class TimeStepper:
             )
         try:
             x, report = linalg.solve_gmres(
-                linalg.LinearSystem(A, rhs), cfg.solver_tol,
+                linalg.LinearSystem(A, rhs), SOLVER_TOL,
                 restart=DENSITY_RESTART, maxiter=400 * DENSITY_RESTART,
                 preconditioner=self._mass_preconditioner(),
                 x0=state.rho.coeffs,
@@ -335,39 +334,34 @@ class TimeStepper:
         the minimum-degree ordering.  A report of a solve that factored
         carries the factor's fill, nnz(L) + nnz(U), as
         ``extras["velocity_factor_nnz"]``.  The residual contract is
-        enforced on GMRES and on the refresh alike.
+        enforced on GMRES and on the refresh alike; a refresh that misses
+        it raises ``ResidualError`` with the refreshed residual.
         """
-        tol = self.config.solver_tol
         t0 = time.perf_counter()
         fill = self._factor_velocity(Kc) if self._vel_lu is None else None
         try:
             x, report = linalg.solve_gmres(
-                linalg.LinearSystem(Kc, b), tol, restart=40, maxiter=40,
+                linalg.LinearSystem(Kc, b), SOLVER_TOL, restart=40, maxiter=40,
                 preconditioner=self._vel_lu.solve, x0=x0,
             )
-        except linalg.ResidualError:
+        except linalg.ResidualError as exc:
             fill = self._factor_velocity(Kc)
             x = self._vel_lu.solve(b)
             res = np.linalg.norm(Kc @ x - b) / max(np.linalg.norm(b), 1e-300)
-            if res > tol:
-                raise
+            if not res <= SOLVER_TOL:
+                raise linalg.ResidualError(
+                    f"refreshed factor: relative residual {res:.3e} > "
+                    f"{SOLVER_TOL:.1e}"
+                ) from exc
             report = linalg.SolveReport(
                 res, 0, time.perf_counter() - t0, {"refreshed": True}
             )
         if fill is not None:
             report.extras["velocity_factor_nnz"] = fill
-        # a nonzero multiplier means the constraint fights the equations:
         # the unbordered residual K x - rhs is the top of Kc x - b plus lam c
         lam = x[-1]
-        rhs = b[:-1]
-        conflict = np.linalg.norm(
-            (Kc @ x - b)[:-1] + lam * self._constraint
-        ) / max(np.linalg.norm(rhs), 1.0)
-        if conflict > 1e-8:
-            raise linalg.ConstraintConflictError(
-                f"constraint is inconsistent with the equations "
-                f"(original residual {conflict:.3e}, multiplier {lam:.3e})"
-            )
+        linalg.check_constraint((Kc @ x - b)[:-1] + lam * self._constraint,
+                                b[:-1], lam)
         report.extras["multiplier"] = float(lam)
         return x[:-1], report
 
@@ -434,7 +428,11 @@ class TimeStepper:
         x0 = np.concatenate(
             [state.u.coeffs[self.free_vel], state.p.coeffs, [0.0]]
         )
-        x, report = self._solve_velocity_system(Kc, b, x0)
+        try:
+            x, report = self._solve_velocity_system(Kc, b, x0)
+        except linalg.ResidualError as exc:
+            raise linalg.ResidualError(
+                f"velocity solve at step {state.n + 1}: {exc}") from exc
         if not np.all(np.isfinite(x)):
             raise NumericalBreakdownError(
                 f"velocity coefficients not finite at step {state.n + 1}"
@@ -466,23 +464,23 @@ class TimeStepper:
         t_new = state.t + cfg.tau
         rho_new = self.density_step(state, t_new)
         u_new, p_new = self.velocity_step(state, rho_new, t_new)
-        w_new = self.workspace.project(u_new, cfg.solver_tol)
+        w_new = self._project(u_new, state.n + 1)
         new_state = StepState(state.n + 1, t_new, rho_new, u_new, p_new, w_new)
         diag = self._diagnostics(state, new_state, time.perf_counter() - t0)
         return new_state, diag
 
-    def _energy(self, state, M):
-        """0.5||rho||^2 + 0.5 sum_k u_k^T M u_k, M the chi-weighted mass."""
-        rho = state.rho.coeffs
-        e = 0.5 * float(rho @ (self.M_rho @ rho))
-        for comp in state.u.coeffs.reshape(self.mesh.dim, -1):
-            e += 0.5 * float(comp @ (M @ comp))
-        return e
+    def _project(self, u, step):
+        """The post-processed velocity; a failure names ``step``."""
+        try:
+            return self.workspace.project(u, SOLVER_TOL)
+        except linalg.ResidualError as exc:
+            raise linalg.ResidualError(
+                f"projection at step {step}: {exc}") from exc
 
     def _diagnostics(self, old, new, wall):
         cfg = self.config
-        rho_q, _, M_new = self._weighted_mass(new.rho)
-        energy = self._energy(new, M_new)
+        rho_q = self._weighted_mass(new.rho)[0]
+        energy = self.energy(new)
         viscous = 0.0
         for comp in new.u.coeffs.reshape(self.mesh.dim, -1):
             viscous += float(comp @ (self.K_s @ comp))
@@ -518,8 +516,15 @@ class TimeStepper:
         )
 
     def energy(self, state: StepState):
-        """0.5||rho||^2 + int 0.5 chi(rho)|u|^2 for an arbitrary state."""
-        return self._energy(state, self._weighted_mass(state.rho)[2])
+        """0.5||rho||^2 + int 0.5 chi(rho)|u|^2 for an arbitrary state:
+        0.5 rho^T M_rho rho + 0.5 sum_k u_k^T M u_k, M the chi-weighted
+        mass (cached on the density, ``_weighted_mass``)."""
+        M = self._weighted_mass(state.rho)[2]
+        rho = state.rho.coeffs
+        e = 0.5 * float(rho @ (self.M_rho @ rho))
+        for comp in state.u.coeffs.reshape(self.mesh.dim, -1):
+            e += 0.5 * float(comp @ (M @ comp))
+        return e
 
     def run(self, rho0, u0, diag_stream=None, on_step=None,
             check_energy=None):

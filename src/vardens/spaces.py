@@ -3,21 +3,24 @@
 Scalar spaces (P1, P1 discontinuous, P2 discontinuous, P1+bubble) are nodal
 on the reference simplex and mapped affinely.  The vector velocity space is
 d stacked copies of the P1+bubble scalar space (component-major dof layout).
-The H(div) space is built directly in physical coordinates on each cell as
-span{P1(K)^d + x P1(K)}, with shared facet degrees of freedom defined as
-normal-flux moments against the P1 nodal functions of the facet in sorted
-global-vertex order; sharing those dofs makes the normal trace single-valued
-across facets without any per-cell sign bookkeeping.
+The H(div) space is span{P1^d + x P1}, with shared facet degrees of freedom
+defined as normal-flux moments against the P1 nodal functions of the facet
+in sorted global-vertex order; sharing those dofs makes the normal trace
+single-valued across facets.  Its basis is solved for once, on the reference
+simplex, and each cell's local basis is the contravariant Piola image of
+that one basis, reordered and signed by the cell's vertex order and facet
+orientations (``RT1Space.piola_map``).
 
 The bubble is the barycentric product scaled to value 1 at the barycenter
 (factor 27 on triangles, 256 on tetrahedra).
 """
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import Mesh
 from .quadrature import reference_simplex_measure, simplex_rule
 
 
@@ -174,10 +177,43 @@ class MiniVectorSpace:
         return np.concatenate([sb + k * ns for k in range(self.dim)])
 
 
-def _reference_mesh(dim):
-    """The reference simplex as a one-cell mesh."""
-    return Mesh(dim, np.vstack([np.zeros(dim), np.eye(dim)]),
-                [np.arange(dim + 1)])
+def _rt1_modes(points):
+    """Monomial modes of P1^d + x P1 and their divergences at reference
+    points (nq, d): (nq, n_modes, d) and (nq, n_modes)."""
+    nq, d = points.shape
+    vals = np.zeros((nq, d * (d + 2), d))
+    divs = np.zeros((nq, d * (d + 2)))
+    for k in range(d):  # e_k, e_k x_1, ..., e_k x_d
+        vals[:, k * (d + 1), k] = 1.0
+        vals[:, k * (d + 1) + 1:(k + 1) * (d + 1), k] = points
+        divs[:, k * (d + 2) + 1] = 1.0
+    vals[:, d * (d + 1):] = points[:, :, None] * points[:, None, :]  # x_j x
+    divs[:, d * (d + 1):] = (d + 1) * points
+    return vals, divs
+
+
+@functools.cache
+def _rt1_reference_coefficients(d):
+    """Mode coefficients (n_modes, n_local) of the reference basis: the
+    inverse of its dof functionals applied to the modes.
+
+    The dofs of reference facet f (opposite vertex f) are mean-scaled
+    moments of the outward normal flux against the barycentric coordinates
+    of the facet's vertices in local order; the interior dofs are the cell
+    averages of each component."""
+    vertices = np.vstack([np.zeros(d), np.eye(d)])
+    frule, crule = simplex_rule(d - 1, 3), simplex_rule(d, 3)
+    lam = barycentric(frule.points, d - 1)  # (nq, d)
+    mean = (frule.weights / reference_simplex_measure(d - 1))[:, None] * lam
+    g = _bary_grads(d)
+    rows = []
+    for f in range(d + 1):
+        vals, _ = _rt1_modes(lam @ vertices[np.arange(d + 1) != f])
+        rows.append(mean.T @ (vals @ (-g[f] / np.linalg.norm(g[f]))))
+    vals, _ = _rt1_modes(crule.points)
+    rows.append(np.einsum("q,qmk->km",
+                          crule.weights / reference_simplex_measure(d), vals))
+    return np.linalg.inv(np.concatenate(rows))
 
 
 class RT1Space:
@@ -185,8 +221,10 @@ class RT1Space:
 
     Facet dofs are mean-scaled normal-flux moments against the facet's P1
     nodal functions in sorted global-vertex order; interior dofs are cell
-    averages of each component.  Local bases are recovered per cell from a
-    generalized Vandermonde solve against centroid-centered monomial modes.
+    averages of each component.  The basis is solved for once, on the
+    reference simplex, and each cell's local basis is its contravariant
+    Piola image (``piola_map``), so the space stores O(n_local) numbers
+    per cell and no basis coefficients.
     """
 
     kind = "RT1"
@@ -198,15 +236,10 @@ class RT1Space:
         self.n_facet_dofs = d * nf
         self.n_dofs = d * nf + d * nc
         self.n_local = d * (d + 1) + d
-        self.n_modes = self.n_local
 
         fd = (mesh.cell_facets[:, :, None] * d + np.arange(d)).reshape(nc, -1)
         idofs = d * nf + (np.arange(nc)[:, None] * d + np.arange(d))
         self.cell_dofs = np.concatenate([fd, idofs], axis=1)
-
-        self.centers = mesh.vertices[mesh.cells].mean(axis=1)
-        self.scales = mesh.cell_diameters.copy()
-        self._build_coefficients()
 
     def boundary_dofs(self):
         d = self.dim
@@ -214,98 +247,14 @@ class RT1Space:
             self.mesh.boundary_facets[:, None] * d + np.arange(d)
         ).ravel()
 
-    def _modes(self, cells, points):
-        """Monomial modes and divergences at physical points (k, ..., d)."""
-        d = self.dim
-        shape = points.shape[:-1]
-        xt = (points - self.centers[cells].reshape((-1,) + (1,) * (len(shape) - 1) + (d,))) / self.scales[cells].reshape((-1,) + (1,) * (len(shape) - 1) + (1,))
-        nm = self.n_modes
-        vals = np.zeros(shape + (nm, d))
-        divs = np.zeros(shape + (nm,))
-        inv_s = 1.0 / self.scales[cells].reshape((-1,) + (1,) * (len(shape) - 1))
-        m = 0
-        for k in range(d):
-            vals[..., m, k] = 1.0
-            m += 1
-            for j in range(d):
-                vals[..., m, k] = xt[..., j]
-                if j == k:
-                    divs[..., m] = inv_s
-                m += 1
-        for j in range(d):
-            for k in range(d):
-                vals[..., m, k] = xt[..., j] * xt[..., k]
-            divs[..., m] = (d + 1) * xt[..., j] * inv_s
-            m += 1
-        return vals, divs
+    def reference_basis(self, points):
+        """Values (nq, n_local, d) and divergences (nq, n_local) of the
+        reference basis at reference points (nq, d)."""
+        vals, divs = _rt1_modes(points)
+        C = _rt1_reference_coefficients(self.dim)
+        return np.einsum("qmd,mi->qid", vals, C), divs @ C
 
-    def _build_coefficients(self):
-        mesh, d = self.mesh, self.dim
-        nc = mesh.n_cells
-        refmeas_f = reference_simplex_measure(d - 1)
-        refmeas_c = reference_simplex_measure(d)
-        frule = simplex_rule(d - 1, 3)
-        crule = simplex_rule(d, 3)
-
-        # facet moment rows, one block per local facet
-        fids = mesh.cell_facets  # (nc, d+1)
-        fverts = mesh.vertices[mesh.facet_vertices[fids]]  # (nc, d+1, d, d)
-        t = frule.points  # (nqf, d-1)
-        lam_f = barycentric(t, d - 1)  # (nqf, d) nodal moments on the facet
-        # physical facet quadrature points: v0 + sum t_k (v_{k+1} - v0)
-        edges = fverts[:, :, 1:, :] - fverts[:, :, :1, :]
-        fpts = fverts[:, :, None, 0, :] + np.einsum(
-            "qk,cfkd->cfqd", t, edges
-        )
-        normals = mesh.facet_normals[fids]  # (nc, d+1, d)
-        cells_rep = np.repeat(np.arange(nc), (d + 1) * frule.npoints)
-        mvals, _ = self._modes(
-            cells_rep, fpts.reshape(-1, 1, d)
-        )
-        mvals = mvals.reshape(nc, d + 1, frule.npoints, self.n_modes, d)
-        flux = np.einsum("cfqmd,cfd->cfqm", mvals, normals)
-        facet_rows = np.einsum(
-            "q,qi,cfqm->cfim", frule.weights / refmeas_f, lam_f, flux
-        ).reshape(nc, (d + 1) * d, self.n_modes)
-
-        # interior rows: componentwise cell averages
-        cpts = mesh.vertices[mesh.cells[:, 0]][:, None, :] + np.einsum(
-            "qk,ckd->cqd", crule.points, np.swapaxes(mesh.jacobians, 1, 2)
-        )
-        cells_rep = np.repeat(np.arange(nc), crule.npoints)
-        cvals, _ = self._modes(cells_rep, cpts.reshape(-1, 1, d))
-        cvals = cvals.reshape(nc, crule.npoints, self.n_modes, d)
-        interior_rows = np.einsum(
-            "q,cqmd->cdm", crule.weights / refmeas_c, cvals
-        )
-
-        V = np.concatenate([facet_rows, interior_rows], axis=1)
-        self.coeffs = np.linalg.inv(V)  # (nc, n_modes, n_local)
-
-    def tabulate(self, cells, points):
-        """Basis values (k, nq, n_local, d) and divergences (k, nq, n_local)
-        at physical points.
-
-        cells : (k,) cell indices; points : (k, nq, d).  The values are a
-        view of a (k, n_local, nq, d) array.
-        """
-        mvals, mdivs = self._modes(cells, points)
-        C = self.coeffs[cells]
-        k, nq, nm, d = mvals.shape
-        modes = np.ascontiguousarray(np.swapaxes(mvals, 1, 2))
-        vals = (np.swapaxes(C, 1, 2) @ modes.reshape(k, nm, nq * d)).reshape(
-            k, -1, nq, d
-        )
-        divs = mdivs @ C
-        return vals.transpose(0, 2, 1, 3), divs
-
-    def reference_values(self, ref_points):
-        """Values (n_local, nq, d) of the reference basis at reference
-        points: the basis for the same dofs on the reference simplex."""
-        ref = RT1Space(_reference_mesh(self.dim))
-        vals, _ = ref.tabulate(np.array([0]), ref_points[None])
-        return vals[0].transpose(1, 0, 2)
-
+    @functools.cached_property
     def piola_map(self):
         """Each cell's local basis through the reference basis.
 
@@ -313,17 +262,17 @@ class RT1Space:
         keeps normal-flux moments against matching facet functions and
         takes cell averages to adj(J) = det J J^-1 times them.  So a field
         with local coefficients c is J sum_i chat_i phihat_i / det J on
-        cell K, where in reference dof order chat is c reordered by
-        ``order`` (n_cells, n_local) and then multiplied, on the facet
-        dofs, by ``scale`` (n_cells, (d+1) d) = s |F| / |Fhat|, with s = +1
-        where the global normal leaves K and -1 otherwise, and on the
-        interior dofs by adj(J).  The reference dof i of local facet f
-        belongs to the facet's i-th vertex in local order, the local dof
-        to its i-th vertex in sorted global order.
+        cell K, with chat = T_K c: in reference dof order chat is c
+        reordered by ``order`` (n_cells, n_local) and then multiplied, on
+        the facet dofs, by ``scale`` (n_cells, (d+1) d) = s |F| / |Fhat|,
+        with s = +1 where the global normal leaves K and -1 otherwise, and
+        on the interior dofs by ``adj`` (n_cells, d, d) = adj(J).  The
+        reference dof i of local facet f belongs to the facet's i-th vertex
+        in local order, the local dof to its i-th vertex in sorted global
+        order.  |Fhat| = |grad lambda_f| / (d-1)! on the reference simplex.
         """
         mesh, d = self.mesh, self.dim
         nc = mesh.n_cells
-        ref = _reference_mesh(d)
         # the cell's vertices on local facet f (opposite vertex f), in order
         verts = np.array([[m for m in range(d + 1) if m != f]
                           for f in range(d + 1)])
@@ -335,9 +284,49 @@ class RT1Space:
         faces = mesh.cell_facets
         sign = np.where(mesh.facet_minus[faces] == np.arange(nc)[:, None],
                         1.0, -1.0)
-        ratio = mesh.facet_measures[faces] / ref.facet_measures[
-            ref.cell_facets[0]]
-        return order, np.repeat(sign * ratio, d, axis=1)
+        ratio = mesh.facet_measures[faces] * (
+            math.factorial(d - 1) / np.linalg.norm(_bary_grads(d), axis=1))
+        adj = mesh.dets[:, None, None] * mesh.inv_jacobians
+        return order, np.repeat(sign * ratio, d, axis=1), adj
+
+    def to_local(self, cells, X):
+        """X T_K for every cell K of ``cells``: an array (k, ..., n_local)
+        over the reference dofs taken to the local dofs (``piola_map``)."""
+        order, scale, adj = (a[cells] for a in self.piola_map)
+        nfl = scale.shape[1]
+        lead = (len(order),) + (1,) * (X.ndim - 2)
+        out = np.empty(X.shape)
+        np.put_along_axis(out, order[:, :nfl].reshape(lead + (nfl,)),
+                          X[..., :nfl] * scale.reshape(lead + (nfl,)),
+                          axis=-1)
+        out[..., nfl:] = np.einsum("c...a,cab->c...b", X[..., nfl:], adj)
+        return out
+
+    def tabulate(self, cells, points):
+        """Basis values (k, nq, n_local, d) and divergences (k, nq, n_local)
+        at physical points, as the Piola image of the reference basis.
+
+        cells : (k,) cell indices; points : (k, nq, d).
+        """
+        mesh, d = self.mesh, self.dim
+        xi = mesh.reference_coords(cells, points)
+        k, nq = xi.shape[:2]
+        vals, divs = self.reference_basis(xi.reshape(-1, d))
+        det = mesh.dets[cells, None, None]
+        vals = np.einsum("cde,cqie->cqdi", mesh.jacobians[cells] / det,
+                         vals.reshape(k, nq, -1, d))
+        divs = divs.reshape(k, nq, -1) / det
+        return (np.swapaxes(self.to_local(cells, vals), 2, 3),
+                self.to_local(cells, divs))
+
+    def nodal_divergences(self):
+        """Divergence (n_cells, d+1, n_local) of every local basis function
+        at its cell's vertices: the reference basis's at the reference
+        vertices over det J."""
+        d, mesh = self.dim, self.mesh
+        _, divs = self.reference_basis(np.vstack([np.zeros(d), np.eye(d)]))
+        return self.to_local(slice(None),
+                             divs / mesh.dets[:, None, None])
 
 
 @dataclass

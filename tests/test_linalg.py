@@ -65,6 +65,30 @@ def test_constraint_conflict_detected():
         linalg.solve_constrained(linalg.LinearSystem(A, b, c))
 
 
+def test_velocity_solve_detects_constraint_conflict(monkeypatch):
+    """The stepper's bordered velocity solve runs the same check: a pressure
+    load with nonzero mean cannot be met by a velocity with zero boundary
+    values, so the zero-mean multiplier absorbs it."""
+    case = mms.make_case("square2d")
+    st = TimeStepper(unit_square_mesh(4),
+                     SchemeConfig(tau=1 / 64, mu=0.001, n_steps=1))
+    state = st.initialize(lambda x: case.rho(x, 0.0), lambda x: case.u(x, 0.0))
+    rho1 = st.density_step(state)
+    solve, calls = st._solve_velocity_system, []
+
+    def record(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(st, "_solve_velocity_system", record)
+    st.velocity_step(state, rho1)
+    Kc, b, x0 = calls[0]
+    b = b.copy()
+    b[len(b) - 1 - len(st.c_p):-1] += st.c_p  # the pressure rows
+    with pytest.raises(linalg.ConstraintConflictError):
+        solve(Kc, b, x0)
+
+
 def _stokes_system(n, mu=1.0):
     mesh = unit_square_mesh(n)
     vel = MiniVectorSpace(mesh)

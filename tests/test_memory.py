@@ -1,6 +1,6 @@
 """Memory bounds: chunked kernels equal their one-batch forms bit for bit,
-the H(div) tabs hold no per-basis-function tables, and the set-up of a
-stepper stays within a measured allocation budget."""
+the H(div) space and tabs hold no per-basis-function tables, and the set-up
+of a stepper stays within a measured allocation budget."""
 
 import tracemalloc
 
@@ -120,6 +120,16 @@ def test_rt_tabs_hold_no_basis_tables(make_mesh, n):
         for a in arrays:
             assert a.size <= items * nq * (d + 1), (type(obj).__name__,
                                                     a.shape)
+    # the space keeps no per-cell basis: no array of n_cells n_local^2
+    assemble.rt_blocks(tab)
+    space.tabulate(np.arange(mesh.n_cells), geom.points)
+    space.nodal_divergences()
+    arrays = [a for v in vars(space).values()
+              for a in (v if isinstance(v, tuple) else (v,))
+              if isinstance(a, np.ndarray)]
+    assert arrays
+    for a in arrays:
+        assert a.size < mesh.n_cells * space.n_local ** 2, a.shape
 
 
 # Peak traced allocation of TimeStepper(unit_cube_mesh(6)) plus initialize

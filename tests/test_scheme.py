@@ -1,6 +1,7 @@
 """The cut-off, the two solve steps, and full time-marching."""
 
 import io
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -473,6 +474,49 @@ def test_failed_density_solve_names_the_solve_and_step(monkeypatch):
     with pytest.raises(linalg.ResidualError,
                        match=r"^density solve at step 2: gmres: residual"):
         st.density_step(state)
+
+
+def test_failed_velocity_refresh_names_the_step_and_residual(monkeypatch):
+    """GMRES fails and the refreshed factor misses the tolerance too: the
+    error reports the refreshed residual and the step, not GMRES's."""
+    from vardens import linalg
+
+    case = make_case("square2d")
+    st = TimeStepper(unit_square_mesh(4), _config(n_steps=2))
+    state = st.initialize(lambda x: case.rho(x, 0.0), lambda x: case.u(x, 0.0))
+    rho1 = st.density_step(state)
+    factor = st._factor_velocity
+
+    def half_factor(Kc):
+        fill = factor(Kc)
+        exact = st._vel_lu
+        st._vel_lu = SimpleNamespace(solve=lambda b: 0.5 * exact.solve(b))
+        return fill
+
+    def fail(*args, **kwargs):
+        raise linalg.ResidualError("gmres: residual 1.0e-03 above 1.0e-12 "
+                                   "after 40 iterations")
+
+    monkeypatch.setattr(st, "_factor_velocity", half_factor)
+    monkeypatch.setattr(linalg, "solve_gmres", fail)
+    with pytest.raises(linalg.ResidualError,
+                       match=r"^velocity solve at step 1: refreshed factor: "
+                             r"relative residual 5\.000e-01 > 1\.0e-10$"):
+        st.velocity_step(state, rho1)
+
+
+def test_failed_projection_names_the_step(monkeypatch):
+    from vardens import linalg
+
+    case = make_case("square2d")
+    st = TimeStepper(unit_square_mesh(4), _config(n_steps=2))
+    state = st.initialize(lambda x: case.rho(x, 0.0), lambda x: case.u(x, 0.0))
+    # a wrong mass block in the residual check makes every projection fail
+    monkeypatch.setattr(st.workspace, "_Mff", 2.0 * st.workspace._Mff)
+    with pytest.raises(linalg.ResidualError,
+                       match=r"^projection at step 1: hybridized projection "
+                             r"residual"):
+        st.step(state)
 
 
 def test_stale_velocity_factor_is_refreshed_within_one_cycle(monkeypatch):

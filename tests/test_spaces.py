@@ -79,31 +79,40 @@ def test_dof_counts():
     assert RT1Space(m3).n_local == 15
 
 
-@pytest.mark.parametrize("make,n", [(unit_square_mesh, 2), (unit_cube_mesh, 1)])
+@pytest.mark.parametrize("make,n", [(unit_square_mesh, 2), (unit_cube_mesh, 1),
+                                    (unit_cube_mesh, 2)])
 def test_rt_facet_moments_reproduce_dofs(make, n):
-    """Brute-force check that int_F (b_i . nu) m ds hits the dof pattern."""
+    """Brute-force check, on every cell, that the RT1 dof functionals of the
+    local basis are the identity on its dofs: the mean-scaled moments of
+    b_i . nu against the P1 nodal functions of each facet (sorted global
+    vertices, global normal) and the cell averages of each component.  By
+    unisolvence this pins every local basis to the defining functionals."""
     mesh = make(n)
     d = mesh.dim
     space = RT1Space(mesh)
+    cells = np.arange(mesh.n_cells)
     frule = simplex_rule(d - 1, 6)
-    refmeas = reference_simplex_measure(d - 1)
-    for c in (0, mesh.n_cells - 1):
-        for loc in range(d + 1):
-            f = mesh.cell_facets[c, loc]
-            fv = mesh.vertices[mesh.facet_vertices[f]]
-            edges = fv[1:] - fv[:1]
-            pts = fv[0] + frule.points @ edges
-            vals, _ = space.tabulate(np.array([c]), pts[None])
-            flux = np.einsum("qid,d->qi", vals[0], mesh.facet_normals[f])
-            moments = barycentric(frule.points, d - 1)
-            got = np.einsum("q,qm,qi->mi", frule.weights / refmeas,
-                            moments, flux)
-            # rows: the d moment dofs of facet f; columns: all local dofs
-            for mi in range(d):
-                dof = f * d + mi
-                expect = np.zeros(space.n_local)
-                expect[np.where(space.cell_dofs[c] == dof)[0]] = 1.0
-                assert np.abs(got[mi] - expect).max() < 1e-12
+    moments = barycentric(frule.points, d - 1)
+    weights = frule.weights / reference_simplex_measure(d - 1)
+    got, rows = [], []
+    for loc in range(d + 1):
+        f = mesh.cell_facets[:, loc]
+        fv = mesh.vertices[mesh.facet_vertices[f]]
+        pts = fv[:, :1] + np.einsum("qk,ckd->cqd", frule.points,
+                                    fv[:, 1:] - fv[:, :1])
+        vals, _ = space.tabulate(cells, pts)
+        flux = np.einsum("cqid,cd->cqi", vals, mesh.facet_normals[f])
+        got.append(np.einsum("q,qm,cqi->cmi", weights, moments, flux))
+        rows.append(f[:, None] * d + np.arange(d))
+    geom = assemble.CellQuadrature(mesh, 2)
+    vals, _ = space.tabulate(cells, geom.points)
+    got.append(np.einsum("cq,cqik->cki", geom.wdet, vals)
+               / mesh.volumes[:, None, None])
+    rows.append(space.n_facet_dofs + d * cells[:, None] + np.arange(d))
+    got, rows = np.concatenate(got, axis=1), np.concatenate(rows, axis=1)
+    # row r of cell c is the functional of global dof rows[c, r]
+    expect = rows[:, :, None] == space.cell_dofs[:, None, :]
+    assert np.abs(got - expect).max() < 1e-12
 
 
 @pytest.mark.parametrize("make,n", [(unit_square_mesh, 3), (unit_cube_mesh, 2)])
