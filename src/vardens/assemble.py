@@ -86,25 +86,22 @@ class Pattern:
         self.nnz = len(indices)
 
     @classmethod
-    def build(cls, shape, *blocks):
-        """One pattern per (row_dofs, col_dofs) pair, all on the union of
-        their entries; each dof map is (n_items, n_local).
+    def build(cls, shape, rows, cols):
+        """The pattern of local blocks with row dofs ``rows`` and column
+        dofs ``cols``, each (n_items, n_local).
 
-        The union is the structure of I_row^T I_col, with I the item-by-dof
-        incidence of the stacked maps, so no array of every local entry is
-        formed; the slots are then looked up chunk by chunk.
+        The structure is that of I_row^T I_col, with I the item-by-dof
+        incidence of a dof map, so no array of every local entry is formed;
+        the slots are then looked up chunk by chunk.
         """
         nrow, ncol = shape
 
-        def incidence(k):
-            maps = [b[k] for b in blocks]
-            ptr = np.concatenate([[0]] + [np.full(len(m), m.shape[1])
-                                          for m in maps]).cumsum()
-            idx = np.concatenate([m.ravel() for m in maps])
-            return sp.csr_matrix((np.ones(len(idx), dtype=np.int32), idx, ptr),
-                                 shape=(len(ptr) - 1, shape[k]))
+        def incidence(dofs, n):
+            ptr = np.arange(len(dofs) + 1) * dofs.shape[1]
+            return sp.csr_matrix((np.ones(dofs.size, dtype=np.int32),
+                                  dofs.ravel(), ptr), shape=(len(dofs), n))
 
-        S = (incidence(0).T @ incidence(1)).tocsr()
+        S = (incidence(rows, nrow).T @ incidence(cols, ncol)).tocsr()
         S.sort_indices()
         itype = np.int32 if max(shape + (S.nnz,)) < 2**31 else np.int64
         indptr = S.indptr.astype(itype)
@@ -114,16 +111,13 @@ class Pattern:
         del S
         for a in (indptr, indices):  # shared by every matrix made from it
             a.setflags(write=False)
-        out = []
-        for rows, cols in blocks:
-            slot = np.empty((len(rows), rows.shape[1], cols.shape[1]),
-                            dtype=np.intp)
-            for s in _chunks(len(rows)):
-                r = rows[s, :, None].astype(np.int64)
-                c = cols[s, None, :].astype(np.int64)
-                slot[s] = np.searchsorted(keys, r * ncol + c)
-            out.append(cls(shape, indptr, indices, slot.ravel()))
-        return tuple(out)
+        slot = np.empty((len(rows), rows.shape[1], cols.shape[1]),
+                        dtype=np.intp)
+        for s in _chunks(len(rows)):
+            r = rows[s, :, None].astype(np.int64)
+            c = cols[s, None, :].astype(np.int64)
+            slot[s] = np.searchsorted(keys, r * ncol + c)
+        return cls(shape, indptr, indices, slot.ravel())
 
     def matrix(self, local):
         """The matrix with local blocks ``local``, scattered in cell order."""
@@ -167,10 +161,6 @@ def _mirror(upper):
     return upper[:, _upper(nloc)[2]].reshape(-1, nloc, nloc)
 
 
-def _square_pattern(dofs, n):
-    return Pattern.build((n, n), (dofs, dofs))[0]
-
-
 class CellQuadrature:
     """Physical quadrature points and weights for every cell."""
 
@@ -209,7 +199,8 @@ class ScalarTab:
 
     @functools.cached_property
     def pattern(self):
-        return _square_pattern(self.cell_dofs, self.space.n_dofs)
+        n = self.space.n_dofs
+        return Pattern.build((n, n), self.cell_dofs, self.cell_dofs)
 
     @functools.cached_property
     def _mass_ref(self):
@@ -354,28 +345,28 @@ class DGFacetTrace:
             [space.cell_dofs[self.minus], space.cell_dofs[self.plus]], axis=1
         )
         self.wscale = fquad.wscale[fi]
+        # table (i, perm) holds the basis on local facet i whose sorted
+        # vertex s is the facet's local vertex perm[s]; local vertex j sits
+        # at reference vertex j
         perms = np.array(list(itertools.permutations(range(d))))
-        # local facet i is opposite local vertex i; ``facet_local[i]`` lists
-        # its local vertices, and local vertex j sits at reference vertex j
-        facet_local = np.array([[j for j in range(d + 1) if j != i]
-                                for i in range(d + 1)])
+        facet_local = mesh.local_facet_vertices
         ref_vertices = np.vstack([np.zeros(d), np.eye(d)])
         lam = barycentric(fquad.rule.points, d - 1)  # (nq, d)
         self.tables = np.stack([
             space.ref_values(lam @ ref_vertices[facet_local[i][perm]])
             for i in range(d + 1) for perm in perms
         ])
-        # a permutation's index in ``perms`` from its base-d code
+        # perm is the inverse of the ranks of the facet's local vertices in
+        # sorted order; a perm's index in ``perms`` from the base-d code of
+        # its ranks
         powers = d ** np.arange(d)
         perm_index = np.zeros(d ** d, dtype=np.intp)
-        perm_index[perms @ powers] = np.arange(len(perms))
+        perm_index[np.argsort(perms, axis=1) @ powers] = np.arange(len(perms))
         ids = []
-        for cells in (self.minus, self.plus):
-            i = np.argmax(mesh.cell_facets[cells] == fi[:, None], axis=1)
-            verts = np.take_along_axis(mesh.cells[cells], facet_local[i],
-                                       axis=1)
-            order = np.argsort(verts, axis=1)  # sorted vertex -> position
-            ids.append(i * len(perms) + perm_index[order @ powers])
+        for k, cells in enumerate((self.minus, self.plus)):
+            i = mesh.facet_local_index[fi, k]
+            rank = mesh.cell_facet_ranks[cells, i]
+            ids.append(i * len(perms) + perm_index[rank @ powers])
         self.table = np.stack(ids, axis=1)
         self.groups = [_groups(self.table[:, k]) for k in (0, 1)]
 
@@ -504,14 +495,15 @@ def rt_blocks(rt_tab, dg_tab=None):
 
 def rt_mass_matrix(rt_tab):
     """(sigma, eta) on the H(div) space; bitwise symmetric (module docstring)."""
-    pattern = _square_pattern(rt_tab.cell_dofs, rt_tab.space.n_dofs)
+    n = rt_tab.space.n_dofs
+    pattern = Pattern.build((n, n), rt_tab.cell_dofs, rt_tab.cell_dofs)
     return pattern.matrix(rt_blocks(rt_tab)[0])
 
 
 def mixed_div_matrix(rt_tab, dg_tab):
     """(div eta_j, psi_m): rows on the dG space, columns on the H(div) space."""
     shape = (dg_tab.space.n_dofs, rt_tab.space.n_dofs)
-    pattern = Pattern.build(shape, (dg_tab.cell_dofs, rt_tab.cell_dofs))[0]
+    pattern = Pattern.build(shape, dg_tab.cell_dofs, rt_tab.cell_dofs)
     return pattern.matrix(rt_blocks(rt_tab, dg_tab)[1])
 
 
@@ -532,7 +524,7 @@ def div_coupling(mini_tab, p1_tab):
     rows = (mini_tab.cell_dofs[:, None, :]
             + ns * np.arange(d)[:, None]).reshape(nc, -1)
     shape = (d * ns, p1_tab.space.n_dofs)
-    pattern = Pattern.build(shape, (rows, p1_tab.cell_dofs))[0]
+    pattern = Pattern.build(shape, rows, p1_tab.cell_dofs)
     return pattern.matrix(local.reshape(nc, rows.shape[1], -1))
 
 

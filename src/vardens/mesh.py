@@ -8,6 +8,7 @@ and facet unit normals point from the minus cell toward the plus cell
 (outward on the boundary).
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -29,10 +30,22 @@ class Mesh:
     dets : (nc,) signed determinants (positive after orientation fix)
     volumes : (nc,) cell measures
     h : max cell diameter
-    facet_vertices : (nf, dim) int array (sorted global indices)
+    facet_vertices : (nf, dim) int array (sorted global indices), facets
+        numbered by first appearance in the cells
     facet_minus, facet_plus : (nf,) cell indices, plus = -1 on the boundary
     facet_normals : (nf, dim) unit normals, minus -> plus
     facet_measures : (nf,) length/area of the facet
+    facet_centers : (nf, dim) facet barycenters
+    interior_facets, boundary_facets : facets with and without a plus side
+    boundary_vertices : sorted vertices of the boundary facets
+    local_facet_vertices : (dim+1, dim) local vertices of local facet i,
+        the facet opposite local vertex i
+    cell_facets : (nc, dim+1) the facet of every local facet
+    cell_facet_signs : (nc, dim+1) +1 where the cell is the minus side
+    cell_facet_ranks : (nc, dim+1, dim) rank of each local facet vertex in
+        the facet's sorted global order
+    facet_local_index : (nf, 2) local index in the minus and plus cell
+        (-1: no plus cell)
     """
 
     def __init__(self, dim, vertices, cells):
@@ -41,14 +54,10 @@ class Mesh:
         cells = np.asarray(cells, dtype=np.int64)
         self._orient_and_map(cells)
         self._build_facets()
-        diffs = self.vertices[self.cells]  # (nc, d+1, d)
-        diam = np.zeros(len(self.cells))
-        for a in range(dim + 1):
-            for b in range(a + 1, dim + 1):
-                diam = np.maximum(
-                    diam, np.linalg.norm(diffs[:, a] - diffs[:, b], axis=1)
-                )
-        self.h = float(diam.max())
+        a, b = np.triu_indices(dim + 1, 1)  # every edge of a cell
+        corners = self.vertices[self.cells]  # (nc, d+1, d)
+        self.h = float(np.linalg.norm(corners[:, a] - corners[:, b],
+                                      axis=2).max())
 
     @property
     def n_vertices(self):
@@ -63,23 +72,18 @@ class Mesh:
         return self.facet_vertices.shape[0]
 
     def _orient_and_map(self, cells):
-        d = self.dim
-        v0 = self.vertices[cells[:, 0]]
-        B = np.stack(
-            [self.vertices[cells[:, k + 1]] - v0 for k in range(d)], axis=2
-        )
+        def jacobians(cells):
+            corners = self.vertices[cells]
+            return np.stack([corners[:, k + 1] - corners[:, 0]
+                             for k in range(self.dim)], axis=2)
+
+        B = jacobians(cells)
         det = np.linalg.det(B)
         flip = det < 0
         if np.any(flip):
             cells = cells.copy()
-            cells[flip, -2], cells[flip, -1] = (
-                cells[flip, -1].copy(),
-                cells[flip, -2].copy(),
-            )
-            v0 = self.vertices[cells[:, 0]]
-            B = np.stack(
-                [self.vertices[cells[:, k + 1]] - v0 for k in range(d)], axis=2
-            )
+            cells[flip, -2:] = cells[flip, -1:-3:-1]  # swap the last two
+            B = jacobians(cells)
             det = np.linalg.det(B)
         if np.any(np.abs(det) < 1e-300):
             raise MeshError("degenerate cell with zero volume")
@@ -87,36 +91,49 @@ class Mesh:
         self.jacobians = B
         self.inv_jacobians = np.linalg.inv(B)
         self.dets = det
-        self.volumes = det / math.factorial(d)
+        self.volumes = det / math.factorial(self.dim)
 
     def _build_facets(self):
         d = self.dim
         nc = self.n_cells
-        # facet opposite local vertex i, for every cell
-        local = [tuple(j for j in range(d + 1) if j != i) for i in range(d + 1)]
-        seen = {}
-        fv, fminus, fplus = [], [], []
-        cell_facets = np.empty((nc, d + 1), dtype=np.int64)
-        for c in range(nc):
-            cell = self.cells[c]
-            for i, loc in enumerate(local):
-                key = tuple(sorted(int(cell[j]) for j in loc))
-                if key in seen:
-                    fid = seen[key]
-                    fplus[fid] = c
-                else:
-                    fid = len(fv)
-                    seen[key] = fid
-                    fv.append(key)
-                    fminus.append(c)
-                    fplus.append(-1)
-                cell_facets[c, i] = fid
-        self.cell_facets = cell_facets
-        self.facet_vertices = np.array(fv, dtype=np.int64)
-        self.facet_minus = np.array(fminus, dtype=np.int64)
-        self.facet_plus = np.array(fplus, dtype=np.int64)
+        local = local_facet_vertices(d)
+        verts = self.cells[:, local]  # (nc, d+1, d) global vertex indices
+        # side k = (d+1) c + i is local facet i of cell c; a stable sort of
+        # the sides by their sorted global vertices puts each facet's sides
+        # next to each other, in cell order
+        keys = np.sort(verts, axis=2).reshape(-1, d)
+        order = np.lexsort(keys.T[::-1])
+        new = np.ones(len(order), dtype=bool)
+        new[1:] = np.any(np.diff(keys[order], axis=0) != 0, axis=1)
+        start = np.flatnonzero(new)
+        count = np.diff(np.append(start, len(order)))
+        if np.any(count > 2):
+            raise MeshError("a facet is shared by more than two cells")
+        # facets numbered by first appearance, the lower cell's side first
+        by_first = np.argsort(order[start])
+        start, count = start[by_first], count[by_first]
+        facet = np.empty(len(start), dtype=np.int64)
+        facet[by_first] = np.arange(len(start))
+        side_facet = np.empty(len(order), dtype=np.int64)
+        side_facet[order] = facet[np.cumsum(new) - 1]
+        sides = np.full((len(start), 2), -1, dtype=np.int64)
+        sides[:, 0] = order[start]
+        sides[count == 2, 1] = order[start[count == 2] + 1]
+
+        self.cell_facets = side_facet.reshape(nc, d + 1)
+        self.facet_vertices = keys[sides[:, 0]]
+        self.facet_minus = sides[:, 0] // (d + 1)
+        self.facet_plus = np.where(sides[:, 1] >= 0, sides[:, 1] // (d + 1), -1)
         self.interior_facets = np.flatnonzero(self.facet_plus >= 0)
         self.boundary_facets = np.flatnonzero(self.facet_plus < 0)
+        self.boundary_vertices = np.unique(
+            self.facet_vertices[self.boundary_facets])
+        self.local_facet_vertices = local
+        self.facet_local_index = np.where(sides >= 0, sides % (d + 1), -1)
+        signs = np.full(nc * (d + 1), -1.0)
+        signs[sides[:, 0]] = 1.0
+        self.cell_facet_signs = signs.reshape(nc, d + 1)
+        self.cell_facet_ranks = np.argsort(np.argsort(verts, axis=2), axis=2)
 
         pts = self.vertices[self.facet_vertices]  # (nf, d, d)
         if d == 2:
@@ -148,6 +165,30 @@ class Mesh:
         return np.einsum("ced,c...d->c...e", Binv, rel)
 
 
+def local_facet_vertices(dim):
+    """(dim+1, dim) local vertices of every local facet of a simplex, in
+    increasing order; local facet i is the one opposite local vertex i."""
+    return np.array([[j for j in range(dim + 1) if j != i]
+                     for i in range(dim + 1)])
+
+
+# corner offsets (parity of i + j, cell, vertex, axis) of the two triangles
+# of grid square (i, j)
+_SQUARE_SPLIT = np.array([
+    [[(0, 0), (1, 0), (1, 1)], [(0, 0), (1, 1), (0, 1)]],
+    [[(0, 0), (1, 0), (0, 1)], [(1, 0), (1, 1), (0, 1)]],
+])
+
+
+def _grid_cells(n, dim, offsets):
+    """Cells of the grid squares or subcubes in C order of their lower
+    corners, from each one's corner offsets ``offsets(corner)``."""
+    corner = np.indices((n,) * dim).reshape(dim, -1).T
+    local = corner[:, None, None, :] + offsets(corner)
+    strides = (n + 1) ** np.arange(dim - 1, -1, -1)
+    return (local @ strides).reshape(-1, dim + 1)
+
+
 def unit_square_mesh(n: int) -> Mesh:
     """n x n grid of the unit square split into 2n^2 right triangles.
 
@@ -162,26 +203,16 @@ def unit_square_mesh(n: int) -> Mesh:
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     vertices = np.column_stack([X.ravel(), Y.ravel()])
 
-    def vid(i, j):
-        return i * (n + 1) + j
-
-    cells = []
-    for i in range(n):
-        for j in range(n):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            if (i + j) % 2 == 0:
-                cells.append((v00, v10, v11))
-                cells.append((v00, v11, v01))
-            else:
-                cells.append((v00, v10, v01))
-                cells.append((v10, v11, v01))
+    cells = _grid_cells(n, 2, lambda c: _SQUARE_SPLIT[c.sum(axis=1) % 2])
     return Mesh(2, vertices, cells)
 
 
-_KUHN_PERMS = [
-    (0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0),
-]
+# corner offsets (tet, vertex, axis) of the Kuhn split of a unit subcube:
+# one tet per axis order, stepping along one axis per vertex
+_KUHN_STEPS = np.concatenate([
+    np.zeros((6, 1, 3), dtype=np.int64),
+    np.cumsum(np.eye(3, dtype=np.int64)[list(itertools.permutations(range(3)))],
+              axis=1)], axis=1)
 
 
 def unit_cube_mesh(n: int) -> Mesh:
@@ -200,22 +231,7 @@ def unit_cube_mesh(n: int) -> Mesh:
     X, Y, Z = np.meshgrid(xs, xs, xs, indexing="ij")
     vertices = np.column_stack([X.ravel(), Y.ravel(), Z.ravel()])
 
-    def vid(i, j, k):
-        return (i * (n + 1) + j) * (n + 1) + k
-
-    cells = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                corner = np.array([i, j, k])
-                parity = np.array([i % 2, j % 2, k % 2])
-                for perm in _KUHN_PERMS:
-                    steps = np.zeros((4, 3), dtype=int)
-                    for m, axis in enumerate(perm):
-                        steps[m + 1] = steps[m]
-                        steps[m + 1, axis] += 1
-                    # mirror odd-parity axes inside the subcube
-                    local = np.where(parity, 1 - steps, steps)
-                    tet = [vid(*(corner + s)) for s in local]
-                    cells.append(tuple(tet))
+    # mirror the odd-parity axes inside each subcube
+    cells = _grid_cells(n, 3, lambda c: np.where(
+        c[:, None, None, :] % 2 == 1, 1 - _KUHN_STEPS, _KUHN_STEPS))
     return Mesh(3, vertices, cells)

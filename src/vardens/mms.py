@@ -188,10 +188,10 @@ class _LastPointSet:
     """Fields of the points, kept for the point set of the last call.
 
     ``compute`` maps a field's name to its function of the points.  Points
-    are compared by value (like ``SourceEvaluator._fields``), so an array
-    changed in place is computed afresh; the fields share one copy of the
-    points.  One set is enough: a run tracks its errors at one set of
-    quadrature points every step, and holding no other set keeps the
+    are compared by value, so an array changed in place is computed
+    afresh; the fields share one copy of the points.  One set is enough: a
+    run tracks its errors and evaluates its sources at one set of
+    quadrature points each, every step, and holding no other set keeps the
     memory of a study, which runs one case on mesh after mesh, bounded.
     """
 
@@ -379,35 +379,26 @@ class SourceEvaluator:
     combination per (point set, time).
 
     The transport and momentum sources are needed at the same quadrature
-    points every step.  The dual pass over space runs on the first call
-    for each distinct point set; a new time costs only the scalar time
-    factors and a few weighted sums of the cached fields, and ``f`` and
-    ``g`` at one (points, time) share one combination.
+    points every step.  The dual pass over space runs whenever the point
+    set differs from the last one (``_LastPointSet``); a new time costs
+    only the scalar time factors and a few weighted sums of the cached
+    fields, and ``f`` and ``g`` at one (points, time) share one
+    combination.
     """
 
     def __init__(self, case, mu):
         self.case = case
         self.mu = mu
-        self._u_cache = []  # [(points, spatial fields)], one per point set
+        self._spatial = _LastPointSet({"fields": case._spatial})
         self._last = None  # (points, t, (f, g))
-
-    def _fields(self, x):
-        """The cached entry of the point set equal to ``x``, compared by
-        value, so an array changed in place gets a new entry."""
-        for entry in self._u_cache:
-            if np.array_equal(entry[0], x):
-                return entry
-        entry = (x.copy(), self.case._spatial(x))
-        self._u_cache.append(entry)
-        return entry
 
     def _sources(self, x, t):
         t = float(t)
         last = self._last
         if last is None or last[1] != t or not np.array_equal(last[0], x):
-            points, fields = self._fields(x)
-            self._last = (points, t, self.case._combine(fields, t, self.mu,
-                                                        scheme=True))
+            fields = self._spatial("fields", x)
+            self._last = (self._spatial.points, t,
+                          self.case._combine(fields, t, self.mu, scheme=True))
         return self._last[2]
 
     def f(self, x, t):

@@ -93,8 +93,7 @@ class RtProjectionWorkspace:
         # signed facet-dof -> multiplier map: +1 from the facet's minus cell
         nfl = d * nm
         self._mult = space.cell_dofs[:, :nfl]
-        owner = mesh.facet_minus[mesh.cell_facets] == np.arange(nc)[:, None]
-        self._sign = np.repeat(np.where(owner, 1.0, -1.0), d, axis=1)
+        self._sign = np.repeat(mesh.cell_facet_signs, d, axis=1)
         # the averaging weights: 1/2 per side on interior facets, 0 on the
         # boundary, where the projected field's flux is zero exactly
         interior = mesh.facet_plus[mesh.cell_facets] >= 0
@@ -102,8 +101,8 @@ class RtProjectionWorkspace:
 
         Hf = self._solve_local[:, :nfl, :nfl]
         nmult = space.n_facet_dofs
-        pattern = assemble.Pattern.build((nmult, nmult),
-                                         (self._mult, self._mult))[0]
+        pattern = assemble.Pattern.build((nmult, nmult), self._mult,
+                                         self._mult)
         S = pattern.matrix(0.5 * (Hf + np.swapaxes(Hf, 1, 2))
                            * self._sign[:, :, None] * self._sign[:, None, :])
         self._keep = np.arange(1, space.n_facet_dofs)  # multiplier 0 pinned
@@ -117,9 +116,9 @@ class RtProjectionWorkspace:
 
         # the assembled mixed system, for the residual check
         n, dofs, dg = space.n_dofs, space.cell_dofs, self.dg_space
-        M = assemble.Pattern.build((n, n), (dofs, dofs))[0].matrix(Mk)
-        D = assemble.Pattern.build((dg.n_dofs, n),
-                                   (dg.cell_dofs, dofs))[0].matrix(Bk)
+        M = assemble.Pattern.build((n, n), dofs, dofs).matrix(Mk)
+        D = assemble.Pattern.build((dg.n_dofs, n), dg.cell_dofs,
+                                   dofs).matrix(Bk)
         self._Mff = M[self.free, :][:, self.free]
         self._Df = D[:, self.free]
         self.last_report = None
@@ -223,7 +222,7 @@ def interpolate_mini(space: MiniVectorSpace, u0):
     vals = np.asarray(u0(mesh.vertices), dtype=float)
     if vals.shape != (mesh.n_vertices, mesh.dim):
         raise ValueError("u0 must return one d-vector per vertex")
-    bverts = np.unique(mesh.facet_vertices[mesh.boundary_facets].ravel())
+    bverts = mesh.boundary_vertices
     worst = float(np.abs(vals[bverts]).max()) if len(bverts) else 0.0
     if worst > 1e-12:
         warnings.warn(

@@ -32,6 +32,7 @@ CELL_DEGREE_LOW = 6          # transport + mixed projection forms
 FACET_DEGREE = 6
 DENSITY_RESTART = 60         # GMRES restart length of the density solve
 SOLVER_TOL = 1e-10           # relative residual of every solve
+WIDEN_FACTOR = 1.5           # the widened cut-off band's safety factor
 
 
 def _cell_degree_high(dim):
@@ -58,7 +59,6 @@ class SchemeConfig:
     rho_min: float | None = None
     rho_max: float | None = None
     cutoff_mode: str = "strict"      # strict | widened | off
-    widen_factor: float = 1.5
     f: object = None                 # f(x, t) transport source
     g: object = None                 # g(x, t) momentum source
 
@@ -80,6 +80,10 @@ class SchemeConfig:
             if self.rho_min <= 0:
                 raise ValueError("rho_min must be positive with the cutoff on")
 
+    @property
+    def widen_factor(self):
+        return WIDEN_FACTOR
+
 
 def cutoff_bounds(config: SchemeConfig):
     """The band (lo, hi) that ``cutoff`` clamps into; None when it is off."""
@@ -90,8 +94,8 @@ def cutoff_bounds(config: SchemeConfig):
     lo = 0.5 * config.rho_min
     hi = 1.5 * config.rho_max
     if config.cutoff_mode == "widened":
-        lo /= config.widen_factor
-        hi *= config.widen_factor
+        lo /= WIDEN_FACTOR
+        hi *= WIDEN_FACTOR
     return lo, hi
 
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .mesh import local_facet_vertices
 from .quadrature import reference_simplex_measure, simplex_rule
 
 
@@ -57,10 +58,7 @@ class ScalarSpace:
 
     def boundary_dofs(self):
         """Dofs with support on the domain boundary (vertex dofs only)."""
-        bverts = np.unique(
-            self.mesh.facet_vertices[self.mesh.boundary_facets].ravel()
-        )
-        return bverts
+        return self.mesh.boundary_vertices
 
     def ref_values(self, points):
         raise NotImplementedError
@@ -147,8 +145,7 @@ class MiniScalarSpace(ScalarSpace):
         nq = lam.shape[0]
         out = np.zeros((nq, self.dim + 2, self.dim))
         out[:, : self.dim + 1, :] = g[None]
-        for i in range(self.dim + 1):
-            others = [j for j in range(self.dim + 1) if j != i]
+        for i, others in enumerate(local_facet_vertices(self.dim)):
             out[:, self.dim + 1, :] += (
                 np.prod(lam[:, others], axis=1)[:, None] * g[i]
             )
@@ -207,8 +204,8 @@ def _rt1_reference_coefficients(d):
     mean = (frule.weights / reference_simplex_measure(d - 1))[:, None] * lam
     g = _bary_grads(d)
     rows = []
-    for f in range(d + 1):
-        vals, _ = _rt1_modes(lam @ vertices[np.arange(d + 1) != f])
+    for f, local in enumerate(local_facet_vertices(d)):
+        vals, _ = _rt1_modes(lam @ vertices[local])
         rows.append(mean.T @ (vals @ (-g[f] / np.linalg.norm(g[f]))))
     vals, _ = _rt1_modes(crule.points)
     rows.append(np.einsum("q,qmk->km",
@@ -273,21 +270,16 @@ class RT1Space:
         """
         mesh, d = self.mesh, self.dim
         nc = mesh.n_cells
-        # the cell's vertices on local facet f (opposite vertex f), in order
-        verts = np.array([[m for m in range(d + 1) if m != f]
-                          for f in range(d + 1)])
-        rank = np.argsort(np.argsort(mesh.cells[:, verts], axis=2), axis=2)
+        rank = mesh.cell_facet_ranks
         order = np.concatenate(
             [(d * np.arange(d + 1)[:, None] + rank).reshape(nc, -1),
              np.broadcast_to(np.arange(d * (d + 1), self.n_local),
                              (nc, d))], axis=1)
-        faces = mesh.cell_facets
-        sign = np.where(mesh.facet_minus[faces] == np.arange(nc)[:, None],
-                        1.0, -1.0)
-        ratio = mesh.facet_measures[faces] * (
+        ratio = mesh.facet_measures[mesh.cell_facets] * (
             math.factorial(d - 1) / np.linalg.norm(_bary_grads(d), axis=1))
         adj = mesh.dets[:, None, None] * mesh.inv_jacobians
-        return order, np.repeat(sign * ratio, d, axis=1), adj
+        return (order, np.repeat(mesh.cell_facet_signs * ratio, d, axis=1),
+                adj)
 
     def to_local(self, cells, X):
         """X T_K for every cell K of ``cells``: an array (k, ..., n_local)

@@ -1,6 +1,7 @@
 """Cell and facet form assembly, including the upwind transport terms."""
 
 import copy
+import itertools
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from vardens.mesh import Mesh, unit_cube_mesh, unit_square_mesh
 from vardens.projections import RtProjectionWorkspace, project_dg
 from vardens.scheme import SchemeConfig, TimeStepper
 from vardens.spaces import (FeField, MiniScalarSpace, P1Space, P2DGSpace,
-                            RT1Space)
+                            RT1Space, barycentric)
 
 
 @pytest.fixture(scope="module")
@@ -487,6 +488,44 @@ def test_trace_tables_match_reference_coordinates(kernel_setup):
         assert np.array_equal(np.sort(facets), np.arange(len(trace.facets)))
         for table, f in trace.groups[k]:
             assert (trace.table[f, k] == table).all()
+
+
+@pytest.mark.parametrize("make_mesh,n",
+                         [(unit_square_mesh, n) for n in (1, 2, 3, 16, 32)]
+                         + [(unit_cube_mesh, n) for n in (1, 2, 3, 4, 8)])
+def test_trace_tables_match_their_formula(make_mesh, n):
+    """``tables`` and ``table`` from the mesh's facet facts equal the ones
+    with each side's local facet and vertex order searched for in
+    ``cell_facets`` and ``cells``."""
+    mesh = make_mesh(n)
+    d = mesh.dim
+    space = P2DGSpace(mesh)
+    fquad = assemble.FacetQuadrature(mesh, 6)
+    trace = assemble.DGFacetTrace(space, fquad)
+    fi = mesh.interior_facets
+    perms = np.array(list(itertools.permutations(range(d))))
+    facet_local = np.array([[j for j in range(d + 1) if j != i]
+                            for i in range(d + 1)])
+    ref_vertices = np.vstack([np.zeros(d), np.eye(d)])
+    lam = barycentric(fquad.rule.points, d - 1)
+    tables = np.stack([
+        space.ref_values(lam @ ref_vertices[facet_local[i][perm]])
+        for i in range(d + 1) for perm in perms
+    ])
+    powers = d ** np.arange(d)
+    perm_index = np.zeros(d ** d, dtype=np.intp)
+    perm_index[perms @ powers] = np.arange(len(perms))
+    ids = []
+    for cells in (mesh.facet_minus[fi], mesh.facet_plus[fi]):
+        i = np.argmax(mesh.cell_facets[cells] == fi[:, None], axis=1)
+        verts = np.take_along_axis(mesh.cells[cells], facet_local[i], axis=1)
+        order = np.argsort(verts, axis=1)
+        ids.append(i * len(perms) + perm_index[order @ powers])
+    table = np.stack(ids, axis=1)
+    assert trace.tables.dtype == tables.dtype
+    assert np.array_equal(trace.tables, tables)
+    assert trace.table.dtype == table.dtype
+    assert np.array_equal(trace.table, table)
 
 
 def test_successive_matrices_share_no_data(square8):

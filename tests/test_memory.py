@@ -30,23 +30,17 @@ def _same(A, B):
 def test_pattern_build_matches_one_batch_unique(cube6):
     p2 = P2DGSpace(cube6)
     trace = assemble.DGFacetTrace(p2, assemble.FacetQuadrature(cube6, 6))
-    blocks = ((p2.cell_dofs,) * 2, (trace.dofs,) * 2)
     n = p2.n_dofs
-    keys = []
-    for rows, cols in blocks:
-        r = rows.astype(np.int64)[:, :, None]
-        c = cols.astype(np.int64)[:, None, :]
-        keys.append((r * n + c).ravel())
-    uniq, slot = np.unique(np.concatenate(keys), return_inverse=True)
+    r = trace.dofs.astype(np.int64)[:, :, None]
+    c = trace.dofs.astype(np.int64)[:, None, :]
+    uniq, slot = np.unique((r * n + c).ravel(), return_inverse=True)
     row, col = np.divmod(uniq, n)
-    got = assemble.Pattern.build((n, n), *blocks)
-    ends = np.cumsum([len(k) for k in keys])[:-1]
-    for pattern, ref_slot in zip(got, np.split(slot, ends)):
-        assert np.array_equal(pattern.indptr,
-                              np.searchsorted(row, np.arange(n + 1)))
-        assert np.array_equal(pattern.indices, col)
-        assert np.array_equal(pattern.slot, ref_slot)
-        assert pattern.indices.dtype == np.int32
+    pattern = assemble.Pattern.build((n, n), trace.dofs, trace.dofs)
+    assert np.array_equal(pattern.indptr,
+                          np.searchsorted(row, np.arange(n + 1)))
+    assert np.array_equal(pattern.indices, col)
+    assert np.array_equal(pattern.slot, slot)
+    assert pattern.indices.dtype == np.int32
 
 
 def test_chunked_forms_match_one_batch(cube6):
@@ -81,7 +75,7 @@ def test_chunked_forms_match_one_batch(cube6):
     ns = mini.space.n_dofs
     rows = (mini.cell_dofs[:, None, :] + ns * np.arange(d)[:, None]
             ).reshape(nc, -1)
-    pattern = assemble.Pattern.build(got.shape, (rows, p1.cell_dofs))[0]
+    pattern = assemble.Pattern.build(got.shape, rows, p1.cell_dofs)
     assert _same(got, pattern.matrix(local.reshape(nc, rows.shape[1], -1)))
 
 

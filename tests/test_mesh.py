@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from vardens.mesh import Mesh, unit_cube_mesh, unit_square_mesh
+from vardens.mesh import Mesh, MeshError, unit_cube_mesh, unit_square_mesh
 
 
 def test_smallest_square_mesh():
@@ -158,3 +158,122 @@ def test_reference_coords_roundtrip():
     pts = np.einsum("cqk,ckd->cqd", lam, m.vertices[m.cells[cells]])
     ref = m.reference_coords(cells, pts)
     assert np.abs(ref - lam[:, :, 1:]).max() < 1e-12
+
+
+def _loop_cells(dim, n):
+    """Cells of the structured meshes, one grid square or subcube at a
+    time: the construction the array build must reproduce."""
+    if dim == 2:
+        def vid(i, j):
+            return i * (n + 1) + j
+
+        cells = []
+        for i in range(n):
+            for j in range(n):
+                v00, v10 = vid(i, j), vid(i + 1, j)
+                v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
+                if (i + j) % 2 == 0:
+                    cells += [(v00, v10, v11), (v00, v11, v01)]
+                else:
+                    cells += [(v00, v10, v01), (v10, v11, v01)]
+        return cells
+
+    def vid(i, j, k):
+        return (i * (n + 1) + j) * (n + 1) + k
+
+    perms = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
+    cells = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                corner = np.array([i, j, k])
+                parity = np.array([i % 2, j % 2, k % 2])
+                for perm in perms:
+                    steps = np.zeros((4, 3), dtype=int)
+                    for m, axis in enumerate(perm):
+                        steps[m + 1] = steps[m]
+                        steps[m + 1, axis] += 1
+                    local = np.where(parity, 1 - steps, steps)
+                    cells.append(tuple(vid(*(corner + s)) for s in local))
+    return cells
+
+
+def _loop_facets(cells, d):
+    """cell_facets, facet_vertices, facet_minus, facet_plus from one pass
+    over the cells with a dict of sorted vertex keys: facets numbered by
+    first appearance, the lower cell the minus side."""
+    local = [tuple(j for j in range(d + 1) if j != i) for i in range(d + 1)]
+    seen = {}
+    fv, fminus, fplus = [], [], []
+    cell_facets = np.empty((len(cells), d + 1), dtype=np.int64)
+    for c, cell in enumerate(cells):
+        for i, loc in enumerate(local):
+            key = tuple(sorted(int(cell[j]) for j in loc))
+            if key in seen:
+                fid = seen[key]
+                fplus[fid] = c
+            else:
+                fid = len(fv)
+                seen[key] = fid
+                fv.append(key)
+                fminus.append(c)
+                fplus.append(-1)
+            cell_facets[c, i] = fid
+    return (cell_facets, np.array(fv, dtype=np.int64),
+            np.array(fminus, dtype=np.int64), np.array(fplus, dtype=np.int64))
+
+
+def _bitwise_equal(a, b):
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(a, b)
+    return a == b
+
+
+MESHES = ([(unit_square_mesh, n) for n in (1, 2, 3, 16, 32)]
+          + [(unit_cube_mesh, n) for n in (1, 2, 3, 4, 8)])
+
+
+@pytest.mark.parametrize("make,n", MESHES)
+def test_mesh_arrays_match_cell_loop_reference(make, n):
+    m = make(n)
+    ref = Mesh(m.dim, m.vertices, _loop_cells(m.dim, n))
+    for name, value in vars(ref).items():
+        assert _bitwise_equal(getattr(m, name), value), name
+    facets = _loop_facets(m.cells, m.dim)
+    for name, value in zip(("cell_facets", "facet_vertices", "facet_minus",
+                            "facet_plus"), facets):
+        assert _bitwise_equal(getattr(m, name), value), name
+
+
+@pytest.mark.parametrize("make,n", MESHES)
+def test_facet_facts_match_their_formulas(make, n):
+    m = make(n)
+    d, nc = m.dim, m.n_cells
+    verts = np.array([[j for j in range(d + 1) if j != i]
+                      for i in range(d + 1)])
+    assert np.array_equal(m.local_facet_vertices, verts)
+    assert np.array_equal(
+        m.cell_facet_signs,
+        np.where(m.facet_minus[m.cell_facets] == np.arange(nc)[:, None],
+                 1.0, -1.0))
+    assert np.array_equal(
+        m.cell_facet_ranks,
+        np.argsort(np.argsort(m.cells[:, verts], axis=2), axis=2))
+    assert np.array_equal(
+        m.boundary_vertices,
+        np.unique(m.facet_vertices[m.boundary_facets].ravel()))
+    fi = m.interior_facets
+    for k, cells in enumerate((m.facet_minus, m.facet_plus)):
+        local = np.argmax(m.cell_facets[cells[fi]] == fi[:, None], axis=1)
+        assert np.array_equal(m.facet_local_index[fi, k], local)
+    bf = m.boundary_facets
+    assert np.array_equal(
+        m.facet_local_index[bf, 0],
+        np.argmax(m.cell_facets[m.facet_minus[bf]] == bf[:, None], axis=1))
+    assert (m.facet_local_index[bf, 1] == -1).all()
+
+
+def test_facet_shared_by_three_cells_is_rejected():
+    verts = [(0, 0), (1, 0), (0.5, 1), (0.5, -1), (0.5, 2)]
+    with pytest.raises(MeshError, match="more than two cells"):
+        Mesh(2, verts, [(0, 1, 2), (0, 1, 3), (0, 1, 4)])

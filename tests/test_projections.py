@@ -263,3 +263,17 @@ def test_rt_projection_contracts_cube_n8():
         sigma = ws.project(v)
         assert np.abs(rt_divergence_nodal(sigma)).max() <= 1e-11
         assert np.abs(assemble.eval_rt_flux(flux_tab, sigma)).max() <= 1e-11
+
+
+@pytest.mark.parametrize("make,n", [(unit_square_mesh, 3), (unit_cube_mesh, 2)])
+def test_workspace_facet_signs_and_weights_match_their_formulas(make, n):
+    mesh = make(n)
+    ws = RtProjectionWorkspace(mesh)
+    d, nc = mesh.dim, mesh.n_cells
+    owner = mesh.facet_minus[mesh.cell_facets] == np.arange(nc)[:, None]
+    sign = np.repeat(np.where(owner, 1.0, -1.0), d, axis=1)
+    interior = mesh.facet_plus[mesh.cell_facets] >= 0
+    weight = np.repeat(np.where(interior, 0.5, 0.0), d, axis=1)
+    assert ws._sign.dtype == sign.dtype and np.array_equal(ws._sign, sign)
+    assert (ws._facet_weight.dtype == weight.dtype
+            and np.array_equal(ws._facet_weight, weight))

@@ -1,5 +1,7 @@
 """Shape functions, dof maps, and the H(div) element construction."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -179,3 +181,30 @@ def test_boundary_dofs_are_boundary_vertices():
     on_bdry = ((np.abs(coords) < 1e-14) | (np.abs(coords - 1) < 1e-14)).any(axis=1)
     assert on_bdry.all()
     assert len(b) == 4 * 3  # perimeter vertices of a 3x3 grid
+
+
+@pytest.mark.parametrize("make,n", [(unit_square_mesh, n) for n in (1, 2, 3, 16, 32)]
+                         + [(unit_cube_mesh, n) for n in (1, 2, 3, 4, 8)])
+def test_piola_map_matches_its_formula(make, n):
+    """``piola_map`` from the mesh's facet facts equals the same map with
+    every facet fact worked out from ``cells`` and ``facet_minus``."""
+    mesh = make(n)
+    space = RT1Space(mesh)
+    d, nc = mesh.dim, mesh.n_cells
+    verts = np.array([[m for m in range(d + 1) if m != f]
+                      for f in range(d + 1)])
+    rank = np.argsort(np.argsort(mesh.cells[:, verts], axis=2), axis=2)
+    order = np.concatenate(
+        [(d * np.arange(d + 1)[:, None] + rank).reshape(nc, -1),
+         np.broadcast_to(np.arange(d * (d + 1), space.n_local), (nc, d))],
+        axis=1)
+    faces = mesh.cell_facets
+    sign = np.where(mesh.facet_minus[faces] == np.arange(nc)[:, None],
+                    1.0, -1.0)
+    g = np.vstack([-np.ones(d), np.eye(d)])  # barycentric gradients
+    ratio = mesh.facet_measures[faces] * (
+        math.factorial(d - 1) / np.linalg.norm(g, axis=1))
+    adj = mesh.dets[:, None, None] * mesh.inv_jacobians
+    ref = (order, np.repeat(sign * ratio, d, axis=1), adj)
+    for got, want in zip(space.piola_map, ref):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
