@@ -209,6 +209,12 @@ class ScalarTab:
         return self.vals[:, iu] * self.vals[:, ju]
 
     @functools.cached_property
+    def ref_mass(self):
+        """The reference mass (nloc, nloc), exactly symmetric: on affine
+        cells the mass block of cell K is |det J_K| times it."""
+        return _mirror(self.geom.rule.weights[None] @ self._mass_ref)[0]
+
+    @functools.cached_property
     def _stiffness_ref(self):
         """(nq * d * d, n_upper): dphi_qid dphi_qje over the upper triangle."""
         iu, ju, _ = _upper(self.vals.shape[1])
@@ -238,9 +244,9 @@ class RTTab:
     are det J_K times the reference weights, which cancel the 1/det J_K,
     so ``ref_loads`` (nq d, n_local) carries the reference weights.
 
-    Besides those two tables the tab holds O(n_local) numbers per cell:
-    ``ref_dofs``, the global dofs in reference order, and ``piola_t`` =
-    J_K^T / det J_K; the facet scales and adj(J_K) are the space's.
+    Besides those two tables the tab holds d^2 numbers per cell,
+    ``piola_t`` = J_K^T / det J_K; the map from local to reference
+    coefficients is the space's (``RT1Space.to_reference``).
     """
 
     def __init__(self, space, geom):
@@ -248,8 +254,6 @@ class RTTab:
         self.geom = geom
         self.cell_dofs = space.cell_dofs
         mesh, nl = space.mesh, space.n_local
-        self.ref_dofs = np.take_along_axis(space.cell_dofs,
-                                           space.piola_map[0], axis=1)
         self.piola_t = np.ascontiguousarray(
             np.swapaxes(mesh.jacobians, 1, 2) / mesh.dets[:, None, None])
         vals = np.swapaxes(space.reference_basis(geom.rule.points)[0], 0, 1)
@@ -263,10 +267,10 @@ class RTConvection:
     With w the contravariant Piola image J what / det J and grad u =
     J^-T grad uhat, w . grad u = what . grad uhat / det J, and dx =
     |det J| dxi.  So a cell's block is sign(det J) sum_a chat_a T_a, with
-    chat the cell's reference coefficients of w (``RTTab``) and one
-    reference tensor T_a[i, j] = sum_q w_q phihat_a . grad phihat_j phihat_i
-    at the reference points (Rognes, Kirby & Logg, SISC 31, 2009).  The
-    mesh orients every cell positively, which the set-up checks, so the
+    chat the cell's reference coefficients of w (``RT1Space.to_reference``)
+    and one reference tensor T_a[i, j] = sum_q w_q phihat_a . grad phihat_j
+    phihat_i at the reference points (Rognes, Kirby & Logg, SISC 31, 2009).
+    The mesh orients every cell positively, which the set-up checks, so the
     blocks are one GEMM chat @ T with no geometry in it.  T contracts the
     tab's convection reference with the reference H(div) basis at the same
     rule: the sum is the one ``convection_matrix`` makes of ``eval_rt``
@@ -286,7 +290,7 @@ class RTConvection:
 
     def blocks(self, field):
         """Cell blocks (nc, nloc, nloc) of the convection by ``field``."""
-        local = _rt_ref_coeffs(self.rt_tab, field) @ self.ref
+        local = self.rt_tab.space.to_reference(field.coeffs) @ self.ref
         return local.reshape(-1, self.nloc, self.nloc)
 
 
@@ -426,21 +430,16 @@ def _weights(tab, coef):
     return tab.geom.wdet if coef is None else tab.geom.wdet * coef
 
 
-def mass_blocks(tab, coef=None):
-    """Exactly symmetric cell blocks (nc, nloc, nloc) of (coef u, v)."""
-    return _mirror(_weights(tab, coef) @ tab._mass_ref)
-
-
 def mass_matrix(tab, coef=None):
     """(coef u, v) on ``tab``'s space; bitwise symmetric (module docstring)."""
-    return tab.pattern.matrix(mass_blocks(tab, coef))
+    return tab.pattern.matrix(_mirror(_weights(tab, coef) @ tab._mass_ref))
 
 
-def stiffness_matrix(tab, coef=None):
-    """(coef grad u, grad v); bitwise symmetric (module docstring)."""
+def stiffness_matrix(tab):
+    """(grad u, grad v); bitwise symmetric (module docstring)."""
     inv = tab.space.mesh.inv_jacobians
     G = (inv @ np.swapaxes(inv, 1, 2)).reshape(len(inv), -1)  # invJ invJ^T
-    w = _weights(tab, coef)
+    w = tab.geom.wdet
     R = tab._stiffness_ref
     upper = np.empty((len(G), R.shape[1]))
     for s in _chunks(len(G)):
@@ -635,21 +634,9 @@ def eval_mini_vector(tab, field):
     return np.moveaxis(comps @ tab.vals.T, 0, -1)
 
 
-def _rt_ref_coeffs(rt_tab, field):
-    """Every cell's reference coefficients chat (nc, n_local) of an H(div)
-    field: its local coefficients reordered, then scaled on the facet dofs
-    and multiplied by adj(J) on the interior ones (``RTTab``)."""
-    _, scale, adj = rt_tab.space.piola_map
-    nfl = scale.shape[1]
-    chat = field.coeffs[rt_tab.ref_dofs]
-    chat[:, :nfl] *= scale
-    chat[:, nfl:] = np.einsum("cij,cj->ci", adj, chat[:, nfl:])
-    return chat
-
-
 def eval_rt(rt_tab, field):
     """Point values (nc, nq, d) of an H(div) field (``RTTab``)."""
-    U = _rt_ref_coeffs(rt_tab, field) @ rt_tab.ref_vals
+    U = rt_tab.space.to_reference(field.coeffs) @ rt_tab.ref_vals
     return U.reshape(len(U), -1, rt_tab.space.dim) @ rt_tab.piola_t
 
 

@@ -15,19 +15,23 @@ import warnings
 import numpy as np
 
 from . import assemble, linalg
-from .spaces import (FeField, MiniVectorSpace, P1DGSpace, RT1Space)
+from .spaces import (FeField, MiniScalarSpace, MiniVectorSpace, P1DGSpace,
+                     RT1Space)
 
 
 def project_dg(tab, f):
     """Elementwise L2 projection onto the dG space tabulated in ``tab``.
 
     ``f`` is either a callable of physical points (vectorized over the last
-    axis) or point values of shape (nc, nq).
+    axis) or point values of shape (nc, nq).  Cell K's mass block is |det
+    J_K| times the reference mass, so one solve with ``tab.ref_mass``
+    serves every cell.
     """
     geom = tab.geom
     values = f(geom.points) if callable(f) else np.asarray(f)
     rhs = assemble.load_blocks(tab, values)
-    coeffs = np.linalg.solve(assemble.mass_blocks(tab), rhs[..., None])[..., 0]
+    coeffs = (np.linalg.solve(tab.ref_mass, rhs.T).T
+              / np.abs(tab.space.mesh.dets)[:, None])
     return FeField(tab.space, coeffs.reshape(-1))
 
 
@@ -62,8 +66,9 @@ class RtProjectionWorkspace:
     zeroes the boundary ones.  Last, each cell's interior dofs are
     corrected so that the cell's nodal divergence is constant; that
     constant is the cell's net flux, which the averaged facet dofs balance.
-    The result is checked against the residual of the assembled mixed
-    system, with p recovered from the cells.
+    The result is checked against the residual of the mixed system, with
+    p recovered from the cells: per-cell products with the blocks M_K and
+    B_K, scattered with ``np.bincount`` and restricted to the free dofs.
     """
 
     def __init__(self, mesh, geom=None):
@@ -81,8 +86,10 @@ class RtProjectionWorkspace:
         mask[bdofs] = False
         self.free = np.flatnonzero(mask)
 
-        # local blocks and the inverse of every cell's mixed system
-        Mk, Bk = assemble.rt_blocks(self.rt_tab, self.dg_tab)
+        # local blocks, kept for the residual check, and the inverse of
+        # every cell's mixed system
+        Mk, Bk = self._Mk, self._Bk = assemble.rt_blocks(self.rt_tab,
+                                                         self.dg_tab)
         nl, nm = space.n_local, d + 1
         A = np.zeros((nc, nl + nm, nl + nm))
         A[:, :nl, :nl] = Mk
@@ -113,16 +120,9 @@ class RtProjectionWorkspace:
         # nodal divergences removes the non-constant part of div w
         self._nodal_div = space.nodal_divergences()
         self._div_fix = np.linalg.pinv(self._nodal_div[:, :, nfl:])
-
-        # the assembled mixed system, for the residual check
-        n, dofs, dg = space.n_dofs, space.cell_dofs, self.dg_space
-        M = assemble.Pattern.build((n, n), dofs, dofs).matrix(Mk)
-        D = assemble.Pattern.build((dg.n_dofs, n), dg.cell_dofs,
-                                   dofs).matrix(Bk)
-        self._Mff = M[self.free, :][:, self.free]
-        self._Df = D[:, self.free]
+        # every MINI space on the mesh has the same cell dofs and basis
+        self._mini_tab = assemble.ScalarTab(MiniScalarSpace(mesh), self.geom)
         self.last_report = None
-        self._field_tabs = []  # [(space, tab)]
 
     def _values_at_quad(self, v):
         if callable(v):
@@ -136,19 +136,9 @@ class RtProjectionWorkspace:
             if isinstance(space, RT1Space):
                 return assemble.eval_rt(self.rt_tab, v)
             if isinstance(space, MiniVectorSpace):
-                return assemble.eval_mini_vector(self._mini_tab(space), v)
+                return assemble.eval_mini_vector(self._mini_tab, v)
             raise ValueError(f"cannot project fields of kind {space.kind}")
         raise ValueError("expected a callable, point values, or FeField")
-
-    def _mini_tab(self, space):
-        """The tab of ``space`` on the workspace's rule, one per space held;
-        the space itself is held, so a freed space's id cannot be reused."""
-        for held, tab in self._field_tabs:
-            if held is space:
-                return tab
-        tab = assemble.ScalarTab(space.scalar, self.geom)
-        self._field_tabs.append((space, tab))
-        return tab
 
     def project(self, v, tol=1e-10):
         """Divergence-free, zero-flux projection of a square-integrable field."""
@@ -182,13 +172,18 @@ class RtProjectionWorkspace:
         local[:, nfl:] -= np.einsum("civ,cv->ci", self._div_fix, nodal)
         coeffs[space.cell_dofs[:, nfl:]] = local[:, nfl:]
 
-        # residual of the assembled mixed system, p recovered per cell
-        w, p = coeffs[self.free], x[:, nl:].ravel()
-        b = np.bincount(space.cell_dofs.ravel(), weights=bk.ravel(),
-                        minlength=space.n_dofs)[self.free]
-        res = np.hypot(np.linalg.norm(self._Mff @ w + self._Df.T @ p - b),
-                       np.linalg.norm(self._Df @ w))
-        nrm = np.linalg.norm(b)
+        # residual of the mixed system from the cell blocks, p recovered per
+        # cell; w is zero on the boundary dofs, so only the free rows remain
+        def scatter(local):
+            return np.bincount(space.cell_dofs.ravel(), weights=local.ravel(),
+                               minlength=space.n_dofs)[self.free]
+
+        p = x[:, nl:]
+        r = (np.einsum("cij,cj->ci", self._Mk, local)
+             + np.einsum("cmi,cm->ci", self._Bk, p) - bk)
+        div = np.einsum("cmi,ci->cm", self._Bk, local)  # P1-dG is cellwise
+        res = np.hypot(np.linalg.norm(scatter(r)), np.linalg.norm(div))
+        nrm = np.linalg.norm(scatter(bk))
         rel = res / nrm if nrm > 0 else res
         if not rel <= tol:
             raise linalg.ResidualError(

@@ -76,9 +76,18 @@ class SchemeConfig:
                 raise ValueError("T must be an integer multiple of tau")
         if self.T is None:
             self.T = self.n_steps * self.tau
-        if self.rho_min is not None and self.cutoff_mode != "off":
-            if self.rho_min <= 0:
-                raise ValueError("rho_min must be positive with the cutoff on")
+        self.check_bounds()
+
+    def check_bounds(self):
+        """Reject density bounds that the cut-off cannot use: with it on,
+        rho_min must be positive and rho_max at least rho_min."""
+        if self.cutoff_mode == "off":
+            return
+        lo, hi = self.rho_min, self.rho_max
+        if lo is not None and lo <= 0:
+            raise ValueError("rho_min must be positive with the cutoff on")
+        if hi is not None and (hi <= 0 or (lo is not None and hi < lo)):
+            raise ValueError("rho_max must be positive and at least rho_min")
 
     @property
     def widen_factor(self):
@@ -172,15 +181,13 @@ class TimeStepper:
         )
 
         # The P2-dG dofs are numbered cell by cell, so the density matrices
-        # are block-sparse over cell blocks: the mass is block diagonal, and
-        # the transport operator adds to the upwind matrix's blocks.
+        # are block-sparse over cell blocks: the mass is block diagonal, cell
+        # K's block |det J_K| times the reference mass, and the transport
+        # operator adds to the upwind matrix's blocks.
         self.rho_convection = assemble.RTConvection(self.p2_lo, self.rt_lo)
-        self._rho_mass_blocks = assemble.mass_blocks(self.p2_lo)
-        nc = mesh.n_cells
-        self.M_rho = sp.bsr_matrix(
-            (self._rho_mass_blocks, np.arange(nc), np.arange(nc + 1)),
-            shape=(self.rho_space.n_dofs,) * 2,
-        )
+        self._rho_ref_mass = self.p2_lo.ref_mass
+        self._rho_ref_mass_inv_t = np.linalg.inv(self._rho_ref_mass).T
+        self._abs_dets = np.abs(mesh.dets)
         self.ones_rho = assemble.load_vector(
             self.p2_lo, np.ones_like(self.geom_lo.wdet)
         )
@@ -199,7 +206,6 @@ class TimeStepper:
         )
         self._build_saddle_template()
 
-        self._mass_block_inv = None
         self._vel_lu = None
         self._chi_cache = []
         self.last_reports = {}
@@ -248,6 +254,7 @@ class TimeStepper:
             self.config.rho_min = smin
         if self.config.rho_max is None:
             self.config.rho_max = smax
+        self.config.check_bounds()
 
         rho_h = project_dg(self.p2_hi, rho0)
         u_h = interpolate_mini(self.vel_space, u0)
@@ -255,10 +262,21 @@ class TimeStepper:
         return StepState(0, 0.0, rho_h, u_h, p_h, self._project(u_h, 0))
 
     # ------------------------------------------------------------------
+    def rho_mass(self, x):
+        """The density mass times ``x``: the (n_cells, nloc) coefficients
+        times the reference mass, scaled by |det J| per cell."""
+        y = x.reshape(len(self._abs_dets), -1) @ self._rho_ref_mass
+        return (y * self._abs_dets[:, None]).ravel()
+
+    def rho_mass_solve(self, r):
+        """The inverse of ``rho_mass``, the density solve's preconditioner."""
+        y = r.reshape(len(self._abs_dets), -1) @ self._rho_ref_mass_inv_t
+        return (y / self._abs_dets[:, None]).ravel()
+
     def density_matrix(self, w):
-        """M_rho + tau (C - U) for the transport field ``w`` as a BSR matrix
-        over cell blocks, and the normal flux of ``w`` on the interior
-        facets.
+        """M + tau (C - U), M the density mass, for the transport field
+        ``w`` as a BSR matrix over cell blocks, and the normal flux of ``w``
+        on the interior facets.
 
         It is the upwind matrix scaled by -tau, with the mass and tau times
         the convection added to its diagonal blocks, which lead their block
@@ -268,8 +286,9 @@ class TimeStepper:
         flux = assemble.eval_rt_flux(self.rt_flux, w)
         A = assemble.upwind_matrix(self.trace, flux)
         A.data *= -tau
-        A.data[A.indptr[:-1]] += (self._rho_mass_blocks
-                                  + tau * self.rho_convection.blocks(w))
+        A.data[A.indptr[:-1]] += (
+            self._abs_dets[:, None, None] * self._rho_ref_mass
+            + tau * self.rho_convection.blocks(w))
         return A, flux
 
     def density_step(self, state: StepState, t_new=None) -> FeField:
@@ -287,7 +306,7 @@ class TimeStepper:
         if t_new is None:
             t_new = state.t + tau
         A, flux = self.density_matrix(state.w)
-        rhs = self.M_rho @ state.rho.coeffs
+        rhs = self.rho_mass(state.rho.coeffs)
         if cfg.f is not None:
             rhs = rhs + tau * assemble.load_vector(
                 self.p2_lo, cfg.f(self.geom_lo.points, t_new)
@@ -296,7 +315,7 @@ class TimeStepper:
             x, report = linalg.solve_gmres(
                 linalg.LinearSystem(A, rhs), SOLVER_TOL,
                 restart=DENSITY_RESTART, maxiter=400 * DENSITY_RESTART,
-                preconditioner=self._mass_preconditioner(),
+                preconditioner=self.rho_mass_solve,
                 x0=state.rho.coeffs,
             )
         except linalg.ResidualError as exc:
@@ -311,17 +330,6 @@ class TimeStepper:
         self.last_reports["density"] = report
         self.last_reports["upwind_flux"] = flux
         return FeField(self.rho_space, x)
-
-    def _mass_preconditioner(self):
-        if self._mass_block_inv is None:
-            self._mass_block_inv = np.linalg.inv(self._rho_mass_blocks)
-        inv = self._mass_block_inv
-        nloc = inv.shape[1]
-
-        def apply(r):
-            return (inv @ r.reshape(-1, nloc, 1)).ravel()
-
-        return apply
 
     def _solve_velocity_system(self, Kc, b, x0):
         """GMRES preconditioned on the right by a lagged factorization.
@@ -521,11 +529,11 @@ class TimeStepper:
 
     def energy(self, state: StepState):
         """0.5||rho||^2 + int 0.5 chi(rho)|u|^2 for an arbitrary state:
-        0.5 rho^T M_rho rho + 0.5 sum_k u_k^T M u_k, M the chi-weighted
+        0.5 rho . rho_mass(rho) + 0.5 sum_k u_k^T M u_k, M the chi-weighted
         mass (cached on the density, ``_weighted_mass``)."""
         M = self._weighted_mass(state.rho)[2]
         rho = state.rho.coeffs
-        e = 0.5 * float(rho @ (self.M_rho @ rho))
+        e = 0.5 * float(rho @ self.rho_mass(rho))
         for comp in state.u.coeffs.reshape(self.mesh.dim, -1):
             e += 0.5 * float(comp @ (M @ comp))
         return e

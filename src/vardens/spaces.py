@@ -47,7 +47,6 @@ class ScalarSpace:
     """Base for affine-mapped nodal scalar spaces."""
 
     kind = None
-    continuous = True
 
     def __init__(self, mesh):
         self.mesh = mesh
@@ -85,7 +84,6 @@ class P1Space(ScalarSpace):
 
 class P1DGSpace(P1Space):
     kind = "P1_dG"
-    continuous = False
 
     def _build_dofs(self, mesh):
         nloc = mesh.dim + 1
@@ -94,7 +92,6 @@ class P1DGSpace(P1Space):
 
 class P2DGSpace(ScalarSpace):
     kind = "P2_dG"
-    continuous = False
 
     def _build_dofs(self, mesh):
         nloc = 6 if mesh.dim == 2 else 10
@@ -167,11 +164,6 @@ class MiniVectorSpace:
     def component_slice(self, k):
         ns = self.scalar.n_dofs
         return slice(k * ns, (k + 1) * ns)
-
-    def boundary_dofs(self):
-        ns = self.scalar.n_dofs
-        sb = self.scalar.boundary_dofs()
-        return np.concatenate([sb + k * ns for k in range(self.dim)])
 
 
 def _rt1_modes(points):
@@ -293,6 +285,17 @@ class RT1Space:
                           axis=-1)
         out[..., nfl:] = np.einsum("c...a,cab->c...b", X[..., nfl:], adj)
         return out
+
+    def to_reference(self, coeffs):
+        """T_K c for every cell K: the reference coefficients (n_cells,
+        n_local) of the field with global coefficients ``coeffs``, the
+        transpose of ``to_local`` (``piola_map``)."""
+        order, scale, adj = self.piola_map
+        nfl = scale.shape[1]
+        chat = np.take_along_axis(coeffs[self.cell_dofs], order, axis=1)
+        chat[:, :nfl] *= scale
+        chat[:, nfl:] = np.einsum("cij,cj->ci", adj, chat[:, nfl:])
+        return chat
 
     def tabulate(self, cells, points):
         """Basis values (k, nq, n_local, d) and divergences (k, nq, n_local)

@@ -93,8 +93,7 @@ def test_symmetric_forms_are_bitwise_symmetric(make_mesh, n):
     for space in (P1Space(mesh), MiniScalarSpace(mesh), P2DGSpace(mesh)):
         tab = assemble.ScalarTab(space, geom)
         mats += [assemble.mass_matrix(tab, coef),
-                 assemble.stiffness_matrix(tab),
-                 assemble.stiffness_matrix(tab, coef)]
+                 assemble.stiffness_matrix(tab)]
     mats.append(assemble.rt_mass_matrix(
         assemble.RTTab(RT1Space(mesh), geom)))
     for A in mats:
@@ -375,14 +374,12 @@ def test_scalar_forms_match_einsum_references(kernel_setup):
         refs = {
             "mass": np.einsum("cq,qi,qj->cij", w, tab.vals, tab.vals),
             "stiffness": np.einsum("cq,cqid,cqjd->cij", geom.wdet, G, G),
-            "stiffness_coef": np.einsum("cq,cqid,cqjd->cij", w, G, G),
             "convection": np.einsum("cq,cqd,cqjd,qi->cij", w, wvec, G,
                                     tab.vals),
         }
         got = {
             "mass": assemble.mass_matrix(tab, coef),
             "stiffness": assemble.stiffness_matrix(tab),
-            "stiffness_coef": assemble.stiffness_matrix(tab, coef),
             "convection": assemble.convection_matrix(tab, wvec, coef=coef),
         }
         for key, local in refs.items():

@@ -206,9 +206,10 @@ def _density_system():
                                                               state.w))
     U = assemble.upwind_matrix(st.trace,
                                assemble.eval_rt_flux(st.rt_flux, state.w))
-    A = (st.M_rho + st.config.tau * (C - U)).tocsc()
+    M = assemble.mass_matrix(st.p2_lo)
+    A = (M + st.config.tau * (C - U)).tocsc()
     b = np.random.default_rng(4).standard_normal(A.shape[0])
-    return A, st._mass_preconditioner(), b
+    return A, st.rho_mass_solve, b
 
 
 @pytest.mark.parametrize("restart", [60, 4])

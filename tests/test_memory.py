@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from vardens import assemble, mms
 from vardens.mesh import unit_cube_mesh, unit_square_mesh
@@ -56,10 +57,10 @@ def test_chunked_forms_match_one_batch(cube6):
     inv_t = np.swapaxes(inv, 1, 2)
 
     G = (inv @ inv_t).reshape(nc, -1)
-    K = (geom.wdet * coef)[:, :, None] * G[:, None, :]
+    K = geom.wdet[:, :, None] * G[:, None, :]
     upper = K.reshape(nc, -1) @ mini._stiffness_ref
     ref = mini.pattern.matrix(assemble._mirror(upper))
-    assert _same(assemble.stiffness_matrix(mini, coef), ref)
+    assert _same(assemble.stiffness_matrix(mini), ref)
 
     K = np.matmul(wvec, inv_t) * (geom.wdet * coef)[..., None]
     local = K.reshape(nc, -1) @ mini._convection_ref
@@ -145,3 +146,25 @@ def test_stepper_setup_allocation_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak / 1e6 <= SETUP_PEAK_BOUND_MB, peak / 1e6
+
+
+@pytest.mark.parametrize("make_mesh, n", [(unit_square_mesh, 4),
+                                          (unit_cube_mesh, 2)])
+def test_stepper_keeps_no_assembled_mass_copies(make_mesh, n):
+    """The density mass is one reference block and the projection check
+    reads the cell blocks: after a run no stepper or workspace attribute
+    holds a per-cell P2 mass array, the stepper no sparse matrix on the
+    density space, and the workspace no sparse matrix but its system."""
+    case = mms.make_case("square2d" if n == 4 else "cube3d")
+    st = TimeStepper(make_mesh(n), SchemeConfig(
+        tau=1 / 64, mu=0.001, n_steps=2, cutoff_mode="widened"))
+    st.run(lambda x: case.rho(x, 0.0), lambda x: case.u(x, 0.0),
+           check_energy=False)
+    nloc, nrho = st.rho_space.n_local, st.rho_space.n_dofs
+    for obj in (st, st.workspace):
+        for name, value in vars(obj).items():
+            if isinstance(value, np.ndarray):
+                assert value.size != st.mesh.n_cells * nloc ** 2, name
+            if sp.issparse(value):
+                assert value.shape[0] != nrho, name
+                assert obj is st or name == "system_matrix", name

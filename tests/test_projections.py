@@ -277,3 +277,17 @@ def test_workspace_facet_signs_and_weights_match_their_formulas(make, n):
     assert ws._sign.dtype == sign.dtype and np.array_equal(ws._sign, sign)
     assert (ws._facet_weight.dtype == weight.dtype
             and np.array_equal(ws._facet_weight, weight))
+
+
+def test_corrupted_divergence_blocks_fail_the_residual_check():
+    """The projection is checked on the cell blocks it keeps: wrong
+    divergence blocks are caught on a field with a gradient part."""
+    ws = RtProjectionWorkspace(unit_square_mesh(4))
+    v = lambda x: np.stack([x[..., 0] + x[..., 1] ** 2,
+                            np.sin(x[..., 0]) * x[..., 1]], axis=-1)
+    ws.project(v)
+    assert ws.last_report.residual <= 1e-12
+    ws._Bk = 2.0 * ws._Bk
+    with pytest.raises(linalg.ResidualError,
+                       match="hybridized projection residual"):
+        ws.project(v)

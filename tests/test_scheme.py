@@ -37,6 +37,41 @@ def test_config_validation():
     assert cfg.n_steps == 5
 
 
+@pytest.mark.parametrize("mode", ["strict", "widened"])
+@pytest.mark.parametrize("bounds", [dict(rho_min=3.0, rho_max=0.5),
+                                    dict(rho_max=-2.0), dict(rho_max=0.0)])
+def test_config_rejects_unusable_rho_max(mode, bounds):
+    """rho_max below rho_min or not positive would clamp every sample to
+    one value, or to a negative weight of the MINI mass."""
+    with pytest.raises(ValueError, match="rho_max"):
+        SchemeConfig(tau=0.1, mu=1.0, n_steps=1, cutoff_mode=mode, **bounds)
+    # without the cut-off the bounds are not used
+    SchemeConfig(tau=0.1, mu=1.0, n_steps=1, cutoff_mode="off", **bounds)
+
+
+@pytest.mark.parametrize("bounds", [dict(rho_max=1.0), dict(rho_min=3.0)])
+def test_initialize_rejects_rho_max_below_the_filled_rho_min(bounds):
+    st = TimeStepper(unit_square_mesh(2), _config(**bounds))
+    with pytest.raises(ValueError, match="rho_max"):
+        st.initialize(lambda x: np.full(x.shape[:-1], 2.0),
+                      lambda x: np.zeros_like(x))
+
+
+@pytest.mark.parametrize("make_mesh,n", [(unit_square_mesh, 8),
+                                         (unit_cube_mesh, 3)])
+def test_density_mass_matches_the_assembled_mass(make_mesh, n):
+    """The reference-block mass and its inverse against the assembled P2-dG
+    mass matrix."""
+    st = TimeStepper(make_mesh(n), _config())
+    M = assemble.mass_matrix(st.p2_lo)
+    x = np.random.default_rng(7).standard_normal(st.rho_space.n_dofs)
+    ref = M @ x
+    got = st.rho_mass(x)
+    assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
+    back = st.rho_mass_solve(ref)
+    assert np.linalg.norm(back - x) <= 1e-14 * np.linalg.norm(x)
+
+
 def test_cutoff_branches():
     cfg = _config(rho_min=1.0, rho_max=2.0)
     assert cutoff(1.0, cfg) == 1.0            # chi(s) = s inside the band
@@ -512,7 +547,7 @@ def test_failed_projection_names_the_step(monkeypatch):
     st = TimeStepper(unit_square_mesh(4), _config(n_steps=2))
     state = st.initialize(lambda x: case.rho(x, 0.0), lambda x: case.u(x, 0.0))
     # a wrong mass block in the residual check makes every projection fail
-    monkeypatch.setattr(st.workspace, "_Mff", 2.0 * st.workspace._Mff)
+    monkeypatch.setattr(st.workspace, "_Mk", 2.0 * st.workspace._Mk)
     with pytest.raises(linalg.ResidualError,
                        match=r"^projection at step 1: hybridized projection "
                              r"residual"):

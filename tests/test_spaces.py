@@ -208,3 +208,17 @@ def test_piola_map_matches_its_formula(make, n):
     ref = (order, np.repeat(sign * ratio, d, axis=1), adj)
     for got, want in zip(space.piola_map, ref):
         assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("make,n", [(unit_square_mesh, 3), (unit_cube_mesh, 2)])
+def test_to_reference_is_the_transpose_of_to_local(make, n):
+    """sum_K X_K . (T_K c) = sum_K (X_K T_K) . c_K for any reference-order
+    rows X and global coefficients c."""
+    space = RT1Space(make(n))
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((space.mesh.n_cells, space.n_local))
+    c = rng.standard_normal(space.n_dofs)
+    lhs = X * space.to_reference(c)
+    rhs = space.to_local(slice(None), X) * c[space.cell_dofs]
+    assert lhs.shape == rhs.shape
+    assert abs(lhs.sum() - rhs.sum()) <= 1e-13 * np.abs(rhs).sum()
