@@ -1,10 +1,11 @@
 """Command-line entry points: single runs and convergence studies."""
 
 import argparse
+import os
 import sys
 
-from .harness import (StudySpec, parse_fraction, records_to_csv,
-                      records_to_table, run_case, run_study)
+from .harness import (StudySpec, parse_fraction, records_from_csv,
+                      records_to_csv, records_to_table, run_case, run_study)
 from .mms import make_case
 
 
@@ -42,7 +43,10 @@ def main(argv=None):
                              " e.g. 1/8,1/10,1/12")
     studyp.add_argument("--tau", type=parse_fraction, default=1.0 / 2048,
                         help="fixed time step for space mode")
-    studyp.add_argument("--out", default=None, help="CSV output path")
+    studyp.add_argument("--out", default=None,
+                        help="CSV output path; the rows of this study that "
+                             "it already holds and that did not fail are "
+                             "not run again")
     studyp.add_argument("--format", choices=["csv", "md"], default="csv")
     _add_common(studyp)
 
@@ -71,6 +75,10 @@ def main(argv=None):
         case=args.case, mode=args.mode, params=params, tau=args.tau,
         T=args.T, mu=args.mu, cutoff_mode=args.cutoff,
     )
+    finished = []
+    if args.out and os.path.exists(args.out):
+        with open(args.out) as fh:
+            finished = records_from_csv(fh.read())
     done = []
 
     def progress(r):
@@ -84,7 +92,7 @@ def main(argv=None):
             with open(args.out, "w") as fh:
                 fh.write(records_to_csv(done))
 
-    records = run_study(spec, progress=progress)
+    records = run_study(spec, progress=progress, finished=finished)
     print(records_to_table(records, markdown=args.format == "md"))
     return 2 if any(r.failed for r in records) else 0
 

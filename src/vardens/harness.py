@@ -7,6 +7,8 @@ log-ratios of consecutive errors.  Mesh resolution n is the number of
 subdivisions per side, so the nominal h reported in tables is 1/n.
 """
 
+import csv
+import io
 import math
 import time
 import warnings
@@ -148,14 +150,18 @@ class ConvergenceRecord:
     message: str = ""
 
 
-def run_study(spec: StudySpec, progress=None):
+def run_study(spec: StudySpec, progress=None, finished=()):
     """Run every row of the study; row failures are recorded, not raised.
 
-    Each row's orders against the row before it are set as soon as it
-    finishes, so ``progress(rec)`` sees the row as it will be returned.
+    A row whose (h, tau) matches one of the records ``finished`` that did
+    not fail, such as the rows read back from an earlier run's CSV, is
+    taken from it and not run again.  Each row's orders against the row
+    before it are set as soon as it finishes, so ``progress(rec)`` sees the
+    row as it will be returned.
     """
     case = make_case(spec.case)
     scale = "h" if spec.mode == "space" else "tau"
+    finished = [r for r in finished if not r.failed]
     records = []
     for value in spec.params:
         if spec.mode == "space":
@@ -170,17 +176,23 @@ def run_study(spec: StudySpec, progress=None):
                 )
             h = 1.0 / n
         rec = ConvergenceRecord(h=h, tau=tau)
-        try:
-            result = run_case(
-                case, h, tau, T=spec.T, mu=spec.mu,
-                cutoff_mode=spec.cutoff_mode,
-            )
-            rec.E_rho = result["E_rho"]
-            rec.E_u = result["E_u"]
-            rec.seconds = result["seconds"]
-        except Exception as exc:  # row failure: record and continue
-            rec.failed = True
-            rec.message = f"{type(exc).__name__}: {exc}"
+        old = next((r for r in finished
+                    if math.isclose(r.h, h, rel_tol=1e-9)
+                    and math.isclose(r.tau, tau, rel_tol=1e-9)), None)
+        if old is not None:
+            rec.E_rho, rec.E_u, rec.seconds = old.E_rho, old.E_u, old.seconds
+        else:
+            try:
+                result = run_case(
+                    case, h, tau, T=spec.T, mu=spec.mu,
+                    cutoff_mode=spec.cutoff_mode,
+                )
+                rec.E_rho = result["E_rho"]
+                rec.E_u = result["E_u"]
+                rec.seconds = result["seconds"]
+            except Exception as exc:  # row failure: record and continue
+                rec.failed = True
+                rec.message = f"{type(exc).__name__}: {exc}"
         prev = records[-1] if records else None
         if not rec.failed and prev is not None and not prev.failed:
             x1, x2 = getattr(prev, scale), getattr(rec, scale)
@@ -196,17 +208,47 @@ def _fmt_order(v):
     return "" if math.isnan(v) else f"{v:.2f}"
 
 
+CSV_HEADER = ["h", "tau", "E_rho", "order_rho", "E_u", "order_u", "seconds"]
+
+
 def records_to_csv(records):
-    lines = ["h,tau,E_rho,order_rho,E_u,order_u,seconds"]
+    """The study as CSV text; a failed row reads ``failed`` in the E_rho
+    column and its message in the seconds column."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(CSV_HEADER)
     for r in records:
         if r.failed:
-            lines.append(f"{r.h:.10g},{r.tau:.10g},failed,,,,{r.message}")
-            continue
-        lines.append(
-            f"{r.h:.10g},{r.tau:.10g},{r.E_rho:.6e},{_fmt_order(r.order_rho)},"
-            f"{r.E_u:.6e},{_fmt_order(r.order_u)},{r.seconds:.3f}"
-        )
-    return "\n".join(lines) + "\n"
+            rest = ["failed", "", "", "", r.message]
+        else:
+            rest = [f"{r.E_rho:.6e}", _fmt_order(r.order_rho), f"{r.E_u:.6e}",
+                    _fmt_order(r.order_u), f"{r.seconds:.3f}"]
+        writer.writerow([f"{r.h:.10g}", f"{r.tau:.10g}"] + rest)
+    return out.getvalue()
+
+
+def records_from_csv(text):
+    """The records of a study CSV written by ``records_to_csv``."""
+    rows = list(csv.reader(io.StringIO(text)))
+    if not rows:
+        return []
+    if rows[0] != CSV_HEADER:
+        raise ValueError(f"not a study CSV: header {rows[0]}")
+    records = []
+    for row in rows[1:]:
+        if len(row) != len(CSV_HEADER):
+            raise ValueError(f"study CSV row with {len(row)} fields: {row}")
+        h, tau, e_rho, order_rho, e_u, order_u, last = row
+        rec = ConvergenceRecord(h=float(h), tau=float(tau))
+        if e_rho == "failed":
+            rec.failed, rec.message = True, last
+        else:
+            rec.E_rho, rec.E_u = float(e_rho), float(e_u)
+            rec.seconds = float(last)
+            rec.order_rho = float(order_rho) if order_rho else UNDEFINED_ORDER
+            rec.order_u = float(order_u) if order_u else UNDEFINED_ORDER
+        records.append(rec)
+    return records
 
 
 def records_to_table(records, markdown=False):

@@ -5,9 +5,12 @@ cube is split into 6n^3 tetrahedra (Kuhn split of each subcube).  Every
 cell is reordered to positive signed volume, facet connectivity is built
 with a deterministic minus/plus orientation (minus = lower cell index),
 and facet unit normals point from the minus cell toward the plus cell
-(outward on the boundary).
+(outward on the boundary).  ``Mesh.facet_dissection_order`` numbers the
+facets by a nested dissection of the cells (George, SINUM 10, 1973), the
+elimination order of the RT projection's facet system.
 """
 
+import functools
 import itertools
 import math
 
@@ -46,6 +49,8 @@ class Mesh:
         the facet's sorted global order
     facet_local_index : (nf, 2) local index in the minus and plus cell
         (-1: no plus cell)
+    facet_dissection_order : (nf,) the facets in nested-dissection order,
+        built on first use
     """
 
     def __init__(self, dim, vertices, cells):
@@ -154,6 +159,26 @@ class Mesh:
         self.facet_normals = normals
         self.facet_centers = centers
 
+    @functools.cached_property
+    def facet_dissection_order(self):
+        """The facets sorted so that every separator follows the two halves
+        it separates.
+
+        The cells are bisected at the median of their centroids down to
+        single cells (``_dissection_leaves``); each facet belongs to the
+        lowest tree node above both its cells, and the facets are sorted,
+        stably, by the postorder index of that node.  Eliminated in this order, a facet of
+        one subtree couples only to facets of that subtree and of the
+        separators above it, so fill stays inside subtrees.
+        """
+        height, prefix = _facet_dissection_nodes(self)
+        # in a complete binary tree, leaf j has postorder index
+        # 2 j - popcount(j), and a node follows its rightmost leaf by its
+        # height
+        last = ((prefix + 1) << height) - 1
+        post = 2 * last - np.bitwise_count(last) + height
+        return np.argsort(post, kind="stable")
+
     def reference_coords(self, cells, points):
         """Reference coordinates of physical ``points`` inside ``cells``.
 
@@ -163,6 +188,49 @@ class Mesh:
         Binv = self.inv_jacobians[cells]
         rel = points - v0[(slice(None),) + (None,) * (points.ndim - 2)]
         return np.einsum("ced,c...d->c...e", Binv, rel)
+
+
+def _dissection_leaves(points):
+    """Leaf of every point in a median bisection tree.
+
+    Each level splits every part at the median of its points along the
+    part's widest axis, ties broken by point index, into a lower child
+    (the first half, which keeps the smaller share of an odd part) and an
+    upper one.  All leaves lie at one depth, the least at which each holds
+    at most one point; a leaf is numbered by its path from the root, one
+    bit per level, 1 for the upper child.  Leaves are single points, not
+    groups of up to 16: on the unit square at h = 1/16, 1/32 and the cube
+    at h = 1/4, 1/8, 1/12, 1/16 that gives the RT factor 3-36% less fill,
+    and it factors as fast.
+    """
+    n = len(points)
+    depth = (n - 1).bit_length()
+    leaf = np.zeros(n, dtype=np.int64)
+    order = np.arange(n)  # the points grouped by part, parts ascending
+    for _ in range(depth):
+        part = leaf[order]
+        start = np.flatnonzero(np.diff(part, prepend=-1))
+        size = np.diff(np.append(start, n))
+        pts = points[order]
+        extent = (np.maximum.reduceat(pts, start)
+                  - np.minimum.reduceat(pts, start))
+        axis = np.repeat(np.argmax(extent, axis=1), size)
+        order = order[np.lexsort((order, pts[np.arange(n), axis], part))]
+        rank = np.arange(n) - np.repeat(start, size)
+        leaf[order] = 2 * part + (rank >= np.repeat(size // 2, size))
+    return leaf
+
+
+def _facet_dissection_nodes(mesh):
+    """The lowest node of the cells' bisection tree above both cells of
+    every facet, as (height above the leaves, path from the root): the
+    common binary prefix of the two cells' leaves.  A boundary facet's
+    node is its cell's leaf."""
+    leaf = _dissection_leaves(mesh.vertices[mesh.cells].mean(axis=1))
+    minus = leaf[mesh.facet_minus]
+    plus = np.where(mesh.facet_plus >= 0, leaf[mesh.facet_plus], minus)
+    height = np.frexp(minus ^ plus)[1].astype(np.int64)  # the bit length
+    return height, minus >> height
 
 
 def local_facet_vertices(dim):

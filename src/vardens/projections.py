@@ -5,8 +5,10 @@
   computed by hybridizing its mixed system (a piecewise-linear
   discontinuous multiplier for the divergence, facet multipliers for the
   normal continuity): the cell unknowns are eliminated locally and one
-  symmetric positive definite facet system is factorized once per mesh and
-  reused for every time step,
+  symmetric positive definite facet system, its multipliers numbered in
+  the mesh's nested-dissection order of the facets and the last of them
+  pinned, is factorized once per mesh in that order and reused for every
+  time step,
 * nodal interpolation into the P1+bubble velocity space.
 """
 
@@ -55,10 +57,14 @@ class RtProjectionWorkspace:
         S = sum_K E_K H_K E_K^T,
 
     where H_K is the RT1 block of that inverse and E_K the signed map from
-    the cell's facet dofs to the multipliers.  S has one null mode, which
-    comes from the constant in p; one multiplier is pinned to remove it,
-    and w does not depend on which.  The pinned S is ``system_matrix``
-    (bitwise symmetric) and ``lu`` is its factorization, made once per mesh.
+    the cell's facet dofs to the multipliers.  The multipliers are
+    numbered facet by facet in ``mesh.facet_dissection_order``, the d of
+    one facet in the order of its RT1 dofs, so that every separator of the
+    dissection comes after the two halves it separates.  S has one null
+    mode, which comes from the constant in p; the last multiplier, on the
+    top separator, is pinned to remove it, and w does not depend on which
+    one is.  The pinned S is ``system_matrix`` (bitwise symmetric) and
+    ``lu`` is its factorization in that order, made once per mesh.
 
     Each projection condenses the cell loads, solves for the multipliers
     with one step of iterative refinement, back-substitutes cell by cell,
@@ -97,9 +103,14 @@ class RtProjectionWorkspace:
         A[:, nl:, :nl] = Bk
         self._solve_local = np.linalg.inv(A)[:, :, :nl]
 
-        # signed facet-dof -> multiplier map: +1 from the facet's minus cell
+        # signed facet-dof -> multiplier map: +1 from the facet's minus
+        # cell; the multiplier of RT1 facet dof i is rank[i]
         nfl = d * nm
-        self._mult = space.cell_dofs[:, :nfl]
+        nmult = space.n_facet_dofs
+        by_facet = mesh.facet_dissection_order[:, None] * d + np.arange(d)
+        rank = np.empty(nmult, dtype=np.int64)
+        rank[by_facet.ravel()] = np.arange(nmult)
+        self._mult = rank[space.cell_dofs[:, :nfl]]
         self._sign = np.repeat(mesh.cell_facet_signs, d, axis=1)
         # the averaging weights: 1/2 per side on interior facets, 0 on the
         # boundary, where the projected field's flux is zero exactly
@@ -107,14 +118,12 @@ class RtProjectionWorkspace:
         self._facet_weight = np.repeat(np.where(interior, 0.5, 0.0), d, axis=1)
 
         Hf = self._solve_local[:, :nfl, :nfl]
-        nmult = space.n_facet_dofs
         pattern = assemble.Pattern.build((nmult, nmult), self._mult,
                                          self._mult)
         S = pattern.matrix(0.5 * (Hf + np.swapaxes(Hf, 1, 2))
                            * self._sign[:, :, None] * self._sign[:, None, :])
-        self._keep = np.arange(1, space.n_facet_dofs)  # multiplier 0 pinned
-        self.system_matrix = S[self._keep][:, self._keep]
-        self.lu = linalg.factorize(self.system_matrix, symmetric=True)
+        self.system_matrix = S[:-1, :-1]  # the last multiplier pinned
+        self.lu = linalg.factorize(self.system_matrix, "given")
 
         # interior-dof correction: the pseudo-inverse of the interior dofs'
         # nodal divergences removes the non-constant part of div w
@@ -143,18 +152,18 @@ class RtProjectionWorkspace:
     def project(self, v, tol=1e-10):
         """Divergence-free, zero-flux projection of a square-integrable field."""
         space = self.rt_space
-        nfl = self._mult.shape[1]
+        nfl, nmult = self._mult.shape[1], space.n_facet_dofs
         bk = assemble.rt_load_blocks(self.rt_tab, self._values_at_quad(v))
 
         # condense onto the multipliers and solve, with one refinement step
         Hb = np.einsum("cij,cj->ci", self._solve_local[:, :nfl], bk)
         r = np.bincount(self._mult.ravel(), weights=(self._sign * Hb).ravel(),
-                        minlength=space.n_facet_dofs)[self._keep]
+                        minlength=nmult)[:-1]
         lam_k = self.lu.solve(r)
         step = self.lu.solve(r - self.system_matrix @ lam_k)
         lam_k += step
-        lam = np.zeros(space.n_facet_dofs)
-        lam[self._keep] = lam_k
+        lam = np.zeros(nmult)
+        lam[:-1] = lam_k
 
         # back-substitute per cell, then glue the facet dofs together
         rhs = bk.copy()
@@ -162,9 +171,9 @@ class RtProjectionWorkspace:
         x = np.einsum("cij,cj->ci", self._solve_local, rhs)
         nl = space.n_local
         coeffs = np.zeros(space.n_dofs)
-        coeffs[: space.n_facet_dofs] = np.bincount(
-            self._mult.ravel(), weights=(self._facet_weight * x[:, :nfl]).ravel(),
-            minlength=space.n_facet_dofs,
+        coeffs[:nmult] = np.bincount(
+            space.cell_dofs[:, :nfl].ravel(),
+            weights=(self._facet_weight * x[:, :nfl]).ravel(), minlength=nmult,
         )
         local = coeffs[space.cell_dofs]
         local[:, nfl:] = x[:, nfl:nl]

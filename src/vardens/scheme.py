@@ -379,7 +379,7 @@ class TimeStepper:
 
     def _factor_velocity(self, Kc):
         """Factor the bordered saddle matrix; returns nnz(L) + nnz(U)."""
-        self._vel_lu = linalg.factorize(Kc, symmetric=True)
+        self._vel_lu = linalg.factorize(Kc, "mmd")
         return self._vel_lu.L.nnz + self._vel_lu.U.nnz
 
     def _weighted_mass(self, rho):

@@ -1,5 +1,7 @@
 """Convergence-order arithmetic, study plumbing, and the CLI."""
 
+import csv
+import io
 import math
 import subprocess
 import sys
@@ -10,8 +12,8 @@ import pytest
 from vardens import assemble, cli
 from vardens.harness import (ConvergenceRecord, StudySpec, build_mesh,
                              compute_order, l2_error_at_step, parse_fraction,
-                             records_to_csv, records_to_table, run_case,
-                             run_study)
+                             records_from_csv, records_to_csv,
+                             records_to_table, run_case, run_study)
 from vardens.mesh import unit_square_mesh
 from vardens.mms import make_case
 from vardens.projections import project_dg
@@ -121,6 +123,86 @@ def test_failed_row_recorded_and_study_continues(monkeypatch):
     assert math.isnan(records[1].order_rho)  # no order across a failed row
     table = records_to_table(records)
     assert "failed" in table
+
+
+def test_failed_row_message_stays_in_one_csv_field():
+    """A failure message with commas, as ``ConstraintConflictError`` writes
+    it, is quoted: every row has the header's seven fields."""
+    message = ("ConstraintConflictError: constraint is inconsistent with the "
+               "equations (original residual 1.000e-03, multiplier 2.000e-01)")
+    recs = [ConvergenceRecord(h=0.5, tau=0.1, E_rho=1e-3, E_u=2e-3,
+                              seconds=0.1),
+            ConvergenceRecord(h=0.25, tau=0.1, failed=True, message=message)]
+    rows = list(csv.reader(io.StringIO(records_to_csv(recs))))
+    assert [len(row) for row in rows] == [7, 7, 7]
+    assert rows[2][2] == "failed" and rows[2][6] == message
+
+
+def test_csv_round_trip():
+    recs = [ConvergenceRecord(h=0.5, tau=0.1, E_rho=1.25e-3, E_u=2.5e-3,
+                              seconds=0.125),
+            ConvergenceRecord(h=0.25, tau=0.1, E_rho=3.125e-4, E_u=6.25e-4,
+                              order_rho=2.0, order_u=2.0, seconds=0.5),
+            ConvergenceRecord(h=0.125, tau=0.1, failed=True,
+                              message='ResidualError: "x", y')]
+    back = records_from_csv(records_to_csv(recs))
+    assert repr(back) == repr(recs)  # repr: nan orders compare equal
+    assert records_from_csv("") == []
+    with pytest.raises(ValueError, match="not a study CSV"):
+        records_from_csv("n,t,energy\n1,2,3\n")
+
+
+def _counting_run_case(monkeypatch):
+    import vardens.harness as hmod
+
+    real = hmod.run_case
+    calls = []
+
+    def counted(case, h, tau, **kw):
+        calls.append((h, tau))
+        return real(case, h, tau, **kw)
+
+    monkeypatch.setattr(hmod, "run_case", counted)
+    return calls
+
+
+def _study(out, params):
+    return cli.main([
+        "study", "--case", "square2d", "--mode", "space", "--params", params,
+        "--tau", "1/16", "--T", "0.25", "--out", str(out),
+    ])
+
+
+def test_cli_study_resumes_from_its_out_file(monkeypatch, tmp_path):
+    """Rows already in ``--out`` are read back, not run again, and the next
+    row's orders are taken against the row read back."""
+    calls = _counting_run_case(monkeypatch)
+    out = tmp_path / "study.csv"
+    assert _study(out, "1/2") == 0
+    assert calls == [(0.5, 1 / 16)]
+    first = out.read_text().splitlines()[1]
+    assert _study(out, "1/2,1/4") == 0
+    assert calls == [(0.5, 1 / 16), (0.25, 1 / 16)]
+    lines = out.read_text().splitlines()
+    assert len(lines) == 3 and lines[1] == first
+    a, b = records_from_csv(out.read_text())
+    assert f"{compute_order(a.E_rho, a.h, b.E_rho, b.h):.2f}" \
+        == lines[2].split(",")[3]
+    assert f"{compute_order(a.E_u, a.h, b.E_u, b.h):.2f}" \
+        == lines[2].split(",")[5]
+    assert _study(out, "1/2,1/4") == 0
+    assert len(calls) == 2  # nothing left to run
+
+
+def test_cli_study_reruns_failed_rows_of_its_out_file(monkeypatch, tmp_path):
+    out = tmp_path / "study.csv"
+    out.write_text(records_to_csv([ConvergenceRecord(
+        h=0.5, tau=1 / 16, failed=True, message="MemoryError: ")]))
+    calls = _counting_run_case(monkeypatch)
+    assert _study(out, "1/2") == 0
+    assert calls == [(0.5, 1 / 16)]
+    [rec] = records_from_csv(out.read_text())
+    assert not rec.failed
 
 
 def test_csv_reproducibility_excluding_walltime():

@@ -234,6 +234,12 @@ def test_gmres_exact_preconditioner_takes_one_iteration():
     assert report.iterations == 1
 
 
+def test_factorize_rejects_an_unknown_ordering():
+    A, _, _ = _density_system()
+    with pytest.raises(ValueError, match="unknown ordering"):
+        linalg.factorize(A, "amd")
+
+
 def test_gmres_from_the_solution_takes_no_iteration():
     A, precond, b = _density_system()
     ref, _ = linalg.solve_direct(linalg.LinearSystem(A, b))
@@ -279,15 +285,15 @@ def test_saddle_factor_keeps_its_fill_reducing_order(
     factored = []
     inner = linalg.factorize
 
-    def record(matrix, symmetric=False):
-        lu = inner(matrix, symmetric)
-        factored.append((matrix, symmetric, lu))
+    def record(matrix, ordering="colamd"):
+        lu = inner(matrix, ordering)
+        factored.append((matrix, ordering, lu))
         return lu
 
     monkeypatch.setattr(linalg, "factorize", record)
     st.step(state)
-    [(K, symmetric, lu)] = factored
-    assert symmetric
+    [(K, ordering, lu)] = factored
+    assert ordering == "mmd"
     K = K.tocsc()
     K.eliminate_zeros()
     default = spla.splu(K, permc_spec="MMD_AT_PLUS_A",

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from vardens.mesh import Mesh, MeshError, unit_cube_mesh, unit_square_mesh
+from vardens.mesh import (Mesh, MeshError, _facet_dissection_nodes,
+                          unit_cube_mesh, unit_square_mesh)
 
 
 def test_smallest_square_mesh():
@@ -277,3 +278,98 @@ def test_facet_shared_by_three_cells_is_rejected():
     verts = [(0, 0), (1, 0), (0.5, 1), (0.5, -1), (0.5, 2)]
     with pytest.raises(MeshError, match="more than two cells"):
         Mesh(2, verts, [(0, 1, 2), (0, 1, 3), (0, 1, 4)])
+
+
+DISSECTED = ([(unit_square_mesh, n) for n in (1, 2, 8)]
+             + [(unit_cube_mesh, n) for n in (1, 2, 4)])
+
+
+def _bisection_reference(m):
+    """Leaf of every cell and tree depth from recursive median bisection,
+    one part at a time: split the part along its widest centroid axis,
+    cells sorted by (coordinate, index), the first half to the lower
+    child, down to single cells at one depth."""
+    points = m.vertices[m.cells].mean(axis=1)
+    depth = 0
+    while 2 ** depth < m.n_cells:
+        depth += 1
+    leaf = np.full(m.n_cells, -1, dtype=np.int64)
+
+    def bisect(cells, path, level):
+        if level == depth:
+            leaf[cells] = path
+            return
+        if not cells:
+            return
+        pts = points[cells]
+        axis = int(np.argmax(pts.max(axis=0) - pts.min(axis=0)))
+        cells = sorted(cells, key=lambda c: (points[c, axis], c))
+        half = len(cells) // 2
+        bisect(cells[:half], 2 * path, level + 1)
+        bisect(cells[half:], 2 * path + 1, level + 1)
+
+    bisect(list(range(m.n_cells)), 0, 0)
+    return leaf, depth
+
+
+def _postorder(depth):
+    """(level, path) of every node of the complete binary tree of the
+    given depth, mapped to its postorder index."""
+    out = {}
+
+    def visit(level, path):
+        if level < depth:
+            visit(level + 1, 2 * path)
+            visit(level + 1, 2 * path + 1)
+        out[(level, path)] = len(out)
+
+    visit(0, 0)
+    return out
+
+
+@pytest.mark.parametrize("make,n", DISSECTED)
+def test_facet_dissection_order_is_a_deterministic_permutation(make, n):
+    m = make(n)
+    order = m.facet_dissection_order
+    assert order.dtype == np.int64
+    assert np.array_equal(np.sort(order), np.arange(m.n_facets))
+    assert m.facet_dissection_order is order  # built once
+    assert np.array_equal(make(n).facet_dissection_order, order)
+
+
+@pytest.mark.parametrize("make,n", DISSECTED)
+def test_facet_dissection_order_matches_recursive_bisection(make, n):
+    """Each facet's node is the lowest common ancestor of its cells'
+    leaves (its one cell's leaf on the boundary), and the facets follow
+    the nodes' postorder, ties in facet order."""
+    m = make(n)
+    leaf, depth = _bisection_reference(m)
+    assert np.bincount(leaf).max() == 1
+    nodes = []
+    for f in range(m.n_facets):
+        a = leaf[m.facet_minus[f]]
+        b = leaf[m.facet_plus[f]] if m.facet_plus[f] >= 0 else a
+        level = depth
+        while a != b:
+            a, b, level = a >> 1, b >> 1, level - 1
+        nodes.append((level, int(a)))
+    height, prefix = _facet_dissection_nodes(m)
+    assert [(depth - int(h), int(p)) for h, p in zip(height, prefix)] == nodes
+    post = _postorder(depth)
+    expected = sorted(range(m.n_facets), key=lambda f: (post[nodes[f]], f))
+    assert m.facet_dissection_order.tolist() == expected
+
+
+@pytest.mark.parametrize("make,n", DISSECTED)
+def test_facets_of_a_cell_lie_on_one_root_path(make, n):
+    """The separator property: of any two facets of one cell, one facet's
+    tree node is an ancestor of, or equal to, the other's, so eliminating
+    a subtree's facets fills in only that subtree and its separators."""
+    m = make(n)
+    height, prefix = _facet_dissection_nodes(m)
+    for facets in m.cell_facets:
+        for f in facets:
+            for g in facets:
+                if height[f] >= height[g]:
+                    shift = height[f] - height[g]
+                    assert prefix[g] >> shift == prefix[f]
