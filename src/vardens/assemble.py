@@ -19,8 +19,10 @@ tabulated.
 
 Work whose temporaries would grow with the mesh (pattern slots, the
 stiffness, convection and divergence forms) runs over ``CHUNK`` cells at a
-time.  Each chunk computes exactly what the whole batch would, so the
-results do not depend on the chunk size.
+time, the forms through one kernel, ``_cell_blocks``.  Their rows are the
+one-batch rows up to the BLAS's summation order: OpenBLAS runs products of
+at most 10^6 multiply-adds through a small-matrix kernel, so a chunk of a
+few cells can differ from one batch in the last bits.
 
 Local blocks are scattered through a ``Pattern``: the CSR structure of the
 global matrix, built once per pair of row and column dof maps, with the
@@ -41,14 +43,14 @@ weights against a product tensor of the two tables, and the traces of a
 field are one GEMM per table.
 
 The symmetric forms (``mass_matrix``, ``stiffness_matrix``,
-``rt_mass_matrix``) are bitwise symmetric by construction, so the saddle
-systems built from them stay exactly symmetric after bordering.  Their
-local blocks are exactly symmetric: the mass and stiffness kernels compute
-the upper triangle only and mirror it, and the RT mass block is averaged
-with its transpose, which is exact because floating-point addition
-commutes.  ``np.bincount`` then adds the contributions to entry (i, j) and
-to (j, i) in the same order, cell by cell.  Assembly is deterministic:
-identical inputs produce bit-identical matrices.
+``rt_mass_matrix``, the reference mass) are bitwise symmetric by
+construction, so the saddle systems built from them stay exactly symmetric
+after bordering.  One rule makes their local blocks exactly symmetric: each
+block is averaged with its transpose (``_symmetric``), which is exact
+because floating-point addition commutes.  ``np.bincount`` then adds the
+contributions to entry (i, j) and to (j, i) in the same order, cell by
+cell.  Assembly is deterministic: identical inputs produce bit-identical
+matrices.
 """
 
 import functools
@@ -67,6 +69,21 @@ CHUNK = 512
 def _chunks(n):
     """Consecutive slices of at most ``CHUNK`` items covering range(n)."""
     return [slice(a, min(a + CHUNK, n)) for a in range(0, n, CHUNK)]
+
+
+def _cell_blocks(n, coef, R):
+    """``coef(s) @ R`` over the chunks s of range(n) cells, one row per
+    cell: ``coef(s)`` is the chunk's coefficient array, a whole number of
+    rows of length ``len(R)`` per cell."""
+    return np.concatenate([
+        (coef(s).reshape(-1, len(R)) @ R).reshape(s.stop - s.start, -1)
+        for s in _chunks(n)])
+
+
+def _symmetric(blocks):
+    """Blocks (..., n, n) averaged with their transposes: exactly symmetric,
+    because floating-point addition commutes."""
+    return 0.5 * (blocks + np.swapaxes(blocks, -1, -2))
 
 
 class Pattern:
@@ -143,24 +160,6 @@ class Pattern:
         return perm
 
 
-@functools.cache
-def _upper(n):
-    """Pairs (i, j), i <= j, and the pair index of every (i, j) in C order."""
-    iu, ju = np.triu_indices(n)
-    full = np.empty((n, n), dtype=np.intp)
-    full[iu, ju] = full[ju, iu] = np.arange(len(iu))
-    out = iu, ju, full.ravel()
-    for a in out:  # cached and shared by every caller
-        a.setflags(write=False)
-    return out
-
-
-def _mirror(upper):
-    """Exactly symmetric blocks (nc, nloc, nloc) from their upper triangles."""
-    nloc = int(np.sqrt(2 * upper.shape[1]))
-    return upper[:, _upper(nloc)[2]].reshape(-1, nloc, nloc)
-
-
 class CellQuadrature:
     """Physical quadrature points and weights for every cell."""
 
@@ -204,23 +203,24 @@ class ScalarTab:
 
     @functools.cached_property
     def _mass_ref(self):
-        """(nq, n_upper): phi_qi phi_qj over the upper triangle."""
-        iu, ju, _ = _upper(self.vals.shape[1])
-        return self.vals[:, iu] * self.vals[:, ju]
+        """(nq, nloc * nloc): phi_qi phi_qj."""
+        v = self.vals
+        return (v[:, :, None] * v[:, None, :]).reshape(len(v), -1)
 
     @functools.cached_property
     def ref_mass(self):
         """The reference mass (nloc, nloc), exactly symmetric: on affine
         cells the mass block of cell K is |det J_K| times it."""
-        return _mirror(self.geom.rule.weights[None] @ self._mass_ref)[0]
+        nloc = self.vals.shape[1]
+        w = self.geom.rule.weights[None]
+        return _symmetric((w @ self._mass_ref).reshape(nloc, nloc))
 
     @functools.cached_property
     def _stiffness_ref(self):
-        """(nq * d * d, n_upper): dphi_qid dphi_qje over the upper triangle."""
-        iu, ju, _ = _upper(self.vals.shape[1])
+        """(nq * d * d, nloc * nloc): dphi_qid dphi_qje."""
         g = self.ref_grads
-        R = g[:, iu, :, None] * g[:, ju, None, :]
-        return np.moveaxis(R, 1, -1).reshape(-1, len(iu))
+        R = np.einsum("qid,qje->qdeij", g, g)
+        return R.reshape(-1, g.shape[1] ** 2)
 
     @functools.cached_property
     def _convection_ref(self):
@@ -432,7 +432,9 @@ def _weights(tab, coef):
 
 def mass_matrix(tab, coef=None):
     """(coef u, v) on ``tab``'s space; bitwise symmetric (module docstring)."""
-    return tab.pattern.matrix(_mirror(_weights(tab, coef) @ tab._mass_ref))
+    nloc = tab.vals.shape[1]
+    local = (_weights(tab, coef) @ tab._mass_ref).reshape(-1, nloc, nloc)
+    return tab.pattern.matrix(_symmetric(local))
 
 
 def stiffness_matrix(tab):
@@ -440,23 +442,19 @@ def stiffness_matrix(tab):
     inv = tab.space.mesh.inv_jacobians
     G = (inv @ np.swapaxes(inv, 1, 2)).reshape(len(inv), -1)  # invJ invJ^T
     w = tab.geom.wdet
-    R = tab._stiffness_ref
-    upper = np.empty((len(G), R.shape[1]))
-    for s in _chunks(len(G)):
-        K = w[s, :, None] * G[s, None, :]
-        upper[s] = K.reshape(len(K), -1) @ R
-    return tab.pattern.matrix(_mirror(upper))
+    local = _cell_blocks(len(G), lambda s: w[s, :, None] * G[s, None, :],
+                         tab._stiffness_ref)
+    nloc = tab.vals.shape[1]
+    return tab.pattern.matrix(_symmetric(local.reshape(-1, nloc, nloc)))
 
 
 def convection_matrix(tab, wvec, coef=None):
     """(coef (wvec . grad u), v) with wvec given at quadrature points."""
     inv_t = np.swapaxes(tab.space.mesh.inv_jacobians, 1, 2)
     w = _weights(tab, coef)
-    R = tab._convection_ref
-    local = np.empty((len(w), R.shape[1]))
-    for s in _chunks(len(w)):
-        K = np.matmul(wvec[s], inv_t[s]) * w[s, :, None]
-        local[s] = K.reshape(len(K), -1) @ R
+    local = _cell_blocks(
+        len(w), lambda s: np.matmul(wvec[s], inv_t[s]) * w[s, :, None],
+        tab._convection_ref)
     nloc = tab.vals.shape[1]
     return tab.pattern.matrix(local.reshape(-1, nloc, nloc))
 
@@ -484,7 +482,7 @@ def rt_blocks(rt_tab, dg_tab=None):
     L = (G.reshape(len(G), -1) @ R).reshape(-1, nl, nl)
     L = space.to_local(slice(None), np.swapaxes(
         space.to_local(slice(None), L), 1, 2))
-    M = 0.5 * (L + np.swapaxes(L, 1, 2))
+    M = _symmetric(L)
     if dg_tab is None:
         return M, None
     B = (dg_tab.vals.T * rule.weights) @ divs
@@ -513,13 +511,12 @@ def div_coupling(mini_tab, p1_tab):
     nc = len(mini_tab.cell_dofs)
     # K[(c, k), (q, e)] = w_cq invJ_cek; R[(q, e), (a, m)] = dpsi_qae q_qm
     inv_t = np.swapaxes(mini_tab.space.mesh.inv_jacobians, 1, 2)
+    w = mini_tab.geom.wdet
     R = (np.swapaxes(mini_tab.ref_grads, 1, 2)[:, :, :, None]
          * p1_tab.vals[:, None, None, :])
-    R = R.reshape(-1, R.shape[2] * R.shape[3])
-    local = np.empty((nc, d, R.shape[1]))
-    for s in _chunks(nc):
-        K = mini_tab.geom.wdet[s, None, :, None] * inv_t[s, :, None, :]
-        local[s] = (K.reshape(-1, R.shape[0]) @ R).reshape(-1, d, R.shape[1])
+    local = _cell_blocks(
+        nc, lambda s: w[s, None, :, None] * inv_t[s, :, None, :],
+        R.reshape(-1, R.shape[2] * R.shape[3]))
     rows = (mini_tab.cell_dofs[:, None, :]
             + ns * np.arange(d)[:, None]).reshape(nc, -1)
     shape = (d * ns, p1_tab.space.n_dofs)

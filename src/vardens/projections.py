@@ -67,11 +67,11 @@ class RtProjectionWorkspace:
     ``lu`` is its factorization in that order, made once per mesh.
 
     Each projection condenses the cell loads, solves for the multipliers
-    with one step of iterative refinement, back-substitutes cell by cell,
-    averages the two one-sided values of every interior facet dof and
-    zeroes the boundary ones.  Last, each cell's interior dofs are
-    corrected so that the cell's nodal divergence is constant; that
-    constant is the cell's net flux, which the averaged facet dofs balance.
+    with one solve of ``lu``, back-substitutes cell by cell, averages the
+    two one-sided values of every interior facet dof and zeroes the
+    boundary ones.  Last, each cell's interior dofs are corrected so that
+    the cell's nodal divergence is constant; that constant is the cell's
+    net flux, which the averaged facet dofs balance.
     The result is checked against the residual of the mixed system, with
     p recovered from the cells: per-cell products with the blocks M_K and
     B_K, scattered with ``np.bincount`` and restricted to the free dofs.
@@ -120,7 +120,7 @@ class RtProjectionWorkspace:
         Hf = self._solve_local[:, :nfl, :nfl]
         pattern = assemble.Pattern.build((nmult, nmult), self._mult,
                                          self._mult)
-        S = pattern.matrix(0.5 * (Hf + np.swapaxes(Hf, 1, 2))
+        S = pattern.matrix(assemble._symmetric(Hf)
                            * self._sign[:, :, None] * self._sign[:, None, :])
         self.system_matrix = S[:-1, :-1]  # the last multiplier pinned
         self.lu = linalg.factorize(self.system_matrix, "given")
@@ -130,7 +130,7 @@ class RtProjectionWorkspace:
         self._nodal_div = space.nodal_divergences()
         self._div_fix = np.linalg.pinv(self._nodal_div[:, :, nfl:])
         # every MINI space on the mesh has the same cell dofs and basis
-        self._mini_tab = assemble.ScalarTab(MiniScalarSpace(mesh), self.geom)
+        self.mini_tab = assemble.ScalarTab(MiniScalarSpace(mesh), self.geom)
         self.last_report = None
 
     def _values_at_quad(self, v):
@@ -145,7 +145,7 @@ class RtProjectionWorkspace:
             if isinstance(space, RT1Space):
                 return assemble.eval_rt(self.rt_tab, v)
             if isinstance(space, MiniVectorSpace):
-                return assemble.eval_mini_vector(self._mini_tab, v)
+                return assemble.eval_mini_vector(self.mini_tab, v)
             raise ValueError(f"cannot project fields of kind {space.kind}")
         raise ValueError("expected a callable, point values, or FeField")
 
@@ -155,15 +155,12 @@ class RtProjectionWorkspace:
         nfl, nmult = self._mult.shape[1], space.n_facet_dofs
         bk = assemble.rt_load_blocks(self.rt_tab, self._values_at_quad(v))
 
-        # condense onto the multipliers and solve, with one refinement step
+        # condense onto the multipliers and solve
         Hb = np.einsum("cij,cj->ci", self._solve_local[:, :nfl], bk)
         r = np.bincount(self._mult.ravel(), weights=(self._sign * Hb).ravel(),
                         minlength=nmult)[:-1]
-        lam_k = self.lu.solve(r)
-        step = self.lu.solve(r - self.system_matrix @ lam_k)
-        lam_k += step
         lam = np.zeros(nmult)
-        lam[:-1] = lam_k
+        lam[:-1] = self.lu.solve(r)
 
         # back-substitute per cell, then glue the facet dofs together
         rhs = bk.copy()
@@ -198,10 +195,7 @@ class RtProjectionWorkspace:
             raise linalg.ResidualError(
                 f"hybridized projection residual {rel:.3e} > {tol:.1e}"
             )
-        self.last_report = linalg.SolveReport(rel, extras={
-            "refinement": float(np.linalg.norm(step)
-                                / max(np.linalg.norm(lam_k), 1e-300)),
-        })
+        self.last_report = linalg.SolveReport(rel)
         return FeField(space, coeffs)
 
 

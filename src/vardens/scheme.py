@@ -50,7 +50,11 @@ class NumericalBreakdownError(Exception):
 
 @dataclass
 class SchemeConfig:
-    """Time step, viscosity, horizon, cut-off and source settings."""
+    """Time step, viscosity, horizon, cut-off and source settings.
+
+    The horizon is ``T`` or ``n_steps``, a positive integer; given both, T
+    must be n_steps * tau.
+    """
 
     tau: float
     mu: float
@@ -70,12 +74,16 @@ class SchemeConfig:
         if self.n_steps is None:
             if self.T is None:
                 raise ValueError("give either T or n_steps")
-            steps = self.T / self.tau
-            self.n_steps = int(round(steps))
-            if abs(steps - self.n_steps) > 1e-8 * max(1.0, steps):
-                raise ValueError("T must be an integer multiple of tau")
+            self.n_steps = int(round(self.T / self.tau))
+        if not isinstance(self.n_steps, (int, np.integer)) or self.n_steps < 1:
+            raise ValueError(f"n_steps must be a positive integer: "
+                             f"{self.n_steps!r}")
         if self.T is None:
             self.T = self.n_steps * self.tau
+        steps = self.T / self.tau
+        if abs(steps - self.n_steps) > 1e-8 * max(1.0, steps):
+            raise ValueError(f"T = {self.T} and n_steps * tau = "
+                             f"{self.n_steps * self.tau} disagree")
         self.check_bounds()
 
     def check_bounds(self):
@@ -169,11 +177,11 @@ class TimeStepper:
         self.p2_lo = assemble.ScalarTab(self.rho_space, self.geom_lo)
         self.p2_hi = assemble.ScalarTab(self.rho_space, self.geom_hi)
         self.mini_hi = assemble.ScalarTab(self.vel_space.scalar, self.geom_hi)
-        self.mini_lo = assemble.ScalarTab(self.vel_space.scalar, self.geom_lo)
         self.p1_hi = assemble.ScalarTab(self.p_space, self.geom_hi)
         self.trace = assemble.DGFacetTrace(self.rho_space, self.fquad)
 
         self.workspace = RtProjectionWorkspace(mesh, geom=self.geom_lo)
+        self.mini_lo = self.workspace.mini_tab
         self.rt_space = self.workspace.rt_space
         self.rt_lo = self.workspace.rt_tab
         self.rt_flux = assemble.RTFacetFlux(
@@ -291,7 +299,7 @@ class TimeStepper:
             + tau * self.rho_convection.blocks(w))
         return A, flux
 
-    def density_step(self, state: StepState, t_new=None) -> FeField:
+    def density_step(self, state: StepState) -> FeField:
         """Upwind dG transport solve for the new density, by GMRES on the
         inverse cell-mass blocks started from the old density.
 
@@ -303,8 +311,7 @@ class TimeStepper:
         """
         cfg = self.config
         tau = cfg.tau
-        if t_new is None:
-            t_new = state.t + tau
+        t_new = state.t + tau
         A, flux = self.density_matrix(state.w)
         rhs = self.rho_mass(state.rho.coeffs)
         if cfg.f is not None:
@@ -403,13 +410,12 @@ class TimeStepper:
         return rho_q, chi, M
 
     # ------------------------------------------------------------------
-    def velocity_step(self, state: StepState, rho_new: FeField, t_new=None):
+    def velocity_step(self, state: StepState, rho_new: FeField):
         """Linearized saddle-point solve for the new velocity and pressure."""
         cfg = self.config
         tau = cfg.tau
         d = self.mesh.dim
-        if t_new is None:
-            t_new = state.t + tau
+        t_new = state.t + tau
 
         _, _, M_old = self._weighted_mass(state.rho)
         _, chi_new, M_new = self._weighted_mass(rho_new)
@@ -474,8 +480,8 @@ class TimeStepper:
         t0 = time.perf_counter()
         cfg = self.config
         t_new = state.t + cfg.tau
-        rho_new = self.density_step(state, t_new)
-        u_new, p_new = self.velocity_step(state, rho_new, t_new)
+        rho_new = self.density_step(state)
+        u_new, p_new = self.velocity_step(state, rho_new)
         w_new = self._project(u_new, state.n + 1)
         new_state = StepState(state.n + 1, t_new, rho_new, u_new, p_new, w_new)
         diag = self._diagnostics(state, new_state, time.perf_counter() - t0)

@@ -58,13 +58,13 @@ def test_chunked_forms_match_one_batch(cube6):
 
     G = (inv @ inv_t).reshape(nc, -1)
     K = geom.wdet[:, :, None] * G[:, None, :]
-    upper = K.reshape(nc, -1) @ mini._stiffness_ref
-    ref = mini.pattern.matrix(assemble._mirror(upper))
+    nloc = mini.vals.shape[1]
+    local = (K.reshape(nc, -1) @ mini._stiffness_ref).reshape(nc, nloc, nloc)
+    ref = mini.pattern.matrix(assemble._symmetric(local))
     assert _same(assemble.stiffness_matrix(mini), ref)
 
     K = np.matmul(wvec, inv_t) * (geom.wdet * coef)[..., None]
     local = K.reshape(nc, -1) @ mini._convection_ref
-    nloc = mini.vals.shape[1]
     ref = mini.pattern.matrix(local.reshape(nc, nloc, nloc))
     assert _same(assemble.convection_matrix(mini, wvec, coef=coef), ref)
 
@@ -78,6 +78,35 @@ def test_chunked_forms_match_one_batch(cube6):
             ).reshape(nc, -1)
     pattern = assemble.Pattern.build(got.shape, rows, p1.cell_dofs)
     assert _same(got, pattern.matrix(local.reshape(nc, rows.shape[1], -1)))
+
+
+@pytest.mark.parametrize("chunk", [7, 10**6])
+def test_chunked_forms_do_not_depend_on_the_chunk(cube6, monkeypatch, chunk):
+    """Bitwise against one batch; chunks of 7 cells are products small
+    enough for OpenBLAS's small-matrix kernel, which sums in another order,
+    so there the forms agree to rounding (assemble module docstring)."""
+    d = cube6.dim
+    geom = assemble.CellQuadrature(cube6, 2 * (d + 1) + 2)
+    mini = assemble.ScalarTab(MiniScalarSpace(cube6), geom)
+    p1 = assemble.ScalarTab(P1Space(cube6), geom)
+    rng = np.random.default_rng(6)
+    coef = rng.uniform(0.5, 2.0, size=geom.wdet.shape)
+    wvec = rng.standard_normal(geom.wdet.shape + (d,))
+
+    def forms():
+        return (assemble.stiffness_matrix(mini),
+                assemble.convection_matrix(mini, wvec, coef=coef),
+                assemble.div_coupling(mini, p1))
+
+    ref = forms()
+    monkeypatch.setattr(assemble, "CHUNK", chunk)
+    for got, want in zip(forms(), ref):
+        if chunk > cube6.n_cells:
+            assert _same(got, want)
+        else:
+            assert np.array_equal(got.indices, want.indices)
+            err = np.abs(got.data - want.data).max()
+            assert err <= 1e-14 * np.abs(want.data).max()
 
 
 @pytest.mark.parametrize("name", ["cube3d", "cube3d_nonsmooth"])

@@ -311,3 +311,28 @@ def test_corrupted_divergence_blocks_fail_the_residual_check():
     with pytest.raises(linalg.ResidualError,
                        match="hybridized projection residual"):
         ws.project(v)
+
+
+def test_project_makes_one_solve_of_the_factor():
+    """No refinement step: one solve of ``lu`` per projection, and the
+    result still passes the mixed-residual check."""
+    ws = RtProjectionWorkspace(unit_cube_mesh(2))
+
+    class Counting:
+        def __init__(self, lu):
+            self.lu, self.solves = lu, 0
+
+        def solve(self, b):
+            self.solves += 1
+            return self.lu.solve(b)
+
+        def __getattr__(self, name):
+            return getattr(self.lu, name)
+
+    ws.lu = Counting(ws.lu)
+    v = lambda x: np.stack([np.sin(3 * x[..., 1]), x[..., 0] * x[..., 2],
+                            np.cos(x[..., 0])], axis=-1)
+    for calls in (1, 2):
+        ws.project(v)
+        assert ws.lu.solves == calls
+    assert ws.last_report.residual <= 1e-12

@@ -37,6 +37,20 @@ def test_config_validation():
     assert cfg.n_steps == 5
 
 
+@pytest.mark.parametrize("kw", [dict(T=0.5, n_steps=2), dict(n_steps=-3),
+                                dict(n_steps=0), dict(n_steps=2.5),
+                                dict(n_steps=2.0), dict(T=-1 / 32)])
+def test_config_rejects_a_horizon_that_cannot_be_marched(kw):
+    with pytest.raises(ValueError, match="T = |n_steps"):
+        SchemeConfig(tau=1 / 64, mu=1e-3, **kw)
+
+
+def test_config_accepts_a_consistent_horizon():
+    cfg = SchemeConfig(tau=1 / 64, mu=1e-3, T=1 / 32, n_steps=np.int64(2))
+    assert (cfg.T, cfg.n_steps) == (1 / 32, 2)
+    assert SchemeConfig(tau=1 / 64, mu=1e-3, n_steps=3).T == 3 / 64
+
+
 @pytest.mark.parametrize("mode", ["strict", "widened"])
 @pytest.mark.parametrize("bounds", [dict(rho_min=3.0, rho_max=0.5),
                                     dict(rho_max=-2.0), dict(rho_max=0.0)])
@@ -262,11 +276,11 @@ def test_run_abort_carries_step_index_and_state():
     calls = {"n": 0}
     orig = st.density_step
 
-    def failing(state, t_new=None):
+    def failing(state):
         if calls["n"] == 2:
             raise RuntimeError("injected failure")
         calls["n"] += 1
-        return orig(state, t_new)
+        return orig(state)
 
     st.density_step = failing
     with pytest.raises(NumericalBreakdownError, match="step 3 failed") as exc:
