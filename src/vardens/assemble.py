@@ -17,12 +17,16 @@ reference points, and its mass and divergence forms are reference tensors
 mapped by each cell's Piola matrix (``rt_blocks``); no physical basis is
 tabulated.
 
-Work whose temporaries would grow with the mesh (pattern slots, the
-stiffness, convection and divergence forms) runs over ``CHUNK`` cells at a
-time, the forms through one kernel, ``_cell_blocks``.  Their rows are the
-one-batch rows up to the BLAS's summation order: OpenBLAS runs products of
-at most 10^6 multiply-adds through a small-matrix kernel, so a chunk of a
-few cells can differ from one batch in the last bits.
+Work whose temporaries would grow with the mesh (pattern slots, the cell
+forms) runs over ``CHUNK`` cells at a time, the forms through one kernel,
+``_cell_blocks``, which asks for each chunk's coefficients in turn.  So a
+form's point data can be given as a function of the chunk
+(``mass_matrix``): the per-step forms on the high rule then never hold a
+coefficient, weight or field value for the whole mesh, and the quadrature
+stores no per-point array (``CellQuadrature``).  The rows are the one-batch
+rows up to the BLAS's summation order: OpenBLAS runs products of at most
+10^6 multiply-adds through a small-matrix kernel, so a chunk of a few cells
+can differ from one batch in the last bits.
 
 Local blocks are scattered through a ``Pattern``: the CSR structure of the
 global matrix, built once per pair of row and column dof maps, with the
@@ -62,7 +66,7 @@ import scipy.sparse as sp
 from .quadrature import facet_rule, reference_simplex_measure, simplex_rule
 from .spaces import barycentric
 
-# Cells or facets per chunk in the loops that bound set-up temporaries.
+# Cells or facets per chunk in the loops that bound temporaries.
 CHUNK = 512
 
 
@@ -161,18 +165,41 @@ class Pattern:
 
 
 class CellQuadrature:
-    """Physical quadrature points and weights for every cell."""
+    """A reference rule mapped to every cell.
+
+    It stores per-cell data only, |det J| and the mesh's affine maps.  The
+    per-point arrays are formed when asked for: the weights ``wdet`` (nc,
+    nq) on every access, or for a chunk of cells (``weights_at``), and the
+    physical points by ``map_points``.  ``points`` caches them on first
+    use, for rules whose points are read every step; a high rule's arrays
+    then live only as long as their caller holds them.
+    """
 
     def __init__(self, mesh, degree):
         self.mesh = mesh
         self.rule = simplex_rule(mesh.dim, degree)
-        B = mesh.jacobians
-        v0 = mesh.vertices[mesh.cells[:, 0]]
-        self.points = v0[:, None, :] + np.einsum(
-            "qk,cdk->cqd", self.rule.points, B
-        )
-        self.wdet = np.abs(mesh.dets)[:, None] * self.rule.weights[None, :]
+        self.abs_dets = np.abs(mesh.dets)
         self.npoints = self.rule.npoints
+
+    def map_points(self):
+        """Physical points (nc, nq, d), a new array on every call."""
+        mesh = self.mesh
+        v0 = mesh.vertices[mesh.cells[:, 0]]
+        return v0[:, None, :] + np.einsum(
+            "qk,cdk->cqd", self.rule.points, mesh.jacobians
+        )
+
+    @functools.cached_property
+    def points(self):
+        return self.map_points()
+
+    def weights_at(self, cells):
+        """Weights times |det J| (n, nq) of the cells ``cells`` selects."""
+        return self.abs_dets[cells, None] * self.rule.weights[None, :]
+
+    @property
+    def wdet(self):
+        return self.weights_at(slice(None))
 
 
 class ScalarTab:
@@ -426,35 +453,56 @@ class RTFacetFlux:
         self.table = (d * (d + 1) * np.eye(d) - d) @ lam.T  # G^-1 lam^T
 
 
-def _weights(tab, coef):
-    return tab.geom.wdet if coef is None else tab.geom.wdet * coef
+def _by_chunk(values):
+    """Point data as a function of a chunk of cells: ``values`` itself when
+    it is one (or None), else its rows ``values[s]``."""
+    if values is None or callable(values):
+        return values
+    return lambda s: values[s]
+
+
+def _weights(tab, coef, s):
+    """Weights times |det J| on the chunk ``s``, times ``coef`` if given."""
+    w = tab.geom.weights_at(s)
+    return w if coef is None else w * coef(s)
 
 
 def mass_matrix(tab, coef=None):
-    """(coef u, v) on ``tab``'s space; bitwise symmetric (module docstring)."""
+    """(coef u, v) on ``tab``'s space; bitwise symmetric (module docstring).
+
+    ``coef`` is given at the tab's quadrature points (nc, nq), or as a
+    function of a chunk of cells that returns those rows, so that its
+    values need never exist for the whole mesh at once.
+    """
+    coef = _by_chunk(coef)
+    local = _cell_blocks(tab.space.mesh.n_cells,
+                         lambda s: _weights(tab, coef, s), tab._mass_ref)
     nloc = tab.vals.shape[1]
-    local = (_weights(tab, coef) @ tab._mass_ref).reshape(-1, nloc, nloc)
-    return tab.pattern.matrix(_symmetric(local))
+    return tab.pattern.matrix(_symmetric(local.reshape(-1, nloc, nloc)))
 
 
 def stiffness_matrix(tab):
     """(grad u, grad v); bitwise symmetric (module docstring)."""
     inv = tab.space.mesh.inv_jacobians
     G = (inv @ np.swapaxes(inv, 1, 2)).reshape(len(inv), -1)  # invJ invJ^T
-    w = tab.geom.wdet
-    local = _cell_blocks(len(G), lambda s: w[s, :, None] * G[s, None, :],
-                         tab._stiffness_ref)
+    local = _cell_blocks(
+        len(G), lambda s: tab.geom.weights_at(s)[:, :, None] * G[s, None, :],
+        tab._stiffness_ref)
     nloc = tab.vals.shape[1]
     return tab.pattern.matrix(_symmetric(local.reshape(-1, nloc, nloc)))
 
 
 def convection_matrix(tab, wvec, coef=None):
-    """(coef (wvec . grad u), v) with wvec given at quadrature points."""
+    """(coef (wvec . grad u), v), wvec (nc, nq, d) and coef given at the
+    quadrature points, or each as a function of a chunk of cells
+    (``mass_matrix``)."""
     inv_t = np.swapaxes(tab.space.mesh.inv_jacobians, 1, 2)
-    w = _weights(tab, coef)
-    local = _cell_blocks(
-        len(w), lambda s: np.matmul(wvec[s], inv_t[s]) * w[s, :, None],
-        tab._convection_ref)
+    wvec, coef = _by_chunk(wvec), _by_chunk(coef)
+
+    def chunk(s):
+        return np.matmul(wvec(s), inv_t[s]) * _weights(tab, coef, s)[..., None]
+
+    local = _cell_blocks(len(inv_t), chunk, tab._convection_ref)
     nloc = tab.vals.shape[1]
     return tab.pattern.matrix(local.reshape(-1, nloc, nloc))
 
@@ -511,11 +559,11 @@ def div_coupling(mini_tab, p1_tab):
     nc = len(mini_tab.cell_dofs)
     # K[(c, k), (q, e)] = w_cq invJ_cek; R[(q, e), (a, m)] = dpsi_qae q_qm
     inv_t = np.swapaxes(mini_tab.space.mesh.inv_jacobians, 1, 2)
-    w = mini_tab.geom.wdet
+    weights_at = mini_tab.geom.weights_at
     R = (np.swapaxes(mini_tab.ref_grads, 1, 2)[:, :, :, None]
          * p1_tab.vals[:, None, None, :])
     local = _cell_blocks(
-        nc, lambda s: w[s, None, :, None] * inv_t[s, :, None, :],
+        nc, lambda s: weights_at(s)[:, None, :, None] * inv_t[s, :, None, :],
         R.reshape(-1, R.shape[2] * R.shape[3]))
     rows = (mini_tab.cell_dofs[:, None, :]
             + ns * np.arange(d)[:, None]).reshape(nc, -1)
@@ -619,15 +667,17 @@ def integrate(geom, values):
     return float(np.einsum("cq,cq->", geom.wdet, values))
 
 
-def eval_scalar(tab, field):
-    """Point values (nc, nq) of a scalar field on ``tab``'s quadrature."""
-    return field.coeffs[tab.cell_dofs] @ tab.vals.T
+def eval_scalar(tab, field, cells=slice(None)):
+    """Point values (n, nq) of a scalar field on ``tab``'s quadrature, on
+    the cells ``cells`` selects (all by default)."""
+    return field.coeffs[tab.cell_dofs[cells]] @ tab.vals.T
 
 
-def eval_mini_vector(tab, field):
-    """Point values (nc, nq, d) of a component-major vector field."""
+def eval_mini_vector(tab, field, cells=slice(None)):
+    """Point values (n, nq, d) of a component-major vector field on the
+    cells ``cells`` selects (all by default)."""
     space = field.space
-    comps = field.coeffs.reshape(space.dim, -1)[:, tab.cell_dofs]
+    comps = field.coeffs.reshape(space.dim, -1)[:, tab.cell_dofs[cells]]
     return np.moveaxis(comps @ tab.vals.T, 0, -1)
 
 

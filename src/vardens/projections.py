@@ -32,8 +32,7 @@ def project_dg(tab, f):
     geom = tab.geom
     values = f(geom.points) if callable(f) else np.asarray(f)
     rhs = assemble.load_blocks(tab, values)
-    coeffs = (np.linalg.solve(tab.ref_mass, rhs.T).T
-              / np.abs(tab.space.mesh.dets)[:, None])
+    coeffs = np.linalg.solve(tab.ref_mass, rhs.T).T / geom.abs_dets[:, None]
     return FeField(tab.space, coeffs.reshape(-1))
 
 
@@ -101,7 +100,8 @@ class RtProjectionWorkspace:
         A[:, :nl, :nl] = Mk
         A[:, :nl, nl:] = np.swapaxes(Bk, 1, 2)
         A[:, nl:, :nl] = Bk
-        self._solve_local = np.linalg.inv(A)[:, :, :nl]
+        # a copy, not a view that would keep the whole inverse alive
+        self._solve_local = np.linalg.inv(A)[:, :, :nl].copy()
 
         # signed facet-dof -> multiplier map: +1 from the facet's minus
         # cell; the multiplier of RT1 facet dof i is rank[i]

@@ -195,7 +195,7 @@ class TimeStepper:
         self.rho_convection = assemble.RTConvection(self.p2_lo, self.rt_lo)
         self._rho_ref_mass = self.p2_lo.ref_mass
         self._rho_ref_mass_inv_t = np.linalg.inv(self._rho_ref_mass).T
-        self._abs_dets = np.abs(mesh.dets)
+        self._abs_dets = self.geom_lo.abs_dets
         self.ones_rho = assemble.load_vector(
             self.p2_lo, np.ones_like(self.geom_lo.wdet)
         )
@@ -249,10 +249,13 @@ class TimeStepper:
     # ------------------------------------------------------------------
     def initialize(self, rho0, u0) -> StepState:
         """Project the initial density, interpolate the initial velocity,
-        auto-fill the cut-off bounds, and cache the post-processed field."""
-        samples = np.concatenate(
-            [rho0(self.geom_hi.points).ravel(), rho0(self.mesh.vertices)]
-        )
+        auto-fill the cut-off bounds, and cache the post-processed field.
+
+        ``rho0`` is sampled once on the high rule, at points that are not
+        kept; those samples give the bounds and the projection.
+        """
+        rho_q = rho0(self.geom_hi.map_points())
+        samples = np.concatenate([rho_q.ravel(), rho0(self.mesh.vertices)])
         smin, smax = float(samples.min()), float(samples.max())
         if smin <= 0.0:
             raise PositivityError(
@@ -264,7 +267,7 @@ class TimeStepper:
             self.config.rho_max = smax
         self.config.check_bounds()
 
-        rho_h = project_dg(self.p2_hi, rho0)
+        rho_h = project_dg(self.p2_hi, rho_q)
         u_h = interpolate_mini(self.vel_space, u0)
         p_h = FeField(self.p_space, np.zeros(self.p_space.n_dofs))
         return StepState(0, 0.0, rho_h, u_h, p_h, self._project(u_h, 0))
@@ -351,8 +354,9 @@ class TimeStepper:
         wall time of the whole solve and ``extras["refreshed"]``.  The
         bordered matrix is structurally symmetric, so it is factored with
         the minimum-degree ordering.  A report of a solve that factored
-        carries the factor's fill, nnz(L) + nnz(U), as
-        ``extras["velocity_factor_nnz"]``.  The residual contract is
+        carries the factor's fill as ``extras["velocity_factor_nnz"]``:
+        ``SuperLU.nnz``, the count of entries SuperLU stores for L and U
+        (``_factor_velocity``).  The residual contract is
         enforced on GMRES and on the refresh alike; a refresh that misses
         it raises ``ResidualError`` with the refreshed residual.
         """
@@ -385,13 +389,31 @@ class TimeStepper:
         return x[:-1], report
 
     def _factor_velocity(self, Kc):
-        """Factor the bordered saddle matrix; returns nnz(L) + nnz(U)."""
+        """Factor the bordered saddle matrix; returns ``SuperLU.nnz``, the
+        entries SuperLU stores for L and U.  Reading ``L`` or ``U`` instead
+        would make scipy keep CSC copies of both for the factor's life."""
         self._vel_lu = linalg.factorize(Kc, "mmd")
-        return self._vel_lu.L.nnz + self._vel_lu.U.nnz
+        return self._vel_lu.nnz
+
+    def _chi(self, rho, clamped=None):
+        """chi = cutoff(rho) on the high rule as a function of a chunk of
+        cells (``assemble.mass_matrix``), so no sample array spans the
+        mesh.  Each call appends to the list ``clamped``, if given, the
+        number of the chunk's samples that the cut-off clamps."""
+        band = cutoff_bounds(self.config)
+
+        def chi(s):
+            rho_q = assemble.eval_scalar(self.p2_hi, rho, s)
+            if clamped is not None and band is not None:
+                clamped.append(np.count_nonzero(
+                    (rho_q < band[0]) | (rho_q > band[1])))
+            return cutoff(rho_q, self.config)
+
+        return chi
 
     def _weighted_mass(self, rho):
-        """Samples of ``rho`` on the high rule, their cut-off chi, and the
-        MINI mass matrix weighted by chi.
+        """The number of samples of ``rho`` on the high rule that the
+        cut-off clamps, and the MINI mass matrix weighted by chi.
 
         The last two results are cached on the values of ``rho`` and the
         cut-off band, so the mass matrix of the new density of one step is
@@ -401,13 +423,12 @@ class TimeStepper:
         for hit in self._chi_cache:
             if hit[0] == band and np.array_equal(hit[1], rho.coeffs):
                 return hit[2:]
-        rho_q = assemble.eval_scalar(self.p2_hi, rho)
-        chi = cutoff(rho_q, self.config)
-        M = assemble.mass_matrix(self.mini_hi, chi)
+        clamped = []
+        M = assemble.mass_matrix(self.mini_hi, self._chi(rho, clamped))
         self._chi_cache = self._chi_cache[-1:] + [
-            (band, rho.coeffs.copy(), rho_q, chi, M)
+            (band, rho.coeffs.copy(), int(sum(clamped)), M)
         ]
-        return rho_q, chi, M
+        return self._chi_cache[-1][2:]
 
     # ------------------------------------------------------------------
     def velocity_step(self, state: StepState, rho_new: FeField):
@@ -417,10 +438,14 @@ class TimeStepper:
         d = self.mesh.dim
         t_new = state.t + tau
 
-        _, _, M_old = self._weighted_mass(state.rho)
-        _, chi_new, M_new = self._weighted_mass(rho_new)
-        u_old_q = assemble.eval_mini_vector(self.mini_hi, state.u)
-        N = assemble.convection_matrix(self.mini_hi, u_old_q, coef=chi_new)
+        M_old = self._weighted_mass(state.rho)[1]
+        M_new = self._weighted_mass(rho_new)[1]
+        # u_old and chi(rho_new) at the high rule's points, chunk by chunk
+        N = assemble.convection_matrix(
+            self.mini_hi,
+            lambda s: assemble.eval_mini_vector(self.mini_hi, state.u, s),
+            coef=self._chi(rho_new),
+        )
 
         A_s = (
             (0.5 / tau) * (M_old.data + M_new.data)
@@ -497,7 +522,7 @@ class TimeStepper:
 
     def _diagnostics(self, old, new, wall):
         cfg = self.config
-        rho_q = self._weighted_mass(new.rho)[0]
+        clamped = self._weighted_mass(new.rho)[0]
         energy = self.energy(new)
         viscous = 0.0
         for comp in new.u.coeffs.reshape(self.mesh.dim, -1):
@@ -511,11 +536,7 @@ class TimeStepper:
         mass = float(self.ones_rho @ new.rho.coeffs)
 
         # share of the density samples the cut-off clamped
-        band = cutoff_bounds(cfg)
-        clamped = 0 if band is None else int(np.count_nonzero(
-            (rho_q < band[0]) | (rho_q > band[1])
-        ))
-        fraction = clamped / rho_q.size
+        fraction = clamped / (self.mesh.n_cells * self.geom_hi.npoints)
         density = self.last_reports["density"]
         velocity = self.last_reports["velocity"]
         extras = {
@@ -537,7 +558,7 @@ class TimeStepper:
         """0.5||rho||^2 + int 0.5 chi(rho)|u|^2 for an arbitrary state:
         0.5 rho . rho_mass(rho) + 0.5 sum_k u_k^T M u_k, M the chi-weighted
         mass (cached on the density, ``_weighted_mass``)."""
-        M = self._weighted_mass(state.rho)[2]
+        M = self._weighted_mass(state.rho)[1]
         rho = state.rho.coeffs
         e = 0.5 * float(rho @ self.rho_mass(rho))
         for comp in state.u.coeffs.reshape(self.mesh.dim, -1):

@@ -197,3 +197,90 @@ def test_stepper_keeps_no_assembled_mass_copies(make_mesh, n):
             if sp.issparse(value):
                 assert value.shape[0] != nrho, name
                 assert obj is st or name == "system_matrix", name
+
+
+def _arrays(value):
+    """The NumPy arrays ``value`` holds: itself, its items if it is a tuple,
+    list or dict, a sparse matrix's data, and the attributes of an object of
+    the package, such as a quadrature, tab, pattern or workspace."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if sp.issparse(value):
+        return [value.data]
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (tuple, list)):
+        return [a for item in value for a in _arrays(item)]
+    if type(value).__module__.startswith("vardens."):
+        return _arrays(vars(value))
+    return []
+
+
+@pytest.mark.parametrize("make_mesh, n", [(unit_square_mesh, 4),
+                                          (unit_cube_mesh, 2)])
+def test_stepper_keeps_no_high_rule_arrays(make_mesh, n):
+    """After a run the stepper, its quadratures, tabs and workspace and the
+    chi cache hold no array with an entry per cell and high-rule point:
+    none of shape (n_cells, nq_hi, ...), and no flat one whose size is a
+    multiple of n_cells nq_hi.  So no points, weights, density samples or
+    chi of the high rule survive a step."""
+    case = mms.make_case("square2d" if n == 4 else "cube3d")
+    st = TimeStepper(make_mesh(n), SchemeConfig(
+        tau=1 / 64, mu=0.001, n_steps=2, cutoff_mode="widened"))
+    st.run(lambda x: case.rho(x, 0.0), lambda x: case.u(x, 0.0),
+           check_energy=False)
+    nc, nq = st.mesh.n_cells, st.geom_hi.npoints
+    assert st._chi_cache
+    for name, value in vars(st).items():
+        for a in _arrays(value):
+            flat = a.ndim == 1 and a.size and a.size % (nc * nq) == 0
+            assert a.shape[:2] != (nc, nq) and not flat, (name, a.shape)
+
+
+# Peak traced allocation over two steps with sources on unit_cube_mesh(6),
+# after initialize and with the source fields built, and the largest growth
+# within one velocity step, were 15.7 MB and 7.0 MB when these bounds were
+# set; each bound is 1.25 times its figure.  Before the velocity step formed
+# its high-rule values chunk by chunk they were 30.1 MB and 24.0 MB.
+MARCH_PEAK_BOUND_MB = 1.25 * 15.7
+VELOCITY_STEP_PEAK_BOUND_MB = 1.25 * 7.0
+
+
+def test_march_allocation_is_bounded():
+    """What two steps allocate: the source evaluator builds its spatial
+    fields before tracing starts, so the figures are the stepper's.  The
+    density step sets the march's peak, so the growth within each velocity
+    step is bounded on its own too."""
+    case = mms.make_case("cube3d")
+    sources = case.make_source_evaluator(0.001)
+    config = SchemeConfig(tau=1 / 512, mu=0.001, n_steps=2,
+                          cutoff_mode="widened", f=sources.f, g=sources.g)
+    stepper = TimeStepper(unit_cube_mesh(6), config)
+    state = stepper.initialize(lambda x: case.rho(x, 0.0),
+                               lambda x: case.u(x, 0.0))
+    sources.f(stepper.geom_lo.points, 0.0)
+    sources.g(stepper.geom_lo.points, 0.0)
+    # the march's peak is the largest of the peaks between resets
+    velocity_step, peaks, growth = stepper.velocity_step, [], []
+
+    def traced_velocity_step(*args):
+        start, peak = tracemalloc.get_traced_memory()
+        peaks.append(peak)
+        tracemalloc.reset_peak()
+        out = velocity_step(*args)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        growth.append(peaks[-1] - start)
+        tracemalloc.reset_peak()
+        return out
+
+    stepper.velocity_step = traced_velocity_step
+    tracemalloc.start()
+    try:
+        for _ in range(2):
+            state, _ = stepper.step(state)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert len(growth) == 2
+    assert max(growth) / 1e6 <= VELOCITY_STEP_PEAK_BOUND_MB, max(growth) / 1e6
+    assert max(peaks) / 1e6 <= MARCH_PEAK_BOUND_MB, max(peaks) / 1e6

@@ -462,13 +462,13 @@ def test_step_records_solver_iterations_and_refreshes():
 
 
 def test_step_records_velocity_factor_fill():
-    """A step that factors the velocity matrix reports nnz(L) + nnz(U);
-    the steps that reuse the factor report none."""
+    """A step that factors the velocity matrix reports the factor's stored
+    count, ``SuperLU.nnz``; the steps that reuse the factor report none."""
     case = make_case("square2d")
     st = TimeStepper(unit_square_mesh(4), _config(n_steps=2))
     state = st.initialize(lambda x: case.rho(x, 0.0), lambda x: case.u(x, 0.0))
     state, diag = st.step(state)
-    fill = st._vel_lu.L.nnz + st._vel_lu.U.nnz
+    fill = st._vel_lu.nnz
     assert diag.extras["velocity_factor_nnz"] == fill > 0
     assert st.last_reports["velocity"].extras["velocity_factor_nnz"] == fill
     state, diag = st.step(state)
@@ -605,5 +605,4 @@ def test_stale_velocity_factor_is_refreshed_within_one_cycle(monkeypatch):
     assert np.abs(projections.rt_divergence_nodal(state.w)).max() <= 1e-11
     assert diag.extras["velocity_refreshed"] is True
     assert diag.extras["velocity_iterations"] == 0
-    assert diag.extras["velocity_factor_nnz"] == (st._vel_lu.L.nnz
-                                                  + st._vel_lu.U.nnz)
+    assert diag.extras["velocity_factor_nnz"] == st._vel_lu.nnz
