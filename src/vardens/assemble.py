@@ -448,7 +448,7 @@ class RTFacetFlux:
 
     def __init__(self, space, fquad, facets):
         d = space.dim
-        self.dofs = facets[:, None] * d + np.arange(d)
+        self.dofs = space.facet_dofs(facets)
         lam = barycentric(fquad.rule.points, d - 1)       # (nq, d)
         self.table = (d * (d + 1) * np.eye(d) - d) @ lam.T  # G^-1 lam^T
 

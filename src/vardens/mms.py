@@ -11,16 +11,16 @@ The sources then split into spatial fields weighted by scalars of time:
 (plus (1/2) f u for the scheme's momentum source).  The fields a_k,
 u.grad a_k, u, (u.grad)u, lap u and grad b_j come from one forward-mode
 dual-number pass over space (first partials and the pure second spatial
-partials), which avoids hand-transcribing the 3D nonlinear terms.
-``SourceEvaluator`` runs that pass once per point set; each step then
-evaluates only the time factors, as duals on a 0-d time variable, and a
-few weighted sums.
+partials), which avoids hand-transcribing the 3D nonlinear terms.  Each
+step then evaluates only the time factors, as duals on a 0-d time
+variable, and a few weighted sums.
 
 The plain (non-dual) rho, u and p are an independent transcription, used
 for initial data, error tracking and tests.  The plain rho is its own list
-of (time factor) x (space factor) terms.  ``ExactCase`` keeps the space
-factors for the last point set, and the values of the steady u, so
-tracking the error at the same quadrature points every step evaluates no
+of (time factor) x (space factor) terms.  ``ExactCase`` keeps, for the
+last point set only, the plain rho's space factors, the values of the
+steady u and the sources' spatial fields, so a run that loads its sources
+and tracks its errors at one set of quadrature points evaluates no
 trigonometric or power function of the points after the first step.  The
 terms are summed in the order of the closed-form formulas, so the cached
 values equal those formulas bit for bit.
@@ -190,9 +190,9 @@ class _LastPointSet:
     ``compute`` maps a field's name to its function of the points.  Points
     are compared by value, so an array changed in place is computed
     afresh; the fields share one copy of the points.  One set is enough: a
-    run tracks its errors and evaluates its sources at one set of
-    quadrature points each, every step, and holding no other set keeps the
-    memory of a study, which runs one case on mesh after mesh, bounded.
+    run loads its sources and tracks its errors at the same quadrature
+    points every step, and holding no other set keeps the memory of a
+    study, which runs one case on mesh after mesh, bounded.
     """
 
     def __init__(self, compute):
@@ -232,17 +232,18 @@ class ExactCase:
         self._p_terms = p_terms
         self._rho_plain_terms = rho_plain_terms
         self._p = p_plain
-        self._p_mean_cache = {}
-        self._plain = _LastPointSet({
+        # ``_spatial`` is looked up at call time, so it can be replaced
+        self._cache = _LastPointSet({
             "rho": lambda x: [_at(a, x) for _, a in rho_plain_terms],
             "u": u_plain,
+            "sources": lambda x: self._spatial(x),
         })
 
     # plain evaluations -----------------------------------------------
     def rho(self, x, t):
         """sum_k theta_k(t) a_k(x) in term order, the a_k kept for the last
         point set."""
-        space = self._plain("rho", np.asarray(x, dtype=float))
+        space = self._cache("rho", np.asarray(x, dtype=float))
         out = None
         for (theta, _), a in zip(self._rho_plain_terms, space):
             term = a * _at(theta, t)
@@ -252,7 +253,7 @@ class ExactCase:
     def u(self, x, t):
         """The steady velocity, kept for the last point set; a new array
         each call."""
-        return self._plain("u", np.asarray(x, dtype=float)).copy()
+        return self._cache("u", np.asarray(x, dtype=float)).copy()
 
     def p(self, x, t):
         """Pressure re-centered to zero mean over the unit domain."""
@@ -260,11 +261,8 @@ class ExactCase:
         return self._p(x, t) - self.p_mean(t)
 
     def p_mean(self, t):
-        key = round(float(t), 14)
-        if key not in self._p_mean_cache:
-            pts, w = _unit_box_rule(self.dim, 12)
-            self._p_mean_cache[key] = float(w @ self._p(pts, t))
-        return self._p_mean_cache[key]
+        pts, w = _unit_box_rule(self.dim, 12)
+        return float(w @ self._p(pts, t))
 
     # dual closures composed from the terms -----------------------------
     def _rho_dual(self, X, T):
@@ -327,32 +325,33 @@ class ExactCase:
         w = [T._lift(_at(a, T)) for a, _ in terms]
         return np.array([[float(v.val), float(v.dt())] for v in w]).T
 
-    def _combine(self, fields, t, mu, scheme=False):
-        """(f, g) at time t from the fields of ``_spatial`` (u is steady):
-
-            f = sum_k theta_k' a_k + theta_k u.grad a_k
-            g = rho (u.grad)u + sum_j phi_j grad b_j - mu lap u
-
-        with (1/2) f u added to g when ``scheme`` is set.
-        """
+    def _f(self, fields, t):
+        """f = sum_k theta_k' a_k + theta_k u.grad a_k at time t from the
+        fields of ``_spatial``."""
         theta, dtheta = self._time_factors(self._rho_terms, t)
+        return (np.tensordot(dtheta, fields["a"], 1)
+                + np.tensordot(theta, fields["u_grad_a"], 1))
+
+    def _g(self, fields, t, mu, scheme=False):
+        """g = rho (u.grad)u + sum_j phi_j grad b_j - mu lap u at time t
+        from the fields of ``_spatial`` (u is steady), with (1/2) f u added
+        when ``scheme`` is set."""
+        theta, _ = self._time_factors(self._rho_terms, t)
         phi, _ = self._time_factors(self._p_terms, t)
-        f = (np.tensordot(dtheta, fields["a"], 1)
-             + np.tensordot(theta, fields["u_grad_a"], 1))
         rho = np.tensordot(theta, fields["a"], 1)
         g = (rho[..., None] * fields["u_grad_u"]
              + np.tensordot(phi, fields["grad_b"], 1) - mu * fields["lap_u"])
         if scheme:
-            g += 0.5 * f[..., None] * fields["u"]
-        return f, g
+            g += 0.5 * self._f(fields, t)[..., None] * fields["u"]
+        return g
 
     def source_f(self, x, t):
         """Transport source: d_t rho + u . grad rho (u is divergence-free)."""
-        return self._combine(self._spatial(x), t, 0.0)[0]
+        return self._f(self._spatial(x), t)
 
     def source_g(self, x, t, mu):
         """Momentum source: rho d_t u + rho (u.grad)u + grad p - mu lap u."""
-        return self._combine(self._spatial(x), t, mu)[1]
+        return self._g(self._spatial(x), t, mu)
 
     def scheme_momentum_source(self, x, t, mu):
         """Momentum source consistent with the stabilized discrete form.
@@ -364,7 +363,7 @@ class ExactCase:
         the compensation is required for the exact solution to remain a
         solution of the discrete form.
         """
-        return self._combine(self._spatial(x), t, mu, scheme=True)[1]
+        return self._g(self._spatial(x), t, mu, scheme=True)
 
     def div_u(self, x, t):
         u = self._u_dual(*make_vars(x, t))
@@ -375,37 +374,29 @@ class ExactCase:
 
 
 class SourceEvaluator:
-    """Per-run source closures: the spatial fields once per point set, one
-    combination per (point set, time).
+    """Per-run source closures: f and the scheme's momentum source g at
+    viscosity ``mu``.
 
     The transport and momentum sources are needed at the same quadrature
-    points every step.  The dual pass over space runs whenever the point
-    set differs from the last one (``_LastPointSet``); a new time costs
-    only the scalar time factors and a few weighted sums of the cached
-    fields, and ``f`` and ``g`` at one (points, time) share one
-    combination.
+    points every step.  The spatial fields come from the case's cache of
+    the last point set, so the dual pass over space runs only when the
+    points change; a new time costs the scalar time factors and a few
+    weighted sums of the cached fields.  The evaluator itself keeps no
+    array.
     """
 
     def __init__(self, case, mu):
         self.case = case
         self.mu = mu
-        self._spatial = _LastPointSet({"fields": case._spatial})
-        self._last = None  # (points, t, (f, g))
 
-    def _sources(self, x, t):
-        t = float(t)
-        last = self._last
-        if last is None or last[1] != t or not np.array_equal(last[0], x):
-            fields = self._spatial("fields", x)
-            self._last = (self._spatial.points, t,
-                          self.case._combine(fields, t, self.mu, scheme=True))
-        return self._last[2]
+    def _fields(self, x):
+        return self.case._cache("sources", np.asarray(x, dtype=float))
 
     def f(self, x, t):
-        return self._sources(np.asarray(x, dtype=float), t)[0]
+        return self.case._f(self._fields(x), t)
 
     def g(self, x, t):
-        return self._sources(np.asarray(x, dtype=float), t)[1]
+        return self.case._g(self._fields(x), t, self.mu, scheme=True)
 
 
 def _unit_box_rule(dim, n):

@@ -107,7 +107,7 @@ class RtProjectionWorkspace:
         # cell; the multiplier of RT1 facet dof i is rank[i]
         nfl = d * nm
         nmult = space.n_facet_dofs
-        by_facet = mesh.facet_dissection_order[:, None] * d + np.arange(d)
+        by_facet = space.facet_dofs(mesh.facet_dissection_order)
         rank = np.empty(nmult, dtype=np.int64)
         rank[by_facet.ravel()] = np.arange(nmult)
         self._mult = rank[space.cell_dofs[:, :nfl]]

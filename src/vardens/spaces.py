@@ -226,15 +226,16 @@ class RT1Space:
         self.n_dofs = d * nf + d * nc
         self.n_local = d * (d + 1) + d
 
-        fd = (mesh.cell_facets[:, :, None] * d + np.arange(d)).reshape(nc, -1)
+        fd = self.facet_dofs(mesh.cell_facets).reshape(nc, -1)
         idofs = d * nf + (np.arange(nc)[:, None] * d + np.arange(d))
         self.cell_dofs = np.concatenate([fd, idofs], axis=1)
 
+    def facet_dofs(self, facets):
+        """Dofs (..., d) of ``facets``: facet k owns d k, ..., d k + d - 1."""
+        return facets[..., None] * self.dim + np.arange(self.dim)
+
     def boundary_dofs(self):
-        d = self.dim
-        return (
-            self.mesh.boundary_facets[:, None] * d + np.arange(d)
-        ).ravel()
+        return self.facet_dofs(self.mesh.boundary_facets).ravel()
 
     def reference_basis(self, points):
         """Values (nq, n_local, d) and divergences (nq, n_local) of the

@@ -284,3 +284,30 @@ def test_march_allocation_is_bounded():
     assert len(growth) == 2
     assert max(growth) / 1e6 <= VELOCITY_STEP_PEAK_BOUND_MB, max(growth) / 1e6
     assert max(peaks) / 1e6 <= MARCH_PEAK_BOUND_MB, max(peaks) / 1e6
+
+
+def test_case_keeps_the_only_copy_of_the_source_points():
+    """After a step with sources the evaluator holds no array, the case's
+    cache holds the one copy of the low-rule points, and f, g, rho and u at
+    those points, at several times, ran one dual pass and one plain pass."""
+    case = mms.make_case("cube3d")
+    sources = case.make_source_evaluator(0.001)
+    stepper = TimeStepper(unit_cube_mesh(2), SchemeConfig(
+        tau=1 / 64, mu=0.001, n_steps=1, cutoff_mode="widened",
+        f=sources.f, g=sources.g))
+    state = stepper.initialize(lambda x: case.rho(x, 0.0),
+                               lambda x: case.u(x, 0.0))
+    calls = []
+    case._cache.compute = {
+        name: (lambda x, name=name, f=f: calls.append(name) or f(x))
+        for name, f in case._cache.compute.items()}
+    state, _ = stepper.step(state)
+    x = stepper.geom_lo.points
+    for t in (state.t, 0.0, 0.5):
+        sources.f(x, t), sources.g(x, t), case.rho(x, t), case.u(x, t)
+    assert calls == ["sources", "rho", "u"]
+    assert [name for name, value in vars(sources).items()
+            if value is not case and _arrays(value)] == []
+    copies = [a for a in _arrays(vars(case))
+              if a.shape == x.shape and np.array_equal(a, x)]
+    assert len(copies) == 1 and copies[0] is case._cache.points

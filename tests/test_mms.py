@@ -399,9 +399,9 @@ def test_plain_fields_are_computed_once_per_point_set(name, monkeypatch):
     set and again only when the points change, compared by value."""
     case = make_case(name)
     calls = []
-    monkeypatch.setattr(case._plain, "compute", {
+    monkeypatch.setattr(case._cache, "compute", {
         name: (lambda x, f=f: calls.append(1) or f(x))
-        for name, f in case._plain.compute.items()})
+        for name, f in case._cache.compute.items()})
     rng = np.random.default_rng(12)
     x = rng.uniform(0, 1, size=(40, 6, case.dim))
     for t in (0.0, 0.1, 0.2):
