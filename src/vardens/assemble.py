@@ -17,6 +17,16 @@ reference points, and its mass and divergence forms are reference tensors
 mapped by each cell's Piola matrix (``rt_blocks``); no physical basis is
 tabulated.
 
+A form weighted by a finite element field needs no point values either.
+The rho-weighted MINI mass and convection are trilinear in the cell
+coefficients of rho, of the convecting velocity and of J^-1, so one
+reference tensor per form, contracted once from the tab's mass or
+convection reference, gives every block from those coefficients
+(``WeightedForms``).  A weight that is not the field on some cells, such
+as a cut-off that clamps there, is given by point values on those cells
+alone (``FieldWeight``).  The load of a MINI field on the H(div) space is
+the same sum reassociated (``MiniRTLoad``).
+
 Work whose temporaries would grow with the mesh (pattern slots, the cell
 forms) runs over ``CHUNK`` cells at a time, the forms through one kernel,
 ``_cell_blocks``, which asks for each chunk's coefficients in turn.  So a
@@ -59,6 +69,7 @@ matrices.
 
 import functools
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -321,6 +332,108 @@ class RTConvection:
         return local.reshape(-1, self.nloc, self.nloc)
 
 
+class MiniRTLoad:
+    """Cell vectors (nc, n_local) of (u, eta) on an H(div) space, u a
+    component-major vector field of ``tab``'s space on the same rule.
+
+    ``rt_load_blocks`` contracts the rows u_q^T J of u's point values with
+    ``RTTab.ref_loads``.  With u = sum_l U_l phi_l that is (U_K J) @ T, the
+    cell's coefficient rows U_l^T J against the one reference tensor T[(l,
+    e), i] = sum_q phi_ql ref_loads[(q, e), i]: the same sum reassociated,
+    with no point values.
+    """
+
+    def __init__(self, tab, rt_tab):
+        rule = tab.geom.rule
+        if not np.array_equal(rule.points, rt_tab.geom.rule.points):
+            raise ValueError("the tabs must share one quadrature rule")
+        self.tab = tab
+        self.rt_tab = rt_tab
+        nq, nl = len(rule.weights), rt_tab.space.n_local
+        self.ref = (tab.vals.T @ rt_tab.ref_loads.reshape(nq, -1)
+                    ).reshape(-1, nl)
+
+    def blocks(self, field):
+        """The load blocks of ``field``, one chunk of cells at a time."""
+        J = self.rt_tab.space.mesh.jacobians
+
+        def coefficients(s):  # rows U_l^T J (n, nl, d)
+            return np.moveaxis(_components(self.tab, field, s), 0, -1) @ J[s]
+
+        local = _cell_blocks(len(J), coefficients, self.ref)
+        return self.rt_tab.space.to_local(slice(None), local)
+
+
+class WeightedForms:
+    """The mass and the convection on ``tab`` weighted by a field of
+    ``weight_tab``'s space, as reference tensors built once.
+
+    With the weight rho = sum_k rho_k psi_k and the velocity u = sum_l U_l
+    phi_l in cell coefficients, (rho u . grad phi_j, phi_i) and (rho phi_j,
+    phi_i) are trilinear in the coefficients of rho, u and J^-1.  So on one
+    rule the blocks of cell K are |det J| rho_K @ Tm and (|det J| rho_K (x)
+    U_K J^-T) @ Tc with the reference tensors
+
+        Tm[k, (i, j)] = sum_q w_q psi_qk phi_qi phi_qj,
+        Tc[(k, l, e), (i, j)] = sum_q w_q psi_qk phi_ql phi_qi dphi_qje,
+
+    the weighted basis products of ``weight_tab`` contracted with the
+    tab's mass and convection references: the sums that ``mass_matrix``
+    and ``convection_matrix`` make of point values, reassociated (Kirby &
+    Logg, ACM TOMS 32, 2006).  A ``FieldWeight`` binds them to one field.
+    """
+
+    def __init__(self, tab, weight_tab):
+        rule = tab.geom.rule
+        if not np.array_equal(rule.points, weight_tab.geom.rule.points):
+            raise ValueError("the tabs must share one quadrature rule")
+        self.tab = tab
+        self.weight_tab = weight_tab
+        psi = weight_tab.vals.T * rule.weights  # (nk, nq)
+        nq = len(rule.weights)
+        self.mass_ref = psi @ tab._mass_ref
+        psi_phi = (psi[:, None, :] * tab.vals.T[None]).reshape(-1, nq)
+        self.convection_ref = (
+            psi_phi @ tab._convection_ref.reshape(nq, -1)
+        ).reshape(-1, tab._convection_ref.shape[1])
+
+
+@dataclass(frozen=True)
+class FieldWeight:
+    """A weight for ``mass_matrix`` and ``convection_matrix``: the field
+    ``field`` of ``forms.weight_tab``'s space (``WeightedForms``) on every
+    cell but ``cells``, an index array, where it is the point values
+    ``values(cells)`` (k, nq) on the rule instead."""
+
+    forms: WeightedForms
+    field: object
+    cells: np.ndarray
+    values: object
+
+    def blocks(self, coef, R, point_coef, point_R):
+        """One row per cell: ``point_coef(c) @ point_R`` on the chunks c of
+        ``cells`` and ``coef(c) @ R`` on those of the other cells
+        (``_cell_blocks``)."""
+        n = len(self.forms.tab.cell_dofs)
+        if not len(self.cells):
+            return _cell_blocks(n, coef, R)
+        rest = np.ones(n, dtype=bool)
+        rest[self.cells] = False
+        local = np.empty((n, R.shape[1]))
+        for cells, f, T in ((np.flatnonzero(rest), coef, R),
+                            (self.cells, point_coef, point_R)):
+            if len(cells):
+                local[cells] = _cell_blocks(len(cells),
+                                            lambda s: f(cells[s]), T)
+        return local
+
+    def coefficients(self, s):
+        """|det J| times the field's coefficients (n, nk) on the cells s."""
+        tab = self.forms.weight_tab
+        return (tab.geom.abs_dets[s, None]
+                * self.field.coeffs[tab.cell_dofs[s]])
+
+
 class FacetQuadrature:
     """Shared physical quadrature on every facet.
 
@@ -471,12 +584,18 @@ def mass_matrix(tab, coef=None):
     """(coef u, v) on ``tab``'s space; bitwise symmetric (module docstring).
 
     ``coef`` is given at the tab's quadrature points (nc, nq), or as a
-    function of a chunk of cells that returns those rows, so that its
-    values need never exist for the whole mesh at once.
+    function of the cells a chunk selects that returns those rows, so that
+    its values need never exist for the whole mesh at once, or as a
+    ``FieldWeight`` on the tab.
     """
-    coef = _by_chunk(coef)
-    local = _cell_blocks(tab.space.mesh.n_cells,
-                         lambda s: _weights(tab, coef, s), tab._mass_ref)
+    if isinstance(coef, FieldWeight):
+        local = coef.blocks(
+            coef.coefficients, coef.forms.mass_ref,
+            lambda c: _weights(tab, coef.values, c), tab._mass_ref)
+    else:
+        coef = _by_chunk(coef)
+        local = _cell_blocks(tab.space.mesh.n_cells,
+                             lambda s: _weights(tab, coef, s), tab._mass_ref)
     nloc = tab.vals.shape[1]
     return tab.pattern.matrix(_symmetric(local.reshape(-1, nloc, nloc)))
 
@@ -495,14 +614,31 @@ def stiffness_matrix(tab):
 def convection_matrix(tab, wvec, coef=None):
     """(coef (wvec . grad u), v), wvec (nc, nq, d) and coef given at the
     quadrature points, or each as a function of a chunk of cells
-    (``mass_matrix``)."""
+    (``mass_matrix``).  With ``coef`` a ``FieldWeight`` on the tab, wvec
+    is a vector field of the tab's space (``eval_mini_vector``)."""
     inv_t = np.swapaxes(tab.space.mesh.inv_jacobians, 1, 2)
-    wvec, coef = _by_chunk(wvec), _by_chunk(coef)
 
-    def chunk(s):
-        return np.matmul(wvec(s), inv_t[s]) * _weights(tab, coef, s)[..., None]
+    def at_points(wvec, coef):
+        wvec, coef = _by_chunk(wvec), _by_chunk(coef)
+        return lambda s: (np.matmul(wvec(s), inv_t[s])
+                          * _weights(tab, coef, s)[..., None])
 
-    local = _cell_blocks(len(inv_t), chunk, tab._convection_ref)
+    if isinstance(coef, FieldWeight):
+        field = wvec
+
+        def coefficients(s):
+            # rows U_l^T J^-T of the cells' velocity coefficients (n, nl, d)
+            V = np.matmul(np.moveaxis(_components(tab, field, s), 0, -1),
+                          inv_t[s])
+            return coef.coefficients(s)[:, :, None, None] * V[:, None]
+
+        local = coef.blocks(
+            coefficients, coef.forms.convection_ref,
+            at_points(lambda c: eval_mini_vector(tab, field, c), coef.values),
+            tab._convection_ref)
+    else:
+        local = _cell_blocks(len(inv_t), at_points(wvec, coef),
+                             tab._convection_ref)
     nloc = tab.vals.shape[1]
     return tab.pattern.matrix(local.reshape(-1, nloc, nloc))
 
@@ -673,12 +809,16 @@ def eval_scalar(tab, field, cells=slice(None)):
     return field.coeffs[tab.cell_dofs[cells]] @ tab.vals.T
 
 
+def _components(tab, field, cells):
+    """Cell coefficients (d, n, nloc) of a component-major vector field on
+    the cells ``cells`` selects."""
+    return field.coeffs.reshape(field.space.dim, -1)[:, tab.cell_dofs[cells]]
+
+
 def eval_mini_vector(tab, field, cells=slice(None)):
     """Point values (n, nq, d) of a component-major vector field on the
     cells ``cells`` selects (all by default)."""
-    space = field.space
-    comps = field.coeffs.reshape(space.dim, -1)[:, tab.cell_dofs[cells]]
-    return np.moveaxis(comps @ tab.vals.T, 0, -1)
+    return np.moveaxis(_components(tab, field, cells) @ tab.vals.T, 0, -1)
 
 
 def eval_rt(rt_tab, field):

@@ -131,29 +131,39 @@ class RtProjectionWorkspace:
         self._div_fix = np.linalg.pinv(self._nodal_div[:, :, nfl:])
         # every MINI space on the mesh has the same cell dofs and basis
         self.mini_tab = assemble.ScalarTab(MiniScalarSpace(mesh), self.geom)
+        self.mini_load = assemble.MiniRTLoad(self.mini_tab, self.rt_tab)
         self.last_report = None
 
-    def _values_at_quad(self, v):
+    def _load_blocks(self, v):
+        """Cell vectors (nc, n_local) of (v, eta): a MINI vector field from
+        its cell coefficients (``assemble.MiniRTLoad``), anything else from
+        its values at the rule's points."""
         if callable(v):
-            return v(self.geom.points)
-        if isinstance(v, np.ndarray):
-            return v
-        if isinstance(v, FeField):
+            values = v(self.geom.points)
+        elif isinstance(v, np.ndarray):
+            values = v
+        elif isinstance(v, FeField):
             space = v.space
             if getattr(space, "mesh", None) is not self.mesh:
                 raise ValueError("field lives on a different mesh")
-            if isinstance(space, RT1Space):
-                return assemble.eval_rt(self.rt_tab, v)
             if isinstance(space, MiniVectorSpace):
-                return assemble.eval_mini_vector(self.mini_tab, v)
-            raise ValueError(f"cannot project fields of kind {space.kind}")
-        raise ValueError("expected a callable, point values, or FeField")
+                return self.mini_load.blocks(v)
+            if not isinstance(space, RT1Space):
+                raise ValueError(f"cannot project fields of kind {space.kind}")
+            values = assemble.eval_rt(self.rt_tab, v)
+        else:
+            raise ValueError("expected a callable, point values, or FeField")
+        return assemble.rt_load_blocks(self.rt_tab, values)
 
     def project(self, v, tol=1e-10):
-        """Divergence-free, zero-flux projection of a square-integrable field."""
+        """Divergence-free, zero-flux projection of a square-integrable field:
+        a callable of physical points, its values at the rule's points
+        (nc, nq, d), or an RT1 or MINI vector field on the mesh.  The load
+        of a MINI field is read off its cell coefficients, with no point
+        values (``assemble.MiniRTLoad``)."""
         space = self.rt_space
         nfl, nmult = self._mult.shape[1], space.n_facet_dofs
-        bk = assemble.rt_load_blocks(self.rt_tab, self._values_at_quad(v))
+        bk = self._load_blocks(v)
 
         # condense onto the multipliers and solve
         Hb = np.einsum("cij,cj->ci", self._solve_local[:, :nfl], bk)

@@ -15,7 +15,10 @@ One step advances density first and velocity/pressure second:
 Density values entering the velocity step pass through a Lipschitz cut-off
 that clamps to [rho_min/2, 3*rho_max/2] (optionally widened by a safety
 factor, or disabled); the bounds default to the extrema of the sampled
-initial density.
+initial density.  On a cell whose Bernstein coefficients lie inside the
+band no sample is clamped, so there chi(rho) = rho is the P2 field itself
+and the velocity forms are built from its coefficients; the cut-off is
+sampled on the other cells only.
 """
 
 import time
@@ -178,6 +181,8 @@ class TimeStepper:
         self.p2_hi = assemble.ScalarTab(self.rho_space, self.geom_hi)
         self.mini_hi = assemble.ScalarTab(self.vel_space.scalar, self.geom_hi)
         self.p1_hi = assemble.ScalarTab(self.p_space, self.geom_hi)
+        # the chi-weighted MINI mass and convection where chi(rho) = rho
+        self.weighted_forms = assemble.WeightedForms(self.mini_hi, self.p2_hi)
         self.trace = assemble.DGFacetTrace(self.rho_space, self.fquad)
 
         self.workspace = RtProjectionWorkspace(mesh, geom=self.geom_lo)
@@ -395,15 +400,31 @@ class TimeStepper:
         self._vel_lu = linalg.factorize(Kc, "mmd")
         return self._vel_lu.nnz
 
+    def _cutoff_cells(self, rho):
+        """The cells where the cut-off may clamp ``rho``, sorted: those with
+        a Bernstein coefficient (``P2DGSpace.bernstein``) not inside the
+        band by a margin of 64 ulps of its upper end, which covers the
+        rounding of the samples.  On every other cell each sample lies
+        strictly inside the band, so chi(rho) = rho there.  No cell with
+        the cut-off off."""
+        band = cutoff_bounds(self.config)
+        if band is None:
+            return np.empty(0, dtype=np.intp)
+        lo, hi = band
+        slack = 64 * np.finfo(float).eps * hi
+        b = self.rho_space.bernstein(rho.coeffs)
+        inside = np.all((b > lo + slack) & (b < hi - slack), axis=1)
+        return np.flatnonzero(~inside)
+
     def _chi(self, rho, clamped=None):
-        """chi = cutoff(rho) on the high rule as a function of a chunk of
-        cells (``assemble.mass_matrix``), so no sample array spans the
-        mesh.  Each call appends to the list ``clamped``, if given, the
+        """chi = cutoff(rho) on the high rule as a function of the cells a
+        chunk selects (``assemble.FieldWeight``), so no sample array spans
+        the mesh.  Each call appends to the list ``clamped``, if given, the
         number of the chunk's samples that the cut-off clamps."""
         band = cutoff_bounds(self.config)
 
-        def chi(s):
-            rho_q = assemble.eval_scalar(self.p2_hi, rho, s)
+        def chi(cells):
+            rho_q = assemble.eval_scalar(self.p2_hi, rho, cells)
             if clamped is not None and band is not None:
                 clamped.append(np.count_nonzero(
                     (rho_q < band[0]) | (rho_q > band[1])))
@@ -413,38 +434,51 @@ class TimeStepper:
 
     def _weighted_mass(self, rho):
         """The number of samples of ``rho`` on the high rule that the
-        cut-off clamps, and the MINI mass matrix weighted by chi.
+        cut-off clamps, the MINI mass matrix weighted by chi = cutoff(rho),
+        and the cells where the cut-off may clamp (``_cutoff_cells``).
 
-        The last two results are cached on the values of ``rho`` and the
-        cut-off band, so the mass matrix of the new density of one step is
-        the old one of the next.
+        The mass is ``rho`` in the tensor representation of
+        ``weighted_forms`` on every cell but those, where chi is sampled
+        on the high rule; only there can a sample be clamped.  The results
+        are cached on the values of ``rho`` and the cut-off band, so the
+        mass matrix of the new density of one step is the old one of the
+        next.
         """
         band = cutoff_bounds(self.config)
         for hit in self._chi_cache:
             if hit[0] == band and np.array_equal(hit[1], rho.coeffs):
                 return hit[2:]
         clamped = []
-        M = assemble.mass_matrix(self.mini_hi, self._chi(rho, clamped))
+        cells = self._cutoff_cells(rho)
+        M = assemble.mass_matrix(self.mini_hi, assemble.FieldWeight(
+            self.weighted_forms, rho, cells, self._chi(rho, clamped)))
         self._chi_cache = self._chi_cache[-1:] + [
-            (band, rho.coeffs.copy(), int(sum(clamped)), M)
+            (band, rho.coeffs.copy(), int(sum(clamped)), M, cells)
         ]
         return self._chi_cache[-1][2:]
 
     # ------------------------------------------------------------------
     def velocity_step(self, state: StepState, rho_new: FeField):
-        """Linearized saddle-point solve for the new velocity and pressure."""
+        """Linearized saddle-point solve for the new velocity and pressure.
+
+        The chi-weighted masses of the old and new density and the
+        convection by the old velocity weighted by chi(rho_new) are built
+        from the fields' cell coefficients (``assemble.WeightedForms``);
+        only on the cells where the cut-off may clamp rho_new
+        (``_cutoff_cells``, cached with its mass) are chi and the old
+        velocity sampled on the high rule.
+        """
         cfg = self.config
         tau = cfg.tau
         d = self.mesh.dim
         t_new = state.t + tau
 
         M_old = self._weighted_mass(state.rho)[1]
-        M_new = self._weighted_mass(rho_new)[1]
-        # u_old and chi(rho_new) at the high rule's points, chunk by chunk
+        _, M_new, cells = self._weighted_mass(rho_new)
         N = assemble.convection_matrix(
-            self.mini_hi,
-            lambda s: assemble.eval_mini_vector(self.mini_hi, state.u, s),
-            coef=self._chi(rho_new),
+            self.mini_hi, state.u,
+            coef=assemble.FieldWeight(self.weighted_forms, rho_new, cells,
+                                      self._chi(rho_new)),
         )
 
         A_s = (
@@ -522,7 +556,7 @@ class TimeStepper:
 
     def _diagnostics(self, old, new, wall):
         cfg = self.config
-        clamped = self._weighted_mass(new.rho)[0]
+        clamped, _, cells = self._weighted_mass(new.rho)
         energy = self.energy(new)
         viscous = 0.0
         for comp in new.u.coeffs.reshape(self.mesh.dim, -1):
@@ -541,6 +575,7 @@ class TimeStepper:
         velocity = self.last_reports["velocity"]
         extras = {
             "cutoff_fraction": fraction,
+            "cutoff_cells": len(cells),
             "density_iterations": density.iterations,
             "density_blocks": density.extras["blocks"],
             "velocity_iterations": velocity.iterations,

@@ -117,6 +117,20 @@ class P2DGSpace(ScalarSpace):
             )
         return out
 
+    def bernstein(self, coeffs):
+        """Bernstein coefficients (n_cells, n_local) of the field with
+        coefficients ``coeffs``, numbered cell by cell: the vertex values,
+        and 2 m_ab - (v_a + v_b) / 2 on edge ab with midpoint value m_ab.
+        The Bernstein polynomials are nonnegative and sum to 1, so on each
+        cell the field lies between the least and the greatest of them
+        (Ainsworth, Andriamaro & Davydov, SISC 33, 2011)."""
+        c = coeffs.reshape(-1, self.n_local)
+        a, b = np.array(_P2_EDGES[self.dim]).T
+        out = c.copy()
+        out[:, self.dim + 1:] = 2.0 * c[:, self.dim + 1:] - 0.5 * (
+            c[:, a] + c[:, b])
+        return out
+
 
 class MiniScalarSpace(ScalarSpace):
     """P1 vertex dofs plus one interior bubble dof per cell."""

@@ -265,6 +265,29 @@ def test_rt_projection_contracts_cube_n8():
         assert np.abs(assemble.eval_rt_flux(flux_tab, sigma)).max() <= 1e-11
 
 
+@pytest.mark.parametrize("make,n", [(unit_square_mesh, 8),
+                                    (unit_cube_mesh, 4)])
+def test_mini_field_load_matches_its_point_values(make, n):
+    """A MINI field is loaded from its cell coefficients; the projection
+    equals that of its values at the rule's points, and for the cube3d
+    velocity it keeps the divergence and flux contracts."""
+    mesh = make(n)
+    ws = RtProjectionWorkspace(mesh)
+    vel = MiniVectorSpace(mesh)
+    case = make_case("square2d" if mesh.dim == 2 else "cube3d")
+    rng = np.random.default_rng(n)
+    fq = assemble.FacetQuadrature(mesh, 6)
+    flux_tab = assemble.RTFacetFlux(ws.rt_space, fq, mesh.boundary_facets)
+    for v in (FeField(vel, rng.standard_normal(vel.n_dofs)),
+              interpolate_mini(vel, lambda x: case.u(x, 0.0))):
+        got = ws.project(v).coeffs
+        ref = ws.project(assemble.eval_mini_vector(ws.mini_tab, v)).coeffs
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+    sigma = ws.project(v)
+    assert np.abs(rt_divergence_nodal(sigma)).max() <= 1e-11
+    assert np.abs(assemble.eval_rt_flux(flux_tab, sigma)).max() <= 1e-11
+
+
 def test_rt_factor_in_dissection_order_keeps_fill_and_accuracy():
     """The facet system, factored in the mesh's nested-dissection order, has
     no more fill than a minimum-degree factor of the same matrix numbered by

@@ -10,6 +10,7 @@ import scipy.sparse as sp
 from vardens import assemble
 from vardens.mesh import unit_cube_mesh, unit_square_mesh
 from vardens.mms import make_case
+from vardens.projections import project_dg
 from vardens.scheme import (NumericalBreakdownError, PositivityError,
                             SchemeConfig, StepDiagnostics, StepState,
                             TimeStepper, cutoff)
@@ -336,6 +337,120 @@ def test_cutoff_fraction_counts_clamped_samples(mode):
     assert fraction == expected
     assert (fraction > 0) is (mode != "off")
     assert diags[0].cutoff_active is (fraction > 0)
+
+
+def test_step_records_cells_sent_to_the_pointwise_path():
+    """``cutoff_cells`` counts the cells where chi is sampled: none on an
+    unclamped run or with the cut-off off, and on a clamped run at least
+    every cell with a clamped sample."""
+    case = make_case("square2d")
+    st = TimeStepper(unit_square_mesh(4), _config(
+        n_steps=2, cutoff_mode="widened"))
+    _, diags = st.run(lambda x: case.rho(x, 0.0), lambda x: case.u(x, 0.0))
+    assert [d.extras["cutoff_cells"] for d in diags] == [0, 0]
+    assert not any(d.cutoff_active for d in diags)
+    for mode in ("strict", "off"):
+        st = TimeStepper(unit_square_mesh(4), _config(
+            n_steps=1, cutoff_mode=mode, rho_min=1.0, rho_max=1.0))
+        state, diags = st.run(lambda x: 0.2 + 2.5 * x[..., 0],
+                              lambda x: np.zeros_like(x))
+        rho_q = assemble.eval_scalar(st.p2_hi, state.rho)
+        hit = np.count_nonzero(np.any((rho_q < 0.5) | (rho_q > 1.5), axis=1))
+        cells = diags[0].extras["cutoff_cells"]
+        if mode == "off":
+            assert cells == 0
+        else:
+            assert st.mesh.n_cells > cells >= hit > 0
+
+
+@pytest.mark.parametrize("make_mesh,n", [
+    (unit_square_mesh, 4), (unit_square_mesh, 8), (unit_cube_mesh, 2),
+    (unit_cube_mesh, 4)])
+@pytest.mark.parametrize("density,mode", [
+    ("ramp", "strict"), ("band", "strict"), ("ramp", "off")])
+def test_weighted_forms_match_the_pointwise_forms(make_mesh, n, density,
+                                                   mode):
+    """The chi-weighted MINI mass and convection from field coefficients,
+    sampled only where the cut-off may clamp, against ``mass_matrix`` and
+    ``convection_matrix`` fed chi at every high-rule point.  The strict
+    band is [0.5, 1.5]: the ramp leaves it where x > 3/4, the band density
+    nowhere."""
+    st = TimeStepper(make_mesh(n), _config(
+        cutoff_mode=mode, rho_min=1.0, rho_max=1.0))
+    a, b = {"ramp": (0.6, 1.2), "band": (0.9, 0.2)}[density]
+    rho = project_dg(st.p2_hi, lambda x: a + b * x[..., 0])
+    u = FeField(st.vel_space, np.random.default_rng(n).standard_normal(
+        st.vel_space.n_dofs))
+    clamped, M, cells = st._weighted_mass(rho)
+    N = assemble.convection_matrix(st.mini_hi, u, coef=assemble.FieldWeight(
+        st.weighted_forms, rho, cells, st._chi(rho)))
+
+    rho_q = assemble.eval_scalar(st.p2_hi, rho)
+    chi = cutoff(rho_q, st.config)
+    M_ref = assemble.mass_matrix(st.mini_hi, chi)
+    N_ref = assemble.convection_matrix(
+        st.mini_hi, assemble.eval_mini_vector(st.mini_hi, u), coef=chi)
+    for got, ref in ((M, M_ref), (N, N_ref)):
+        assert np.array_equal(got.indices, ref.indices)
+        err = np.abs(got.data - ref.data).max()
+        assert err <= 1e-13 * np.abs(ref.data).max()
+    assert np.array_equal(M.data, M.data[st.mini_hi.pattern.transpose_perm])
+    expected = np.count_nonzero(chi != rho_q)
+    assert clamped == expected
+    if density == "ramp" and mode == "strict":
+        assert 0 < len(cells) < st.mesh.n_cells and expected > 0
+    else:
+        assert len(cells) == 0 and expected == 0
+
+
+@pytest.mark.parametrize("make_mesh,n", [(unit_square_mesh, 4),
+                                         (unit_cube_mesh, 2)])
+def test_cutoff_cells_hold_every_clamped_sample(make_mesh, n):
+    """On random P2 densities every cell with a high-rule sample outside
+    the band is flagged, and every sample lies within the range of its
+    cell's Bernstein coefficients, up to the rounding of the samples."""
+    st = TimeStepper(make_mesh(n), _config(rho_min=1.0, rho_max=1.0))
+    rng = np.random.default_rng(11)
+    for scale in (0.1, 0.3, 1.0):
+        rho = FeField(st.rho_space, 1.0 + scale * rng.standard_normal(
+            st.rho_space.n_dofs))
+        rho_q = assemble.eval_scalar(st.p2_hi, rho)
+        outside = np.flatnonzero(np.any((rho_q < 0.5) | (rho_q > 1.5),
+                                        axis=1))
+        cells = st._cutoff_cells(rho)
+        assert np.isin(outside, cells).all()
+        assert np.all(np.diff(cells) > 0)
+        b = st.rho_space.bernstein(rho.coeffs)
+        tol = 64 * np.finfo(float).eps * np.abs(b).max(axis=1)
+        assert np.all(rho_q >= b.min(axis=1, keepdims=True) - tol[:, None])
+        assert np.all(rho_q <= b.max(axis=1, keepdims=True) + tol[:, None])
+    st.config.cutoff_mode = "off"
+    assert len(st._cutoff_cells(rho)) == 0
+
+
+def test_unclamped_step_samples_nothing_on_the_high_rule(monkeypatch):
+    """With no cell where the cut-off may clamp, a step builds its forms
+    from field coefficients alone: no density or velocity values on the
+    high rule."""
+    case = make_case("cube3d")
+    st = TimeStepper(unit_cube_mesh(2), _config(
+        n_steps=1, cutoff_mode="widened"))
+    state = st.initialize(lambda x: case.rho(x, 0.0), lambda x: case.u(x, 0.0))
+    calls = []
+    for name in ("eval_scalar", "eval_mini_vector"):
+        inner = getattr(assemble, name)
+
+        def counted(tab, *args, inner=inner, name=name):
+            if tab is st.p2_hi or tab is st.mini_hi:
+                calls.append(name)
+            return inner(tab, *args)
+
+        monkeypatch.setattr(assemble, name, counted)
+    state, diag = st.step(state)
+    assert calls == []
+    assert diag.extras["cutoff_cells"] == 0
+    st.energy(state)
+    assert calls == []
 
 
 def test_energy_matches_diagnostics():
