@@ -29,14 +29,13 @@ the same sum reassociated (``MiniRTLoad``).
 
 Work whose temporaries would grow with the mesh (pattern slots, the cell
 forms) runs over ``CHUNK`` cells at a time, the forms through one kernel,
-``_cell_blocks``, which asks for each chunk's coefficients in turn.  So a
-form's point data can be given as a function of the chunk
-(``mass_matrix``): the per-step forms on the high rule then never hold a
-coefficient, weight or field value for the whole mesh, and the quadrature
-stores no per-point array (``CellQuadrature``).  The rows are the one-batch
-rows up to the BLAS's summation order: OpenBLAS runs products of at most
-10^6 multiply-adds through a small-matrix kernel, so a chunk of a few cells
-can differ from one batch in the last bits.
+``_cell_blocks``, which asks for each chunk's coefficients in turn.  So no
+coefficient array of a form spans the mesh, and the quadrature stores no
+per-point array (``CellQuadrature``); the per-step forms on the high rule
+hold point values only where a ``FieldWeight`` has them.  The rows are the
+one-batch rows up to the BLAS's summation order: OpenBLAS runs products of
+at most 10^6 multiply-adds through a small-matrix kernel, so a chunk of a
+few cells can differ from one batch in the last bits.
 
 Local blocks are scattered through a ``Pattern``: the CSR structure of the
 global matrix, built once per pair of row and column dof maps, with the
@@ -58,8 +57,8 @@ field are one GEMM per table.
 
 The symmetric forms (``mass_matrix``, ``stiffness_matrix``,
 ``rt_mass_matrix``, the reference mass) are bitwise symmetric by
-construction, so the saddle systems built from them stay exactly symmetric
-after bordering.  One rule makes their local blocks exactly symmetric: each
+construction, so the saddle systems built from them are exactly symmetric.
+One rule makes their local blocks exactly symmetric: each
 block is averaged with its transpose (``_symmetric``), which is exact
 because floating-point addition commutes.  ``np.bincount`` then adds the
 contributions to entry (i, j) and to (j, i) in the same order, cell by
@@ -93,6 +92,12 @@ def _cell_blocks(n, coef, R):
     return np.concatenate([
         (coef(s).reshape(-1, len(R)) @ R).reshape(s.stop - s.start, -1)
         for s in _chunks(n)])
+
+
+def _same_rule(tab, other):
+    """Raise ``ValueError`` unless the two tabs share one quadrature rule."""
+    if not np.array_equal(tab.geom.rule.points, other.geom.rule.points):
+        raise ValueError("the tabs must share one quadrature rule")
 
 
 def _symmetric(blocks):
@@ -316,14 +321,12 @@ class RTConvection:
     """
 
     def __init__(self, tab, rt_tab):
-        rule = tab.geom.rule
-        if not np.array_equal(rule.points, rt_tab.geom.rule.points):
-            raise ValueError("the tabs must share one quadrature rule")
+        _same_rule(tab, rt_tab)
         if np.any(tab.space.mesh.dets <= 0.0):
             raise ValueError("every cell must be positively oriented")
         self.rt_tab = rt_tab
         self.nloc = tab.vals.shape[1]
-        weights = np.repeat(rule.weights, tab.space.dim)
+        weights = np.repeat(tab.geom.rule.weights, tab.space.dim)
         self.ref = (rt_tab.ref_vals * weights) @ tab._convection_ref
 
     def blocks(self, field):
@@ -344,12 +347,10 @@ class MiniRTLoad:
     """
 
     def __init__(self, tab, rt_tab):
-        rule = tab.geom.rule
-        if not np.array_equal(rule.points, rt_tab.geom.rule.points):
-            raise ValueError("the tabs must share one quadrature rule")
+        _same_rule(tab, rt_tab)
         self.tab = tab
         self.rt_tab = rt_tab
-        nq, nl = len(rule.weights), rt_tab.space.n_local
+        nq, nl = len(tab.vals), rt_tab.space.n_local
         self.ref = (tab.vals.T @ rt_tab.ref_loads.reshape(nq, -1)
                     ).reshape(-1, nl)
 
@@ -384,9 +385,8 @@ class WeightedForms:
     """
 
     def __init__(self, tab, weight_tab):
+        _same_rule(tab, weight_tab)
         rule = tab.geom.rule
-        if not np.array_equal(rule.points, weight_tab.geom.rule.points):
-            raise ValueError("the tabs must share one quadrature rule")
         self.tab = tab
         self.weight_tab = weight_tab
         psi = weight_tab.vals.T * rule.weights  # (nk, nq)
@@ -403,28 +403,29 @@ class FieldWeight:
     """A weight for ``mass_matrix`` and ``convection_matrix``: the field
     ``field`` of ``forms.weight_tab``'s space (``WeightedForms``) on every
     cell but ``cells``, an index array, where it is the point values
-    ``values(cells)`` (k, nq) on the rule instead."""
+    ``values`` (len(cells), nq) on the rule instead."""
 
     forms: WeightedForms
     field: object
     cells: np.ndarray
-    values: object
+    values: np.ndarray
 
     def blocks(self, coef, R, point_coef, point_R):
-        """One row per cell: ``point_coef(c) @ point_R`` on the chunks c of
-        ``cells`` and ``coef(c) @ R`` on those of the other cells
-        (``_cell_blocks``)."""
+        """One row per cell: ``coef(c) @ R`` on the chunks c of the cells
+        but ``cells`` and ``point_coef(c, v) @ point_R`` on the chunks c of
+        ``cells``, v the chunk's rows of ``values`` (``_cell_blocks``)."""
         n = len(self.forms.tab.cell_dofs)
         if not len(self.cells):
             return _cell_blocks(n, coef, R)
         rest = np.ones(n, dtype=bool)
         rest[self.cells] = False
+        rest = np.flatnonzero(rest)
         local = np.empty((n, R.shape[1]))
-        for cells, f, T in ((np.flatnonzero(rest), coef, R),
-                            (self.cells, point_coef, point_R)):
-            if len(cells):
-                local[cells] = _cell_blocks(len(cells),
-                                            lambda s: f(cells[s]), T)
+        if len(rest):
+            local[rest] = _cell_blocks(len(rest), lambda s: coef(rest[s]), R)
+        local[self.cells] = _cell_blocks(
+            len(self.cells),
+            lambda s: point_coef(self.cells[s], self.values[s]), point_R)
         return local
 
     def coefficients(self, s):
@@ -566,36 +567,28 @@ class RTFacetFlux:
         self.table = (d * (d + 1) * np.eye(d) - d) @ lam.T  # G^-1 lam^T
 
 
-def _by_chunk(values):
-    """Point data as a function of a chunk of cells: ``values`` itself when
-    it is one (or None), else its rows ``values[s]``."""
-    if values is None or callable(values):
-        return values
-    return lambda s: values[s]
-
-
 def _weights(tab, coef, s):
-    """Weights times |det J| on the chunk ``s``, times ``coef`` if given."""
+    """Weights times |det J| on the cells ``s`` selects, times the rows
+    ``coef`` (n, nq) of the point data there if given."""
     w = tab.geom.weights_at(s)
-    return w if coef is None else w * coef(s)
+    return w if coef is None else w * coef
 
 
 def mass_matrix(tab, coef=None):
     """(coef u, v) on ``tab``'s space; bitwise symmetric (module docstring).
 
     ``coef`` is given at the tab's quadrature points (nc, nq), or as a
-    function of the cells a chunk selects that returns those rows, so that
-    its values need never exist for the whole mesh at once, or as a
     ``FieldWeight`` on the tab.
     """
     if isinstance(coef, FieldWeight):
         local = coef.blocks(
             coef.coefficients, coef.forms.mass_ref,
-            lambda c: _weights(tab, coef.values, c), tab._mass_ref)
+            lambda c, v: _weights(tab, v, c), tab._mass_ref)
     else:
-        coef = _by_chunk(coef)
-        local = _cell_blocks(tab.space.mesh.n_cells,
-                             lambda s: _weights(tab, coef, s), tab._mass_ref)
+        local = _cell_blocks(
+            tab.space.mesh.n_cells,
+            lambda s: _weights(tab, None if coef is None else coef[s], s),
+            tab._mass_ref)
     nloc = tab.vals.shape[1]
     return tab.pattern.matrix(_symmetric(local.reshape(-1, nloc, nloc)))
 
@@ -612,16 +605,13 @@ def stiffness_matrix(tab):
 
 
 def convection_matrix(tab, wvec, coef=None):
-    """(coef (wvec . grad u), v), wvec (nc, nq, d) and coef given at the
-    quadrature points, or each as a function of a chunk of cells
-    (``mass_matrix``).  With ``coef`` a ``FieldWeight`` on the tab, wvec
-    is a vector field of the tab's space (``eval_mini_vector``)."""
+    """(coef (wvec . grad u), v), wvec (nc, nq, d) and coef (nc, nq) given
+    at the quadrature points.  With ``coef`` a ``FieldWeight`` on the tab,
+    wvec is a vector field of the tab's space (``eval_mini_vector``)."""
     inv_t = np.swapaxes(tab.space.mesh.inv_jacobians, 1, 2)
 
-    def at_points(wvec, coef):
-        wvec, coef = _by_chunk(wvec), _by_chunk(coef)
-        return lambda s: (np.matmul(wvec(s), inv_t[s])
-                          * _weights(tab, coef, s)[..., None])
+    def at_points(s, w, c):  # the rows of the cells s from point values
+        return np.matmul(w, inv_t[s]) * _weights(tab, c, s)[..., None]
 
     if isinstance(coef, FieldWeight):
         field = wvec
@@ -634,11 +624,13 @@ def convection_matrix(tab, wvec, coef=None):
 
         local = coef.blocks(
             coefficients, coef.forms.convection_ref,
-            at_points(lambda c: eval_mini_vector(tab, field, c), coef.values),
+            lambda c, v: at_points(c, eval_mini_vector(tab, field, c), v),
             tab._convection_ref)
     else:
-        local = _cell_blocks(len(inv_t), at_points(wvec, coef),
-                             tab._convection_ref)
+        local = _cell_blocks(
+            len(inv_t),
+            lambda s: at_points(s, wvec[s], None if coef is None else coef[s]),
+            tab._convection_ref)
     nloc = tab.vals.shape[1]
     return tab.pattern.matrix(local.reshape(-1, nloc, nloc))
 

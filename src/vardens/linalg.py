@@ -9,10 +9,11 @@ caller's guess, the previous step's solution.  Its ``maxiter`` counts inner
 iterations over all restart cycles: the velocity solve allows one cycle of
 40 and refactors its preconditioner when that does not converge.
 ``factorize`` gives the velocity factorization and the one of the RT
-projection.  Saddle-point systems with a zero-mean constraint are bordered
-by one Lagrange multiplier row/column, which keeps the matrix symmetric
-whenever the blocks are.  The direct solves are the exact references the
-tests compare against.
+projection.  Both remove the constant null mode of their saddle systems by
+pinning one unknown.  The direct solves are the exact references the tests
+compare against; ``solve_constrained`` imposes a zero-mean constraint
+instead, by bordering the system with one Lagrange multiplier row/column,
+which keeps the matrix symmetric whenever the blocks are.
 
 Every solve asserts its own relative residual before returning.
 """
@@ -102,13 +103,15 @@ def factorize(matrix, ordering="colamd"):
     That mode takes a diagonal pivot whenever it is at least
     ``DiagPivotThresh = 0.01`` times the largest entry of its column, so
     the order survives; at SuperLU's default threshold of 1.0 it pivots off
-    the diagonal and loses it.  On the bordered 3D velocity saddle matrix
-    at h = 1/8, ``"mmd"`` gives L + U 0.53 M nonzeros against 1.37 M at
-    threshold 1.0 (at h = 1/16 threshold 1.0 runs out of memory).  The
-    threshold is not 0: the saddle matrices have zero diagonal entries
-    that must be pivoted away.  At 0 the first step's factors on the unit
-    square (h = 1/16) and on the cube (h = 1/4) solve a random right-hand
-    side to relative residuals of 0.19 and 9.4.  The facet system of the
+    the diagonal and loses it.  On the first step's 3D velocity saddle
+    matrix at h = 1/8, its last pressure pinned, ``"mmd"`` gives L + U
+    0.51 M nonzeros against 1.35 M at threshold 1.0 (at h = 1/16 threshold
+    1.0 runs out of memory).  The threshold is not 0: the saddle matrices
+    have zero diagonal entries, which may have to be pivoted away.  The
+    velocity matrix bordered by a zero-mean multiplier did: at 0 its first
+    step's factors on the unit square (h = 1/16) and on the cube (h = 1/4)
+    solved a random right-hand side to relative residuals of 0.19 and 9.4.
+    The pinned one takes every pivot on the diagonal.  The facet system of the
     RT projection comes in nested-dissection order
     (``Mesh.facet_dissection_order``) and is factored as ``"given"``: on
     the cube at h = 1/8, in under half the time of ``"mmd"`` on the same
@@ -151,10 +154,14 @@ def augment_with_constraint(matrix, rhs, constraint):
 
 
 def solve_constrained(system: LinearSystem, tol: float = 1e-10):
-    """Direct solve of a system with one linear constraint functional.
+    """Direct solve of a system with one linear constraint functional,
+    bordered by its multiplier (``augment_with_constraint``).
 
-    Used for the saddle-point steps: the constraint pins the zero-mean
-    pressure (or the multiplier's constant mode in the mixed projection).
+    The tests' reference for the saddle-point steps: the constraint fixes
+    the zero-mean pressure (or the multiplier's constant mode in the mixed
+    projection).  A nonzero multiplier lam means the constraint fights the
+    equations: A x - rhs = lam c.  So unless the unbordered residual is at
+    most 1e-8 max(||rhs||, 1), ``ConstraintConflictError`` is raised.
     """
     if system.constraint is None:
         return solve_direct(system, tol)
@@ -164,25 +171,16 @@ def solve_constrained(system: LinearSystem, tol: float = 1e-10):
     xl = lu.solve(b)
     x, lam = xl[:-1], xl[-1]
     res = _check(K, xl, b, tol, "constrained solve")
-    check_constraint(system.matrix @ x - system.rhs, system.rhs, lam)
-    return x, SolveReport(
-        res, 0, time.perf_counter() - t0, {"multiplier": float(lam)}
-    )
-
-
-def check_constraint(residual, rhs, lam):
-    """Raise ``ConstraintConflictError`` unless the unbordered residual
-    A x - rhs of a bordered solve is at most 1e-8 max(||rhs||, 1).
-
-    A nonzero multiplier ``lam`` means the constraint fights the equations:
-    A x - rhs = lam c, so the unbordered residual exposes it.
-    """
-    conflict = np.linalg.norm(residual) / max(np.linalg.norm(rhs), 1.0)
+    conflict = (np.linalg.norm(system.matrix @ x - system.rhs)
+                / max(np.linalg.norm(system.rhs), 1.0))
     if conflict > 1e-8:
         raise ConstraintConflictError(
             f"constraint is inconsistent with the equations "
             f"(original residual {conflict:.3e}, multiplier {lam:.3e})"
         )
+    return x, SolveReport(
+        res, 0, time.perf_counter() - t0, {"multiplier": float(lam)}
+    )
 
 
 def solve_gmres(system: LinearSystem, tol: float = 1e-10, restart: int = 60,

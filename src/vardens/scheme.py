@@ -224,12 +224,17 @@ class TimeStepper:
         self.last_reports = {}
 
     def _build_saddle_template(self):
-        """Structure of the bordered velocity saddle matrix, built once.
+        """Structure of the velocity saddle matrix, built once.
 
-        The matrix is [[diag(A_s)_free, -B_free, 0], [-B_free^T, 0, -c],
-        [0, -c^T, 0]], with the MINI block A_s repeated per component.  It is
+        The matrix is [[diag(A_s)_free, -B_free], [-B_free^T, 0]], with the
+        MINI block A_s repeated per component and the last pressure dof
+        pinned: its column of B is dropped, as ``RtProjectionWorkspace``
+        pins its last multiplier.  The pressure is fixed only up to a
+        constant, and with u = 0 on the boundary and sum_m q_m = 1 the
+        divergence row of the pinned dof is minus the sum of the others,
+        so the pinned system is nonsingular and loses no equation.  It is
         built once with entry numbers in place of values; each step then
-        fills its data with one gather from [A_s.data, -B.data, -c].
+        fills its data with one gather from [A_s.data, -B.data].
         """
         d = self.mesh.dim
         pattern = self.mini_hi.pattern
@@ -238,18 +243,13 @@ class TimeStepper:
         B = sp.csr_matrix(
             (np.arange(nA + 1.0, nA + nB + 1), self.B.indices, self.B.indptr),
             shape=self.B.shape,
-        )[self.free_vel]
+        )[self.free_vel][:, :-1]
         A_free = A[self.free_s][:, self.free_s]
-        K = sp.bmat([[sp.block_diag([A_free] * d), B], [B.T, None]])
-        zeros = np.zeros(d * len(self.free_s))
-        self._constraint = np.concatenate([zeros, self.c_p])
-        numbers = nA + nB + 1.0 + np.arange(len(self.c_p))
-        Kc, _ = linalg.augment_with_constraint(
-            K, np.zeros(K.shape[0]), np.concatenate([zeros, -numbers])
-        )
-        self._saddle = Kc
-        self._saddle_gather = Kc.data.astype(np.intp) - 1
-        self._saddle_fixed = np.concatenate([-self.B.data, -self.c_p])
+        K = sp.bmat([[sp.block_diag([A_free] * d), B], [B.T, None]],
+                    format="csc")
+        self._saddle = K
+        self._saddle_gather = K.data.astype(np.intp) - 1
+        self._saddle_fixed = -self.B.data
 
     # ------------------------------------------------------------------
     def initialize(self, rho0, u0) -> StepState:
@@ -346,36 +346,37 @@ class TimeStepper:
         self.last_reports["upwind_flux"] = flux
         return FeField(self.rho_space, x)
 
-    def _solve_velocity_system(self, Kc, b, x0):
+    def _solve_velocity_system(self, K, b, x0):
         """GMRES preconditioned on the right by a lagged factorization.
 
-        ``Kc`` is the bordered saddle matrix and the last unknown its
-        multiplier; ``x0`` is the starting guess, the previous step's
-        velocity and pressure.  The saddle matrix drifts slowly from step
-        to step (only through the cut-off density and lagged velocity), so
-        one factorization preconditions many subsequent solves.  When one
-        cycle of 40 GMRES iterations does not converge, the matrix is
-        refactored and solved directly; that report has 0 iterations, the
-        wall time of the whole solve and ``extras["refreshed"]``.  The
-        bordered matrix is structurally symmetric, so it is factored with
-        the minimum-degree ordering.  A report of a solve that factored
-        carries the factor's fill as ``extras["velocity_factor_nnz"]``:
-        ``SuperLU.nnz``, the count of entries SuperLU stores for L and U
-        (``_factor_velocity``).  The residual contract is
-        enforced on GMRES and on the refresh alike; a refresh that misses
-        it raises ``ResidualError`` with the refreshed residual.
+        ``K`` is the saddle matrix with its last pressure dof pinned
+        (``_build_saddle_template``); ``x0`` is the starting guess, the
+        previous step's velocity and pressure.  The saddle matrix drifts
+        slowly from step to step (only through the cut-off density and
+        lagged velocity), so one factorization preconditions many
+        subsequent solves.  When one cycle of 40 GMRES iterations does not
+        converge, the matrix is refactored and solved directly; that report
+        has 0 iterations, the wall time of the whole solve and
+        ``extras["refreshed"]``.  The matrix is structurally symmetric, so
+        it is factored with the minimum-degree ordering.  A report of a
+        solve that factored carries the factor's fill as
+        ``extras["velocity_factor_nnz"]``: ``SuperLU.nnz``, the count of
+        entries SuperLU stores for L and U (``_factor_velocity``).  The
+        residual contract is enforced on GMRES and on the refresh alike; a
+        refresh that misses it raises ``ResidualError`` with the refreshed
+        residual.
         """
         t0 = time.perf_counter()
-        fill = self._factor_velocity(Kc) if self._vel_lu is None else None
+        fill = self._factor_velocity(K) if self._vel_lu is None else None
         try:
             x, report = linalg.solve_gmres(
-                linalg.LinearSystem(Kc, b), SOLVER_TOL, restart=40, maxiter=40,
+                linalg.LinearSystem(K, b), SOLVER_TOL, restart=40, maxiter=40,
                 preconditioner=self._vel_lu.solve, x0=x0,
             )
         except linalg.ResidualError as exc:
-            fill = self._factor_velocity(Kc)
+            fill = self._factor_velocity(K)
             x = self._vel_lu.solve(b)
-            res = np.linalg.norm(Kc @ x - b) / max(np.linalg.norm(b), 1e-300)
+            res = np.linalg.norm(K @ x - b) / max(np.linalg.norm(b), 1e-300)
             if not res <= SOLVER_TOL:
                 raise linalg.ResidualError(
                     f"refreshed factor: relative residual {res:.3e} > "
@@ -386,18 +387,13 @@ class TimeStepper:
             )
         if fill is not None:
             report.extras["velocity_factor_nnz"] = fill
-        # the unbordered residual K x - rhs is the top of Kc x - b plus lam c
-        lam = x[-1]
-        linalg.check_constraint((Kc @ x - b)[:-1] + lam * self._constraint,
-                                b[:-1], lam)
-        report.extras["multiplier"] = float(lam)
-        return x[:-1], report
+        return x, report
 
-    def _factor_velocity(self, Kc):
-        """Factor the bordered saddle matrix; returns ``SuperLU.nnz``, the
+    def _factor_velocity(self, K):
+        """Factor the pinned saddle matrix; returns ``SuperLU.nnz``, the
         entries SuperLU stores for L and U.  Reading ``L`` or ``U`` instead
         would make scipy keep CSC copies of both for the factor's life."""
-        self._vel_lu = linalg.factorize(Kc, "mmd")
+        self._vel_lu = linalg.factorize(K, "mmd")
         return self._vel_lu.nnz
 
     def _cutoff_cells(self, rho):
@@ -416,44 +412,41 @@ class TimeStepper:
         inside = np.all((b > lo + slack) & (b < hi - slack), axis=1)
         return np.flatnonzero(~inside)
 
-    def _chi(self, rho, clamped=None):
-        """chi = cutoff(rho) on the high rule as a function of the cells a
-        chunk selects (``assemble.FieldWeight``), so no sample array spans
-        the mesh.  Each call appends to the list ``clamped``, if given, the
-        number of the chunk's samples that the cut-off clamps."""
-        band = cutoff_bounds(self.config)
+    def _chi_weight(self, rho):
+        """chi = cutoff(rho) as an ``assemble.FieldWeight``, and the number
+        of its samples on the high rule that the cut-off clamps.
 
-        def chi(cells):
+        The weight is ``rho`` itself on every cell but those where the
+        cut-off may clamp (``_cutoff_cells``); there ``rho`` is sampled on
+        the high rule once and cut off, and only those samples can be
+        clamped.
+        """
+        cells = self._cutoff_cells(rho)
+        rho_q = np.empty((0, self.geom_hi.npoints))
+        if len(cells):
             rho_q = assemble.eval_scalar(self.p2_hi, rho, cells)
-            if clamped is not None and band is not None:
-                clamped.append(np.count_nonzero(
-                    (rho_q < band[0]) | (rho_q > band[1])))
-            return cutoff(rho_q, self.config)
+        chi = cutoff(rho_q, self.config)
+        weight = assemble.FieldWeight(self.weighted_forms, rho, cells, chi)
+        return weight, int(np.count_nonzero(chi != rho_q))
 
-        return chi
-
-    def _weighted_mass(self, rho):
+    def _weighted_mass(self, rho, chi=None):
         """The number of samples of ``rho`` on the high rule that the
         cut-off clamps, the MINI mass matrix weighted by chi = cutoff(rho),
         and the cells where the cut-off may clamp (``_cutoff_cells``).
 
-        The mass is ``rho`` in the tensor representation of
-        ``weighted_forms`` on every cell but those, where chi is sampled
-        on the high rule; only there can a sample be clamped.  The results
-        are cached on the values of ``rho`` and the cut-off band, so the
-        mass matrix of the new density of one step is the old one of the
-        next.
+        ``chi`` is ``_chi_weight(rho)``, formed here when not given.  The
+        results are cached on the values of ``rho`` and the cut-off band,
+        so the mass matrix of the new density of one step is the old one of
+        the next; the weight's samples are not kept.
         """
         band = cutoff_bounds(self.config)
         for hit in self._chi_cache:
             if hit[0] == band and np.array_equal(hit[1], rho.coeffs):
                 return hit[2:]
-        clamped = []
-        cells = self._cutoff_cells(rho)
-        M = assemble.mass_matrix(self.mini_hi, assemble.FieldWeight(
-            self.weighted_forms, rho, cells, self._chi(rho, clamped)))
+        weight, clamped = self._chi_weight(rho) if chi is None else chi
+        M = assemble.mass_matrix(self.mini_hi, weight)
         self._chi_cache = self._chi_cache[-1:] + [
-            (band, rho.coeffs.copy(), int(sum(clamped)), M, cells)
+            (band, rho.coeffs.copy(), clamped, M, weight.cells)
         ]
         return self._chi_cache[-1][2:]
 
@@ -464,9 +457,13 @@ class TimeStepper:
         The chi-weighted masses of the old and new density and the
         convection by the old velocity weighted by chi(rho_new) are built
         from the fields' cell coefficients (``assemble.WeightedForms``);
-        only on the cells where the cut-off may clamp rho_new
-        (``_cutoff_cells``, cached with its mass) are chi and the old
-        velocity sampled on the high rule.
+        only on the cells where the cut-off may clamp rho_new are chi and
+        the old velocity sampled on the high rule, and chi there once, for
+        both forms (``_chi_weight``).  The saddle system pins the last
+        pressure dof (``_build_saddle_template``) and starts from the old
+        pressure shifted to 0 there; the new pressure is then shifted to
+        zero mean.  Every divergence row is checked, the pinned one too, so
+        a pressure load that the velocity cannot meet is caught.
         """
         cfg = self.config
         tau = cfg.tau
@@ -474,12 +471,9 @@ class TimeStepper:
         t_new = state.t + tau
 
         M_old = self._weighted_mass(state.rho)[1]
-        _, M_new, cells = self._weighted_mass(rho_new)
-        N = assemble.convection_matrix(
-            self.mini_hi, state.u,
-            coef=assemble.FieldWeight(self.weighted_forms, rho_new, cells,
-                                      self._chi(rho_new)),
-        )
+        chi = self._chi_weight(rho_new)
+        M_new = self._weighted_mass(rho_new, chi)[1]
+        N = assemble.convection_matrix(self.mini_hi, state.u, coef=chi[0])
 
         A_s = (
             (0.5 / tau) * (M_old.data + M_new.data)
@@ -487,7 +481,7 @@ class TimeStepper:
             + cfg.mu * self.K_s.data
         )
         source = np.concatenate([A_s, self._saddle_fixed])
-        Kc = sp.csc_matrix(
+        K = sp.csc_matrix(
             (source[self._saddle_gather], self._saddle.indices,
              self._saddle.indptr), shape=self._saddle.shape,
         )
@@ -499,14 +493,15 @@ class TimeStepper:
             g_vals = cfg.g(self.geom_lo.points, t_new)
             for k in range(d):
                 F[:, k] += assemble.load_vector(self.mini_lo, g_vals[..., k])
+        p_old = state.p.coeffs
         b = np.concatenate(
-            [F[self.free_s].T.ravel(), np.zeros(self.p_space.n_dofs + 1)]
+            [F[self.free_s].T.ravel(), np.zeros(len(p_old) - 1)]
         )
         x0 = np.concatenate(
-            [state.u.coeffs[self.free_vel], state.p.coeffs, [0.0]]
+            [state.u.coeffs[self.free_vel], p_old[:-1] - p_old[-1]]
         )
         try:
-            x, report = self._solve_velocity_system(Kc, b, x0)
+            x, report = self._solve_velocity_system(K, b, x0)
         except linalg.ResidualError as exc:
             raise linalg.ResidualError(
                 f"velocity solve at step {state.n + 1}: {exc}") from exc
@@ -518,7 +513,8 @@ class TimeStepper:
         nf = len(self.free_s)
         u_new = np.zeros(self.vel_space.n_dofs)
         u_new[self.free_vel] = x[: d * nf]
-        p_new = x[d * nf :]
+        p_new = np.append(x[d * nf :], 0.0)
+        p_new -= (self.c_p @ p_new) / self.c_p.sum()
 
         div_residual = float(np.abs(self.B.T @ u_new).max())
         if div_residual > 1e-9:

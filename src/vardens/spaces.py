@@ -175,10 +175,6 @@ class MiniVectorSpace:
         self.scalar = MiniScalarSpace(mesh)
         self.n_dofs = mesh.dim * self.scalar.n_dofs
 
-    def component_slice(self, k):
-        ns = self.scalar.n_dofs
-        return slice(k * ns, (k + 1) * ns)
-
 
 def _rt1_modes(points):
     """Monomial modes of P1^d + x P1 and their divergences at reference

@@ -414,7 +414,7 @@ def test_mixed_forms_match_einsum_references(kernel_setup):
     assert _close(assemble.div_coupling(mini, p1), ref)
 
     u = FeField(vel, rng.standard_normal(vel.n_dofs))
-    ref = np.stack([np.einsum("ci,qi->cq", u.coeffs[vel.component_slice(k)]
+    ref = np.stack([np.einsum("ci,qi->cq", u.coeffs[k * ns:(k + 1) * ns]
                               [mini.cell_dofs], mini.vals)
                     for k in range(d)], axis=-1)
     assert _close(assemble.eval_mini_vector(mini, u), ref)
@@ -576,6 +576,21 @@ def test_rt_convection_matches_quadrature_convection(kernel_setup):
     with pytest.raises(ValueError, match="positively oriented"):
         assemble.RTConvection(
             assemble.ScalarTab(P2DGSpace(flipped), geom_lo), rt_tab)
+
+
+def test_reference_tensor_forms_reject_tabs_on_two_rules(kernel_setup):
+    """Each form that contracts two tabs' tables needs them on one rule."""
+    mesh, geom, geom_lo, _ = kernel_setup
+    rt_tab = assemble.RTTab(RT1Space(mesh), geom_lo)
+    mini = MiniScalarSpace(mesh)
+    p2 = P2DGSpace(mesh)
+    for make, tab, other in (
+            (assemble.RTConvection, assemble.ScalarTab(p2, geom), rt_tab),
+            (assemble.MiniRTLoad, assemble.ScalarTab(mini, geom), rt_tab),
+            (assemble.WeightedForms, assemble.ScalarTab(mini, geom),
+             assemble.ScalarTab(p2, geom_lo))):
+        with pytest.raises(ValueError, match="share one quadrature rule"):
+            make(tab, other)
 
 
 def test_upwind_stores_inflow_blocks_only(kernel_setup):

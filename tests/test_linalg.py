@@ -66,27 +66,26 @@ def test_constraint_conflict_detected():
 
 
 def test_velocity_solve_detects_constraint_conflict(monkeypatch):
-    """The stepper's bordered velocity solve runs the same check: a pressure
-    load with nonzero mean cannot be met by a velocity with zero boundary
-    values, so the zero-mean multiplier absorbs it."""
+    """The stepper's velocity solve pins one pressure dof, so its system
+    leaves out that dof's divergence row; a pressure load with nonzero mean
+    cannot be met by a velocity with zero boundary values, and the check of
+    every divergence row, the pinned one too, catches it."""
     case = mms.make_case("square2d")
     st = TimeStepper(unit_square_mesh(4),
                      SchemeConfig(tau=1 / 64, mu=0.001, n_steps=1))
     state = st.initialize(lambda x: case.rho(x, 0.0), lambda x: case.u(x, 0.0))
     rho1 = st.density_step(state)
-    solve, calls = st._solve_velocity_system, []
+    solve = st._solve_velocity_system
 
-    def record(*args):
-        calls.append(args)
-        return solve(*args)
+    def loaded(K, b, x0):
+        b = b.copy()
+        b[len(b) - len(st.c_p) + 1:] += st.c_p[:-1]  # the pressure rows
+        return solve(K, b, x0)
 
-    monkeypatch.setattr(st, "_solve_velocity_system", record)
-    st.velocity_step(state, rho1)
-    Kc, b, x0 = calls[0]
-    b = b.copy()
-    b[len(b) - 1 - len(st.c_p):-1] += st.c_p  # the pressure rows
-    with pytest.raises(linalg.ConstraintConflictError):
-        solve(Kc, b, x0)
+    monkeypatch.setattr(st, "_solve_velocity_system", loaded)
+    with pytest.raises(linalg.ResidualError,
+                       match=r"^discrete divergence constraint .* at step 1$"):
+        st.velocity_step(state, rho1)
 
 
 def _stokes_system(n, mu=1.0):
@@ -272,12 +271,13 @@ def test_gmres_raises_when_maxiter_is_spent():
 ])
 def test_saddle_factor_keeps_its_fill_reducing_order(
         name, make_mesh, n, tau, bound, monkeypatch):
-    """The first step's bordered velocity matrix, factored symmetrically:
+    """The first step's velocity saddle matrix, factored symmetrically:
     with diagonal pivots preferred down to 1% of the column maximum, the
     fill stays well below SuperLU's default threshold of 1.0 (which pivots
     off the diagonal and loses the order), and the factor solves to
-    rounding.  A few pivots still leave the diagonal, where the saddle
-    matrix has zero diagonal entries."""
+    rounding.  The pressure rows have zero diagonal entries; with the last
+    pressure pinned, elimination fills them and no pivot leaves the
+    diagonal."""
     case = mms.make_case(name)
     st = TimeStepper(make_mesh(n), SchemeConfig(tau=tau, mu=1e-3, n_steps=1))
     state = st.initialize(lambda x: case.rho(x, 0.0),

@@ -363,6 +363,32 @@ def test_step_records_cells_sent_to_the_pointwise_path():
             assert st.mesh.n_cells > cells >= hit > 0
 
 
+def test_clamped_step_samples_the_new_density_once(monkeypatch):
+    """On a step where the strict cut-off clamps, the new density is
+    sampled on the high rule once per flagged cell, for both the mass and
+    the convection."""
+    st = TimeStepper(unit_square_mesh(4), _config(
+        n_steps=1, rho_min=1.0, rho_max=1.0))
+    calls = []
+    inner = assemble.eval_scalar
+
+    def record(tab, field, cells=slice(None)):
+        if tab is st.p2_hi:
+            calls.append((field.coeffs.copy(), cells))
+        return inner(tab, field, cells)
+
+    monkeypatch.setattr(assemble, "eval_scalar", record)
+    case = make_case("square2d")
+    state, diags = st.run(lambda x: 0.2 + 2.5 * x[..., 0],
+                          lambda x: case.u(x, 0.0), check_energy=False)
+    flagged = st._cutoff_cells(state.rho)
+    assert 0 < len(flagged) < st.mesh.n_cells
+    assert diags[0].extras["cutoff_fraction"] > 0
+    sampled = [np.arange(st.mesh.n_cells)[cells] for coeffs, cells in calls
+               if np.array_equal(coeffs, state.rho.coeffs)]
+    assert np.array_equal(np.sort(np.concatenate(sampled)), flagged)
+
+
 @pytest.mark.parametrize("make_mesh,n", [
     (unit_square_mesh, 4), (unit_square_mesh, 8), (unit_cube_mesh, 2),
     (unit_cube_mesh, 4)])
@@ -382,8 +408,8 @@ def test_weighted_forms_match_the_pointwise_forms(make_mesh, n, density,
     u = FeField(st.vel_space, np.random.default_rng(n).standard_normal(
         st.vel_space.n_dofs))
     clamped, M, cells = st._weighted_mass(rho)
-    N = assemble.convection_matrix(st.mini_hi, u, coef=assemble.FieldWeight(
-        st.weighted_forms, rho, cells, st._chi(rho)))
+    weight, _ = st._chi_weight(rho)
+    N = assemble.convection_matrix(st.mini_hi, u, coef=weight)
 
     rho_q = assemble.eval_scalar(st.p2_hi, rho)
     chi = cutoff(rho_q, st.config)
@@ -517,9 +543,9 @@ def test_lagged_velocity_solve_matches_constrained_direct(name, mesh):
     solves = []
     inner = st._solve_velocity_system
 
-    def record(Kc, b, x0):
-        x, report = inner(Kc, b, x0)
-        solves.append((Kc, b, x))
+    def record(K, b, x0):
+        x, report = inner(K, b, x0)
+        solves.append((K, b, x))
         return x, report
 
     st._solve_velocity_system = record
@@ -527,10 +553,18 @@ def test_lagged_velocity_solve_matches_constrained_direct(name, mesh):
     for _ in range(2):
         state, _ = st.step(state)
     assert st.last_reports["velocity"].iterations > 0  # GMRES on a lagged LU
-    for Kc, b, x in solves:
+    nu = len(st.free_vel)
+    B = st.B[st.free_vel]
+    constraint = np.concatenate([np.zeros(nu), st.c_p])
+    for K, b, x in solves:
+        # the unpinned system, bordered by the zero-mean pressure constraint
+        full = sp.bmat([[K[:nu, :nu], -B], [-B.T, None]], format="csr")
         ref, _ = linalg.solve_constrained(linalg.LinearSystem(
-            Kc[:-1, :-1], b[:-1], st._constraint))
-        assert np.abs(x - ref).max() <= 1e-10 * np.abs(ref).max()
+            full, np.append(b, 0.0), constraint))
+        p = np.append(x[nu:], 0.0)
+        p -= (st.c_p @ p) / st.c_p.sum()
+        for got, want in ((x[:nu], ref[:nu]), (p, ref[nu:])):
+            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
 
 @_IN_2D_AND_3D
