@@ -4,18 +4,20 @@ On affine simplices each form splits into a part that depends only on the
 reference cell and a part that depends only on the cell's geometry and the
 coefficients (Kirby & Logg, "A compiler for variational forms", ACM TOMS
 32, 2006).  Per tabulation and form a reference tensor R is built once from
-the reference basis, e.g. ``R[q, ij] = phi_qi phi_qj`` for the mass or
-``R[(q, d), ij] = phi_qi dphi_qjd`` for the convection.  Per call the
-quadrature weights, the coefficient and the inverse Jacobian are folded
-into a coefficient matrix K with one row per cell, and one GEMM ``K @ R``
-gives every local block.  The H(div) basis exists only on the reference
-cell: each cell's basis is the contravariant Piola image of it, reordered
-and scaled per cell (Rognes, Kirby & Logg, "Efficient assembly of H(div)
-and H(curl) conforming finite elements", SISC 31, 2009).  So its
-evaluators and loads are one GEMM against the reference basis at the
-reference points, and its mass and divergence forms are reference tensors
-mapped by each cell's Piola matrix (``rt_blocks``); no physical basis is
-tabulated.
+the reference basis.  Per call |det J| and J^-1 are applied per cell in a
+coefficient matrix K with one row per cell, and one GEMM ``K @ R`` gives
+every local block.  Where only the geometry varies over the cells, the
+quadrature is in R, e.g. ``R[(d, e), ij] = sum_q w_q dphi_qid dphi_qje``
+for the stiffness, with K = |det J| J^-1 J^-T; only a coefficient given at
+points keeps one row entry per point, e.g. ``R[(q, d), ij] = phi_qi
+dphi_qjd`` for the convection by point values.  The H(div) basis exists
+only on the reference cell: each cell's basis is the contravariant Piola
+image of it, reordered and scaled per cell (Rognes, Kirby & Logg,
+"Efficient assembly of H(div) and H(curl) conforming finite elements",
+SISC 31, 2009).  So its evaluators and loads are one GEMM against the
+reference basis at the reference points, and its mass and divergence forms
+are reference tensors mapped by each cell's Piola matrix (``rt_blocks``);
+no physical basis is tabulated.
 
 A form weighted by a finite element field needs no point values either.
 The rho-weighted MINI mass and convection are trilinear in the cell
@@ -27,8 +29,8 @@ as a cut-off that clamps there, is given by point values on those cells
 alone (``FieldWeight``).  The load of a MINI field on the H(div) space is
 the same sum reassociated (``MiniRTLoad``).
 
-Work whose temporaries would grow with the mesh (pattern slots, the cell
-forms) runs over ``CHUNK`` cells at a time, the forms through one kernel,
+The forms with coefficients at points or from fields, and the pattern
+slots, run over ``CHUNK`` cells at a time, the forms through one kernel,
 ``_cell_blocks``, which asks for each chunk's coefficients in turn.  So no
 coefficient array of a form spans the mesh, and the quadrature stores no
 per-point array (``CellQuadrature``); the per-step forms on the high rule
@@ -183,12 +185,12 @@ class Pattern:
 class CellQuadrature:
     """A reference rule mapped to every cell.
 
-    It stores per-cell data only, |det J| and the mesh's affine maps.  The
-    per-point arrays are formed when asked for: the weights ``wdet`` (nc,
-    nq) on every access, or for a chunk of cells (``weights_at``), and the
-    physical points by ``map_points``.  ``points`` caches them on first
-    use, for rules whose points are read every step; a high rule's arrays
-    then live only as long as their caller holds them.
+    It stores per-cell data only, |det J| and the mesh's affine maps; the
+    forms and loads apply |det J| per cell to the rule's weights.  The
+    weights times |det J|, ``wdet`` (nc, nq), are formed on every access,
+    or for the cells ``weights_at`` selects, for the point-valued rows of
+    ``mass_matrix`` and ``convection_matrix``; the physical points by
+    ``map_points``, and ``points`` caches them on first use.
     """
 
     def __init__(self, mesh, degree):
@@ -260,10 +262,11 @@ class ScalarTab:
 
     @functools.cached_property
     def _stiffness_ref(self):
-        """(nq * d * d, nloc * nloc): dphi_qid dphi_qje."""
+        """(d * d, nloc * nloc): sum_q w_q dphi_qid dphi_qje, the reference
+        stiffness per pair (d, e) of reference derivatives."""
         g = self.ref_grads
-        R = np.einsum("qid,qje->qdeij", g, g)
-        return R.reshape(-1, g.shape[1] ** 2)
+        wg = g * self.geom.rule.weights[:, None, None]
+        return np.einsum("qid,qje->deij", wg, g).reshape(-1, g.shape[1] ** 2)
 
     @functools.cached_property
     def _convection_ref(self):
@@ -446,17 +449,20 @@ class FacetQuadrature:
     def __init__(self, mesh, degree):
         self.mesh = mesh
         self.rule = facet_rule(mesh.dim, degree)
-        d = mesh.dim
-        fverts = mesh.vertices[mesh.facet_vertices]  # (nf, d, d)
-        edges = fverts[:, 1:, :] - fverts[:, :1, :]
-        self.points = fverts[:, None, 0, :] + np.einsum(
-            "qk,fkd->fqd", self.rule.points, edges
-        )
-        refmeas = reference_simplex_measure(d - 1)
+        refmeas = reference_simplex_measure(mesh.dim - 1)
         self.wscale = (
             mesh.facet_measures[:, None] / refmeas
         ) * self.rule.weights[None, :]
         self.npoints = self.rule.npoints
+
+    @functools.cached_property
+    def points(self):
+        """Physical points (nf, nq, d), formed on first use."""
+        fverts = self.mesh.vertices[self.mesh.facet_vertices]  # (nf, d, d)
+        edges = fverts[:, 1:, :] - fverts[:, :1, :]
+        return fverts[:, None, 0, :] + np.einsum(
+            "qk,fkd->fqd", self.rule.points, edges
+        )
 
 
 class DGFacetTrace:
@@ -594,12 +600,11 @@ def mass_matrix(tab, coef=None):
 
 
 def stiffness_matrix(tab):
-    """(grad u, grad v); bitwise symmetric (module docstring)."""
+    """(grad u, grad v); bitwise symmetric (module docstring).  Cell K's
+    block is (|det J| J^-1 J^-T)_K contracted with the reference stiffness."""
     inv = tab.space.mesh.inv_jacobians
-    G = (inv @ np.swapaxes(inv, 1, 2)).reshape(len(inv), -1)  # invJ invJ^T
-    local = _cell_blocks(
-        len(G), lambda s: tab.geom.weights_at(s)[:, :, None] * G[s, None, :],
-        tab._stiffness_ref)
+    G = (inv @ np.swapaxes(inv, 1, 2)) * tab.geom.abs_dets[:, None, None]
+    local = G.reshape(len(G), -1) @ tab._stiffness_ref
     nloc = tab.vals.shape[1]
     return tab.pattern.matrix(_symmetric(local.reshape(-1, nloc, nloc)))
 
@@ -682,17 +687,16 @@ def mixed_div_matrix(rt_tab, dg_tab):
 
 def div_coupling(mini_tab, p1_tab):
     """B[(k,a), m] = (q_m, d_k psi_a), component-major velocity rows."""
+    _same_rule(mini_tab, p1_tab)
     ns = mini_tab.space.n_dofs
     d = mini_tab.space.dim
     nc = len(mini_tab.cell_dofs)
-    # K[(c, k), (q, e)] = w_cq invJ_cek; R[(q, e), (a, m)] = dpsi_qae q_qm
-    inv_t = np.swapaxes(mini_tab.space.mesh.inv_jacobians, 1, 2)
-    weights_at = mini_tab.geom.weights_at
-    R = (np.swapaxes(mini_tab.ref_grads, 1, 2)[:, :, :, None]
-         * p1_tab.vals[:, None, None, :])
-    local = _cell_blocks(
-        nc, lambda s: weights_at(s)[:, None, :, None] * inv_t[s, :, None, :],
-        R.reshape(-1, R.shape[2] * R.shape[3]))
+    # K[(c, k), e] = |det J_c| invJ_cek; R[e, (a, m)] = sum_q w_q dpsi_qae q_qm
+    K = (np.swapaxes(mini_tab.space.mesh.inv_jacobians, 1, 2)
+         * mini_tab.geom.abs_dets[:, None, None])
+    wg = mini_tab.ref_grads * mini_tab.geom.rule.weights[:, None, None]
+    R = np.einsum("qae,qm->eam", wg, p1_tab.vals).reshape(d, -1)
+    local = K.reshape(nc * d, d) @ R
     rows = (mini_tab.cell_dofs[:, None, :]
             + ns * np.arange(d)[:, None]).reshape(nc, -1)
     shape = (d * ns, p1_tab.space.n_dofs)
@@ -701,12 +705,13 @@ def div_coupling(mini_tab, p1_tab):
 
 
 def load_blocks(tab, values):
-    """Cell vectors (nc, nloc) of (f, v), f at quadrature points (nc, nq)."""
-    return (tab.geom.wdet * values) @ tab.vals
+    """Cell vectors (nc, nloc) of (f, v), f at points (nc, nq) or constant."""
+    geom = tab.geom
+    return ((values * geom.rule.weights) @ tab.vals) * geom.abs_dets[:, None]
 
 
 def load_vector(tab, values):
-    """(f, v) with f given at quadrature points, shape (nc, nq)."""
+    """(f, v) with f given at quadrature points (``load_blocks``)."""
     return np.bincount(
         tab.cell_dofs.ravel(), weights=load_blocks(tab, values).ravel(),
         minlength=tab.space.n_dofs,
@@ -792,7 +797,7 @@ def upwind_jump_quadratic(trace, flux, minus_vals, plus_vals):
 
 def integrate(geom, values):
     """Quadrature sum of point values (nc, nq) over the whole mesh."""
-    return float(np.einsum("cq,cq->", geom.wdet, values))
+    return float(geom.abs_dets @ (values @ geom.rule.weights))
 
 
 def eval_scalar(tab, field, cells=slice(None)):

@@ -47,7 +47,6 @@ def main(argv=None):
                         help="CSV output path; the rows of this study that "
                              "it already holds and that did not fail are "
                              "not run again")
-    studyp.add_argument("--format", choices=["csv", "md"], default="csv")
     _add_common(studyp)
 
     args = parser.parse_args(argv)
@@ -93,7 +92,7 @@ def main(argv=None):
                 fh.write(records_to_csv(done))
 
     records = run_study(spec, progress=progress, finished=finished)
-    print(records_to_table(records, markdown=args.format == "md"))
+    print(records_to_table(records))
     return 2 if any(r.failed for r in records) else 0
 
 

@@ -251,7 +251,8 @@ def records_from_csv(text):
     return records
 
 
-def records_to_table(records, markdown=False):
+def records_to_table(records):
+    """The records as a markdown table."""
     header = ["h", "tau", "E_rho", "order", "E_u", "order", "seconds"]
     rows = []
     for r in records:
@@ -266,13 +267,8 @@ def records_to_table(records, markdown=False):
         ])
     widths = [max(len(h), *(len(row[i]) for row in rows)) if rows else len(h)
               for i, h in enumerate(header)]
-    if markdown:
-        out = ["| " + " | ".join(h.ljust(w) for h, w in zip(header, widths)) + " |"]
-        out.append("|" + "|".join("-" * (w + 2) for w in widths) + "|")
-        for row in rows:
-            out.append("| " + " | ".join(c.ljust(w) for c, w in zip(row, widths)) + " |")
-    else:
-        out = ["  ".join(h.rjust(w) for h, w in zip(header, widths))]
-        for row in rows:
-            out.append("  ".join(c.rjust(w) for c, w in zip(row, widths)))
+    out = ["| " + " | ".join(h.ljust(w) for h, w in zip(header, widths)) + " |"]
+    out.append("|" + "|".join("-" * (w + 2) for w in widths) + "|")
+    for row in rows:
+        out.append("| " + " | ".join(c.ljust(w) for c, w in zip(row, widths)) + " |")
     return "\n".join(out) + "\n"

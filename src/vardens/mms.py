@@ -41,9 +41,6 @@ from scipy.special import roots_legendre
 # Points per chunk of the dual pass in ``ExactCase._spatial``; each dual
 # temporary then holds at most a few MB.
 CHUNK_POINTS = 8192
-# The point axis of each field of ``ExactCase._spatial``.
-_POINT_AXIS = {"a": 1, "u_grad_a": 1, "grad_b": 1,
-               "u": 0, "u_grad_u": 0, "lap_u": 0}
 
 
 class Dual:
@@ -184,6 +181,12 @@ def _at(factor, var):
     return factor(var) if callable(factor) else factor
 
 
+def _sum_terms(field, w):
+    """sum_k w_k field[..., k] as one matrix-vector product: a product per
+    point of its own small matrix would cost ten times as much."""
+    return (field.reshape(-1, len(w)) @ w).reshape(field.shape[:-1])
+
+
 class _LastPointSet:
     """Fields of the points, kept for the point set of the last call.
 
@@ -278,11 +281,12 @@ class ExactCase:
     def _spatial(self, x):
         """The sources' spatial fields at points x (..., d), one dual pass.
 
-        ``a`` and ``u_grad_a`` stack a_k and u.grad a_k over the density
-        terms, ``grad_b`` stacks grad b_j over the pressure terms; ``u``,
-        ``u_grad_u`` and ``lap_u`` carry the velocity in the last axis.
-        The pass runs over ``CHUNK_POINTS`` points at a time, so its dual
-        temporaries do not grow with the point set.
+        Every field has the point axes first.  ``a`` and ``u_grad_a`` stack
+        a_k and u.grad a_k over the density terms in the last axis, and
+        ``grad_b`` stacks grad b_j over the pressure terms there too;
+        ``u``, ``u_grad_u`` and ``lap_u`` carry the velocity in the last
+        axis.  The pass runs over ``CHUNK_POINTS`` points at a time, so its
+        dual temporaries do not grow with the point set.
         """
         x = np.asarray(x, dtype=float)
         pts = x.reshape(-1, x.shape[-1])
@@ -290,14 +294,11 @@ class ExactCase:
         for a in range(0, max(len(pts), 1), CHUNK_POINTS):
             part = self._spatial_points(pts[a:a + CHUNK_POINTS])
             for key, v in part.items():
-                ax = _POINT_AXIS[key]
                 if key not in out:
-                    out[key] = np.empty(v.shape[:ax] + (len(pts),)
-                                        + v.shape[ax + 1:])
-                np.moveaxis(out[key], ax, 0)[a:a + CHUNK_POINTS] = (
-                    np.moveaxis(v, ax, 0))
-        return {key: v.reshape(v.shape[:ax] + x.shape[:-1] + v.shape[ax + 1:])
-                for key, v in out.items() for ax in [_POINT_AXIS[key]]}
+                    out[key] = np.empty((len(pts),) + v.shape[1:])
+                out[key][a:a + CHUNK_POINTS] = v
+        return {key: v.reshape(x.shape[:-1] + v.shape[1:])
+                for key, v in out.items()}
 
     def _spatial_points(self, x):
         """``_spatial`` on a flat point list (npts, d)."""
@@ -311,12 +312,12 @@ class ExactCase:
         a = [X[0]._lift(_at(s, X)) for _, s in self._rho_terms]
         b = [X[0]._lift(_at(s, X)) for _, s in self._p_terms]
         return {
-            "a": np.stack([s.val for s in a]),
-            "u_grad_a": np.stack([along_u(s) for s in a]),
+            "a": np.stack([s.val for s in a], axis=-1),
+            "u_grad_a": np.stack([along_u(s) for s in a], axis=-1),
             "u": uval,
             "u_grad_u": np.stack([along_u(c) for c in u], axis=-1),
             "lap_u": np.stack([c.laplacian() for c in u], axis=-1),
-            "grad_b": np.stack([s.spatial_grad() for s in b]),
+            "grad_b": np.stack([s.spatial_grad() for s in b], axis=-1),
         }
 
     def _time_factors(self, terms, t):
@@ -329,8 +330,8 @@ class ExactCase:
         """f = sum_k theta_k' a_k + theta_k u.grad a_k at time t from the
         fields of ``_spatial``."""
         theta, dtheta = self._time_factors(self._rho_terms, t)
-        return (np.tensordot(dtheta, fields["a"], 1)
-                + np.tensordot(theta, fields["u_grad_a"], 1))
+        return (_sum_terms(fields["a"], dtheta)
+                + _sum_terms(fields["u_grad_a"], theta))
 
     def _g(self, fields, t, mu, scheme=False):
         """g = rho (u.grad)u + sum_j phi_j grad b_j - mu lap u at time t
@@ -338,9 +339,9 @@ class ExactCase:
         when ``scheme`` is set."""
         theta, _ = self._time_factors(self._rho_terms, t)
         phi, _ = self._time_factors(self._p_terms, t)
-        rho = np.tensordot(theta, fields["a"], 1)
+        rho = _sum_terms(fields["a"], theta)
         g = (rho[..., None] * fields["u_grad_u"]
-             + np.tensordot(phi, fields["grad_b"], 1) - mu * fields["lap_u"])
+             + _sum_terms(fields["grad_b"], phi) - mu * fields["lap_u"])
         if scheme:
             g += 0.5 * self._f(fields, t)[..., None] * fields["u"]
         return g

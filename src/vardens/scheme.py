@@ -201,14 +201,10 @@ class TimeStepper:
         self._rho_ref_mass = self.p2_lo.ref_mass
         self._rho_ref_mass_inv_t = np.linalg.inv(self._rho_ref_mass).T
         self._abs_dets = self.geom_lo.abs_dets
-        self.ones_rho = assemble.load_vector(
-            self.p2_lo, np.ones_like(self.geom_lo.wdet)
-        )
+        self.ones_rho = self.rho_mass(np.ones(self.rho_space.n_dofs))
         self.K_s = assemble.stiffness_matrix(self.mini_hi)
         self.B = assemble.div_coupling(self.mini_hi, self.p1_hi)
-        self.c_p = assemble.load_vector(
-            self.p1_hi, np.ones_like(self.geom_hi.wdet)
-        )
+        self.c_p = assemble.load_vector(self.p1_hi, 1.0)  # P1 basis integrals
 
         ns = self.vel_space.scalar.n_dofs
         mask = np.ones(ns, dtype=bool)

@@ -588,7 +588,9 @@ def test_reference_tensor_forms_reject_tabs_on_two_rules(kernel_setup):
             (assemble.RTConvection, assemble.ScalarTab(p2, geom), rt_tab),
             (assemble.MiniRTLoad, assemble.ScalarTab(mini, geom), rt_tab),
             (assemble.WeightedForms, assemble.ScalarTab(mini, geom),
-             assemble.ScalarTab(p2, geom_lo))):
+             assemble.ScalarTab(p2, geom_lo)),
+            (assemble.div_coupling, assemble.ScalarTab(mini, geom),
+             assemble.ScalarTab(P1Space(mesh), geom_lo))):
         with pytest.raises(ValueError, match="share one quadrature rule"):
             make(tab, other)
 

@@ -230,7 +230,7 @@ def test_run_case_diag_stream(tmp_path):
 def test_markdown_table_shape():
     recs = [ConvergenceRecord(h=0.5, tau=0.1, E_rho=1e-3, E_u=2e-3,
                               seconds=0.1)]
-    md = records_to_table(recs, markdown=True)
+    md = records_to_table(recs)
     assert md.startswith("| h")
     assert md.count("|", 0, md.index("\n")) == 8
 
@@ -254,6 +254,19 @@ def test_cli_run_and_study(tmp_path):
     text = out.read_text()
     assert text.startswith("h,tau,E_rho,order_rho,E_u,order_u,seconds")
     assert len(text.strip().splitlines()) == 3
+
+
+def test_cli_study_prints_the_markdown_table(capsys):
+    rc = cli.main([
+        "study", "--case", "square2d", "--mode", "space",
+        "--params", "1/2,1/4", "--tau", "1/16", "--T", "0.25",
+    ])
+    assert rc == 0
+    out = capsys.readouterr().out
+    header, rule, *rows = out.strip().splitlines()
+    assert header.startswith("| h ") and header.endswith(" |")
+    assert set(rule) == {"|", "-"}
+    assert len(rows) == 2 and all(r.startswith("| ") for r in rows)
 
 
 def test_cli_study_keeps_finished_rows_when_killed(monkeypatch, tmp_path):

@@ -48,36 +48,17 @@ def test_chunked_forms_match_one_batch(cube6):
     d = cube6.dim
     geom = assemble.CellQuadrature(cube6, 2 * (d + 1) + 2)
     mini = assemble.ScalarTab(MiniScalarSpace(cube6), geom)
-    p1 = assemble.ScalarTab(P1Space(cube6), geom)
     rng = np.random.default_rng(5)
     coef = rng.uniform(0.5, 2.0, size=geom.wdet.shape)
     wvec = rng.standard_normal(geom.wdet.shape + (d,))
     nc = cube6.n_cells
-    inv = cube6.inv_jacobians
-    inv_t = np.swapaxes(inv, 1, 2)
-
-    G = (inv @ inv_t).reshape(nc, -1)
-    K = geom.wdet[:, :, None] * G[:, None, :]
+    inv_t = np.swapaxes(cube6.inv_jacobians, 1, 2)
     nloc = mini.vals.shape[1]
-    local = (K.reshape(nc, -1) @ mini._stiffness_ref).reshape(nc, nloc, nloc)
-    ref = mini.pattern.matrix(assemble._symmetric(local))
-    assert _same(assemble.stiffness_matrix(mini), ref)
 
     K = np.matmul(wvec, inv_t) * (geom.wdet * coef)[..., None]
     local = K.reshape(nc, -1) @ mini._convection_ref
     ref = mini.pattern.matrix(local.reshape(nc, nloc, nloc))
     assert _same(assemble.convection_matrix(mini, wvec, coef=coef), ref)
-
-    K = geom.wdet[:, None, :, None] * inv_t[:, :, None, :]
-    R = (np.swapaxes(mini.ref_grads, 1, 2)[:, :, :, None]
-         * p1.vals[:, None, None, :])
-    local = K.reshape(nc * d, -1) @ R.reshape(K.shape[2] * d, -1)
-    got = assemble.div_coupling(mini, p1)
-    ns = mini.space.n_dofs
-    rows = (mini.cell_dofs[:, None, :] + ns * np.arange(d)[:, None]
-            ).reshape(nc, -1)
-    pattern = assemble.Pattern.build(got.shape, rows, p1.cell_dofs)
-    assert _same(got, pattern.matrix(local.reshape(nc, rows.shape[1], -1)))
 
 
 @pytest.mark.parametrize("chunk", [7, 10**6])
@@ -88,25 +69,46 @@ def test_chunked_forms_do_not_depend_on_the_chunk(cube6, monkeypatch, chunk):
     d = cube6.dim
     geom = assemble.CellQuadrature(cube6, 2 * (d + 1) + 2)
     mini = assemble.ScalarTab(MiniScalarSpace(cube6), geom)
-    p1 = assemble.ScalarTab(P1Space(cube6), geom)
     rng = np.random.default_rng(6)
     coef = rng.uniform(0.5, 2.0, size=geom.wdet.shape)
     wvec = rng.standard_normal(geom.wdet.shape + (d,))
 
-    def forms():
-        return (assemble.stiffness_matrix(mini),
-                assemble.convection_matrix(mini, wvec, coef=coef),
-                assemble.div_coupling(mini, p1))
-
-    ref = forms()
+    want = assemble.convection_matrix(mini, wvec, coef=coef)
     monkeypatch.setattr(assemble, "CHUNK", chunk)
-    for got, want in zip(forms(), ref):
-        if chunk > cube6.n_cells:
-            assert _same(got, want)
-        else:
-            assert np.array_equal(got.indices, want.indices)
-            err = np.abs(got.data - want.data).max()
-            assert err <= 1e-14 * np.abs(want.data).max()
+    got = assemble.convection_matrix(mini, wvec, coef=coef)
+    if chunk > cube6.n_cells:
+        assert _same(got, want)
+    else:
+        assert np.array_equal(got.indices, want.indices)
+        err = np.abs(got.data - want.data).max()
+        assert err <= 1e-14 * np.abs(want.data).max()
+
+
+# Peak traced allocation of each form on unit_cube_mesh(6) with the degree-10
+# rule, its pattern included, was 1.2 MB (stiffness) and 2.4 MB (divergence)
+# when this bound was set, against 9.6 MB and 16.4 MB when both formed a
+# coefficient row entry per quadrature point.
+CELL_GEOMETRY_FORM_PEAK_BOUND_MB = 3.0
+
+
+def test_cell_geometry_forms_allocate_no_point_rows(cube6):
+    """The stiffness and the MINI-P1 divergence apply |det J| and J^-1 once
+    per cell against reference integrals, so neither forms an array with
+    an entry per cell and quadrature point."""
+    d = cube6.dim
+    geom = assemble.CellQuadrature(cube6, 2 * (d + 1) + 2)
+    mini = assemble.ScalarTab(MiniScalarSpace(cube6), geom)
+    p1 = assemble.ScalarTab(P1Space(cube6), geom)
+    for form, tabs in ((assemble.stiffness_matrix, (mini,)),
+                       (assemble.div_coupling, (mini, p1))):
+        tracemalloc.start()
+        try:
+            form(*tabs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / 1e6 < CELL_GEOMETRY_FORM_PEAK_BOUND_MB, (
+            form.__name__, peak / 1e6)
 
 
 @pytest.mark.parametrize("name", ["cube3d", "cube3d_nonsmooth"])
@@ -197,6 +199,18 @@ def test_stepper_keeps_no_assembled_mass_copies(make_mesh, n):
             if sp.issparse(value):
                 assert value.shape[0] != nrho, name
                 assert obj is st or name == "system_matrix", name
+
+
+def test_stepper_forms_no_facet_points():
+    """Nothing in set-up or a step reads the facet quadrature's physical
+    points, so they are never formed."""
+    case = mms.make_case("cube3d")
+    st = TimeStepper(unit_cube_mesh(2), SchemeConfig(
+        tau=1 / 64, mu=0.001, n_steps=1, cutoff_mode="widened"))
+    state = st.initialize(lambda x: case.rho(x, 0.0),
+                          lambda x: case.u(x, 0.0))
+    st.step(state)
+    assert "points" not in vars(st.fquad)
 
 
 def _arrays(value):

@@ -479,6 +479,39 @@ def test_unclamped_step_samples_nothing_on_the_high_rule(monkeypatch):
     assert calls == []
 
 
+def test_step_with_sources_forms_no_point_weights(monkeypatch):
+    """With sources and no cell where the cut-off may clamp, a 3D step
+    applies |det J| per cell in every form and load: no quadrature forms
+    its weights at points."""
+    case = make_case("cube3d")
+    src = case.make_source_evaluator(0.001)
+    st = TimeStepper(unit_cube_mesh(2), _config(
+        n_steps=1, cutoff_mode="widened", f=src.f, g=src.g))
+    state = st.initialize(lambda x: case.rho(x, 0.0), lambda x: case.u(x, 0.0))
+    calls = []
+    inner = assemble.CellQuadrature.weights_at
+
+    def counted(geom, cells):
+        calls.append(geom)
+        return inner(geom, cells)
+
+    monkeypatch.setattr(assemble.CellQuadrature, "weights_at", counted)
+    state, diag = st.step(state)
+    assert diag.extras["cutoff_cells"] == 0
+    assert calls == []
+
+
+@pytest.mark.parametrize("make_mesh,n", [(unit_square_mesh, 4),
+                                         (unit_cube_mesh, 2)])
+def test_basis_integrals_match_the_quadrature_loads(make_mesh, n):
+    """``ones_rho`` and ``c_p``, formed per cell from reference blocks,
+    equal the loads of the constant 1 at the quadrature points."""
+    st = TimeStepper(make_mesh(n), _config())
+    for got, tab in ((st.ones_rho, st.p2_lo), (st.c_p, st.p1_hi)):
+        ref = assemble.load_vector(tab, np.ones_like(tab.geom.wdet))
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
 def test_energy_matches_diagnostics():
     case = make_case("square2d")
     cfg = _config(n_steps=3)
