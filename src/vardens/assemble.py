@@ -24,10 +24,10 @@ The rho-weighted MINI mass and convection are trilinear in the cell
 coefficients of rho, of the convecting velocity and of J^-1, so one
 reference tensor per form, contracted once from the tab's mass or
 convection reference, gives every block from those coefficients
-(``WeightedForms``).  A weight that is not the field on some cells, such
-as a cut-off that clamps there, is given by point values on those cells
-alone (``FieldWeight``).  The load of a MINI field on the H(div) space is
-the same sum reassociated (``MiniRTLoad``).
+(``WeightedForms``).  A weight adds rows of point values on some cells
+(``FieldWeight``): chi - rho where a cut-off may clamp, or every cell's
+values for a weight given at points.  The load of a MINI field on the
+H(div) space is the same sum reassociated (``MiniRTLoad``).
 
 The forms with coefficients at points or from fields, and the pattern
 slots, run over ``CHUNK`` cells at a time, the forms through one kernel,
@@ -405,31 +405,35 @@ class WeightedForms:
 class FieldWeight:
     """A weight for ``mass_matrix`` and ``convection_matrix``: the field
     ``field`` of ``forms.weight_tab``'s space (``WeightedForms``) on every
-    cell but ``cells``, an index array, where it is the point values
-    ``values`` (len(cells), nq) on the rule instead."""
+    cell, plus the point values ``values`` (len(cells), nq) on the rule on
+    the cells ``cells``, an index array.  With ``field`` None the weight
+    is the point values alone and ``forms`` is not read; ``values`` None
+    stands for 1."""
 
     forms: WeightedForms
     field: object
     cells: np.ndarray
     values: np.ndarray
 
-    def blocks(self, coef, R, point_coef, point_R):
-        """One row per cell: ``coef(c) @ R`` on the chunks c of the cells
-        but ``cells`` and ``point_coef(c, v) @ point_R`` on the chunks c of
-        ``cells``, v the chunk's rows of ``values`` (``_cell_blocks``)."""
-        n = len(self.forms.tab.cell_dofs)
-        if not len(self.cells):
-            return _cell_blocks(n, coef, R)
-        rest = np.ones(n, dtype=bool)
-        rest[self.cells] = False
-        rest = np.flatnonzero(rest)
-        local = np.empty((n, R.shape[1]))
-        if len(rest):
-            local[rest] = _cell_blocks(len(rest), lambda s: coef(rest[s]), R)
-        local[self.cells] = _cell_blocks(
-            len(self.cells),
-            lambda s: point_coef(self.cells[s], self.values[s]), point_R)
+    def blocks(self, tab, form, coef, point_coef):
+        """The rows of ``form`` ("mass" or "convection") on ``tab``, one per
+        cell: ``coef(s) @ forms.<form>_ref`` on the chunks s of every cell
+        if the weight has a field, plus ``point_coef(c, w) @
+        tab._<form>_ref`` on the chunks c of ``cells``, w the chunk's
+        ``point_weights`` (``_cell_blocks``)."""
+        n, P = len(tab.cell_dofs), getattr(tab, f"_{form}_ref")
+        local = (np.zeros((n, P.shape[1])) if self.field is None else
+                 _cell_blocks(n, coef, getattr(self.forms, f"{form}_ref")))
+        if len(self.cells):
+            local[self.cells] += _cell_blocks(len(self.cells), lambda s: (
+                point_coef(self.cells[s], self.point_weights(tab, s))), P)
         return local
+
+    def point_weights(self, tab, s):
+        """The rule's weights times |det J| times ``values`` (if given) on
+        the chunk s of ``cells``."""
+        w = tab.geom.weights_at(self.cells[s])
+        return w if self.values is None else w * self.values[s]
 
     def coefficients(self, s):
         """|det J| times the field's coefficients (n, nk) on the cells s."""
@@ -573,28 +577,23 @@ class RTFacetFlux:
         self.table = (d * (d + 1) * np.eye(d) - d) @ lam.T  # G^-1 lam^T
 
 
-def _weights(tab, coef, s):
-    """Weights times |det J| on the cells ``s`` selects, times the rows
-    ``coef`` (n, nq) of the point data there if given."""
-    w = tab.geom.weights_at(s)
-    return w if coef is None else w * coef
+def _weight(tab, coef):
+    """``coef`` as a ``FieldWeight``: point values (nc, nq) on the tab's
+    rule, or None for 1, are a weight with no field and those values on
+    every cell."""
+    if isinstance(coef, FieldWeight):
+        return coef
+    return FieldWeight(None, None, np.arange(len(tab.cell_dofs)), coef)
 
 
 def mass_matrix(tab, coef=None):
     """(coef u, v) on ``tab``'s space; bitwise symmetric (module docstring).
 
-    ``coef`` is given at the tab's quadrature points (nc, nq), or as a
-    ``FieldWeight`` on the tab.
+    ``coef`` is a ``FieldWeight`` on the tab, or point values (nc, nq) at
+    the tab's quadrature points (``_weight``).
     """
-    if isinstance(coef, FieldWeight):
-        local = coef.blocks(
-            coef.coefficients, coef.forms.mass_ref,
-            lambda c, v: _weights(tab, v, c), tab._mass_ref)
-    else:
-        local = _cell_blocks(
-            tab.space.mesh.n_cells,
-            lambda s: _weights(tab, None if coef is None else coef[s], s),
-            tab._mass_ref)
+    weight = _weight(tab, coef)
+    local = weight.blocks(tab, "mass", weight.coefficients, lambda c, w: w)
     nloc = tab.vals.shape[1]
     return tab.pattern.matrix(_symmetric(local.reshape(-1, nloc, nloc)))
 
@@ -610,32 +609,27 @@ def stiffness_matrix(tab):
 
 
 def convection_matrix(tab, wvec, coef=None):
-    """(coef (wvec . grad u), v), wvec (nc, nq, d) and coef (nc, nq) given
-    at the quadrature points.  With ``coef`` a ``FieldWeight`` on the tab,
-    wvec is a vector field of the tab's space (``eval_mini_vector``)."""
+    """(coef (wvec . grad u), v), ``coef`` as in ``mass_matrix`` and wvec
+    given at the quadrature points (nc, nq, d) or a vector field of the
+    tab's space (``eval_mini_vector``).  The rows from a weight's field
+    take wvec's cell coefficients, so there wvec must be a field."""
+    weight = _weight(tab, coef)
     inv_t = np.swapaxes(tab.space.mesh.inv_jacobians, 1, 2)
 
-    def at_points(s, w, c):  # the rows of the cells s from point values
-        return np.matmul(w, inv_t[s]) * _weights(tab, c, s)[..., None]
+    def velocity(c):  # point values (n, nq, d) on the cells c
+        if isinstance(wvec, np.ndarray):
+            return wvec[c]
+        return eval_mini_vector(tab, wvec, c)
 
-    if isinstance(coef, FieldWeight):
-        field = wvec
+    def coefficients(s):
+        # rows U_l^T J^-T of the cells' velocity coefficients (n, nl, d)
+        V = np.matmul(np.moveaxis(_components(tab, wvec, s), 0, -1),
+                      inv_t[s])
+        return weight.coefficients(s)[:, :, None, None] * V[:, None]
 
-        def coefficients(s):
-            # rows U_l^T J^-T of the cells' velocity coefficients (n, nl, d)
-            V = np.matmul(np.moveaxis(_components(tab, field, s), 0, -1),
-                          inv_t[s])
-            return coef.coefficients(s)[:, :, None, None] * V[:, None]
-
-        local = coef.blocks(
-            coefficients, coef.forms.convection_ref,
-            lambda c, v: at_points(c, eval_mini_vector(tab, field, c), v),
-            tab._convection_ref)
-    else:
-        local = _cell_blocks(
-            len(inv_t),
-            lambda s: at_points(s, wvec[s], None if coef is None else coef[s]),
-            tab._convection_ref)
+    local = weight.blocks(
+        tab, "convection", coefficients,
+        lambda c, w: np.matmul(velocity(c), inv_t[c]) * w[..., None])
     nloc = tab.vals.shape[1]
     return tab.pattern.matrix(local.reshape(-1, nloc, nloc))
 

@@ -28,7 +28,7 @@ def main(argv=None):
     runp.add_argument("--case", required=True,
                       choices=["square2d", "cube3d", "cube3d_nonsmooth"])
     runp.add_argument("--h", type=parse_fraction, required=True,
-                      help="mesh size as 1/n (or the integer n)")
+                      help="mesh size as 1/n")
     runp.add_argument("--tau", type=parse_fraction, required=True)
     runp.add_argument("--diag", default=None,
                       help="write per-step diagnostics CSV here")
@@ -52,18 +52,17 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     if args.command == "run":
-        h = args.h if args.h < 1 else 1.0 / args.h
         case = make_case(args.case)
         diag = open(args.diag, "w") if args.diag else None
         try:
             result = run_case(
-                case, h, args.tau, T=args.T, mu=args.mu,
+                case, args.h, args.tau, T=args.T, mu=args.mu,
                 cutoff_mode=args.cutoff, diag_stream=diag,
             )
         finally:
             if diag:
                 diag.close()
-        print(f"case={args.case} h={h:.6g} tau={args.tau:.6g} "
+        print(f"case={args.case} h={args.h:.6g} tau={args.tau:.6g} "
               f"T={args.T} mu={args.mu}")
         print(f"E_rho={result['E_rho']:.6e} E_u={result['E_u']:.6e} "
               f"seconds={result['seconds']:.2f}")

@@ -27,6 +27,8 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+SOLVER_TOL = 1e-10  # relative residual of every solve
+
 
 class SingularMatrixError(Exception):
     pass
@@ -133,7 +135,7 @@ def factorize(matrix, ordering="colamd"):
         ) from exc
 
 
-def solve_direct(system: LinearSystem, tol: float = 1e-10):
+def solve_direct(system: LinearSystem, tol: float = SOLVER_TOL):
     """Direct sparse solve; residual checked against ``tol``."""
     t0 = time.perf_counter()
     lu = factorize(system.matrix)
@@ -153,7 +155,7 @@ def augment_with_constraint(matrix, rhs, constraint):
     return K, b
 
 
-def solve_constrained(system: LinearSystem, tol: float = 1e-10):
+def solve_constrained(system: LinearSystem, tol: float = SOLVER_TOL):
     """Direct solve of a system with one linear constraint functional,
     bordered by its multiplier (``augment_with_constraint``).
 
@@ -183,8 +185,9 @@ def solve_constrained(system: LinearSystem, tol: float = 1e-10):
     )
 
 
-def solve_gmres(system: LinearSystem, tol: float = 1e-10, restart: int = 60,
-                maxiter: int = 400, *, preconditioner, x0=None):
+def solve_gmres(system: LinearSystem, tol: float = SOLVER_TOL,
+                restart: int = 60, maxiter: int = 400, *, preconditioner,
+                x0=None):
     """Restarted GMRES, preconditioned on the right, from the guess ``x0``.
 
     ``preconditioner`` is any callable r -> z ~ A^-1 r (a ``LinearOperator``

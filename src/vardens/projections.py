@@ -155,7 +155,7 @@ class RtProjectionWorkspace:
             raise ValueError("expected a callable, point values, or FeField")
         return assemble.rt_load_blocks(self.rt_tab, values)
 
-    def project(self, v, tol=1e-10):
+    def project(self, v):
         """Divergence-free, zero-flux projection of a square-integrable field:
         a callable of physical points, its values at the rule's points
         (nc, nq, d), or an RT1 or MINI vector field on the mesh.  The load
@@ -201,16 +201,17 @@ class RtProjectionWorkspace:
         res = np.hypot(np.linalg.norm(scatter(r)), np.linalg.norm(div))
         nrm = np.linalg.norm(scatter(bk))
         rel = res / nrm if nrm > 0 else res
-        if not rel <= tol:
+        if not rel <= linalg.SOLVER_TOL:
             raise linalg.ResidualError(
-                f"hybridized projection residual {rel:.3e} > {tol:.1e}"
+                f"hybridized projection residual {rel:.3e} > "
+                f"{linalg.SOLVER_TOL:.1e}"
             )
         self.last_report = linalg.SolveReport(rel)
         return FeField(space, coeffs)
 
 
-def project_rt_divfree(workspace: RtProjectionWorkspace, v, tol=1e-10):
-    return workspace.project(v, tol)
+def project_rt_divfree(workspace: RtProjectionWorkspace, v):
+    return workspace.project(v)
 
 
 def rt_divergence_nodal(field):

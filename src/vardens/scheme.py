@@ -16,9 +16,9 @@ Density values entering the velocity step pass through a Lipschitz cut-off
 that clamps to [rho_min/2, 3*rho_max/2] (optionally widened by a safety
 factor, or disabled); the bounds default to the extrema of the sampled
 initial density.  On a cell whose Bernstein coefficients lie inside the
-band no sample is clamped, so there chi(rho) = rho is the P2 field itself
-and the velocity forms are built from its coefficients; the cut-off is
-sampled on the other cells only.
+band no sample is clamped, so there chi(rho) = rho is the P2 field itself.
+The velocity forms are built from its coefficients on every cell, and the
+point values of chi(rho) - rho are added on the other cells only.
 """
 
 import time
@@ -34,7 +34,6 @@ from .spaces import FeField, MiniVectorSpace, P1Space, P2DGSpace
 CELL_DEGREE_LOW = 6          # transport + mixed projection forms
 FACET_DEGREE = 6
 DENSITY_RESTART = 60         # GMRES restart length of the density solve
-SOLVER_TOL = 1e-10           # relative residual of every solve
 WIDEN_FACTOR = 1.5           # the widened cut-off band's safety factor
 
 
@@ -324,7 +323,7 @@ class TimeStepper:
             )
         try:
             x, report = linalg.solve_gmres(
-                linalg.LinearSystem(A, rhs), SOLVER_TOL,
+                linalg.LinearSystem(A, rhs),
                 restart=DENSITY_RESTART, maxiter=400 * DENSITY_RESTART,
                 preconditioner=self.rho_mass_solve,
                 x0=state.rho.coeffs,
@@ -366,17 +365,17 @@ class TimeStepper:
         fill = self._factor_velocity(K) if self._vel_lu is None else None
         try:
             x, report = linalg.solve_gmres(
-                linalg.LinearSystem(K, b), SOLVER_TOL, restart=40, maxiter=40,
+                linalg.LinearSystem(K, b), restart=40, maxiter=40,
                 preconditioner=self._vel_lu.solve, x0=x0,
             )
         except linalg.ResidualError as exc:
             fill = self._factor_velocity(K)
             x = self._vel_lu.solve(b)
             res = np.linalg.norm(K @ x - b) / max(np.linalg.norm(b), 1e-300)
-            if not res <= SOLVER_TOL:
+            if not res <= linalg.SOLVER_TOL:
                 raise linalg.ResidualError(
                     f"refreshed factor: relative residual {res:.3e} > "
-                    f"{SOLVER_TOL:.1e}"
+                    f"{linalg.SOLVER_TOL:.1e}"
                 ) from exc
             report = linalg.SolveReport(
                 res, 0, time.perf_counter() - t0, {"refreshed": True}
@@ -412,17 +411,18 @@ class TimeStepper:
         """chi = cutoff(rho) as an ``assemble.FieldWeight``, and the number
         of its samples on the high rule that the cut-off clamps.
 
-        The weight is ``rho`` itself on every cell but those where the
-        cut-off may clamp (``_cutoff_cells``); there ``rho`` is sampled on
-        the high rule once and cut off, and only those samples can be
-        clamped.
+        The weight is ``rho`` itself on every cell plus chi - rho at the
+        high-rule points of the cells where the cut-off may clamp
+        (``_cutoff_cells``); there ``rho`` is sampled once and cut off, and
+        only those samples can be clamped.
         """
         cells = self._cutoff_cells(rho)
         rho_q = np.empty((0, self.geom_hi.npoints))
         if len(cells):
             rho_q = assemble.eval_scalar(self.p2_hi, rho, cells)
         chi = cutoff(rho_q, self.config)
-        weight = assemble.FieldWeight(self.weighted_forms, rho, cells, chi)
+        weight = assemble.FieldWeight(self.weighted_forms, rho, cells,
+                                      chi - rho_q)
         return weight, int(np.count_nonzero(chi != rho_q))
 
     def _weighted_mass(self, rho, chi=None):
@@ -452,14 +452,15 @@ class TimeStepper:
 
         The chi-weighted masses of the old and new density and the
         convection by the old velocity weighted by chi(rho_new) are built
-        from the fields' cell coefficients (``assemble.WeightedForms``);
-        only on the cells where the cut-off may clamp rho_new are chi and
-        the old velocity sampled on the high rule, and chi there once, for
-        both forms (``_chi_weight``).  The saddle system pins the last
-        pressure dof (``_build_saddle_template``) and starts from the old
-        pressure shifted to 0 there; the new pressure is then shifted to
-        zero mean.  Every divergence row is checked, the pinned one too, so
-        a pressure load that the velocity cannot meet is caught.
+        from the fields' cell coefficients (``assemble.WeightedForms``),
+        plus point rows on the cells where the cut-off may clamp rho_new:
+        there chi - rho and the old velocity are sampled on the high rule,
+        chi - rho once for both forms (``_chi_weight``).  The saddle system
+        pins the last pressure dof (``_build_saddle_template``) and starts
+        from the old pressure shifted to 0 there; the new pressure is then
+        shifted to zero mean.  Every divergence row is checked, the pinned
+        one too, so a pressure load that the velocity cannot meet is
+        caught.
         """
         cfg = self.config
         tau = cfg.tau
@@ -518,8 +519,8 @@ class TimeStepper:
                 f"discrete divergence constraint {div_residual:.3e} at "
                 f"step {state.n + 1}"
             )
+        report.extras["div_residual"] = div_residual
         self.last_reports["velocity"] = report
-        self.last_reports["div_residual"] = div_residual
         return (
             FeField(self.vel_space, u_new),
             FeField(self.p_space, p_new),
@@ -541,7 +542,7 @@ class TimeStepper:
     def _project(self, u, step):
         """The post-processed velocity; a failure names ``step``."""
         try:
-            return self.workspace.project(u, SOLVER_TOL)
+            return self.workspace.project(u)
         except linalg.ResidualError as exc:
             raise linalg.ResidualError(
                 f"projection at step {step}: {exc}") from exc
@@ -572,6 +573,7 @@ class TimeStepper:
             "density_blocks": density.extras["blocks"],
             "velocity_iterations": velocity.iterations,
             "velocity_refreshed": velocity.extras.get("refreshed", False),
+            "div_residual": velocity.extras["div_residual"],
         }
         fill = velocity.extras.get("velocity_factor_nnz")
         if fill is not None:

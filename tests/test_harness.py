@@ -243,6 +243,8 @@ def test_cli_run_and_study(tmp_path):
     ])
     assert rc == 0
     assert diag.exists()
+    with pytest.raises(ValueError, match="is not 1/n"):
+        cli.main(["run", "--case", "square2d", "--h", "8", "--tau", "1/16"])
 
     out = tmp_path / "study.csv"
     rc = cli.main([

@@ -393,17 +393,19 @@ def test_clamped_step_samples_the_new_density_once(monkeypatch):
     (unit_square_mesh, 4), (unit_square_mesh, 8), (unit_cube_mesh, 2),
     (unit_cube_mesh, 4)])
 @pytest.mark.parametrize("density,mode", [
-    ("ramp", "strict"), ("band", "strict"), ("ramp", "off")])
+    ("ramp", "strict"), ("band", "strict"), ("above", "strict"),
+    ("ramp", "off")])
 def test_weighted_forms_match_the_pointwise_forms(make_mesh, n, density,
                                                    mode):
     """The chi-weighted MINI mass and convection from field coefficients,
     sampled only where the cut-off may clamp, against ``mass_matrix`` and
     ``convection_matrix`` fed chi at every high-rule point.  The strict
     band is [0.5, 1.5]: the ramp leaves it where x > 3/4, the band density
-    nowhere."""
+    nowhere and the above density everywhere."""
     st = TimeStepper(make_mesh(n), _config(
         cutoff_mode=mode, rho_min=1.0, rho_max=1.0))
-    a, b = {"ramp": (0.6, 1.2), "band": (0.9, 0.2)}[density]
+    a, b = {"ramp": (0.6, 1.2), "band": (0.9, 0.2),
+            "above": (2.0, 0.2)}[density]
     rho = project_dg(st.p2_hi, lambda x: a + b * x[..., 0])
     u = FeField(st.vel_space, np.random.default_rng(n).standard_normal(
         st.vel_space.n_dofs))
@@ -425,6 +427,8 @@ def test_weighted_forms_match_the_pointwise_forms(make_mesh, n, density,
     assert clamped == expected
     if density == "ramp" and mode == "strict":
         assert 0 < len(cells) < st.mesh.n_cells and expected > 0
+    elif density == "above":
+        assert len(cells) == st.mesh.n_cells and expected == rho_q.size
     else:
         assert len(cells) == 0 and expected == 0
 
@@ -783,7 +787,7 @@ def test_stale_velocity_factor_is_refreshed_within_one_cycle(monkeypatch):
     assert report.extras["refreshed"] is True and report.iterations == 0
     assert report.wall_time > 0.0
     assert report.residual <= 1e-10
-    assert st.last_reports["div_residual"] <= 1e-10
+    assert diag.extras["div_residual"] <= 1e-10
     assert np.abs(projections.rt_divergence_nodal(state.w)).max() <= 1e-11
     assert diag.extras["velocity_refreshed"] is True
     assert diag.extras["velocity_iterations"] == 0
