@@ -9,6 +9,11 @@ from .harness import (StudySpec, parse_fraction, records_from_csv,
 from .mms import make_case
 
 
+def fraction_list(text):
+    """Comma-separated ``parse_fraction`` values, e.g. '1/8,1/10'."""
+    return [parse_fraction(tok) for tok in text.split(",") if tok]
+
+
 def _add_common(p):
     p.add_argument("--T", type=parse_fraction, default=0.25)
     p.add_argument("--mu", type=parse_fraction, default=0.001)
@@ -38,7 +43,7 @@ def main(argv=None):
     studyp.add_argument("--case", required=True,
                         choices=["square2d", "cube3d", "cube3d_nonsmooth"])
     studyp.add_argument("--mode", required=True, choices=["space", "time"])
-    studyp.add_argument("--params", required=True,
+    studyp.add_argument("--params", type=fraction_list, required=True,
                         help="comma-separated h (space) or tau (time) values,"
                              " e.g. 1/8,1/10,1/12")
     studyp.add_argument("--tau", type=parse_fraction, default=1.0 / 2048,
@@ -68,9 +73,8 @@ def main(argv=None):
               f"seconds={result['seconds']:.2f}")
         return 0
 
-    params = [parse_fraction(tok) for tok in args.params.split(",") if tok]
     spec = StudySpec(
-        case=args.case, mode=args.mode, params=params, tau=args.tau,
+        case=args.case, mode=args.mode, params=args.params, tau=args.tau,
         T=args.T, mu=args.mu, cutoff_mode=args.cutoff,
     )
     finished = []

@@ -25,11 +25,14 @@ UNDEFINED_ORDER = float("nan")
 
 
 def parse_fraction(text):
-    """Accept '1/8' style literals as well as plain floats."""
+    """Accept '1/8' style literals as well as plain floats; a zero
+    denominator is a ``ValueError``, which argparse reports as bad usage."""
     text = str(text).strip()
     if "/" in text:
-        num, den = text.split("/")
-        return float(num) / float(den)
+        num, den = (float(part) for part in text.split("/"))
+        if den == 0.0:
+            raise ValueError(f"zero denominator in {text!r}")
+        return num / den
     return float(text)
 
 
@@ -51,7 +54,7 @@ def l2_error_at_step(geom, values, exact_values):
 
 
 def _resolution_for(value, what):
-    n = round(1.0 / value)
+    n = round(1.0 / value) if value > 0 else 0
     if n < 1 or abs(n * value - 1.0) > 1e-9 * n:
         raise ValueError(f"{what} {value} is not 1/n for integer n")
     return int(n)

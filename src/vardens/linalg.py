@@ -199,7 +199,8 @@ def solve_gmres(system: LinearSystem, tol: float = SOLVER_TOL,
     2005).  The preconditioner is applied once per cycle to the combined
     update, so no second basis is stored.  ``maxiter`` bounds the inner
     iterations over all cycles, and the report counts them: 0 when ``x0``
-    already meets the target.  Raises ``ResidualError`` when it is spent.
+    already meets the target.  Raises ``ResidualError`` when it is spent,
+    and from ``_check`` when a NaN, say from the preconditioner, reached x.
     """
     t0 = time.perf_counter()
     A, b = system.matrix, system.rhs
@@ -249,7 +250,7 @@ def solve_gmres(system: LinearSystem, tol: float = SOLVER_TOL,
                 break
             V[j + 1] = w / hn
         k = len(cs)
-        y = sla.solve_triangular(R[:k, :k], g[:k])
+        y = sla.solve_triangular(R[:k, :k], g[:k], check_finite=False)
         x += preconditioner(y @ V[:k])
         r = b - A @ x
         beta = np.linalg.norm(r)

@@ -22,6 +22,7 @@ point values of chi(rho) - rho are added on the other cells only.
 """
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +51,16 @@ class NumericalBreakdownError(Exception):
     pass
 
 
+@contextmanager
+def _names_failure(phase, step):
+    """Re-raise a solver's ``ResidualError`` or ``SingularMatrixError`` as
+    the same type, its message led by "<phase> at step <step>: "."""
+    try:
+        yield
+    except (linalg.ResidualError, linalg.SingularMatrixError) as exc:
+        raise type(exc)(f"{phase} at step {step}: {exc}") from exc
+
+
 @dataclass
 class SchemeConfig:
     """Time step, viscosity, horizon, cut-off and source settings.
@@ -69,8 +80,8 @@ class SchemeConfig:
     g: object = None                 # g(x, t) momentum source
 
     def __post_init__(self):
-        if self.tau <= 0 or self.mu <= 0:
-            raise ValueError("need tau > 0 and mu > 0")
+        if not (0 < self.tau < np.inf and 0 < self.mu < np.inf):
+            raise ValueError("need 0 < tau < inf and 0 < mu < inf")
         if self.cutoff_mode not in ("strict", "widened", "off"):
             raise ValueError(f"unknown cutoff mode {self.cutoff_mode!r}")
         if self.n_steps is None:
@@ -270,7 +281,9 @@ class TimeStepper:
         rho_h = project_dg(self.p2_hi, rho_q)
         u_h = interpolate_mini(self.vel_space, u0)
         p_h = FeField(self.p_space, np.zeros(self.p_space.n_dofs))
-        return StepState(0, 0.0, rho_h, u_h, p_h, self._project(u_h, 0))
+        with _names_failure("projection", 0):
+            w_h = self.workspace.project(u_h)
+        return StepState(0, 0.0, rho_h, u_h, p_h, w_h)
 
     # ------------------------------------------------------------------
     def rho_mass(self, x):
@@ -310,7 +323,8 @@ class TimeStepper:
         grows about linearly with tau: on the unit square at h = 1/16 with
         a density ratio of 100, the first step takes about 250 iterations
         at tau = 1/16 and 3,800 at tau = 1.  GMRES is therefore allowed 400
-        restart cycles.
+        restart cycles.  Its report holds the matrix's cell blocks and the
+        new density's upwind dissipation (``StepDiagnostics``) as extras.
         """
         cfg = self.config
         tau = cfg.tau
@@ -321,25 +335,19 @@ class TimeStepper:
             rhs = rhs + tau * assemble.load_vector(
                 self.p2_lo, cfg.f(self.geom_lo.points, t_new)
             )
-        try:
-            x, report = linalg.solve_gmres(
-                linalg.LinearSystem(A, rhs),
-                restart=DENSITY_RESTART, maxiter=400 * DENSITY_RESTART,
-                preconditioner=self.rho_mass_solve,
-                x0=state.rho.coeffs,
-            )
-        except linalg.ResidualError as exc:
-            raise linalg.ResidualError(
-                f"density solve at step {state.n + 1}: {exc}"
-            ) from exc
+        x, report = linalg.solve_gmres(
+            linalg.LinearSystem(A, rhs),
+            restart=DENSITY_RESTART, maxiter=400 * DENSITY_RESTART,
+            preconditioner=self.rho_mass_solve,
+            x0=state.rho.coeffs,
+        )
+        rho_new = FeField(self.rho_space, x)
         report.extras["blocks"] = len(A.indices)
-        if not np.all(np.isfinite(x)):
-            raise NumericalBreakdownError(
-                f"density coefficients not finite at step {state.n + 1}"
-            )
+        minus, plus = assemble.eval_dg_traces(self.trace, rho_new)
+        report.extras["upwind_dissipation"] = tau * (
+            assemble.upwind_jump_quadratic(self.trace, flux, minus, plus))
         self.last_reports["density"] = report
-        self.last_reports["upwind_flux"] = flux
-        return FeField(self.rho_space, x)
+        return rho_new
 
     def _solve_velocity_system(self, K, b, x0):
         """GMRES preconditioned on the right by a lagged factorization.
@@ -368,15 +376,10 @@ class TimeStepper:
                 linalg.LinearSystem(K, b), restart=40, maxiter=40,
                 preconditioner=self._vel_lu.solve, x0=x0,
             )
-        except linalg.ResidualError as exc:
+        except linalg.ResidualError:
             fill = self._factor_velocity(K)
             x = self._vel_lu.solve(b)
-            res = np.linalg.norm(K @ x - b) / max(np.linalg.norm(b), 1e-300)
-            if not res <= linalg.SOLVER_TOL:
-                raise linalg.ResidualError(
-                    f"refreshed factor: relative residual {res:.3e} > "
-                    f"{linalg.SOLVER_TOL:.1e}"
-                ) from exc
+            res = linalg._check(K, x, b, linalg.SOLVER_TOL, "refreshed factor")
             report = linalg.SolveReport(
                 res, 0, time.perf_counter() - t0, {"refreshed": True}
             )
@@ -425,26 +428,24 @@ class TimeStepper:
                                       chi - rho_q)
         return weight, int(np.count_nonzero(chi != rho_q))
 
-    def _weighted_mass(self, rho, chi=None):
-        """The number of samples of ``rho`` on the high rule that the
-        cut-off clamps, the MINI mass matrix weighted by chi = cutoff(rho),
-        and the cells where the cut-off may clamp (``_cutoff_cells``).
+    def _weighted_mass(self, rho, weight=None):
+        """The MINI mass matrix weighted by chi = cutoff(rho).
 
-        ``chi`` is ``_chi_weight(rho)``, formed here when not given.  The
-        results are cached on the values of ``rho`` and the cut-off band,
-        so the mass matrix of the new density of one step is the old one of
-        the next; the weight's samples are not kept.
+        ``weight`` is chi as ``_chi_weight(rho)[0]``, formed here when not
+        given.  The matrix is cached on the values of ``rho`` and the
+        cut-off band, so the mass matrix of the new density of one step is
+        the old one of the next; the weight is not kept.
         """
         band = cutoff_bounds(self.config)
-        for hit in self._chi_cache:
-            if hit[0] == band and np.array_equal(hit[1], rho.coeffs):
-                return hit[2:]
-        weight, clamped = self._chi_weight(rho) if chi is None else chi
+        for hit_band, coeffs, M in self._chi_cache:
+            if hit_band == band and np.array_equal(coeffs, rho.coeffs):
+                return M
+        if weight is None:
+            weight, _ = self._chi_weight(rho)
         M = assemble.mass_matrix(self.mini_hi, weight)
         self._chi_cache = self._chi_cache[-1:] + [
-            (band, rho.coeffs.copy(), clamped, M, weight.cells)
-        ]
-        return self._chi_cache[-1][2:]
+            (band, rho.coeffs.copy(), M)]
+        return M
 
     # ------------------------------------------------------------------
     def velocity_step(self, state: StepState, rho_new: FeField):
@@ -460,17 +461,18 @@ class TimeStepper:
         from the old pressure shifted to 0 there; the new pressure is then
         shifted to zero mean.  Every divergence row is checked, the pinned
         one too, so a pressure load that the velocity cannot meet is
-        caught.
+        caught.  Its report holds that residual and, for rho_new, the counts
+        of clamped samples and of cells where the cut-off may clamp.
         """
         cfg = self.config
         tau = cfg.tau
         d = self.mesh.dim
         t_new = state.t + tau
 
-        M_old = self._weighted_mass(state.rho)[1]
-        chi = self._chi_weight(rho_new)
-        M_new = self._weighted_mass(rho_new, chi)[1]
-        N = assemble.convection_matrix(self.mini_hi, state.u, coef=chi[0])
+        M_old = self._weighted_mass(state.rho)
+        chi, clamped = self._chi_weight(rho_new)
+        M_new = self._weighted_mass(rho_new, chi)
+        N = assemble.convection_matrix(self.mini_hi, state.u, coef=chi)
 
         A_s = (
             (0.5 / tau) * (M_old.data + M_new.data)
@@ -497,15 +499,7 @@ class TimeStepper:
         x0 = np.concatenate(
             [state.u.coeffs[self.free_vel], p_old[:-1] - p_old[-1]]
         )
-        try:
-            x, report = self._solve_velocity_system(K, b, x0)
-        except linalg.ResidualError as exc:
-            raise linalg.ResidualError(
-                f"velocity solve at step {state.n + 1}: {exc}") from exc
-        if not np.all(np.isfinite(x)):
-            raise NumericalBreakdownError(
-                f"velocity coefficients not finite at step {state.n + 1}"
-            )
+        x, report = self._solve_velocity_system(K, b, x0)
 
         nf = len(self.free_s)
         u_new = np.zeros(self.vel_space.n_dofs)
@@ -516,10 +510,10 @@ class TimeStepper:
         div_residual = float(np.abs(self.B.T @ u_new).max())
         if div_residual > 1e-9:
             raise linalg.ResidualError(
-                f"discrete divergence constraint {div_residual:.3e} at "
-                f"step {state.n + 1}"
-            )
+                f"discrete divergence constraint {div_residual:.3e}")
         report.extras["div_residual"] = div_residual
+        report.extras["cutoff_clamped"] = clamped
+        report.extras["cutoff_cells"] = len(chi.cells)
         self.last_reports["velocity"] = report
         return (
             FeField(self.vel_space, u_new),
@@ -528,47 +522,42 @@ class TimeStepper:
 
     # ------------------------------------------------------------------
     def step(self, state: StepState):
-        """One full step: density, velocity/pressure, post-processing."""
+        """One full step: density, velocity/pressure, post-processing.  Only
+        here is the step numbered: a solver's failure in a phase is raised
+        again naming the phase and the step (``_names_failure``)."""
         t0 = time.perf_counter()
-        cfg = self.config
-        t_new = state.t + cfg.tau
-        rho_new = self.density_step(state)
-        u_new, p_new = self.velocity_step(state, rho_new)
-        w_new = self._project(u_new, state.n + 1)
-        new_state = StepState(state.n + 1, t_new, rho_new, u_new, p_new, w_new)
-        diag = self._diagnostics(state, new_state, time.perf_counter() - t0)
-        return new_state, diag
+        n = state.n + 1
+        with _names_failure("density solve", n):
+            rho_new = self.density_step(state)
+        with _names_failure("velocity solve", n):
+            u_new, p_new = self.velocity_step(state, rho_new)
+        with _names_failure("projection", n):
+            w_new = self.workspace.project(u_new)
+        new_state = StepState(n, state.t + self.config.tau, rho_new, u_new,
+                              p_new, w_new)
+        return new_state, self._diagnostics(new_state,
+                                            time.perf_counter() - t0)
 
-    def _project(self, u, step):
-        """The post-processed velocity; a failure names ``step``."""
-        try:
-            return self.workspace.project(u)
-        except linalg.ResidualError as exc:
-            raise linalg.ResidualError(
-                f"projection at step {step}: {exc}") from exc
-
-    def _diagnostics(self, old, new, wall):
+    def _diagnostics(self, new, wall):
+        """The record of the step that gave ``new``: energy, viscous
+        dissipation and mass from ``new``, every other fact from the step's
+        density and velocity reports."""
         cfg = self.config
-        clamped, _, cells = self._weighted_mass(new.rho)
+        density = self.last_reports["density"]
+        velocity = self.last_reports["velocity"]
         energy = self.energy(new)
         viscous = 0.0
         for comp in new.u.coeffs.reshape(self.mesh.dim, -1):
             viscous += float(comp @ (self.K_s @ comp))
         viscous *= cfg.tau * cfg.mu
-
-        minus, plus = assemble.eval_dg_traces(self.trace, new.rho)
-        upwind = cfg.tau * assemble.upwind_jump_quadratic(
-            self.trace, self.last_reports["upwind_flux"], minus, plus
-        )
         mass = float(self.ones_rho @ new.rho.coeffs)
 
         # share of the density samples the cut-off clamped
-        fraction = clamped / (self.mesh.n_cells * self.geom_hi.npoints)
-        density = self.last_reports["density"]
-        velocity = self.last_reports["velocity"]
+        fraction = velocity.extras["cutoff_clamped"] / (
+            self.mesh.n_cells * self.geom_hi.npoints)
         extras = {
             "cutoff_fraction": fraction,
-            "cutoff_cells": len(cells),
+            "cutoff_cells": velocity.extras["cutoff_cells"],
             "density_iterations": density.iterations,
             "density_blocks": density.extras["blocks"],
             "velocity_iterations": velocity.iterations,
@@ -579,7 +568,8 @@ class TimeStepper:
         if fill is not None:
             extras["velocity_factor_nnz"] = fill
         return StepDiagnostics(
-            new.n, new.t, energy, viscous, upwind, mass, fraction > 0, wall,
+            new.n, new.t, energy, viscous,
+            density.extras["upwind_dissipation"], mass, fraction > 0, wall,
             extras=extras,
         )
 
@@ -587,7 +577,7 @@ class TimeStepper:
         """0.5||rho||^2 + int 0.5 chi(rho)|u|^2 for an arbitrary state:
         0.5 rho . rho_mass(rho) + 0.5 sum_k u_k^T M u_k, M the chi-weighted
         mass (cached on the density, ``_weighted_mass``)."""
-        M = self._weighted_mass(state.rho)[1]
+        M = self._weighted_mass(state.rho)
         rho = state.rho.coeffs
         e = 0.5 * float(rho @ self.rho_mass(rho))
         for comp in state.u.coeffs.reshape(self.mesh.dim, -1):

@@ -5,7 +5,8 @@ The full suite covers the desk-scale convergence studies (2D space/time,
 mass conservation, the divergence-free post-processing contracts, the
 upwind dissipation identity, discrete incompressibility, and the
 source-term oracles.  The full-scale 3D regimes run only with
-VARDENS_EXTENDED=1 (hours of compute).
+VARDENS_EXTENDED=1 (about 40 minutes for both by the README's estimate;
+they have never run to the end).
 
 Run as: pytest tests/test_acceptance.py -v -s
 """

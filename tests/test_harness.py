@@ -24,6 +24,8 @@ def test_parse_fraction():
     assert parse_fraction("1/8") == 0.125
     assert parse_fraction("0.25") == 0.25
     assert parse_fraction(" 3/12 ") == 0.25
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_fraction("1/0")
 
 
 def test_compute_order_table_values():
@@ -245,6 +247,15 @@ def test_cli_run_and_study(tmp_path):
     assert diag.exists()
     with pytest.raises(ValueError, match="is not 1/n"):
         cli.main(["run", "--case", "square2d", "--h", "8", "--tau", "1/16"])
+    with pytest.raises(ValueError, match="is not 1/n"):
+        cli.main(["run", "--case", "square2d", "--h", "0", "--tau", "1/16"])
+    with pytest.raises(SystemExit) as exc:  # argparse's usage error
+        cli.main(["run", "--case", "square2d", "--h", "1/0", "--tau", "1/16"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["study", "--case", "square2d", "--mode", "space",
+                  "--params", "1/4,1/0"])
+    assert exc.value.code == 2
 
     out = tmp_path / "study.csv"
     rc = cli.main([

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from vardens import assemble
+from vardens import assemble, linalg
 from vardens.mesh import unit_cube_mesh, unit_square_mesh
 from vardens.mms import make_case
 from vardens.projections import project_dg
@@ -28,6 +28,10 @@ def test_config_validation():
         SchemeConfig(tau=0.0, mu=1.0, n_steps=1)
     with pytest.raises(ValueError):
         SchemeConfig(tau=0.1, mu=-1.0, n_steps=1)
+    for tau, mu in ((0.1, np.nan), (0.1, np.inf), (np.nan, 1.0),
+                    (np.inf, 1.0)):
+        with pytest.raises(ValueError, match="0 < tau < inf"):
+            SchemeConfig(tau=tau, mu=mu, n_steps=2)
     with pytest.raises(ValueError):
         SchemeConfig(tau=0.1, mu=1.0)  # neither T nor n_steps
     with pytest.raises(ValueError):
@@ -409,8 +413,9 @@ def test_weighted_forms_match_the_pointwise_forms(make_mesh, n, density,
     rho = project_dg(st.p2_hi, lambda x: a + b * x[..., 0])
     u = FeField(st.vel_space, np.random.default_rng(n).standard_normal(
         st.vel_space.n_dofs))
-    clamped, M, cells = st._weighted_mass(rho)
-    weight, _ = st._chi_weight(rho)
+    M = st._weighted_mass(rho)
+    weight, clamped = st._chi_weight(rho)
+    cells = weight.cells
     N = assemble.convection_matrix(st.mini_hi, u, coef=weight)
 
     rho_q = assemble.eval_scalar(st.p2_hi, rho)
@@ -694,33 +699,48 @@ def test_step_records_density_blocks():
         assert nc < len(A.indices) <= nc + 2 * nfi
 
 
-def test_failed_density_solve_names_the_solve_and_step(monkeypatch):
-    from vardens import linalg
-
-    case = make_case("square2d")
-    st = TimeStepper(unit_square_mesh(4), _config(n_steps=2))
-    state = st.initialize(lambda x: case.rho(x, 0.0), lambda x: case.u(x, 0.0))
-    state, _ = st.step(state)
-
+def _fail_density_gmres(st, monkeypatch):
     def fail(*args, **kwargs):
         raise linalg.ResidualError("gmres: residual 1.0e-03 above 1.0e-12")
 
     monkeypatch.setattr(linalg, "solve_gmres", fail)
+
+
+def _fail_velocity_factorization(st, monkeypatch):
+    # with the divergence block zeroed the pressure rows of the saddle
+    # matrix are empty, so SuperLU finds it exactly singular
+    monkeypatch.setattr(st, "_saddle_fixed", np.zeros_like(st._saddle_fixed))
+
+
+def _fail_projection(st, monkeypatch):
+    # a wrong mass block in the residual check makes every projection fail
+    monkeypatch.setattr(st.workspace, "_Mk", 2.0 * st.workspace._Mk)
+
+
+def _nan_density_preconditioner(st, monkeypatch):
+    monkeypatch.setattr(st, "rho_mass_solve",
+                        lambda r: np.full_like(r, np.nan))
+
+
+def test_failed_density_solve_names_the_solve_and_step(monkeypatch):
+    case = make_case("square2d")
+    st = TimeStepper(unit_square_mesh(4), _config(n_steps=2))
+    state = st.initialize(lambda x: case.rho(x, 0.0), lambda x: case.u(x, 0.0))
+    state, _ = st.step(state)
+    _fail_density_gmres(st, monkeypatch)
     with pytest.raises(linalg.ResidualError,
                        match=r"^density solve at step 2: gmres: residual"):
-        st.density_step(state)
+        st.step(state)
 
 
 def test_failed_velocity_refresh_names_the_step_and_residual(monkeypatch):
     """GMRES fails and the refreshed factor misses the tolerance too: the
     error reports the refreshed residual and the step, not GMRES's."""
-    from vardens import linalg
-
     case = make_case("square2d")
     st = TimeStepper(unit_square_mesh(4), _config(n_steps=2))
     state = st.initialize(lambda x: case.rho(x, 0.0), lambda x: case.u(x, 0.0))
-    rho1 = st.density_step(state)
     factor = st._factor_velocity
+    inner = linalg.solve_gmres
 
     def half_factor(Kc):
         fill = factor(Kc)
@@ -728,30 +748,72 @@ def test_failed_velocity_refresh_names_the_step_and_residual(monkeypatch):
         st._vel_lu = SimpleNamespace(solve=lambda b: 0.5 * exact.solve(b))
         return fill
 
-    def fail(*args, **kwargs):
+    def fail_velocity(system, *args, **kwargs):
+        if kwargs.get("restart") != 40:  # the density solve runs first
+            return inner(system, *args, **kwargs)
         raise linalg.ResidualError("gmres: residual 1.0e-03 above 1.0e-12 "
                                    "after 40 iterations")
 
     monkeypatch.setattr(st, "_factor_velocity", half_factor)
-    monkeypatch.setattr(linalg, "solve_gmres", fail)
+    monkeypatch.setattr(linalg, "solve_gmres", fail_velocity)
     with pytest.raises(linalg.ResidualError,
                        match=r"^velocity solve at step 1: refreshed factor: "
                              r"relative residual 5\.000e-01 > 1\.0e-10$"):
-        st.velocity_step(state, rho1)
+        st.step(state)
 
 
 def test_failed_projection_names_the_step(monkeypatch):
-    from vardens import linalg
-
     case = make_case("square2d")
     st = TimeStepper(unit_square_mesh(4), _config(n_steps=2))
     state = st.initialize(lambda x: case.rho(x, 0.0), lambda x: case.u(x, 0.0))
-    # a wrong mass block in the residual check makes every projection fail
-    monkeypatch.setattr(st.workspace, "_Mk", 2.0 * st.workspace._Mk)
+    _fail_projection(st, monkeypatch)
     with pytest.raises(linalg.ResidualError,
                        match=r"^projection at step 1: hybridized projection "
                              r"residual"):
         st.step(state)
+    # initialize's projection is step 0
+    with pytest.raises(linalg.ResidualError, match=r"^projection at step 0: "):
+        st.initialize(lambda x: case.rho(x, 0.0), lambda x: case.u(x, 0.0))
+
+
+@pytest.mark.parametrize("inject,error,message", [
+    (_fail_density_gmres, linalg.ResidualError,
+     r"density solve at step 1: gmres: residual"),
+    (_fail_velocity_factorization, linalg.SingularMatrixError,
+     r"velocity solve at step 1: singular factorization"),
+    (_fail_projection, linalg.ResidualError,
+     r"projection at step 1: hybridized projection residual"),
+    (_nan_density_preconditioner, linalg.ResidualError,
+     r"density solve at step 1: gmres solve: relative residual nan > "),
+], ids=["density-gmres", "velocity-singular", "projection",
+        "nan-preconditioner"])
+def test_step_names_the_failed_phase_and_step(inject, error, message,
+                                              monkeypatch):
+    """A solver failure in any phase leaves ``step`` as the solver's own
+    error type, its message led by the phase and the step.  A NaN from
+    the density preconditioner reaches the solution, and the residual
+    check names the non-finite solve."""
+    case = make_case("square2d")
+    st = TimeStepper(unit_square_mesh(4), _config(n_steps=2))
+    state = st.initialize(lambda x: case.rho(x, 0.0), lambda x: case.u(x, 0.0))
+    inject(st, monkeypatch)
+    with pytest.raises(error, match="^" + message):
+        st.step(state)
+
+
+def test_step_reports_hold_no_arrays():
+    """After a step the stepper keeps the density and velocity reports
+    and no array of the step, such as the facet fluxes of the transport
+    field."""
+    case = make_case("square2d")
+    st = TimeStepper(unit_square_mesh(4), _config(n_steps=2))
+    state = st.initialize(lambda x: case.rho(x, 0.0), lambda x: case.u(x, 0.0))
+    st.step(state)
+    assert sorted(st.last_reports) == ["density", "velocity"]
+    for report in st.last_reports.values():
+        for value in [report.residual, report.iterations,
+                      *report.extras.values()]:
+            assert not isinstance(value, np.ndarray)
 
 
 def test_stale_velocity_factor_is_refreshed_within_one_cycle(monkeypatch):
