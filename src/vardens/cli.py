@@ -4,9 +4,11 @@ import argparse
 import os
 import sys
 
-from .harness import (StudySpec, parse_fraction, records_from_csv,
-                      records_to_csv, records_to_table, run_case, run_study)
-from .mms import make_case
+from .harness import (StudySpec, _resolution_for, parse_fraction,
+                      records_from_csv, records_to_csv, records_to_table,
+                      run_case, run_study)
+from .mms import CASES, make_case
+from .scheme import CUTOFF_MODES
 
 
 def fraction_list(text):
@@ -14,11 +16,18 @@ def fraction_list(text):
     return [parse_fraction(tok) for tok in text.split(",") if tok]
 
 
+def mesh_size(text):
+    """A ``parse_fraction`` value that is 1/n for an integer n."""
+    h = parse_fraction(text)
+    _resolution_for(h, "mesh size")
+    return h
+
+
 def _add_common(p):
-    p.add_argument("--T", type=parse_fraction, default=0.25)
-    p.add_argument("--mu", type=parse_fraction, default=0.001)
-    p.add_argument("--cutoff", choices=["strict", "widened", "off"],
-                   default="widened")
+    p.add_argument("--T", type=parse_fraction, default=StudySpec.T)
+    p.add_argument("--mu", type=parse_fraction, default=StudySpec.mu)
+    p.add_argument("--cutoff", choices=CUTOFF_MODES,
+                   default=StudySpec.cutoff_mode)
 
 
 def main(argv=None):
@@ -30,9 +39,8 @@ def main(argv=None):
     sub = parser.add_subparsers(dest="command", required=True)
 
     runp = sub.add_parser("run", help="time-march one manufactured case")
-    runp.add_argument("--case", required=True,
-                      choices=["square2d", "cube3d", "cube3d_nonsmooth"])
-    runp.add_argument("--h", type=parse_fraction, required=True,
+    runp.add_argument("--case", required=True, choices=list(CASES))
+    runp.add_argument("--h", type=mesh_size, required=True,
                       help="mesh size as 1/n")
     runp.add_argument("--tau", type=parse_fraction, required=True)
     runp.add_argument("--diag", default=None,
@@ -40,13 +48,12 @@ def main(argv=None):
     _add_common(runp)
 
     studyp = sub.add_parser("study", help="run a convergence study")
-    studyp.add_argument("--case", required=True,
-                        choices=["square2d", "cube3d", "cube3d_nonsmooth"])
+    studyp.add_argument("--case", required=True, choices=list(CASES))
     studyp.add_argument("--mode", required=True, choices=["space", "time"])
     studyp.add_argument("--params", type=fraction_list, required=True,
                         help="comma-separated h (space) or tau (time) values,"
                              " e.g. 1/8,1/10,1/12")
-    studyp.add_argument("--tau", type=parse_fraction, default=1.0 / 2048,
+    studyp.add_argument("--tau", type=parse_fraction, default=StudySpec.tau,
                         help="fixed time step for space mode")
     studyp.add_argument("--out", default=None,
                         help="CSV output path; the rows of this study that "
@@ -73,10 +80,13 @@ def main(argv=None):
               f"seconds={result['seconds']:.2f}")
         return 0
 
-    spec = StudySpec(
-        case=args.case, mode=args.mode, params=args.params, tau=args.tau,
-        T=args.T, mu=args.mu, cutoff_mode=args.cutoff,
-    )
+    try:
+        spec = StudySpec(
+            case=args.case, mode=args.mode, params=args.params, tau=args.tau,
+            T=args.T, mu=args.mu, cutoff_mode=args.cutoff,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
     finished = []
     if args.out and os.path.exists(args.out):
         with open(args.out) as fh:

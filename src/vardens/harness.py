@@ -19,21 +19,22 @@ import numpy as np
 from . import assemble
 from .mesh import unit_cube_mesh, unit_square_mesh
 from .mms import make_case
-from .scheme import SchemeConfig, TimeStepper
+from .scheme import SchemeConfig, StepDiagnostics, TimeStepper
 
 UNDEFINED_ORDER = float("nan")
 
 
 def parse_fraction(text):
-    """Accept '1/8' style literals as well as plain floats; a zero
-    denominator is a ``ValueError``, which argparse reports as bad usage."""
-    text = str(text).strip()
-    if "/" in text:
-        num, den = (float(part) for part in text.split("/"))
-        if den == 0.0:
-            raise ValueError(f"zero denominator in {text!r}")
-        return num / den
-    return float(text)
+    """Accept '1/8' style literals as well as plain floats.  Every number
+    the CLI takes is finite and positive, so a zero denominator or any
+    other value is a ``ValueError``, which argparse reports as bad usage."""
+    num, _, den = str(text).strip().partition("/")
+    if den and float(den) == 0.0:
+        raise ValueError(f"zero denominator in {text!r}")
+    value = float(num) / float(den or 1)
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{text!r} is not finite and positive")
+    return value
 
 
 def compute_order(e1, h1, e2, h2):
@@ -72,13 +73,13 @@ def build_mesh(case, h):
     return unit_cube_mesh(n)
 
 
-def run_case(case, h, tau, T=0.25, mu=0.001, cutoff_mode="widened",
-             diag_stream=None):
+def run_case(case, h, tau, *, T, mu, cutoff_mode, diag_stream=None):
     """Time-march one manufactured problem; returns errors and timings.
 
     Tracks the max-over-steps L2 errors of density and velocity, evaluated
     every step on the over-integration rule.  ``seconds`` covers the whole
-    run, set-up included.
+    run, set-up included.  ``diag_stream`` receives the CSV header and
+    one ``StepDiagnostics.csv_row`` per step.
     """
     t0 = time.perf_counter()
     mesh = build_mesh(case, h)
@@ -92,8 +93,12 @@ def run_case(case, h, tau, T=0.25, mu=0.001, cutoff_mode="widened",
     geom = stepper.geom_lo
 
     errors = {"rho": 0.0, "u": 0.0}
+    if diag_stream is not None:
+        print(StepDiagnostics.csv_header(), file=diag_stream)
 
     def track(state, diag):
+        if diag_stream is not None:
+            print(diag.csv_row(), file=diag_stream)
         rho_q = assemble.eval_scalar(stepper.p2_lo, state.rho)
         u_q = assemble.eval_mini_vector(stepper.mini_lo, state.u)
         e_rho = l2_error_at_step(geom, rho_q, case.rho(geom.points, state.t))
@@ -104,9 +109,7 @@ def run_case(case, h, tau, T=0.25, mu=0.001, cutoff_mode="widened",
     state, diagnostics = stepper.run(
         lambda x: case.rho(x, 0.0),
         lambda x: case.u(x, 0.0),
-        diag_stream=diag_stream,
         on_step=track,
-        check_energy=False,
     )
     seconds = time.perf_counter() - t0
     return {
@@ -137,6 +140,13 @@ class StudySpec:
         p = list(self.params)
         if len(p) == 0 or any(b >= a for a, b in zip(p, p[1:])):
             raise ValueError("parameter list must be strictly decreasing")
+        for value in p:  # every row's grid, before any row runs
+            if self.mode == "space":
+                _resolution_for(value, "mesh size")
+            elif math.isqrt(m := _resolution_for(value, "tau")) ** 2 != m:
+                raise ValueError(
+                    f"tau {value} is not 1/n^2; required by the "
+                    "h = tau^(1/2) coupling")
         self.params = p
 
 
@@ -171,13 +181,7 @@ def run_study(spec: StudySpec, progress=None, finished=()):
             h, tau = value, spec.tau
         else:
             tau = value
-            n = round(1.0 / math.sqrt(tau))
-            if abs(n * n * tau - 1.0) > 1e-9:
-                raise ValueError(
-                    f"tau {tau} is not 1/n^2; required by the h = tau^(1/2) "
-                    "coupling"
-                )
-            h = 1.0 / n
+            h = 1.0 / round(1.0 / math.sqrt(tau))
         rec = ConvergenceRecord(h=h, tau=tau)
         old = next((r for r in finished
                     if math.isclose(r.h, h, rel_tol=1e-9)

@@ -15,7 +15,7 @@ compare against; ``solve_constrained`` imposes a zero-mean constraint
 instead, by bordering the system with one Lagrange multiplier row/column,
 which keeps the matrix symmetric whenever the blocks are.
 
-Every solve asserts its own relative residual before returning.
+Every solve asserts its relative residual, at most ``SOLVER_TOL``.
 """
 
 import math
@@ -72,10 +72,11 @@ def _relative_residual(A, x, b):
     return r / nb if nb > 0 else r
 
 
-def _check(A, x, b, tol, context):
+def _check(A, x, b, context):
     res = _relative_residual(A, x, b)
-    if not np.isfinite(res) or res > tol:
-        raise ResidualError(f"{context}: relative residual {res:.3e} > {tol:.1e}")
+    if not np.isfinite(res) or res > SOLVER_TOL:
+        raise ResidualError(
+            f"{context}: relative residual {res:.3e} > {SOLVER_TOL:.1e}")
     return res
 
 
@@ -135,12 +136,12 @@ def factorize(matrix, ordering="colamd"):
         ) from exc
 
 
-def solve_direct(system: LinearSystem, tol: float = SOLVER_TOL):
-    """Direct sparse solve; residual checked against ``tol``."""
+def solve_direct(system: LinearSystem):
+    """Direct sparse solve; residual checked against ``SOLVER_TOL``."""
     t0 = time.perf_counter()
     lu = factorize(system.matrix)
     x = lu.solve(system.rhs)
-    res = _check(system.matrix, x, system.rhs, tol, "direct solve")
+    res = _check(system.matrix, x, system.rhs, "direct solve")
     return x, SolveReport(res, 0, time.perf_counter() - t0)
 
 
@@ -155,7 +156,7 @@ def augment_with_constraint(matrix, rhs, constraint):
     return K, b
 
 
-def solve_constrained(system: LinearSystem, tol: float = SOLVER_TOL):
+def solve_constrained(system: LinearSystem):
     """Direct solve of a system with one linear constraint functional,
     bordered by its multiplier (``augment_with_constraint``).
 
@@ -166,13 +167,13 @@ def solve_constrained(system: LinearSystem, tol: float = SOLVER_TOL):
     most 1e-8 max(||rhs||, 1), ``ConstraintConflictError`` is raised.
     """
     if system.constraint is None:
-        return solve_direct(system, tol)
+        return solve_direct(system)
     t0 = time.perf_counter()
     K, b = augment_with_constraint(system.matrix, system.rhs, system.constraint)
     lu = factorize(K)
     xl = lu.solve(b)
     x, lam = xl[:-1], xl[-1]
-    res = _check(K, xl, b, tol, "constrained solve")
+    res = _check(K, xl, b, "constrained solve")
     conflict = (np.linalg.norm(system.matrix @ x - system.rhs)
                 / max(np.linalg.norm(system.rhs), 1.0))
     if conflict > 1e-8:
@@ -185,15 +186,14 @@ def solve_constrained(system: LinearSystem, tol: float = SOLVER_TOL):
     )
 
 
-def solve_gmres(system: LinearSystem, tol: float = SOLVER_TOL,
-                restart: int = 60, maxiter: int = 400, *, preconditioner,
-                x0=None):
+def solve_gmres(system: LinearSystem, restart: int = 60, maxiter: int = 400,
+                *, preconditioner, x0=None):
     """Restarted GMRES, preconditioned on the right, from the guess ``x0``.
 
     ``preconditioner`` is any callable r -> z ~ A^-1 r (a ``LinearOperator``
     works too).  With right preconditioning the minimised residual is the
-    true one, b - A x, and GMRES stops once it is below
-    max(tol / 100, 1e-14) ||b||; ``_check`` then asserts ``tol``.  Arnoldi
+    true one, b - A x, and GMRES stops once it is below max(SOLVER_TOL /
+    100, 1e-14) ||b||; ``_check`` then asserts ``SOLVER_TOL``.  Arnoldi
     orthogonalises by classical Gram-Schmidt applied twice, two GEMVs
     against the basis (Giraud, Langou & Rozlozník, Comput. Math. Appl. 50,
     2005).  The preconditioner is applied once per cycle to the combined
@@ -205,7 +205,7 @@ def solve_gmres(system: LinearSystem, tol: float = SOLVER_TOL,
     t0 = time.perf_counter()
     A, b = system.matrix, system.rhs
     nb = np.linalg.norm(b)
-    target = max(tol * 1e-2, 1e-14) * nb
+    target = max(SOLVER_TOL * 1e-2, 1e-14) * nb
     if x0 is None or nb == 0.0:
         x, r = np.zeros(b.shape[0]), b.copy()
     else:
@@ -254,5 +254,5 @@ def solve_gmres(system: LinearSystem, tol: float = SOLVER_TOL,
         x += preconditioner(y @ V[:k])
         r = b - A @ x
         beta = np.linalg.norm(r)
-    res = _check(A, x, b, tol, "gmres solve")
+    res = _check(A, x, b, "gmres solve")
     return x, SolveReport(res, iters, time.perf_counter() - t0)

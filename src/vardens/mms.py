@@ -226,10 +226,9 @@ class ExactCase:
     """
 
     def __init__(self, name, dim, rho_terms, u_space, p_terms,
-                 rho_plain_terms, u_plain, p_plain, smoothness_exponent=None):
+                 rho_plain_terms, u_plain, p_plain):
         self.name = name
         self.dim = dim
-        self.smoothness_exponent = smoothness_exponent
         self._rho_terms = rho_terms
         self._u_space = u_space
         self._p_terms = p_terms
@@ -530,11 +529,10 @@ def _cube3d_nonsmooth():
     return ExactCase(
         "cube3d_nonsmooth", 3, rho_terms, _cube_velocity_dual,
         _CUBE_PRESSURE_TERMS, rho_plain, _cube_velocity, _cube_pressure,
-        smoothness_exponent=c,
     )
 
 
-_CASES = {
+CASES = {
     "square2d": _square2d,
     "cube3d": _cube3d,
     "cube3d_nonsmooth": _cube3d_nonsmooth,
@@ -543,10 +541,10 @@ _CASES = {
 
 def make_case(name: str) -> ExactCase:
     try:
-        return _CASES[name]()
+        return CASES[name]()
     except KeyError:
         raise ValueError(
-            f"unknown case {name!r}; choose from {sorted(_CASES)}"
+            f"unknown case {name!r}; choose from {sorted(CASES)}"
         ) from None
 
 

@@ -300,7 +300,7 @@ def test_criterion_10_discrete_incompressibility():
         )
 
     stepper.run(lambda x: case.rho(x, 0.0), lambda x: case.u(x, 0.0),
-                on_step=track, check_energy=False)
+                on_step=track)
     ok = worst["div"] <= 1e-10
     _report("criterion 10 (discrete incompressibility over 8 steps)", ok,
             f"max |(div u_h, q_h)| = {worst['div']:.3e}")

@@ -26,6 +26,9 @@ def test_parse_fraction():
     assert parse_fraction(" 3/12 ") == 0.25
     with pytest.raises(ValueError, match="zero denominator"):
         parse_fraction("1/0")
+    for text in ("0", "-1/8", "nan", "inf", "1/nan", "-0.0"):
+        with pytest.raises(ValueError, match="not finite and positive"):
+            parse_fraction(text)
 
 
 def test_compute_order_table_values():
@@ -81,6 +84,23 @@ def test_study_spec_validation():
         StudySpec(case="square2d", mode="hp", params=[1 / 4])
     with pytest.raises(ValueError, match="not 1/n"):
         run_study(StudySpec(case="square2d", mode="time", params=[1 / 24]))
+
+
+def test_study_grid_is_checked_before_any_row_runs(monkeypatch, tmp_path):
+    """A study whose h is not 1/n, or whose tau is not 1/n^2 in time mode,
+    is rejected when it is specified: no row runs and ``--out`` is not
+    written."""
+    calls = _counting_run_case(monkeypatch)
+    with pytest.raises(ValueError, match=r"tau 0.05 is not 1/n\^2"):
+        StudySpec(case="square2d", mode="time", params=[1 / 16, 1 / 20])
+    with pytest.raises(ValueError, match="mesh size 0.3 is not 1/n"):
+        StudySpec(case="square2d", mode="space", params=[1 / 2, 0.3])
+    out = tmp_path / "study.csv"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["study", "--case", "square2d", "--mode", "time",
+                  "--params", "1/16,1/20", "--out", str(out)])
+    assert exc.value.code == 2
+    assert calls == [] and not out.exists()
 
 
 def test_build_mesh_resolution_errors():
@@ -220,13 +240,21 @@ def test_csv_reproducibility_excluding_walltime():
 
 
 def test_run_case_diag_stream(tmp_path):
+    """The stream holds the header and one CSV row per step, the step's
+    ``StepDiagnostics.csv_row``."""
     case = make_case("square2d")
     out = tmp_path / "diag.csv"
     with open(out, "w") as fh:
-        run_case(case, 1 / 4, 1 / 16, T=0.25, diag_stream=fh)
+        result = run_case(case, 1 / 4, 1 / 16, T=0.25, mu=0.001,
+                          cutoff_mode="widened", diag_stream=fh)
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "n,t,energy,dissipation,mass,cutoff_active"
     assert len(lines) == 5
+    assert lines[1:] == [d.csv_row() for d in result["diagnostics"]]
+    fields = lines[1].split(",")
+    assert int(fields[0]) == 1
+    assert float(fields[1]) == pytest.approx(1 / 16)
+    assert fields[5] in ("0", "1")
 
 
 def test_markdown_table_shape():
@@ -245,17 +273,16 @@ def test_cli_run_and_study(tmp_path):
     ])
     assert rc == 0
     assert diag.exists()
-    with pytest.raises(ValueError, match="is not 1/n"):
-        cli.main(["run", "--case", "square2d", "--h", "8", "--tau", "1/16"])
-    with pytest.raises(ValueError, match="is not 1/n"):
-        cli.main(["run", "--case", "square2d", "--h", "0", "--tau", "1/16"])
-    with pytest.raises(SystemExit) as exc:  # argparse's usage error
-        cli.main(["run", "--case", "square2d", "--h", "1/0", "--tau", "1/16"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["study", "--case", "square2d", "--mode", "space",
-                  "--params", "1/4,1/0"])
-    assert exc.value.code == 2
+    for bad in (["--h", "8"], ["--h", "0"], ["--h", "1/0"],
+                ["--h", "1/2", "--mu", "nan"], ["--h", "1/2", "--T", "-1"]):
+        with pytest.raises(SystemExit) as exc:  # argparse's usage error
+            cli.main(["run", "--case", "square2d", "--tau", "1/16", *bad])
+        assert exc.value.code == 2
+    for params in ("1/4,1/0", ",", "1/4,1/2"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["study", "--case", "square2d", "--mode", "space",
+                      "--params", params])
+        assert exc.value.code == 2
 
     out = tmp_path / "study.csv"
     rc = cli.main([
@@ -353,5 +380,6 @@ def test_run_case_seconds_include_setup(monkeypatch):
         return real(case, h)
 
     monkeypatch.setattr(hmod, "build_mesh", slow_build_mesh)
-    out = run_case(make_case("square2d"), 1 / 2, 1 / 8, T=1 / 8)
+    out = run_case(make_case("square2d"), 1 / 2, 1 / 8, T=1 / 8, mu=0.001,
+                   cutoff_mode="widened")
     assert out["seconds"] >= 0.2

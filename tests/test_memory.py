@@ -189,8 +189,7 @@ def test_stepper_keeps_no_assembled_mass_copies(make_mesh, n):
     case = mms.make_case("square2d" if n == 4 else "cube3d")
     st = TimeStepper(make_mesh(n), SchemeConfig(
         tau=1 / 64, mu=0.001, n_steps=2, cutoff_mode="widened"))
-    st.run(lambda x: case.rho(x, 0.0), lambda x: case.u(x, 0.0),
-           check_energy=False)
+    st.run(lambda x: case.rho(x, 0.0), lambda x: case.u(x, 0.0))
     nloc, nrho = st.rho_space.n_local, st.rho_space.n_dofs
     for obj in (st, st.workspace):
         for name, value in vars(obj).items():
@@ -241,8 +240,7 @@ def test_stepper_keeps_no_high_rule_arrays(make_mesh, n):
     case = mms.make_case("square2d" if n == 4 else "cube3d")
     st = TimeStepper(make_mesh(n), SchemeConfig(
         tau=1 / 64, mu=0.001, n_steps=2, cutoff_mode="widened"))
-    st.run(lambda x: case.rho(x, 0.0), lambda x: case.u(x, 0.0),
-           check_energy=False)
+    st.run(lambda x: case.rho(x, 0.0), lambda x: case.u(x, 0.0))
     nc, nq = st.mesh.n_cells, st.geom_hi.npoints
     assert st._chi_cache
     for name, value in vars(st).items():

@@ -33,7 +33,6 @@ def test_square2d_point_values():
 
 def test_nonsmooth_density_kink_scaling():
     case = make_case("cube3d_nonsmooth")
-    assert case.smoothness_exponent == 1.51
     # rho - 2 vanishes like |x - 1/2|^c along the x axis at t = 0
     eps = np.array([1e-2, 1e-3, 1e-4])
     pts = np.stack([0.5 + eps, np.zeros(3), np.zeros(3)], axis=-1)

@@ -243,15 +243,20 @@ def test_run_energy_monotone_and_mass_constant():
 
 
 def test_run_streams_csv_diagnostics():
+    """``on_step`` sees every step's diagnostics as it is taken, so a
+    caller can stream the header and one CSV row per step."""
     case = make_case("square2d")
     m = unit_square_mesh(4)
     st = TimeStepper(m, _config(n_steps=3))
     buf = io.StringIO()
-    st.run(lambda x: case.rho(x, 0.0), lambda x: case.u(x, 0.0),
-           diag_stream=buf)
+    print(StepDiagnostics.csv_header(), file=buf)
+    _, diagnostics = st.run(
+        lambda x: case.rho(x, 0.0), lambda x: case.u(x, 0.0),
+        on_step=lambda state, diag: print(diag.csv_row(), file=buf))
     lines = buf.getvalue().strip().splitlines()
     assert lines[0] == StepDiagnostics.csv_header()
     assert len(lines) == 4
+    assert lines[1:] == [d.csv_row() for d in diagnostics]
     fields = lines[1].split(",")
     assert int(fields[0]) == 1
     assert float(fields[1]) == pytest.approx(1 / 64)
@@ -384,7 +389,7 @@ def test_clamped_step_samples_the_new_density_once(monkeypatch):
     monkeypatch.setattr(assemble, "eval_scalar", record)
     case = make_case("square2d")
     state, diags = st.run(lambda x: 0.2 + 2.5 * x[..., 0],
-                          lambda x: case.u(x, 0.0), check_energy=False)
+                          lambda x: case.u(x, 0.0))
     flagged = st._cutoff_cells(state.rho)
     assert 0 < len(flagged) < st.mesh.n_cells
     assert diags[0].extras["cutoff_fraction"] > 0
@@ -799,6 +804,27 @@ def test_step_names_the_failed_phase_and_step(inject, error, message,
     inject(st, monkeypatch)
     with pytest.raises(error, match="^" + message):
         st.step(state)
+
+
+@pytest.mark.parametrize("inject,message", [
+    (_fail_density_gmres, r"density solve at step 2: gmres: residual"),
+    (_fail_projection, r"projection at step 2: hybridized projection residual"),
+    (_nan_density_preconditioner,
+     r"density solve at step 2: gmres solve: relative residual nan > "
+     r"1\.0e-10$"),
+], ids=["density-gmres", "projection", "nan-preconditioner"])
+def test_run_raises_a_named_solver_failure_unchanged(inject, message,
+                                                     monkeypatch):
+    """A solver failure that ``step`` named leaves ``run`` as
+    ``NumericalBreakdownError`` with the same message, not led by a second
+    "step N failed: "; the step index and the last good state are kept."""
+    case = make_case("square2d")
+    st = TimeStepper(unit_square_mesh(4), _config(n_steps=3))
+    with pytest.raises(NumericalBreakdownError, match="^" + message) as exc:
+        st.run(lambda x: case.rho(x, 0.0), lambda x: case.u(x, 0.0),
+               on_step=lambda state, diag: inject(st, monkeypatch))
+    assert str(exc.value) == str(exc.value.__cause__)
+    assert exc.value.step_index == 2 and exc.value.last_state.n == 1
 
 
 def test_step_reports_hold_no_arrays():
