@@ -698,18 +698,54 @@ def div_coupling(mini_tab, p1_tab):
     return pattern.matrix(local.reshape(nc, rows.shape[1], -1))
 
 
+def _cell_loads(tab, values, cells):
+    """Cell vectors (..., n, nloc) of (f, v) on the cells ``cells``
+    selects, f at their points (..., n, nq)."""
+    geom = tab.geom
+    return ((values * geom.rule.weights) @ tab.vals) * geom.abs_dets[cells, None]
+
+
+def _scatter(tab, blocks):
+    """Cell vectors (nc, n_local) summed into the tab's dofs."""
+    return np.bincount(tab.cell_dofs.ravel(), weights=blocks.ravel(),
+                       minlength=tab.space.n_dofs)
+
+
 def load_blocks(tab, values):
     """Cell vectors (nc, nloc) of (f, v), f at points (nc, nq) or constant."""
-    geom = tab.geom
-    return ((values * geom.rule.weights) @ tab.vals) * geom.abs_dets[:, None]
+    return _cell_loads(tab, values, slice(None))
 
 
 def load_vector(tab, values):
     """(f, v) with f given at quadrature points (``load_blocks``)."""
-    return np.bincount(
-        tab.cell_dofs.ravel(), weights=load_blocks(tab, values).ravel(),
-        minlength=tab.space.n_dofs,
-    )
+    return _scatter(tab, load_blocks(tab, values))
+
+
+def load_matrices(tabs, chunks):
+    """The loads (c_m, v) of a set of columns c_m on each tab of ``tabs``,
+    {name: tab} on one cell quadrature; returns {name: (n_dofs, ...)}, the
+    column axes last.
+
+    ``chunks`` yields (s, columns) for consecutive slices s that cover the
+    cells: ``columns[name]`` holds that tab's columns at the points of the
+    cells s, (..., n, nq).  So no array of the columns spans the mesh; the
+    cell vectors, one row per column, are ``load_blocks``'s.
+    """
+    blocks = {}
+    for s, columns in chunks:
+        for name, tab in tabs.items():
+            b = _cell_loads(tab, columns[name], s)
+            if name not in blocks:
+                blocks[name] = np.empty(
+                    b.shape[:-2] + (len(tab.cell_dofs), b.shape[-1]))
+            blocks[name][..., s, :] = b
+    out = {}
+    for name, tab in tabs.items():
+        b = blocks[name]
+        rows = b.reshape((-1,) + b.shape[-2:])
+        out[name] = np.stack([_scatter(tab, r) for r in rows],
+                             axis=-1).reshape((-1,) + b.shape[:-2])
+    return out
 
 
 def rt_load_blocks(rt_tab, values):
@@ -722,10 +758,7 @@ def rt_load_blocks(rt_tab, values):
 
 def rt_load(rt_tab, values):
     """(f, eta) with vector f at quadrature points, shape (nc, nq, d)."""
-    return np.bincount(
-        rt_tab.cell_dofs.ravel(), weights=rt_load_blocks(rt_tab, values).ravel(),
-        minlength=rt_tab.space.n_dofs,
-    )
+    return _scatter(rt_tab, rt_load_blocks(rt_tab, values))
 
 
 def upwind_matrix(trace, flux):

@@ -8,7 +8,7 @@ from .harness import (StudySpec, _resolution_for, parse_fraction,
                       records_from_csv, records_to_csv, records_to_table,
                       run_case, run_study)
 from .mms import CASES, make_case
-from .scheme import CUTOFF_MODES
+from .scheme import CUTOFF_MODES, horizon_steps
 
 
 def fraction_list(text):
@@ -64,6 +64,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     if args.command == "run":
+        try:
+            horizon_steps(args.T, args.tau)
+        except ValueError as exc:
+            parser.error(str(exc))
         case = make_case(args.case)
         diag = open(args.diag, "w") if args.diag else None
         try:

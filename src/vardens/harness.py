@@ -19,7 +19,8 @@ import numpy as np
 from . import assemble
 from .mesh import unit_cube_mesh, unit_square_mesh
 from .mms import make_case
-from .scheme import SchemeConfig, StepDiagnostics, TimeStepper
+from .scheme import (SchemeConfig, StepDiagnostics, TimeStepper,
+                     horizon_steps)
 
 UNDEFINED_ORDER = float("nan")
 
@@ -140,13 +141,16 @@ class StudySpec:
         p = list(self.params)
         if len(p) == 0 or any(b >= a for a, b in zip(p, p[1:])):
             raise ValueError("parameter list must be strictly decreasing")
-        for value in p:  # every row's grid, before any row runs
+        for value in p:  # every row's grid and horizon, before any row runs
             if self.mode == "space":
                 _resolution_for(value, "mesh size")
+                horizon_steps(self.T, self.tau)
             elif math.isqrt(m := _resolution_for(value, "tau")) ** 2 != m:
                 raise ValueError(
                     f"tau {value} is not 1/n^2; required by the "
                     "h = tau^(1/2) coupling")
+            else:
+                horizon_steps(self.T, value)
         self.params = p
 
 

@@ -3,27 +3,39 @@
 Every shipped case is separable.  The velocity u(x) is steady by
 construction, and density and pressure are sums of (time factor) x (space
 factor) terms, rho = sum_k theta_k(t) a_k(x) and p = sum_j phi_j(t) b_j(x).
-The sources then split into spatial fields weighted by scalars of time:
+So each source is a short sum of scalar time weights times fixed spatial
+columns:
 
     f = sum_k [theta_k'(t) a_k + theta_k(t) u.grad a_k]
-    g = (sum_k theta_k a_k) (u.grad)u + sum_j phi_j grad b_j - mu lap u
+    g = sum_k theta_k a_k (u.grad)u + sum_j phi_j grad b_j - mu lap u
 
-(plus (1/2) f u for the scheme's momentum source).  The fields a_k,
-u.grad a_k, u, (u.grad)u, lap u and grad b_j come from one forward-mode
-dual-number pass over space (first partials and the pure second spatial
-partials), which avoids hand-transcribing the 3D nonlinear terms.  Each
-step then evaluates only the time factors, as duals on a 0-d time
-variable, and a few weighted sums.
+plus (1/2) f u in the scheme's momentum source.  The columns of f are a_k
+and u.grad a_k, weighted by theta_k' and theta_k.  Those of each
+component of the scheme's g are a_k (u.grad)u, grad b_j, lap u, a_k u and
+(u.grad a_k) u, weighted by theta_k, phi_j, -mu, theta_k'/2 and
+theta_k/2.  The columns come from one forward-mode dual-number pass over
+space (first partials and the pure second spatial partials), which avoids
+hand-transcribing the 3D nonlinear terms; the weights come from the time
+factors, as duals on a 0-d time variable.
+
+A run loads its sources at the same quadrature points every step, so
+``SourceEvaluator.loads`` integrates every column against the test
+functions once, into load matrices; a step's load is then one small
+product of a matrix and the step's time weights.  ``scheme.TimeStepper``
+takes that path for a bound ``f`` or ``g`` of an evaluator.  The
+evaluator's ``f`` and ``g`` remain sources of (points, t) for every other
+use: the case keeps the columns of the last point set, and each call
+weights them.
 
 The plain (non-dual) rho, u and p are an independent transcription, used
 for initial data, error tracking and tests.  The plain rho is its own list
 of (time factor) x (space factor) terms.  ``ExactCase`` keeps, for the
 last point set only, the plain rho's space factors, the values of the
-steady u and the sources' spatial fields, so a run that loads its sources
-and tracks its errors at one set of quadrature points evaluates no
-trigonometric or power function of the points after the first step.  The
-terms are summed in the order of the closed-form formulas, so the cached
-values equal those formulas bit for bit.
+steady u and the sources' columns, so a run that tracks its errors at one
+set of quadrature points evaluates no trigonometric or power function of
+the points after the first step.  The terms are summed in the order of
+the closed-form formulas, so the cached values equal those formulas bit
+for bit.
 
 Cases:
     square2d         smooth solution on the unit square
@@ -38,80 +50,91 @@ import math
 import numpy as np
 from scipy.special import roots_legendre
 
-# Points per chunk of the dual pass in ``ExactCase._spatial``; each dual
-# temporary then holds at most a few MB.
+from . import assemble
+
+# Points per chunk of the dual pass (``ExactCase._spatial``,
+# ``SourceEvaluator.loads``); each dual temporary then holds at most a few
+# hundred kB.
 CHUNK_POINTS = 8192
 
 
 class Dual:
-    """Vectorized dual number: value, d+1 first partials (space then time),
-    and the pure second spatial partials."""
+    """Vectorized dual number: a value, its first partials and its pure
+    second spatial partials, each partial in a leading axis.
 
-    __slots__ = ("val", "grad", "hess", "dim")
+    ``d1`` (m, *shape) holds the d spatial first partials and, in a number
+    with a time slot, the time partial after them (m = d + 1); the pass
+    over space alone carries no time slot (m = d).  ``d2`` (d, *shape)
+    holds the pure second spatial partials.  With the partials first every
+    operation runs over contiguous arrays of the points.  A result may
+    share a partials array with an operand, and no operation writes into
+    an operand: products and chains add into arrays of their own.
+    """
 
-    def __init__(self, val, grad, hess, dim):
+    __slots__ = ("val", "d1", "d2", "dim")
+
+    def __init__(self, val, d1, d2, dim):
         self.val = val
-        self.grad = grad
-        self.hess = hess
+        self.d1 = d1
+        self.d2 = d2
         self.dim = dim
 
     @classmethod
+    def _seed(cls, values, slot, slots, dim):
+        """A variable at ``values``: partial 1 in ``slot`` of ``slots``."""
+        values = np.array(values, dtype=float)
+        d1 = np.zeros((slots,) + values.shape)
+        d1[slot] = 1.0
+        return cls(values, d1, np.zeros((dim,) + values.shape), dim)
+
+    @classmethod
     def space_var(cls, values, axis, dim):
-        values = np.asarray(values, dtype=float)
-        grad = np.zeros(values.shape + (dim + 1,))
-        grad[..., axis] = 1.0
-        return cls(values, grad, np.zeros(values.shape + (dim,)), dim)
+        """The coordinate ``axis`` at ``values``, with a time slot."""
+        return cls._seed(values, axis, dim + 1, dim)
 
     @classmethod
     def time_var(cls, t, shape, dim):
-        val = np.full(shape, float(t))
-        grad = np.zeros(shape + (dim + 1,))
-        grad[..., dim] = 1.0
-        return cls(val, grad, np.zeros(shape + (dim,)), dim)
-
-    @classmethod
-    def const(cls, c, shape, dim):
-        return cls(
-            np.full(shape, float(c)),
-            np.zeros(shape + (dim + 1,)),
-            np.zeros(shape + (dim,)),
-            dim,
-        )
+        return cls._seed(np.full(shape, float(t)), dim, dim + 1, dim)
 
     def _lift(self, other):
+        """``other`` as a Dual with this one's shape and slots."""
         if isinstance(other, Dual):
             return other
-        return Dual.const(other, self.val.shape, self.dim)
+        return Dual(np.full(self.val.shape, float(other)),
+                    np.zeros(self.d1.shape), np.zeros(self.d2.shape),
+                    self.dim)
 
     def __add__(self, other):
-        o = self._lift(other)
-        return Dual(self.val + o.val, self.grad + o.grad,
-                    self.hess + o.hess, self.dim)
+        if isinstance(other, Dual):
+            return Dual(self.val + other.val, self.d1 + other.d1,
+                        self.d2 + other.d2, self.dim)
+        return Dual(self.val + other, self.d1, self.d2, self.dim)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Dual(-self.val, -self.grad, -self.hess, self.dim)
+        return Dual(-self.val, -self.d1, -self.d2, self.dim)
 
     def __sub__(self, other):
-        return self + (-self._lift(other))
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if not isinstance(other, Dual):
-            return Dual(self.val * other, self.grad * other,
-                        self.hess * other, self.dim)
+            return Dual(self.val * other, self.d1 * other, self.d2 * other,
+                        self.dim)
         d = self.dim
-        val = self.val * other.val
-        grad = self.grad * other.val[..., None] + self.val[..., None] * other.grad
-        hess = (
-            self.hess * other.val[..., None]
-            + 2.0 * self.grad[..., :d] * other.grad[..., :d]
-            + self.val[..., None] * other.hess
-        )
-        return Dual(val, grad, hess, d)
+        d1 = self.d1 * other.val
+        d1 += self.val * other.d1
+        d2 = self.d2 * other.val
+        cross = self.d1[:d] * other.d1[:d]
+        cross *= 2.0
+        d2 += cross
+        np.multiply(self.val, other.d2, out=cross)
+        d2 += cross
+        return Dual(self.val * other.val, d1, d2, d)
 
     __rmul__ = __mul__
 
@@ -119,27 +142,37 @@ class Dual:
         """Unary composition f(self), given f, f' and f'' at ``self.val``.
 
         An unbounded second derivative (the |.|^c kink) propagates as
-        inf/nan in the hessian slots only; values and first partials stay
-        finite, so the quiet arithmetic is intentional.
+        inf/nan in the second partials only; values and first partials
+        stay finite, so the quiet arithmetic is intentional.
         """
         d = self.dim
-        grad = dfdu[..., None] * self.grad
+        d2 = np.square(self.d1[:d])
         with np.errstate(invalid="ignore"):
-            hess = (
-                d2fdu2[..., None] * self.grad[..., :d] ** 2
-                + dfdu[..., None] * self.hess
-            )
-        return Dual(val, grad, hess, d)
+            d2 *= d2fdu2
+            d2 += self.d2 * dfdu
+        return Dual(val, self.d1 * dfdu, d2, d)
+
+    # partials with the partial axis last, as callers index them
+    @property
+    def grad(self):
+        return np.moveaxis(self.d1, 0, -1)
+
+    @property
+    def hess(self):
+        return np.moveaxis(self.d2, 0, -1)
 
     # spatial gradient, time derivative, spatial Laplacian
     def spatial_grad(self):
-        return self.grad[..., : self.dim]
+        return np.moveaxis(self.d1[: self.dim], 0, -1)
 
     def dt(self):
-        return self.grad[..., self.dim]
+        """The time partial; 0 for a number without a time slot."""
+        if len(self.d1) == self.dim:
+            return np.zeros(self.val.shape)
+        return self.d1[self.dim]
 
     def laplacian(self):
-        return self.hess.sum(axis=-1)
+        return self.d2.sum(axis=0)
 
 
 def dsin(u: Dual) -> Dual:
@@ -165,26 +198,24 @@ def dabspow(u: Dual, c: float) -> Dual:
     return u._chain(v ** c, c * sign * v ** (c - 1.0), fpp)
 
 
-def _space_vars(x):
+def _space_vars(x, slots):
+    """The coordinates of points x (..., d) as duals with ``slots`` first
+    partials: d for the pass over space, d + 1 with a time slot."""
     d = x.shape[-1]
-    return [Dual.space_var(x[..., k], k, d) for k in range(d)]
+    return [Dual._seed(x[..., k], k, slots, d) for k in range(d)]
 
 
 def make_vars(x, t):
-    """Seed dual variables for points x (..., d) at scalar time t."""
+    """Seed dual variables, with a time slot, for points x (..., d) at
+    scalar time t."""
     x = np.asarray(x, dtype=float)
-    return _space_vars(x), Dual.time_var(t, x.shape[:-1], x.shape[-1])
+    d = x.shape[-1]
+    return _space_vars(x, d + 1), Dual.time_var(t, x.shape[:-1], d)
 
 
 def _at(factor, var):
     """A term's factor at the dual variable(s) var; a constant is itself."""
     return factor(var) if callable(factor) else factor
-
-
-def _sum_terms(field, w):
-    """sum_k w_k field[..., k] as one matrix-vector product: a product per
-    point of its own small matrix would cost ten times as much."""
-    return (field.reshape(-1, len(w)) @ w).reshape(field.shape[:-1])
 
 
 class _LastPointSet:
@@ -193,9 +224,9 @@ class _LastPointSet:
     ``compute`` maps a field's name to its function of the points.  Points
     are compared by value, so an array changed in place is computed
     afresh; the fields share one copy of the points.  One set is enough: a
-    run loads its sources and tracks its errors at the same quadrature
-    points every step, and holding no other set keeps the memory of a
-    study, which runs one case on mesh after mesh, bounded.
+    run tracks its errors at the same quadrature points every step, and
+    holding no other set keeps the memory of a study, which runs one case
+    on mesh after mesh, bounded.
     """
 
     def __init__(self, compute):
@@ -276,16 +307,17 @@ class ExactCase:
     def _p_dual(self, X, T):
         return sum(_at(a, T) * _at(b, X) for a, b in self._p_terms)
 
-    # sources: spatial fields once, then time-weighted sums -------------
+    # sources: spatial columns once, then time-weighted sums ------------
     def _spatial(self, x):
-        """The sources' spatial fields at points x (..., d), one dual pass.
+        """The sources' spatial columns at points x (..., d), one dual pass
+        over space (module docstring).
 
-        Every field has the point axes first.  ``a`` and ``u_grad_a`` stack
-        a_k and u.grad a_k over the density terms in the last axis, and
-        ``grad_b`` stacks grad b_j over the pressure terms there too;
-        ``u``, ``u_grad_u`` and ``lap_u`` carry the velocity in the last
-        axis.  The pass runs over ``CHUNK_POINTS`` points at a time, so its
-        dual temporaries do not grow with the point set.
+        "f" holds f's columns (2K, ...): a_k, then u.grad a_k, over the K
+        density terms.  "g" holds the scheme's g's per component
+        (d, 3K + Kp + 1, ...): a_k (u.grad)u, grad b_j over the Kp
+        pressure terms, lap u, a_k u and (u.grad a_k) u.  The point axes
+        are last.  The pass runs over ``CHUNK_POINTS`` points at a time,
+        so its dual temporaries do not grow with the point set.
         """
         x = np.asarray(x, dtype=float)
         pts = x.reshape(-1, x.shape[-1])
@@ -294,30 +326,33 @@ class ExactCase:
             part = self._spatial_points(pts[a:a + CHUNK_POINTS])
             for key, v in part.items():
                 if key not in out:
-                    out[key] = np.empty((len(pts),) + v.shape[1:])
-                out[key][a:a + CHUNK_POINTS] = v
-        return {key: v.reshape(x.shape[:-1] + v.shape[1:])
+                    out[key] = np.empty(v.shape[:-1] + (len(pts),))
+                out[key][..., a:a + CHUNK_POINTS] = v
+        return {key: v.reshape(v.shape[:-1] + x.shape[:-1])
                 for key, v in out.items()}
 
     def _spatial_points(self, x):
         """``_spatial`` on a flat point list (npts, d)."""
-        X = _space_vars(x)
+        d = self.dim
+        X = _space_vars(x, d)
         u = self._u_space(X)
-        uval = np.stack([c.val for c in u], axis=-1)
+        uval = np.stack([c.val for c in u])
 
         def along_u(q):
-            return np.einsum("...d,...d->...", uval, q.spatial_grad())
+            return (uval * q.d1[:d]).sum(axis=0)
 
         a = [X[0]._lift(_at(s, X)) for _, s in self._rho_terms]
         b = [X[0]._lift(_at(s, X)) for _, s in self._p_terms]
-        return {
-            "a": np.stack([s.val for s in a], axis=-1),
-            "u_grad_a": np.stack([along_u(s) for s in a], axis=-1),
-            "u": uval,
-            "u_grad_u": np.stack([along_u(c) for c in u], axis=-1),
-            "lap_u": np.stack([c.laplacian() for c in u], axis=-1),
-            "grad_b": np.stack([s.spatial_grad() for s in b], axis=-1),
-        }
+        av = np.stack([s.val for s in a])
+        u_grad_a = np.stack([along_u(s) for s in a])
+        g = np.concatenate([
+            av * np.stack([along_u(c) for c in u])[:, None],
+            np.stack([s.d1[:d] for s in b], axis=1),
+            np.stack([c.laplacian() for c in u])[:, None],
+            av * uval[:, None],
+            u_grad_a * uval[:, None],
+        ], axis=1)
+        return {"f": np.concatenate([av, u_grad_a]), "g": g}
 
     def _time_factors(self, terms, t):
         """Values and time derivatives of the terms' time factors at t."""
@@ -325,25 +360,26 @@ class ExactCase:
         w = [T._lift(_at(a, T)) for a, _ in terms]
         return np.array([[float(v.val), float(v.dt())] for v in w]).T
 
-    def _f(self, fields, t):
-        """f = sum_k theta_k' a_k + theta_k u.grad a_k at time t from the
-        fields of ``_spatial``."""
+    def _weights(self, t, mu, half):
+        """The time weights of the columns of ``_spatial`` at t: f's
+        (theta_k', theta_k) and g's (theta_k, phi_j, -mu, half theta_k',
+        half theta_k), half 1/2 for the scheme's g and 0 for g itself."""
         theta, dtheta = self._time_factors(self._rho_terms, t)
-        return (_sum_terms(fields["a"], dtheta)
-                + _sum_terms(fields["u_grad_a"], theta))
-
-    def _g(self, fields, t, mu, scheme=False):
-        """g = rho (u.grad)u + sum_j phi_j grad b_j - mu lap u at time t
-        from the fields of ``_spatial`` (u is steady), with (1/2) f u added
-        when ``scheme`` is set."""
-        theta, _ = self._time_factors(self._rho_terms, t)
         phi, _ = self._time_factors(self._p_terms, t)
-        rho = _sum_terms(fields["a"], theta)
-        g = (rho[..., None] * fields["u_grad_u"]
-             + _sum_terms(fields["grad_b"], phi) - mu * fields["lap_u"])
-        if scheme:
-            g += 0.5 * self._f(fields, t)[..., None] * fields["u"]
-        return g
+        return (np.concatenate([dtheta, theta]),
+                np.concatenate([theta, phi, [-mu], half * dtheta,
+                                half * theta]))
+
+    def _f(self, columns, t):
+        """f at time t from the columns of ``_spatial``."""
+        w, _ = self._weights(t, 0.0, 0.0)
+        return np.tensordot(w, columns["f"], 1)
+
+    def _g(self, columns, t, mu, scheme=False):
+        """g at time t from the columns of ``_spatial``, the components in
+        the last axis, with (1/2) f u when ``scheme`` is set."""
+        _, w = self._weights(t, mu, 0.5 if scheme else 0.0)
+        return np.moveaxis(np.tensordot(w, columns["g"], (0, 1)), 0, -1)
 
     def source_f(self, x, t):
         """Transport source: d_t rho + u . grad rho (u is divergence-free)."""
@@ -374,29 +410,49 @@ class ExactCase:
 
 
 class SourceEvaluator:
-    """Per-run source closures: f and the scheme's momentum source g at
-    viscosity ``mu``.
+    """The sources of a run at viscosity ``mu``: f and the scheme's
+    momentum source g.
 
-    The transport and momentum sources are needed at the same quadrature
-    points every step.  The spatial fields come from the case's cache of
-    the last point set, so the dual pass over space runs only when the
-    points change; a new time costs the scalar time factors and a few
-    weighted sums of the cached fields.  The evaluator itself keeps no
-    array.
+    ``loads`` integrates the sources' spatial columns (module docstring)
+    against the test functions once, and ``weights(t)`` gives their time
+    weights, so a load at time t is one small product per source;
+    ``scheme.TimeStepper`` takes this path for a bound ``f`` or ``g`` of
+    an evaluator and keeps the load matrices.  ``f(x, t)`` and ``g(x, t)``
+    are the sources at points, for any other use: the columns come from
+    the case's cache of the last point set, so the dual pass runs only
+    when the points change.  The evaluator itself keeps no array.
     """
 
     def __init__(self, case, mu):
         self.case = case
         self.mu = mu
 
-    def _fields(self, x):
+    def _columns(self, x):
         return self.case._cache("sources", np.asarray(x, dtype=float))
 
     def f(self, x, t):
-        return self.case._f(self._fields(x), t)
+        return self.case._f(self._columns(x), t)
 
     def g(self, x, t):
-        return self.case._g(self._fields(x), t, self.mu, scheme=True)
+        return self.case._g(self._columns(x), t, self.mu, scheme=True)
+
+    def weights(self, t):
+        """{"f": f's time weights, "g": the scheme's g's} at time t."""
+        return dict(zip("fg", self.case._weights(t, self.mu, 0.5)))
+
+    def loads(self, tabs):
+        """The load matrices of the sources named in ``tabs``, {"f": tab,
+        "g": tab} on one cell quadrature: the loads of the columns of
+        ``ExactCase._spatial`` against the tab's basis, (n_dofs, 2K) for f
+        and (n_dofs, d, 3K + Kp + 1) for g.  A source's load at time t is
+        its matrix times ``weights(t)``'s vector.  The dual pass runs over
+        about ``CHUNK_POINTS`` points of whole cells at a time
+        (``assemble.load_matrices``), and nothing is kept here."""
+        points = next(iter(tabs.values())).geom.points
+        step = max(1, CHUNK_POINTS // points.shape[1])
+        cells = [slice(a, a + step) for a in range(0, len(points), step)]
+        return assemble.load_matrices(
+            tabs, ((s, self.case._spatial(points[s])) for s in cells))
 
 
 def _unit_box_rule(dim, n):

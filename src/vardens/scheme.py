@@ -65,12 +65,27 @@ def _names_failure(phase, step):
         raise type(exc)(f"{phase} at step {step}: {exc}") from exc
 
 
+def horizon_steps(T, tau):
+    """The number of steps tau in the horizon T; a ``ValueError`` unless
+    T / tau is a positive whole number, to 1e-8 relative."""
+    steps = T / tau
+    n = round(steps)
+    if n < 1 or abs(steps - n) > 1e-8 * max(1.0, steps):
+        raise ValueError(f"T = {T} is not a whole number of steps "
+                         f"tau = {tau}")
+    return n
+
+
 @dataclass
 class SchemeConfig:
     """Time step, viscosity, horizon, cut-off and source settings.
 
     The horizon is ``T`` or ``n_steps``, a positive integer; given both, T
-    must be n_steps * tau.
+    must be n_steps * tau (``horizon_steps``).  A source is a callable of
+    (points, t), sampled at the low-rule points and loaded every step; a
+    bound ``f`` or ``g`` of an ``mms.SourceEvaluator`` is loaded instead
+    from load matrices that the stepper builds once, on its first step
+    (``TimeStepper._source_load``).
     """
 
     tau: float
@@ -88,19 +103,20 @@ class SchemeConfig:
             raise ValueError("need 0 < tau < inf and 0 < mu < inf")
         if self.cutoff_mode not in CUTOFF_MODES:
             raise ValueError(f"unknown cutoff mode {self.cutoff_mode!r}")
-        if self.n_steps is None:
-            if self.T is None:
-                raise ValueError("give either T or n_steps")
-            self.n_steps = int(round(self.T / self.tau))
+        if self.T is not None:
+            steps = horizon_steps(self.T, self.tau)
+            if self.n_steps is None:
+                self.n_steps = steps
+            elif steps != self.n_steps:
+                raise ValueError(f"T = {self.T} and n_steps * tau = "
+                                 f"{self.n_steps * self.tau} disagree")
+        elif self.n_steps is None:
+            raise ValueError("give either T or n_steps")
         if not isinstance(self.n_steps, (int, np.integer)) or self.n_steps < 1:
             raise ValueError(f"n_steps must be a positive integer: "
                              f"{self.n_steps!r}")
         if self.T is None:
             self.T = self.n_steps * self.tau
-        steps = self.T / self.tau
-        if abs(steps - self.n_steps) > 1e-8 * max(1.0, steps):
-            raise ValueError(f"T = {self.T} and n_steps * tau = "
-                             f"{self.n_steps * self.tau} disagree")
         self.check_bounds()
 
     def check_bounds(self):
@@ -139,6 +155,16 @@ def cutoff(s, config: SchemeConfig):
     if bounds is None:
         return np.asarray(s, dtype=float)
     return np.clip(s, *bounds)
+
+
+def _load_giver(source, name):
+    """The object that gives the load matrices and time weights of
+    ``source`` when it is that object's bound method ``name`` and the
+    object has ``loads``, as ``mms.SourceEvaluator`` does; else None."""
+    owner = getattr(source, "__self__", None)
+    if getattr(source, "__name__", None) == name and hasattr(owner, "loads"):
+        return owner
+    return None
 
 
 @dataclass
@@ -232,6 +258,11 @@ class TimeStepper:
         self._vel_lu = None
         self._chi_cache = []
         self.last_reports = {}
+        # the sources' paths, decided once (``_source_load``)
+        self._source_tabs = {"f": self.p2_lo, "g": self.mini_lo}
+        self._load_givers = {name: _load_giver(getattr(config, name), name)
+                             for name in self._source_tabs}
+        self._loads = {}
 
     def _build_saddle_template(self):
         """Structure of the velocity saddle matrix, built once.
@@ -336,9 +367,7 @@ class TimeStepper:
         A, flux = self.density_matrix(state.w)
         rhs = self.rho_mass(state.rho.coeffs)
         if cfg.f is not None:
-            rhs = rhs + tau * assemble.load_vector(
-                self.p2_lo, cfg.f(self.geom_lo.points, t_new)
-            )
+            rhs = rhs + tau * self._source_load("f", t_new)
         x, report = linalg.solve_gmres(
             linalg.LinearSystem(A, rhs),
             restart=DENSITY_RESTART, maxiter=400 * DENSITY_RESTART,
@@ -352,6 +381,33 @@ class TimeStepper:
             assemble.upwind_jump_quadratic(self.trace, flux, minus, plus))
         self.last_reports["density"] = report
         return rho_new
+
+    def _source_load(self, name, t):
+        """The load of the source ``name``, "f" or "g", at time t: f's on
+        the P2-dG space (n,), g's on the MINI scalar space per component
+        (n, d).  The sources are smooth data; the low rule over-integrates
+        them.
+
+        A source that ``_load_giver`` accepts is its giver's load matrix
+        times the giver's time weights at t.  The matrices of all the
+        sources of one giver come from one dual pass on the first step
+        (``mms.SourceEvaluator.loads``) and are kept.  Any other source is
+        a callable of (points, t), sampled at the low-rule points and
+        loaded every step.
+        """
+        tab = self._source_tabs[name]
+        giver = self._load_givers[name]
+        if giver is None:
+            vals = getattr(self.config, name)(self.geom_lo.points, t)
+            if name == "f":
+                return assemble.load_vector(tab, vals)
+            return np.stack([assemble.load_vector(tab, vals[..., k])
+                             for k in range(self.mesh.dim)], axis=-1)
+        if name not in self._loads:
+            self._loads.update(giver.loads({
+                n: self._source_tabs[n]
+                for n, other in self._load_givers.items() if other is giver}))
+        return self._loads[name] @ giver.weights(t)[name]
 
     def _solve_velocity_system(self, K, b, x0):
         """GMRES preconditioned on the right by a lagged factorization.
@@ -492,10 +548,7 @@ class TimeStepper:
         ns = self.vel_space.scalar.n_dofs
         F = (M_old @ state.u.coeffs.reshape(d, ns).T) / tau
         if cfg.g is not None:
-            # the source load is smooth data; the lower rule over-integrates it
-            g_vals = cfg.g(self.geom_lo.points, t_new)
-            for k in range(d):
-                F[:, k] += assemble.load_vector(self.mini_lo, g_vals[..., k])
+            F += self._source_load("g", t_new)
         p_old = state.p.coeffs
         b = np.concatenate(
             [F[self.free_s].T.ravel(), np.zeros(len(p_old) - 1)]

@@ -103,6 +103,36 @@ def test_study_grid_is_checked_before_any_row_runs(monkeypatch, tmp_path):
     assert calls == [] and not out.exists()
 
 
+def test_horizon_not_a_whole_number_of_steps_is_a_usage_error(
+        monkeypatch, tmp_path, capsys):
+    """T = 0.25 is not a whole number of steps of 1/3 (or of 1/9 in time
+    mode): ``vardens run`` and ``vardens study`` stop with argparse's
+    usage error before anything runs, and ``StudySpec`` rejects the pair
+    when it is specified."""
+    calls = _counting_run_case(monkeypatch)
+    monkeypatch.setattr(cli, "run_case",
+                        lambda *args, **kw: calls.append(args))
+    with pytest.raises(ValueError, match="not a whole number of steps"):
+        StudySpec(case="square2d", mode="space", params=[1 / 2],
+                  tau=1 / 3, T=0.25)
+    with pytest.raises(ValueError, match="not a whole number of steps"):
+        StudySpec(case="square2d", mode="time", params=[1 / 4, 1 / 9],
+                  T=0.25)
+    out = tmp_path / "study.csv"
+    for argv in (["run", "--case", "square2d", "--h", "1/2", "--tau", "1/3",
+                  "--T", "0.25"],
+                 ["study", "--case", "square2d", "--mode", "space",
+                  "--params", "1/2", "--tau", "1/3", "--T", "0.25",
+                  "--out", str(out)],
+                 ["study", "--case", "square2d", "--mode", "time",
+                  "--params", "1/4,1/9", "--T", "0.25", "--out", str(out)]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "not a whole number of steps" in capsys.readouterr().err
+    assert calls == [] and not out.exists()
+
+
 def test_build_mesh_resolution_errors():
     case = make_case("square2d")
     with pytest.raises(ValueError, match="not 1/n"):

@@ -431,3 +431,22 @@ def test_plain_fields_never_run_the_dual_pass(name, monkeypatch):
         assert np.array_equal(case.rho(x, t), _closed_form_rho(name, x, t))
         assert np.array_equal(case.u(x, t), _closed_form_u(name, x))
         assert np.isfinite(case.p(x, t)).all()
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_space_only_pass_equals_time_slot_duals(name, monkeypatch):
+    """The columns of the pass over space, whose duals carry no time slot,
+    equal those of coordinates with a time slot, as ``make_vars`` seeds
+    them, to relative 1e-15."""
+    case = make_case(name)
+    x = _points_on_kink_planes(np.random.default_rng(43), case.dim)
+    got = case._spatial(x)
+    X, _ = make_vars(x.reshape(-1, case.dim), 0.3)
+    assert {len(c.d1) for c in X} == {case.dim + 1}
+    monkeypatch.setattr(mms, "_space_vars", lambda pts, slots: X)
+    want = case._spatial(x)
+    assert got.keys() == want.keys()
+    for key in want:
+        assert got[key].shape == want[key].shape, key
+        scale = np.abs(want[key]).max()
+        assert np.abs(got[key] - want[key]).max() <= 1e-15 * scale, key

@@ -880,3 +880,95 @@ def test_stale_velocity_factor_is_refreshed_within_one_cycle(monkeypatch):
     assert diag.extras["velocity_refreshed"] is True
     assert diag.extras["velocity_iterations"] == 0
     assert diag.extras["velocity_factor_nnz"] == st._vel_lu.nnz
+
+
+# -- the sources' load matrices --------------------------------------------
+
+@pytest.mark.parametrize("name,mesh", [
+    ("square2d", lambda: unit_square_mesh(8)),
+    ("cube3d", lambda: unit_cube_mesh(4)),
+    ("cube3d_nonsmooth", lambda: unit_cube_mesh(4)),
+])
+def test_source_load_matrices_match_pointwise_loads(name, mesh):
+    """A bound ``f``/``g`` of an evaluator is loaded from load matrices;
+    its loads equal those of the pointwise sources at the low-rule points
+    to relative 1e-13."""
+    ev = make_case(name).make_source_evaluator(0.001)
+    st = TimeStepper(mesh(), _config(f=ev.f, g=ev.g))
+    assert st._load_givers == {"f": ev, "g": ev}
+    x = st.geom_lo.points
+    for t in (0.0, 1 / 64, 0.13, 0.25, 1.1):
+        want = {"f": assemble.load_vector(st.p2_lo, ev.f(x, t)),
+                "g": np.stack([assemble.load_vector(st.mini_lo, ev.g(x, t)[..., k])
+                               for k in range(st.mesh.dim)], axis=-1)}
+        for source in "fg":
+            got = st._source_load(source, t)
+            assert got.shape == want[source].shape
+            err = np.abs(got - want[source]).max()
+            assert err <= 1e-13 * np.abs(want[source]).max(), (source, t)
+
+
+@pytest.mark.parametrize("name,mesh", [
+    ("square2d", lambda: unit_square_mesh(4)),
+    ("cube3d", lambda: unit_cube_mesh(2)),
+])
+def test_load_matrix_and_pointwise_paths_march_alike(name, mesh):
+    """Lambdas around ``ev.f``/``ev.g`` take the pointwise path; after 3
+    steps rho, u and p agree with the load-matrix path to 1e-12."""
+    case = make_case(name)
+    ev = case.make_source_evaluator(0.001)
+    pointwise = dict(f=lambda x, t: ev.f(x, t), g=lambda x, t: ev.g(x, t))
+    states = []
+    for sources in (dict(f=ev.f, g=ev.g), pointwise):
+        st = TimeStepper(mesh(), _config(cutoff_mode="widened", **sources))
+        state = st.initialize(lambda x: case.rho(x, 0.0),
+                              lambda x: case.u(x, 0.0))
+        for _ in range(3):
+            state, _ = st.step(state)
+        states.append(state)
+    assert st._load_givers == {"f": None, "g": None}
+    loads, pointwise = states
+    for field in ("rho", "u", "p"):
+        a = getattr(loads, field).coeffs
+        b = getattr(pointwise, field).coeffs
+        assert np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(b).max()), field
+
+
+def test_source_loads_are_built_once(monkeypatch):
+    """The first step builds the load matrices from the dual pass; later
+    steps call neither the pass nor the evaluator's pointwise sources.
+    The sources are wrapped by name, as a tracer wraps them."""
+    import functools
+
+    from vardens import mms
+
+    calls = []
+
+    def counted(owner, attr):
+        fn = getattr(owner, attr)
+
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            calls.append(attr)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, wrapper)
+
+    for owner, attr in ((mms.ExactCase, "_spatial"),
+                        (mms.SourceEvaluator, "f"),
+                        (mms.SourceEvaluator, "g")):
+        counted(owner, attr)
+    case = make_case("cube3d")
+    ev = case.make_source_evaluator(0.001)
+    st = TimeStepper(unit_cube_mesh(2), _config(
+        cutoff_mode="widened", f=ev.f, g=ev.g))
+    assert st._load_givers == {"f": ev, "g": ev}
+    state = st.initialize(lambda x: case.rho(x, 0.0),
+                          lambda x: case.u(x, 0.0))
+    state, _ = st.step(state)
+    assert calls and set(calls) == {"_spatial"}
+    assert sorted(st._loads) == ["f", "g"]
+    calls.clear()
+    for _ in range(3):
+        state, _ = st.step(state)
+    assert calls == []
