@@ -5,8 +5,8 @@ import os
 import sys
 
 from .harness import (StudySpec, _resolution_for, parse_fraction,
-                      records_from_csv, records_to_csv, records_to_table,
-                      run_case, run_study)
+                      records_to_csv, records_to_table, run_case, run_study,
+                      study_line, study_records)
 from .mms import CASES, make_case
 from .scheme import CUTOFF_MODES, horizon_steps
 
@@ -58,7 +58,8 @@ def main(argv=None):
     studyp.add_argument("--out", default=None,
                         help="CSV output path; the rows of this study that "
                              "it already holds and that did not fail are "
-                             "not run again")
+                             "not run again, and a file of another study is "
+                             "refused")
     _add_common(studyp)
 
     args = parser.parse_args(argv)
@@ -94,7 +95,10 @@ def main(argv=None):
     finished = []
     if args.out and os.path.exists(args.out):
         with open(args.out) as fh:
-            finished = records_from_csv(fh.read())
+            try:
+                finished = study_records(spec, fh.read())
+            except ValueError as exc:
+                parser.error(f"--out {args.out}: {exc}")
     done = []
 
     def progress(r):
@@ -106,7 +110,7 @@ def main(argv=None):
         done.append(r)
         if args.out:  # rewritten per row, so a killed study keeps its rows
             with open(args.out, "w") as fh:
-                fh.write(records_to_csv(done))
+                fh.write(study_line(spec) + records_to_csv(done))
 
     records = run_study(spec, progress=progress, finished=finished)
     print(records_to_table(records))

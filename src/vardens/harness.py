@@ -86,9 +86,8 @@ def run_case(case, h, tau, *, T, mu, cutoff_mode, diag_stream=None):
     mesh = build_mesh(case, h)
     sources = case.make_source_evaluator(mu)
     config = SchemeConfig(
-        tau=tau, mu=mu, T=T, cutoff_mode=cutoff_mode,
-        f=sources.f,
-        g=sources.g,
+        tau=tau, mu=mu, n_steps=horizon_steps(T, tau),
+        cutoff_mode=cutoff_mode, f=sources.f, g=sources.g,
     )
     stepper = TimeStepper(mesh, config)
     geom = stepper.geom_lo
@@ -236,6 +235,32 @@ def records_to_csv(records):
                     _fmt_order(r.order_u), f"{r.seconds:.3f}"]
         writer.writerow([f"{r.h:.10g}", f"{r.tau:.10g}"] + rest)
     return out.getvalue()
+
+
+def study_line(spec):
+    """The first line of the study's CSV, which names the study by the
+    settings that, with a row's h and tau, fix the row's numbers."""
+    return (f"# study case={spec.case} mode={spec.mode} tau={spec.tau} "
+            f"T={spec.T} mu={spec.mu} cutoff={spec.cutoff_mode}\n")
+
+
+def study_records(spec, text):
+    """The records of ``text``, a study CSV that the study ``spec`` wrote:
+    ``study_line(spec)`` and then ``records_to_csv``; none from empty text.
+    A ``ValueError`` when the text does not name a study or names another
+    one, listing each setting that differs."""
+    if not text:
+        return []
+    line, _, rest = text.partition("\n")
+    if not line.startswith("# study "):
+        raise ValueError(f"not a study CSV: first line {line!r}")
+    ours, theirs = (dict(kv.partition("=")[::2] for kv in s.split()[2:])
+                    for s in (study_line(spec), line))
+    differ = [f"{k} {theirs.get(k)} there, {v} here"
+              for k, v in ours.items() if theirs.get(k) != v]
+    if differ:
+        raise ValueError("rows of another study: " + "; ".join(differ))
+    return records_from_csv(rest)
 
 
 def records_from_csv(text):

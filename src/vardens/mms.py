@@ -22,20 +22,19 @@ A run loads its sources at the same quadrature points every step, so
 ``SourceEvaluator.loads`` integrates every column against the test
 functions once, into load matrices; a step's load is then one small
 product of a matrix and the step's time weights.  ``scheme.TimeStepper``
-takes that path for a bound ``f`` or ``g`` of an evaluator.  The
-evaluator's ``f`` and ``g`` remain sources of (points, t) for every other
-use: the case keeps the columns of the last point set, and each call
-weights them.
+loads its sources that way only.  The pointwise sources (``source_f``,
+``source_g``, ``scheme_momentum_source`` and the evaluator's ``f`` and
+``g``) run the pass over space at each call and keep nothing; they are
+the references the loads are checked against.
 
 The plain (non-dual) rho, u and p are an independent transcription, used
 for initial data, error tracking and tests.  The plain rho is its own list
 of (time factor) x (space factor) terms.  ``ExactCase`` keeps, for the
-last point set only, the plain rho's space factors, the values of the
-steady u and the sources' columns, so a run that tracks its errors at one
-set of quadrature points evaluates no trigonometric or power function of
-the points after the first step.  The terms are summed in the order of
-the closed-form formulas, so the cached values equal those formulas bit
-for bit.
+last point set only, the plain rho's space factors and the values of the
+steady u, so a run that tracks its errors at one set of quadrature points
+evaluates no trigonometric or power function of the points after the
+first step.  The terms are summed in the order of the closed-form
+formulas, so the cached values equal those formulas bit for bit.
 
 Cases:
     square2d         smooth solution on the unit square
@@ -265,11 +264,9 @@ class ExactCase:
         self._p_terms = p_terms
         self._rho_plain_terms = rho_plain_terms
         self._p = p_plain
-        # ``_spatial`` is looked up at call time, so it can be replaced
         self._cache = _LastPointSet({
             "rho": lambda x: [_at(a, x) for _, a in rho_plain_terms],
             "u": u_plain,
-            "sources": lambda x: self._spatial(x),
         })
 
     # plain evaluations -----------------------------------------------
@@ -370,24 +367,21 @@ class ExactCase:
                 np.concatenate([theta, phi, [-mu], half * dtheta,
                                 half * theta]))
 
-    def _f(self, columns, t):
-        """f at time t from the columns of ``_spatial``."""
-        w, _ = self._weights(t, 0.0, 0.0)
-        return np.tensordot(w, columns["f"], 1)
-
-    def _g(self, columns, t, mu, scheme=False):
-        """g at time t from the columns of ``_spatial``, the components in
-        the last axis, with (1/2) f u when ``scheme`` is set."""
-        _, w = self._weights(t, mu, 0.5 if scheme else 0.0)
-        return np.moveaxis(np.tensordot(w, columns["g"], (0, 1)), 0, -1)
+    def _g(self, x, t, mu, half):
+        """g at points x and time t, the components in the last axis, with
+        ``half`` f u added: half 1/2 for the scheme's g, 0 for g itself."""
+        _, w = self._weights(t, mu, half)
+        return np.moveaxis(np.tensordot(w, self._spatial(x)["g"], (0, 1)),
+                           0, -1)
 
     def source_f(self, x, t):
         """Transport source: d_t rho + u . grad rho (u is divergence-free)."""
-        return self._f(self._spatial(x), t)
+        w, _ = self._weights(t, 0.0, 0.0)
+        return np.tensordot(w, self._spatial(x)["f"], 1)
 
     def source_g(self, x, t, mu):
         """Momentum source: rho d_t u + rho (u.grad)u + grad p - mu lap u."""
-        return self._g(self._spatial(x), t, mu)
+        return self._g(x, t, mu, 0.0)
 
     def scheme_momentum_source(self, x, t, mu):
         """Momentum source consistent with the stabilized discrete form.
@@ -399,7 +393,7 @@ class ExactCase:
         the compensation is required for the exact solution to remain a
         solution of the discrete form.
         """
-        return self._g(self._spatial(x), t, mu, scheme=True)
+        return self._g(x, t, mu, 0.5)
 
     def div_u(self, x, t):
         u = self._u_dual(*make_vars(x, t))
@@ -415,26 +409,23 @@ class SourceEvaluator:
 
     ``loads`` integrates the sources' spatial columns (module docstring)
     against the test functions once, and ``weights(t)`` gives their time
-    weights, so a load at time t is one small product per source;
-    ``scheme.TimeStepper`` takes this path for a bound ``f`` or ``g`` of
-    an evaluator and keeps the load matrices.  ``f(x, t)`` and ``g(x, t)``
-    are the sources at points, for any other use: the columns come from
-    the case's cache of the last point set, so the dual pass runs only
-    when the points change.  The evaluator itself keeps no array.
+    weights, so a load at time t is one small product per source; this is
+    how ``scheme.TimeStepper`` loads a config's ``f`` and ``g``, which are
+    the bound ``f`` and ``g`` of one evaluator.  ``f(x, t)`` and
+    ``g(x, t)`` are the same sources at points, the case's
+    ``source_f`` and ``scheme_momentum_source``.  The evaluator keeps no
+    array.
     """
 
     def __init__(self, case, mu):
         self.case = case
         self.mu = mu
 
-    def _columns(self, x):
-        return self.case._cache("sources", np.asarray(x, dtype=float))
-
     def f(self, x, t):
-        return self.case._f(self._columns(x), t)
+        return self.case.source_f(x, t)
 
     def g(self, x, t):
-        return self.case._g(self._columns(x), t, self.mu, scheme=True)
+        return self.case.scheme_momentum_source(x, t, self.mu)
 
     def weights(self, t):
         """{"f": f's time weights, "g": the scheme's g's} at time t."""

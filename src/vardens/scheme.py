@@ -29,6 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import assemble, linalg
+from .mms import SourceEvaluator
 from .projections import RtProjectionWorkspace, interpolate_mini, project_dg
 from .spaces import FeField, MiniVectorSpace, P1Space, P2DGSpace
 
@@ -80,43 +81,35 @@ def horizon_steps(T, tau):
 class SchemeConfig:
     """Time step, viscosity, horizon, cut-off and source settings.
 
-    The horizon is ``T`` or ``n_steps``, a positive integer; given both, T
-    must be n_steps * tau (``horizon_steps``).  A source is a callable of
-    (points, t), sampled at the low-rule points and loaded every step; a
-    bound ``f`` or ``g`` of an ``mms.SourceEvaluator`` is loaded instead
-    from load matrices that the stepper builds once, on its first step
-    (``TimeStepper._source_load``).
+    The horizon is ``n_steps``, a positive integer (``horizon_steps`` turns
+    a time T into steps).  The sources ``f`` and ``g`` are both None or are
+    the bound ``f`` and ``g`` of one ``mms.SourceEvaluator``, which the
+    stepper loads them from (``TimeStepper._source_load``).
     """
 
     tau: float
     mu: float
-    T: float | None = None
-    n_steps: int | None = None
+    n_steps: int
     rho_min: float | None = None
     rho_max: float | None = None
     cutoff_mode: str = "strict"      # strict | widened | off
-    f: object = None                 # f(x, t) transport source
-    g: object = None                 # g(x, t) momentum source
+    f: object = None                 # transport source
+    g: object = None                 # momentum source
 
     def __post_init__(self):
         if not (0 < self.tau < np.inf and 0 < self.mu < np.inf):
             raise ValueError("need 0 < tau < inf and 0 < mu < inf")
         if self.cutoff_mode not in CUTOFF_MODES:
             raise ValueError(f"unknown cutoff mode {self.cutoff_mode!r}")
-        if self.T is not None:
-            steps = horizon_steps(self.T, self.tau)
-            if self.n_steps is None:
-                self.n_steps = steps
-            elif steps != self.n_steps:
-                raise ValueError(f"T = {self.T} and n_steps * tau = "
-                                 f"{self.n_steps * self.tau} disagree")
-        elif self.n_steps is None:
-            raise ValueError("give either T or n_steps")
         if not isinstance(self.n_steps, (int, np.integer)) or self.n_steps < 1:
             raise ValueError(f"n_steps must be a positive integer: "
                              f"{self.n_steps!r}")
-        if self.T is None:
-            self.T = self.n_steps * self.tau
+        ev = getattr(self.f, "__self__", None)
+        bound = ((ev.f, ev.g) if isinstance(ev, SourceEvaluator)
+                 else (None, None))
+        if (self.f, self.g) != bound:
+            raise ValueError("f and g must both be None or be the bound f "
+                             "and g of one mms.SourceEvaluator")
         self.check_bounds()
 
     def check_bounds(self):
@@ -155,16 +148,6 @@ def cutoff(s, config: SchemeConfig):
     if bounds is None:
         return np.asarray(s, dtype=float)
     return np.clip(s, *bounds)
-
-
-def _load_giver(source, name):
-    """The object that gives the load matrices and time weights of
-    ``source`` when it is that object's bound method ``name`` and the
-    object has ``loads``, as ``mms.SourceEvaluator`` does; else None."""
-    owner = getattr(source, "__self__", None)
-    if getattr(source, "__name__", None) == name and hasattr(owner, "loads"):
-        return owner
-    return None
 
 
 @dataclass
@@ -258,11 +241,8 @@ class TimeStepper:
         self._vel_lu = None
         self._chi_cache = []
         self.last_reports = {}
-        # the sources' paths, decided once (``_source_load``)
-        self._source_tabs = {"f": self.p2_lo, "g": self.mini_lo}
-        self._load_givers = {name: _load_giver(getattr(config, name), name)
-                             for name in self._source_tabs}
-        self._loads = {}
+        self.sources = getattr(config.f, "__self__", None)  # f's evaluator
+        self._loads = None  # built on the first step (``_source_load``)
 
     def _build_saddle_template(self):
         """Structure of the velocity saddle matrix, built once.
@@ -388,26 +368,14 @@ class TimeStepper:
         (n, d).  The sources are smooth data; the low rule over-integrates
         them.
 
-        A source that ``_load_giver`` accepts is its giver's load matrix
-        times the giver's time weights at t.  The matrices of all the
-        sources of one giver come from one dual pass on the first step
-        (``mms.SourceEvaluator.loads``) and are kept.  Any other source is
-        a callable of (points, t), sampled at the low-rule points and
-        loaded every step.
+        It is the load matrix of ``name`` times its time weights at t.  The
+        matrices of both sources come from one dual pass on the first step
+        (``mms.SourceEvaluator.loads``) and are kept.
         """
-        tab = self._source_tabs[name]
-        giver = self._load_givers[name]
-        if giver is None:
-            vals = getattr(self.config, name)(self.geom_lo.points, t)
-            if name == "f":
-                return assemble.load_vector(tab, vals)
-            return np.stack([assemble.load_vector(tab, vals[..., k])
-                             for k in range(self.mesh.dim)], axis=-1)
-        if name not in self._loads:
-            self._loads.update(giver.loads({
-                n: self._source_tabs[n]
-                for n, other in self._load_givers.items() if other is giver}))
-        return self._loads[name] @ giver.weights(t)[name]
+        if self._loads is None:
+            self._loads = self.sources.loads({"f": self.p2_lo,
+                                              "g": self.mini_lo})
+        return self._loads[name] @ self.sources.weights(t)[name]
 
     def _solve_velocity_system(self, K, b, x0):
         """GMRES preconditioned on the right by a lagged factorization.

@@ -13,7 +13,8 @@ from vardens import assemble, cli
 from vardens.harness import (ConvergenceRecord, StudySpec, build_mesh,
                              compute_order, l2_error_at_step, parse_fraction,
                              records_from_csv, records_to_csv,
-                             records_to_table, run_case, run_study)
+                             records_to_table, run_case, run_study,
+                             study_line, study_records)
 from vardens.mesh import unit_square_mesh
 from vardens.mms import make_case
 from vardens.projections import project_dg
@@ -225,6 +226,11 @@ def _study(out, params):
     ])
 
 
+# the study of ``_study``, whatever its params
+_SPEC = StudySpec(case="square2d", mode="space", params=[1 / 2], tau=1 / 16,
+                  T=0.25)
+
+
 def test_cli_study_resumes_from_its_out_file(monkeypatch, tmp_path):
     """Rows already in ``--out`` are read back, not run again, and the next
     row's orders are taken against the row read back."""
@@ -232,29 +238,63 @@ def test_cli_study_resumes_from_its_out_file(monkeypatch, tmp_path):
     out = tmp_path / "study.csv"
     assert _study(out, "1/2") == 0
     assert calls == [(0.5, 1 / 16)]
-    first = out.read_text().splitlines()[1]
+    first = out.read_text().splitlines()[2]
     assert _study(out, "1/2,1/4") == 0
     assert calls == [(0.5, 1 / 16), (0.25, 1 / 16)]
     lines = out.read_text().splitlines()
-    assert len(lines) == 3 and lines[1] == first
-    a, b = records_from_csv(out.read_text())
+    assert len(lines) == 4 and lines[2] == first
+    a, b = study_records(_SPEC, out.read_text())
     assert f"{compute_order(a.E_rho, a.h, b.E_rho, b.h):.2f}" \
-        == lines[2].split(",")[3]
+        == lines[3].split(",")[3]
     assert f"{compute_order(a.E_u, a.h, b.E_u, b.h):.2f}" \
-        == lines[2].split(",")[5]
+        == lines[3].split(",")[5]
     assert _study(out, "1/2,1/4") == 0
     assert len(calls) == 2  # nothing left to run
 
 
 def test_cli_study_reruns_failed_rows_of_its_out_file(monkeypatch, tmp_path):
     out = tmp_path / "study.csv"
-    out.write_text(records_to_csv([ConvergenceRecord(
+    out.write_text(study_line(_SPEC) + records_to_csv([ConvergenceRecord(
         h=0.5, tau=1 / 16, failed=True, message="MemoryError: ")]))
     calls = _counting_run_case(monkeypatch)
     assert _study(out, "1/2") == 0
     assert calls == [(0.5, 1 / 16)]
-    [rec] = records_from_csv(out.read_text())
+    [rec] = study_records(_SPEC, out.read_text())
     assert not rec.failed
+
+
+def test_cli_study_refuses_an_out_file_of_another_study(
+        monkeypatch, tmp_path, capsys):
+    """``--out`` names its study on its first line.  A file of another
+    study, one that names no study, or one that is not a study CSV, is a
+    usage error naming what differs: no row runs and the file is kept."""
+    calls = _counting_run_case(monkeypatch)
+    out = tmp_path / "study.csv"
+    assert _study(out, "1/2") == 0
+    text = out.read_text()
+    assert text.splitlines()[0] == ("# study case=square2d mode=space "
+                                    "tau=0.0625 T=0.25 mu=0.001 "
+                                    "cutoff=widened")
+    capsys.readouterr()
+    other = ["study", "--case", "cube3d", "--mode", "space", "--params",
+             "1/2", "--tau", "1/16", "--T", "0.25", "--mu", "1/10",
+             "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(other)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "case square2d there, cube3d here" in err
+    assert "mu 0.001 there, 0.1 here" in err and "tau" not in err
+    assert out.read_text() == text
+    for foreign in (text.partition("\n")[2],  # rows without their study
+                    "n,t,energy\n1,2,3\n"):   # a diagnostics CSV
+        out.write_text(foreign)
+        with pytest.raises(SystemExit) as exc:
+            _study(out, "1/2")
+        assert exc.value.code == 2
+        assert "not a study CSV" in capsys.readouterr().err
+        assert out.read_text() == foreign
+    assert calls == [(0.5, 1 / 16)]
 
 
 def test_csv_reproducibility_excluding_walltime():
@@ -321,9 +361,10 @@ def test_cli_run_and_study(tmp_path):
         "--out", str(out),
     ])
     assert rc == 0
-    text = out.read_text()
-    assert text.startswith("h,tau,E_rho,order_rho,E_u,order_u,seconds")
-    assert len(text.strip().splitlines()) == 3
+    study, *lines = out.read_text().strip().splitlines()
+    assert study.startswith("# study case=square2d mode=space ")
+    assert lines[0] == "h,tau,E_rho,order_rho,E_u,order_u,seconds"
+    assert len(lines) == 3
 
 
 def test_cli_study_prints_the_markdown_table(capsys):
@@ -359,7 +400,8 @@ def test_cli_study_keeps_finished_rows_when_killed(monkeypatch, tmp_path):
             "--params", "1/2,1/4", "--tau", "1/16", "--T", "0.25",
             "--out", str(out),
         ])
-    lines = out.read_text().strip().splitlines()
+    study, *lines = out.read_text().strip().splitlines()
+    assert study.startswith("# study ")
     assert lines[0] == "h,tau,E_rho,order_rho,E_u,order_u,seconds"
     assert len(lines) == 2 and lines[1].startswith("0.5,0.0625,")
 

@@ -259,10 +259,9 @@ VELOCITY_STEP_PEAK_BOUND_MB = 1.25 * 7.0
 
 
 def test_march_allocation_is_bounded():
-    """What two steps allocate: the source evaluator builds its spatial
-    fields before tracing starts, so the figures are the stepper's.  The
-    density step sets the march's peak, so the growth within each velocity
-    step is bounded on its own too."""
+    """What two steps allocate, the first step's build of the source load
+    matrices included.  The density step sets the march's peak, so the
+    growth within each velocity step is bounded on its own too."""
     case = mms.make_case("cube3d")
     sources = case.make_source_evaluator(0.001)
     config = SchemeConfig(tau=1 / 512, mu=0.001, n_steps=2,
@@ -270,8 +269,6 @@ def test_march_allocation_is_bounded():
     stepper = TimeStepper(unit_cube_mesh(6), config)
     state = stepper.initialize(lambda x: case.rho(x, 0.0),
                                lambda x: case.u(x, 0.0))
-    sources.f(stepper.geom_lo.points, 0.0)
-    sources.g(stepper.geom_lo.points, 0.0)
     # the march's peak is the largest of the peaks between resets
     velocity_step, peaks, growth = stepper.velocity_step, [], []
 
@@ -300,8 +297,8 @@ def test_march_allocation_is_bounded():
 
 def test_case_keeps_the_only_copy_of_the_source_points():
     """After a step with sources the evaluator holds no array, the case's
-    cache holds the one copy of the low-rule points, and f, g, rho and u at
-    those points, at several times, ran one dual pass and one plain pass."""
+    cache holds the one copy of the low-rule points, and rho and u at those
+    points, at several times, ran one plain pass; f and g use no cache."""
     case = mms.make_case("cube3d")
     sources = case.make_source_evaluator(0.001)
     stepper = TimeStepper(unit_cube_mesh(2), SchemeConfig(
@@ -317,7 +314,7 @@ def test_case_keeps_the_only_copy_of_the_source_points():
     x = stepper.geom_lo.points
     for t in (state.t, 0.0, 0.5):
         sources.f(x, t), sources.g(x, t), case.rho(x, t), case.u(x, t)
-    assert calls == ["sources", "rho", "u"]
+    assert calls == ["rho", "u"]
     assert [name for name, value in vars(sources).items()
             if value is not case and _arrays(value)] == []
     copies = [a for a in _arrays(vars(case))

@@ -174,24 +174,9 @@ def test_dual_f_matches_hand_coded_square2d():
         ).max() < 1e-10
 
 
-def _count_spatial(case):
-    """Count the dual passes of ``case``: the list gets one entry per call
-    of ``case._spatial``.  Call before making a source evaluator."""
-    calls = []
-    spatial = case._spatial
-
-    def counted(x):
-        calls.append(1)
-        return spatial(x)
-
-    case._spatial = counted
-    return calls
-
-
 def test_source_evaluator_matches_direct_calls():
     case = make_case("cube3d")
-    ref = make_case(case.name)  # direct calls, not counted
-    spatial_calls = _count_spatial(case)
+    ref = make_case(case.name)
     ev = case.make_source_evaluator(0.001)
     rng = np.random.default_rng(9)
     x = rng.uniform(0, 1, size=(40, 7, 3))
@@ -200,16 +185,13 @@ def test_source_evaluator_matches_direct_calls():
         assert np.abs(
             ev.g(x, t) - ref.scheme_momentum_source(x, t, 0.001)
         ).max() < 1e-13
-    # spatial fields reused across times for the same point set
-    assert len(spatial_calls) == 1
 
 
 def test_source_evaluator_keys_on_point_values():
     """An array changed in place keeps its id, shape and end values, but
     must not be served the velocity duals of its old contents."""
     case = make_case("cube3d")
-    ref = make_case(case.name)  # direct calls, not counted
-    spatial_calls = _count_spatial(case)
+    ref = make_case(case.name)
     ev = case.make_source_evaluator(0.001)
     x = np.random.default_rng(3).uniform(0, 1, size=(40, 7, 3))
     g_old = ev.g(x, 0.05).copy()
@@ -217,10 +199,6 @@ def test_source_evaluator_keys_on_point_values():
     g_new = ev.g(x, 0.05)
     assert np.abs(g_new - ref.scheme_momentum_source(x, 0.05, 0.001)).max() < 1e-13
     assert np.abs(g_new[1:-1] - g_old[1:-1]).max() > 1e-3
-    assert len(spatial_calls) == 2
-    # equal contents in a new array share the cached fields
-    ev.g(x.copy(), 0.1)
-    assert len(spatial_calls) == 2
 
 
 def _points_on_kink_planes(rng, dim, n=60):
@@ -255,8 +233,7 @@ def _one_pass_sources(case, x, t, mu):
 def test_source_evaluator_matches_case_sources_on_kink_planes(name):
     case = make_case(name)
     mu = 0.001
-    ref = make_case(case.name)  # direct calls, not counted
-    spatial_calls = _count_spatial(case)
+    ref = make_case(case.name)
     ev = case.make_source_evaluator(mu)
     x = _points_on_kink_planes(np.random.default_rng(31), case.dim)
     for t in (0.01, 0.13, 0.25):
@@ -266,7 +243,6 @@ def test_source_evaluator_matches_case_sources_on_kink_planes(name):
         assert np.abs(
             g - ref.scheme_momentum_source(x, t, mu)
         ).max() < 1e-13
-    assert len(spatial_calls) == 1
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -300,38 +276,6 @@ def test_time_factor_derivatives_match_central_differences(name):
             fd = (a(Dual.time_var(t + h, (), d)).val
                   - a(Dual.time_var(t - h, (), d)).val) / (2 * h)
             assert abs(float(dual.dt()) - float(fd)) < 1e-6
-
-
-@pytest.mark.parametrize("name", CASES)
-def test_space_closures_run_once_per_point_set(name):
-    """The cost guard of the split, by counting: new times on a point set
-    already seen evaluate no space closure."""
-    case = make_case(name)
-    calls = []
-
-    def counted(fn):
-        if not callable(fn):
-            return fn
-
-        def wrapper(X):
-            calls.append(fn)
-            return fn(X)
-
-        return wrapper
-
-    case._rho_terms = tuple((a, counted(b)) for a, b in case._rho_terms)
-    case._p_terms = tuple((a, counted(b)) for a, b in case._p_terms)
-    case._u_space = counted(case._u_space)
-    spatial_calls = _count_spatial(case)
-    ev = case.make_source_evaluator(0.001)
-    x = np.random.default_rng(41).uniform(0, 1, size=(30, 4, case.dim))
-    ev.f(x, 0.0)
-    first = len(calls)
-    assert first > 0
-    for k in range(1, 11):
-        (ev.f if k % 2 else ev.g)(x, k / 512)
-    assert len(calls) == first
-    assert len(spatial_calls) == 1
 
 
 @pytest.mark.parametrize("name", ["cube3d", "cube3d_nonsmooth"])

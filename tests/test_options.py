@@ -41,10 +41,7 @@ OPTIONS = {
     "linalg.solve_gmres.restart",
     "linalg.solve_gmres.maxiter",
     "linalg.solve_gmres.x0",
-    "mms.ExactCase._g.scheme",
     "projections.RtProjectionWorkspace.__init__.geom",
-    "scheme.SchemeConfig.T",
-    "scheme.SchemeConfig.n_steps",
     "scheme.SchemeConfig.rho_min",
     "scheme.SchemeConfig.rho_max",
     "scheme.SchemeConfig.cutoff_mode",

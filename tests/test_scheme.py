@@ -13,7 +13,7 @@ from vardens.mms import make_case
 from vardens.projections import project_dg
 from vardens.scheme import (NumericalBreakdownError, PositivityError,
                             SchemeConfig, StepDiagnostics, StepState,
-                            TimeStepper, cutoff)
+                            TimeStepper, cutoff, horizon_steps)
 from vardens.spaces import FeField
 
 
@@ -32,28 +32,60 @@ def test_config_validation():
                     (np.inf, 1.0)):
         with pytest.raises(ValueError, match="0 < tau < inf"):
             SchemeConfig(tau=tau, mu=mu, n_steps=2)
-    with pytest.raises(ValueError):
-        SchemeConfig(tau=0.1, mu=1.0)  # neither T nor n_steps
-    with pytest.raises(ValueError):
-        SchemeConfig(tau=0.1, mu=1.0, T=0.25)  # T not a multiple of tau
+    with pytest.raises(TypeError):
+        SchemeConfig(tau=0.1, mu=1.0)  # no n_steps
+    for T in (0.25, -1 / 32):  # not a positive whole number of steps
+        with pytest.raises(ValueError, match="T = "):
+            horizon_steps(T, 0.1)
     with pytest.raises(ValueError):
         SchemeConfig(tau=0.1, mu=1.0, n_steps=1, cutoff_mode="sideways")
-    cfg = SchemeConfig(tau=0.05, mu=1.0, T=0.25)
-    assert cfg.n_steps == 5
+    assert horizon_steps(0.25, 0.05) == 5
 
 
-@pytest.mark.parametrize("kw", [dict(T=0.5, n_steps=2), dict(n_steps=-3),
+@pytest.mark.parametrize("kw", [dict(n_steps=None), dict(n_steps=-3),
                                 dict(n_steps=0), dict(n_steps=2.5),
-                                dict(n_steps=2.0), dict(T=-1 / 32)])
+                                dict(n_steps=2.0), dict(n_steps="2")])
 def test_config_rejects_a_horizon_that_cannot_be_marched(kw):
-    with pytest.raises(ValueError, match="T = |n_steps"):
+    with pytest.raises(ValueError, match="n_steps"):
         SchemeConfig(tau=1 / 64, mu=1e-3, **kw)
 
 
 def test_config_accepts_a_consistent_horizon():
-    cfg = SchemeConfig(tau=1 / 64, mu=1e-3, T=1 / 32, n_steps=np.int64(2))
-    assert (cfg.T, cfg.n_steps) == (1 / 32, 2)
-    assert SchemeConfig(tau=1 / 64, mu=1e-3, n_steps=3).T == 3 / 64
+    assert SchemeConfig(tau=1 / 64, mu=1e-3, n_steps=np.int64(2)).n_steps == 2
+    assert horizon_steps(1 / 32, 1 / 64) == 2
+
+
+@pytest.mark.parametrize("kind", ["plain callable", "two evaluators",
+                                  "f without g", "g without f",
+                                  "f and g swapped"])
+def test_config_rejects_sources_not_of_one_evaluator(kind):
+    case = make_case("square2d")
+    ev, other = (case.make_source_evaluator(1e-3) for _ in range(2))
+    sources = {"plain callable": dict(f=lambda x, t: ev.f(x, t), g=ev.g),
+               "two evaluators": dict(f=ev.f, g=other.g),
+               "f without g": dict(f=ev.f),
+               "g without f": dict(g=ev.g),
+               "f and g swapped": dict(f=ev.g, g=ev.f)}[kind]
+    with pytest.raises(ValueError, match="one mms.SourceEvaluator"):
+        _config(**sources)
+
+
+def test_config_takes_wrapped_evaluator_sources(monkeypatch):
+    """The bound ``f`` and ``g`` of an evaluator pass, also when a tracer
+    has wrapped the methods with ``functools.wraps``; the stepper's
+    ``sources`` is the evaluator."""
+    import functools
+
+    from vardens import mms
+
+    for attr in "fg":
+        fn = getattr(mms.SourceEvaluator, attr)
+        monkeypatch.setattr(mms.SourceEvaluator, attr,
+                            functools.wraps(fn)(lambda *a, fn=fn: fn(*a)))
+    ev = make_case("square2d").make_source_evaluator(1e-3)
+    st = TimeStepper(unit_square_mesh(2), _config(f=ev.f, g=ev.g))
+    assert st.sources is ev
+    assert TimeStepper(unit_square_mesh(2), _config()).sources is None
 
 
 @pytest.mark.parametrize("mode", ["strict", "widened"])
@@ -890,12 +922,10 @@ def test_stale_velocity_factor_is_refreshed_within_one_cycle(monkeypatch):
     ("cube3d_nonsmooth", lambda: unit_cube_mesh(4)),
 ])
 def test_source_load_matrices_match_pointwise_loads(name, mesh):
-    """A bound ``f``/``g`` of an evaluator is loaded from load matrices;
-    its loads equal those of the pointwise sources at the low-rule points
-    to relative 1e-13."""
+    """The sources are loaded from load matrices; their loads equal those
+    of the pointwise sources at the low-rule points to relative 1e-13."""
     ev = make_case(name).make_source_evaluator(0.001)
     st = TimeStepper(mesh(), _config(f=ev.f, g=ev.g))
-    assert st._load_givers == {"f": ev, "g": ev}
     x = st.geom_lo.points
     for t in (0.0, 1 / 64, 0.13, 0.25, 1.1):
         want = {"f": assemble.load_vector(st.p2_lo, ev.f(x, t)),
@@ -906,32 +936,6 @@ def test_source_load_matrices_match_pointwise_loads(name, mesh):
             assert got.shape == want[source].shape
             err = np.abs(got - want[source]).max()
             assert err <= 1e-13 * np.abs(want[source]).max(), (source, t)
-
-
-@pytest.mark.parametrize("name,mesh", [
-    ("square2d", lambda: unit_square_mesh(4)),
-    ("cube3d", lambda: unit_cube_mesh(2)),
-])
-def test_load_matrix_and_pointwise_paths_march_alike(name, mesh):
-    """Lambdas around ``ev.f``/``ev.g`` take the pointwise path; after 3
-    steps rho, u and p agree with the load-matrix path to 1e-12."""
-    case = make_case(name)
-    ev = case.make_source_evaluator(0.001)
-    pointwise = dict(f=lambda x, t: ev.f(x, t), g=lambda x, t: ev.g(x, t))
-    states = []
-    for sources in (dict(f=ev.f, g=ev.g), pointwise):
-        st = TimeStepper(mesh(), _config(cutoff_mode="widened", **sources))
-        state = st.initialize(lambda x: case.rho(x, 0.0),
-                              lambda x: case.u(x, 0.0))
-        for _ in range(3):
-            state, _ = st.step(state)
-        states.append(state)
-    assert st._load_givers == {"f": None, "g": None}
-    loads, pointwise = states
-    for field in ("rho", "u", "p"):
-        a = getattr(loads, field).coeffs
-        b = getattr(pointwise, field).coeffs
-        assert np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(b).max()), field
 
 
 def test_source_loads_are_built_once(monkeypatch):
@@ -962,7 +966,6 @@ def test_source_loads_are_built_once(monkeypatch):
     ev = case.make_source_evaluator(0.001)
     st = TimeStepper(unit_cube_mesh(2), _config(
         cutoff_mode="widened", f=ev.f, g=ev.g))
-    assert st._load_givers == {"f": ev, "g": ev}
     state = st.initialize(lambda x: case.rho(x, 0.0),
                           lambda x: case.u(x, 0.0))
     state, _ = st.step(state)
