@@ -203,9 +203,8 @@ class CellQuadrature:
         """Physical points (nc, nq, d), a new array on every call."""
         mesh = self.mesh
         v0 = mesh.vertices[mesh.cells[:, 0]]
-        return v0[:, None, :] + np.einsum(
-            "qk,cdk->cqd", self.rule.points, mesh.jacobians
-        )
+        return v0[:, None, :] + self.rule.points @ np.swapaxes(
+            mesh.jacobians, 1, 2)
 
     @functools.cached_property
     def points(self):
@@ -586,7 +585,7 @@ def _weight(tab, coef):
     return FieldWeight(None, None, np.arange(len(tab.cell_dofs)), coef)
 
 
-def mass_matrix(tab, coef=None):
+def mass_matrix(tab, coef):
     """(coef u, v) on ``tab``'s space; bitwise symmetric (module docstring).
 
     ``coef`` is a ``FieldWeight`` on the tab, or point values (nc, nq) at
@@ -608,7 +607,7 @@ def stiffness_matrix(tab):
     return tab.pattern.matrix(_symmetric(local.reshape(-1, nloc, nloc)))
 
 
-def convection_matrix(tab, wvec, coef=None):
+def convection_matrix(tab, wvec, coef):
     """(coef (wvec . grad u), v), ``coef`` as in ``mass_matrix`` and wvec
     given at the quadrature points (nc, nq, d) or a vector field of the
     tab's space (``eval_mini_vector``).  The rows from a weight's field

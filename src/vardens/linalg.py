@@ -1,5 +1,7 @@
 """Sparse solvers for the system shapes the scheme produces.
 
+Each solver takes the matrix and the right-hand side as they are, and
+returns the solution and a ``SolveReport``; it keeps nothing between calls.
 The scheme's per-step systems go through ``solve_gmres``, a restarted GMRES
 (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 1986) with a preconditioner
 the caller builds for the system: inverse cell-mass blocks for the density,
@@ -15,7 +17,8 @@ compare against; ``solve_constrained`` imposes a zero-mean constraint
 instead, by bordering the system with one Lagrange multiplier row/column,
 which keeps the matrix symmetric whenever the blocks are.
 
-Every solve asserts its relative residual, at most ``SOLVER_TOL``.
+Every solve asserts its relative residual, at most ``SOLVER_TOL``, on the
+residual vector b - A x (``_check``).
 """
 
 import math
@@ -43,22 +46,6 @@ class ResidualError(Exception):
 
 
 @dataclass
-class LinearSystem:
-    matrix: sp.spmatrix
-    rhs: np.ndarray
-    constraint: np.ndarray | None = None  # one functional, e.g. zero mean
-
-    def __post_init__(self):
-        n = self.matrix.shape[0]
-        if self.matrix.shape[1] != n:
-            raise ValueError("matrix must be square before augmentation")
-        if self.rhs.shape != (n,):
-            raise ValueError("rhs length does not match the matrix")
-        if self.constraint is not None and self.constraint.shape != (n,):
-            raise ValueError("constraint length does not match the matrix")
-
-
-@dataclass
 class SolveReport:
     residual: float
     iterations: int = 0
@@ -66,14 +53,14 @@ class SolveReport:
     extras: dict = field(default_factory=dict)
 
 
-def _relative_residual(A, x, b):
+def _check(r, b, context):
+    """The relative residual ||r|| / ||b|| (||r|| when b = 0) of a solve
+    whose residual is r = b - A x; ``ResidualError`` above ``SOLVER_TOL``
+    or when it is not finite."""
     nb = np.linalg.norm(b)
-    r = np.linalg.norm(A @ x - b)
-    return r / nb if nb > 0 else r
-
-
-def _check(A, x, b, context):
-    res = _relative_residual(A, x, b)
+    res = np.linalg.norm(r)
+    if nb > 0:
+        res /= nb
     if not np.isfinite(res) or res > SOLVER_TOL:
         raise ResidualError(
             f"{context}: relative residual {res:.3e} > {SOLVER_TOL:.1e}")
@@ -96,7 +83,7 @@ _ORDERINGS = {
 }
 
 
-def factorize(matrix, ordering="colamd"):
+def factorize(matrix, ordering):
     """SuperLU factorization in one of three column orderings.
 
     ``"colamd"`` is SuperLU's default, for any square matrix.  ``"mmd"`` is
@@ -136,12 +123,25 @@ def factorize(matrix, ordering="colamd"):
         ) from exc
 
 
-def solve_direct(system: LinearSystem):
-    """Direct sparse solve; residual checked against ``SOLVER_TOL``."""
+def _check_shapes(A, *vectors):
+    """``ValueError`` unless A is square and each vector matches it."""
+    n = A.shape[0]
+    if A.shape != (n, n):
+        raise ValueError(f"matrix of shape {A.shape} is not square")
+    for v in vectors:
+        if v.shape != (n,):
+            raise ValueError(f"vector of shape {v.shape} does not match "
+                             f"the matrix of shape {A.shape}")
+
+
+def solve_direct(A, b):
+    """Direct sparse solve of A x = b; residual checked against
+    ``SOLVER_TOL``.  ``ValueError`` when A is not square or b does not
+    match it."""
+    _check_shapes(A, b)
     t0 = time.perf_counter()
-    lu = factorize(system.matrix)
-    x = lu.solve(system.rhs)
-    res = _check(system.matrix, x, system.rhs, "direct solve")
+    x = factorize(A, "colamd").solve(b)
+    res = _check(b - A @ x, b, "direct solve")
     return x, SolveReport(res, 0, time.perf_counter() - t0)
 
 
@@ -156,26 +156,24 @@ def augment_with_constraint(matrix, rhs, constraint):
     return K, b
 
 
-def solve_constrained(system: LinearSystem):
-    """Direct solve of a system with one linear constraint functional,
-    bordered by its multiplier (``augment_with_constraint``).
+def solve_constrained(A, b, constraint):
+    """Direct solve of A x = b under one linear constraint functional,
+    c . x = 0, bordered by its multiplier (``augment_with_constraint``).
 
     The tests' reference for the saddle-point steps: the constraint fixes
     the zero-mean pressure (or the multiplier's constant mode in the mixed
     projection).  A nonzero multiplier lam means the constraint fights the
-    equations: A x - rhs = lam c.  So unless the unbordered residual is at
-    most 1e-8 max(||rhs||, 1), ``ConstraintConflictError`` is raised.
+    equations: A x - b = lam c.  So unless the unbordered residual is at
+    most 1e-8 max(||b||, 1), ``ConstraintConflictError`` is raised.
+    ``ValueError`` when A is not square or b or c does not match it.
     """
-    if system.constraint is None:
-        return solve_direct(system)
+    _check_shapes(A, b, constraint)
     t0 = time.perf_counter()
-    K, b = augment_with_constraint(system.matrix, system.rhs, system.constraint)
-    lu = factorize(K)
-    xl = lu.solve(b)
+    K, bk = augment_with_constraint(A, b, constraint)
+    xl = factorize(K, "colamd").solve(bk)
     x, lam = xl[:-1], xl[-1]
-    res = _check(K, xl, b, "constrained solve")
-    conflict = (np.linalg.norm(system.matrix @ x - system.rhs)
-                / max(np.linalg.norm(system.rhs), 1.0))
+    res = _check(bk - K @ xl, bk, "constrained solve")
+    conflict = np.linalg.norm(A @ x - b) / max(np.linalg.norm(b), 1.0)
     if conflict > 1e-8:
         raise ConstraintConflictError(
             f"constraint is inconsistent with the equations "
@@ -186,14 +184,15 @@ def solve_constrained(system: LinearSystem):
     )
 
 
-def solve_gmres(system: LinearSystem, restart: int = 60, maxiter: int = 400,
-                *, preconditioner, x0=None):
-    """Restarted GMRES, preconditioned on the right, from the guess ``x0``.
+def solve_gmres(A, b, *, restart, maxiter, preconditioner, x0):
+    """Restarted GMRES for A x = b, preconditioned on the right, from the
+    guess ``x0`` (None for zero).  A needs only ``A @ v``.
 
     ``preconditioner`` is any callable r -> z ~ A^-1 r (a ``LinearOperator``
     works too).  With right preconditioning the minimised residual is the
     true one, b - A x, and GMRES stops once it is below max(SOLVER_TOL /
-    100, 1e-14) ||b||; ``_check`` then asserts ``SOLVER_TOL``.  Arnoldi
+    100, 1e-14) ||b||; ``_check`` then asserts ``SOLVER_TOL`` on the
+    residual the last cycle formed, so no product is spent on it.  Arnoldi
     orthogonalises by classical Gram-Schmidt applied twice, two GEMVs
     against the basis (Giraud, Langou & Rozlozník, Comput. Math. Appl. 50,
     2005).  The preconditioner is applied once per cycle to the combined
@@ -203,7 +202,6 @@ def solve_gmres(system: LinearSystem, restart: int = 60, maxiter: int = 400,
     and from ``_check`` when a NaN, say from the preconditioner, reached x.
     """
     t0 = time.perf_counter()
-    A, b = system.matrix, system.rhs
     nb = np.linalg.norm(b)
     target = max(SOLVER_TOL * 1e-2, 1e-14) * nb
     if x0 is None or nb == 0.0:
@@ -254,5 +252,5 @@ def solve_gmres(system: LinearSystem, restart: int = 60, maxiter: int = 400,
         x += preconditioner(y @ V[:k])
         r = b - A @ x
         beta = np.linalg.norm(r)
-    res = _check(A, x, b, "gmres solve")
+    res = _check(r, b, "gmres solve")
     return x, SolveReport(res, iters, time.perf_counter() - t0)

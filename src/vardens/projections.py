@@ -91,8 +91,8 @@ class RtProjectionWorkspace:
         mask[bdofs] = False
         self.free = np.flatnonzero(mask)
 
-        # local blocks, kept for the residual check, and the inverse of
-        # every cell's mixed system
+        # local blocks, kept for the residual check, and the first nl
+        # columns of the inverse of every cell's mixed system
         Mk, Bk = self._Mk, self._Bk = assemble.rt_blocks(self.rt_tab,
                                                          self.dg_tab)
         nl, nm = space.n_local, d + 1
@@ -100,8 +100,7 @@ class RtProjectionWorkspace:
         A[:, :nl, :nl] = Mk
         A[:, :nl, nl:] = np.swapaxes(Bk, 1, 2)
         A[:, nl:, :nl] = Bk
-        # a copy, not a view that would keep the whole inverse alive
-        self._solve_local = np.linalg.inv(A)[:, :, :nl].copy()
+        self._solve_local = np.linalg.solve(A, np.eye(nl + nm)[:, :nl])
 
         # signed facet-dof -> multiplier map: +1 from the facet's minus
         # cell; the multiplier of RT1 facet dof i is rank[i]

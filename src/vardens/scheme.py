@@ -240,7 +240,6 @@ class TimeStepper:
 
         self._vel_lu = None
         self._chi_cache = []
-        self.last_reports = {}
         self.sources = getattr(config.f, "__self__", None)  # f's evaluator
         self._loads = None  # built on the first step (``_source_load``)
 
@@ -330,9 +329,10 @@ class TimeStepper:
             + tau * self.rho_convection.blocks(w))
         return A, flux
 
-    def density_step(self, state: StepState) -> FeField:
+    def density_step(self, state: StepState):
         """Upwind dG transport solve for the new density, by GMRES on the
-        inverse cell-mass blocks started from the old density.
+        inverse cell-mass blocks started from the old density; returns the
+        new density and the solve's report.
 
         The preconditioner ignores the transport, so the iteration count
         grows about linearly with tau: on the unit square at h = 1/16 with
@@ -349,8 +349,7 @@ class TimeStepper:
         if cfg.f is not None:
             rhs = rhs + tau * self._source_load("f", t_new)
         x, report = linalg.solve_gmres(
-            linalg.LinearSystem(A, rhs),
-            restart=DENSITY_RESTART, maxiter=400 * DENSITY_RESTART,
+            A, rhs, restart=DENSITY_RESTART, maxiter=400 * DENSITY_RESTART,
             preconditioner=self.rho_mass_solve,
             x0=state.rho.coeffs,
         )
@@ -359,8 +358,7 @@ class TimeStepper:
         minus, plus = assemble.eval_dg_traces(self.trace, rho_new)
         report.extras["upwind_dissipation"] = tau * (
             assemble.upwind_jump_quadratic(self.trace, flux, minus, plus))
-        self.last_reports["density"] = report
-        return rho_new
+        return rho_new, report
 
     def _source_load(self, name, t):
         """The load of the source ``name``, "f" or "g", at time t: f's on
@@ -401,13 +399,13 @@ class TimeStepper:
         fill = self._factor_velocity(K) if self._vel_lu is None else None
         try:
             x, report = linalg.solve_gmres(
-                linalg.LinearSystem(K, b), restart=40, maxiter=40,
+                K, b, restart=40, maxiter=40,
                 preconditioner=self._vel_lu.solve, x0=x0,
             )
         except linalg.ResidualError:
             fill = self._factor_velocity(K)
             x = self._vel_lu.solve(b)
-            res = linalg._check(K, x, b, "refreshed factor")
+            res = linalg._check(b - K @ x, b, "refreshed factor")
             report = linalg.SolveReport(
                 res, 0, time.perf_counter() - t0, {"refreshed": True}
             )
@@ -477,7 +475,8 @@ class TimeStepper:
 
     # ------------------------------------------------------------------
     def velocity_step(self, state: StepState, rho_new: FeField):
-        """Linearized saddle-point solve for the new velocity and pressure.
+        """Linearized saddle-point solve for the new velocity and pressure;
+        returns them and the solve's report.
 
         The chi-weighted masses of the old and new density and the
         convection by the old velocity weighted by chi(rho_new) are built
@@ -539,11 +538,8 @@ class TimeStepper:
         report.extras["div_residual"] = div_residual
         report.extras["cutoff_clamped"] = clamped
         report.extras["cutoff_cells"] = len(chi.cells)
-        self.last_reports["velocity"] = report
-        return (
-            FeField(self.vel_space, u_new),
-            FeField(self.p_space, p_new),
-        )
+        return (FeField(self.vel_space, u_new), FeField(self.p_space, p_new),
+                report)
 
     # ------------------------------------------------------------------
     def step(self, state: StepState):
@@ -553,23 +549,22 @@ class TimeStepper:
         t0 = time.perf_counter()
         n = state.n + 1
         with _names_failure("density solve", n):
-            rho_new = self.density_step(state)
+            rho_new, density = self.density_step(state)
         with _names_failure("velocity solve", n):
-            u_new, p_new = self.velocity_step(state, rho_new)
+            u_new, p_new, velocity = self.velocity_step(state, rho_new)
         with _names_failure("projection", n):
             w_new = self.workspace.project(u_new)
         new_state = StepState(n, state.t + self.config.tau, rho_new, u_new,
                               p_new, w_new)
-        return new_state, self._diagnostics(new_state,
+        return new_state, self._diagnostics(new_state, density, velocity,
                                             time.perf_counter() - t0)
 
-    def _diagnostics(self, new, wall):
+    def _diagnostics(self, new, density, velocity, wall):
         """The record of the step that gave ``new``: energy, viscous
-        dissipation and mass from ``new``, every other fact from the step's
-        density and velocity reports."""
+        dissipation and mass from ``new``, every other fact from the
+        ``density`` and ``velocity`` reports that the step's two solves
+        returned."""
         cfg = self.config
-        density = self.last_reports["density"]
-        velocity = self.last_reports["velocity"]
         energy = self.energy(new)
         viscous = 0.0
         for comp in new.u.coeffs.reshape(self.mesh.dim, -1):

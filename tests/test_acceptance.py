@@ -271,7 +271,7 @@ def test_criterion_09_upwind_identity():
             rho = FeField(p2, rng.standard_normal(p2.n_dofs))
             wv = assemble.eval_rt(ws.rt_tab, w)
             s = assemble.eval_rt_flux(flux_tab, w)
-            C = assemble.convection_matrix(tab, wv)
+            C = assemble.convection_matrix(tab, wv, None)
             U = assemble.upwind_matrix(trace, s)
             lhs = float(rho.coeffs @ ((C - U) @ rho.coeffs))
             minus, plus = assemble.eval_dg_traces(trace, rho)

@@ -24,7 +24,7 @@ def test_p2dg_mass_is_block_diagonal():
     m = unit_square_mesh(1)
     geom = assemble.CellQuadrature(m, 6)
     tab = assemble.ScalarTab(P2DGSpace(m), geom)
-    M = assemble.mass_matrix(tab).tocoo()
+    M = assemble.mass_matrix(tab, None).tocoo()
     # every entry stays inside its cell's 6x6 block
     assert ((M.row // 6) == (M.col // 6)).all()
     assert M.shape == (12, 12)
@@ -54,6 +54,21 @@ def test_mixed_div_matrix_kills_projected_fields(square8):
 
     sigma = ws.project(v)
     assert np.abs(D @ sigma.coeffs).max() < 1e-11
+
+
+@pytest.mark.parametrize("make_mesh,n,degree", [(unit_square_mesh, 5, 6),
+                                                (unit_cube_mesh, 3, 10)])
+def test_map_points_is_the_affine_map(make_mesh, n, degree):
+    """The physical points, one batched product with the Jacobians, against
+    x = v0 + J xhat written out per component, to a few ulp of the unit
+    domain."""
+    mesh = make_mesh(n)
+    geom = assemble.CellQuadrature(mesh, degree)
+    got = geom.map_points()
+    ref = mesh.vertices[mesh.cells[:, 0]][:, None, :] + np.einsum(
+        "qk,cdk->cqd", geom.rule.points, mesh.jacobians)
+    assert got.shape == ref.shape and got.flags.c_contiguous
+    assert np.abs(got - ref).max() <= 4 * np.finfo(float).eps
 
 
 def test_integrate_basics(square8):
@@ -288,7 +303,7 @@ def test_upwind_skew_identity_random(square8):
         rho = FeField(p2, rng.standard_normal(p2.n_dofs))
         wv = assemble.eval_rt(ws.rt_tab, w)
         s = assemble.eval_rt_flux(flux_tab, w)
-        C = assemble.convection_matrix(tab, wv)
+        C = assemble.convection_matrix(tab, wv, None)
         U = assemble.upwind_matrix(trace, s)
         lhs = float(rho.coeffs @ ((C - U) @ rho.coeffs))
         minus, plus = assemble.eval_dg_traces(trace, rho)
@@ -544,7 +559,8 @@ def test_transpose_perm_transposes_convection(square8):
     geom = assemble.CellQuadrature(square8, 6)
     tab = assemble.ScalarTab(P2DGSpace(square8), geom)
     N = assemble.convection_matrix(
-        tab, np.random.default_rng(1).standard_normal(geom.wdet.shape + (2,)))
+        tab, np.random.default_rng(1).standard_normal(geom.wdet.shape + (2,)),
+        None)
     assert (tab.pattern.with_data(N.data[tab.pattern.transpose_perm])
             != N.T).nnz == 0
 
@@ -567,7 +583,8 @@ def test_rt_convection_matches_quadrature_convection(kernel_setup):
     nc = mesh.n_cells
     got = sp.bsr_matrix((conv.blocks(w), np.arange(nc), np.arange(nc + 1)),
                         shape=(tab.space.n_dofs,) * 2)
-    ref = assemble.convection_matrix(tab, assemble.eval_rt(rt_tab, w))
+    ref = assemble.convection_matrix(tab, assemble.eval_rt(rt_tab, w),
+                                     None)
     assert _close(got, ref, 1e-14)
 
     flipped = copy.copy(mesh)
@@ -627,7 +644,8 @@ def test_density_operator_matches_quadrature_reference(make_mesh, n):
         FeField(st.rt_space, rng.standard_normal(st.rt_space.n_dofs)))
     A, flux = st.density_matrix(w)
     assert A.format == "bsr"
-    C = assemble.convection_matrix(st.p2_lo, assemble.eval_rt(st.rt_lo, w))
-    ref = assemble.mass_matrix(st.p2_lo) + st.config.tau * (
+    C = assemble.convection_matrix(st.p2_lo, assemble.eval_rt(st.rt_lo, w),
+                                   None)
+    ref = assemble.mass_matrix(st.p2_lo, None) + st.config.tau * (
         C - _upwind_reference(st.trace, flux))
     assert _close(A, ref, 1e-14)

@@ -16,7 +16,7 @@ from vardens.spaces import FeField, MiniVectorSpace, P1Space
 def test_identity_solve():
     A = sp.identity(5, format="csr")
     b = np.arange(5.0)
-    x, report = linalg.solve_direct(linalg.LinearSystem(A, b))
+    x, report = linalg.solve_direct(A, b)
     assert np.allclose(x, b)
     assert report.iterations == 0
     assert report.residual <= 1e-10
@@ -24,7 +24,7 @@ def test_identity_solve():
 
 def test_two_by_two_hand_solve():
     A = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    x, _ = linalg.solve_direct(linalg.LinearSystem(A, np.array([3.0, 3.0])))
+    x, _ = linalg.solve_direct(A, np.array([3.0, 3.0]))
     assert np.allclose(x, [1.0, 1.0])
 
 
@@ -32,27 +32,31 @@ def test_mass_system_recovers_field():
     m = unit_square_mesh(5)
     geom = assemble.CellQuadrature(m, 6)
     tab = assemble.ScalarTab(P1Space(m), geom)
-    M = assemble.mass_matrix(tab)
+    M = assemble.mass_matrix(tab, None)
     rng = np.random.default_rng(3)
     coeffs = rng.standard_normal(tab.space.n_dofs)
     vals = np.einsum("ci,qi->cq", coeffs[tab.cell_dofs], tab.vals)
     b = assemble.load_vector(tab, vals)
-    x, _ = linalg.solve_direct(linalg.LinearSystem(M, b))
+    x, _ = linalg.solve_direct(M, b)
     assert np.abs(x - coeffs).max() < 1e-10
 
 
 def test_singular_matrix_reports_pivot_row():
     A = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
     with pytest.raises(linalg.SingularMatrixError, match="row"):
-        linalg.solve_direct(linalg.LinearSystem(A, np.ones(2)))
+        linalg.solve_direct(A, np.ones(2))
 
 
 def test_shape_validation():
     A = sp.identity(3, format="csr")
     with pytest.raises(ValueError):
-        linalg.LinearSystem(A, np.ones(4))
+        linalg.solve_direct(A, np.ones(4))
     with pytest.raises(ValueError):
-        linalg.LinearSystem(A, np.ones(3), np.ones(2))
+        linalg.solve_constrained(A, np.ones(4), np.ones(3))
+    with pytest.raises(ValueError):
+        linalg.solve_constrained(A, np.ones(3), np.ones(2))
+    with pytest.raises(ValueError):
+        linalg.solve_direct(sp.csr_matrix(np.ones((2, 3))), np.ones(2))
 
 
 def test_constraint_conflict_detected():
@@ -62,7 +66,7 @@ def test_constraint_conflict_detected():
     b = np.array([1.0, 1.0])
     c = np.array([1.0, 0.0])
     with pytest.raises(linalg.ConstraintConflictError):
-        linalg.solve_constrained(linalg.LinearSystem(A, b, c))
+        linalg.solve_constrained(A, b, c)
 
 
 def test_velocity_solve_detects_constraint_conflict(monkeypatch):
@@ -115,9 +119,7 @@ def test_stokes_zero_data_gives_zero():
     np_ = c.shape[0]
     rhs = np.zeros(nfree + np_)
     constraint = np.concatenate([np.zeros(nfree), c])
-    x, report = linalg.solve_constrained(
-        linalg.LinearSystem(Ksys, rhs, constraint)
-    )
+    x, report = linalg.solve_constrained(Ksys, rhs, constraint)
     assert np.abs(x).max() < 1e-12
     assert abs(report.extras["multiplier"]) < 1e-12
 
@@ -157,9 +159,7 @@ def test_stokes_manufactured_velocity_order_two():
         ])
         rhs = np.concatenate([F, np.zeros(c.shape[0])])
         constraint = np.concatenate([np.zeros(2 * nfree), c])
-        x, _ = linalg.solve_constrained(
-            linalg.LinearSystem(Ksys, rhs, constraint)
-        )
+        x, _ = linalg.solve_constrained(Ksys, rhs, constraint)
         coeffs = np.zeros(vel.n_dofs)
         coeffs[free] = x[:nfree]
         coeffs[ns + free] = x[nfree:2 * nfree]
@@ -180,14 +180,14 @@ def test_gmres_with_ilu_matches_direct():
     m = unit_square_mesh(6)
     geom = assemble.CellQuadrature(m, 6)
     tab = assemble.ScalarTab(P1Space(m), geom)
-    A = assemble.mass_matrix(tab) + 0.05 * assemble.stiffness_matrix(tab)
+    A = assemble.mass_matrix(tab, None) + 0.05 * assemble.stiffness_matrix(tab)
     rng = np.random.default_rng(0)
     b = rng.standard_normal(A.shape[0])
-    xd, _ = linalg.solve_direct(linalg.LinearSystem(A, b))
+    xd, _ = linalg.solve_direct(A, b)
     ilu = spla.spilu(A.tocsc(), drop_tol=1e-5, fill_factor=10)
     xi, report = linalg.solve_gmres(
-        linalg.LinearSystem(A, b),
-        preconditioner=spla.LinearOperator(A.shape, ilu.solve),
+        A, b, restart=60, maxiter=400,
+        preconditioner=spla.LinearOperator(A.shape, ilu.solve), x0=None,
     )
     assert report.iterations > 0
     assert np.abs(xd - xi).max() < 1e-8
@@ -201,11 +201,11 @@ def _density_system():
         tau=1 / 8, mu=1e-3, n_steps=1, cutoff_mode="widened"))
     state = st.initialize(lambda x: case.rho(x, 0.0),
                           lambda x: case.u(x, 0.0))
-    C = assemble.convection_matrix(st.p2_lo, assemble.eval_rt(st.rt_lo,
-                                                              state.w))
+    C = assemble.convection_matrix(
+        st.p2_lo, assemble.eval_rt(st.rt_lo, state.w), None)
     U = assemble.upwind_matrix(st.trace,
                                assemble.eval_rt_flux(st.rt_flux, state.w))
-    M = assemble.mass_matrix(st.p2_lo)
+    M = assemble.mass_matrix(st.p2_lo, None)
     A = (M + st.config.tau * (C - U)).tocsc()
     b = np.random.default_rng(4).standard_normal(A.shape[0])
     return A, st.rho_mass_solve, b
@@ -215,9 +215,9 @@ def _density_system():
 def test_gmres_on_upwind_density_matches_direct(restart):
     A, precond, b = _density_system()
     assert abs(A - A.T).max() > 1e-3          # upwinding is not symmetric
-    ref, _ = linalg.solve_direct(linalg.LinearSystem(A, b))
+    ref, _ = linalg.solve_direct(A, b)
     x, report = linalg.solve_gmres(
-        linalg.LinearSystem(A, b), restart=restart, preconditioner=precond)
+        A, b, restart=restart, maxiter=400, preconditioner=precond, x0=None)
     assert report.iterations > 0
     if restart == 4:
         assert report.iterations > restart    # it restarted and converged
@@ -227,9 +227,9 @@ def test_gmres_on_upwind_density_matches_direct(restart):
 
 def test_gmres_exact_preconditioner_takes_one_iteration():
     A, _, b = _density_system()
-    lu = linalg.factorize(A)
-    _, report = linalg.solve_gmres(linalg.LinearSystem(A, b),
-                                   preconditioner=lu.solve)
+    lu = linalg.factorize(A, "colamd")
+    _, report = linalg.solve_gmres(A, b, restart=60, maxiter=400,
+                                   preconditioner=lu.solve, x0=None)
     assert report.iterations == 1
 
 
@@ -241,8 +241,8 @@ def test_factorize_rejects_an_unknown_ordering():
 
 def test_gmres_from_the_solution_takes_no_iteration():
     A, precond, b = _density_system()
-    ref, _ = linalg.solve_direct(linalg.LinearSystem(A, b))
-    x, report = linalg.solve_gmres(linalg.LinearSystem(A, b),
+    ref, _ = linalg.solve_direct(A, b)
+    x, report = linalg.solve_gmres(A, b, restart=60, maxiter=400,
                                    preconditioner=precond, x0=ref)
     assert report.iterations == 0
     assert np.array_equal(x, ref)
@@ -252,8 +252,8 @@ def test_gmres_zero_rhs_returns_zeros():
     A, precond, b = _density_system()
     for x0 in (None, b):
         x, report = linalg.solve_gmres(
-            linalg.LinearSystem(A, np.zeros_like(b)), preconditioner=precond,
-            x0=x0)
+            A, np.zeros_like(b), restart=60, maxiter=400,
+            preconditioner=precond, x0=x0)
         assert report.iterations == 0
         assert not x.any()
 
@@ -261,8 +261,37 @@ def test_gmres_zero_rhs_returns_zeros():
 def test_gmres_raises_when_maxiter_is_spent():
     A, precond, b = _density_system()
     with pytest.raises(linalg.ResidualError):
-        linalg.solve_gmres(linalg.LinearSystem(A, b), maxiter=2,
-                           preconditioner=precond)
+        linalg.solve_gmres(A, b, restart=60, maxiter=2,
+                           preconditioner=precond, x0=None)
+
+
+class _CountingOperator:
+    """A matrix that counts its products with a vector."""
+
+    def __init__(self, A):
+        self.A, self.products = A, 0
+
+    def __matmul__(self, v):
+        self.products += 1
+        return self.A @ v
+
+
+@pytest.mark.parametrize("restart,start", [(60, False), (4, False),
+                                           (60, True)])
+def test_gmres_checks_the_residual_of_its_last_cycle(restart, start):
+    """One product per inner iteration and one per cycle, for the cycle's
+    residual, which is also the one the contract is checked on; a guess
+    x0 adds the product of its residual.  No product is made only to
+    check the result."""
+    A, precond, b = _density_system()
+    counted = _CountingOperator(A)
+    x0 = np.zeros_like(b) if start else None
+    x, report = linalg.solve_gmres(counted, b, restart=restart, maxiter=400,
+                                   preconditioner=precond, x0=x0)
+    cycles = -(-report.iterations // restart)
+    assert counted.products == report.iterations + cycles + start
+    r = b - A @ x
+    assert report.residual == np.linalg.norm(r) / np.linalg.norm(b)
 
 
 @pytest.mark.parametrize("name,make_mesh,n,tau,bound", [
@@ -285,7 +314,7 @@ def test_saddle_factor_keeps_its_fill_reducing_order(
     factored = []
     inner = linalg.factorize
 
-    def record(matrix, ordering="colamd"):
+    def record(matrix, ordering):
         lu = inner(matrix, ordering)
         factored.append((matrix, ordering, lu))
         return lu

@@ -13,8 +13,6 @@ from pathlib import Path
 import vardens
 
 OPTIONS = {
-    "assemble.mass_matrix.coef",
-    "assemble.convection_matrix.coef",
     "assemble.rt_blocks.dg_tab",
     "assemble.eval_scalar.cells",
     "assemble.eval_mini_vector.cells",
@@ -33,14 +31,9 @@ OPTIONS = {
     "harness.ConvergenceRecord.message",
     "harness.run_study.progress",
     "harness.run_study.finished",
-    "linalg.LinearSystem.constraint",
     "linalg.SolveReport.iterations",
     "linalg.SolveReport.wall_time",
     "linalg.SolveReport.extras",
-    "linalg.factorize.ordering",
-    "linalg.solve_gmres.restart",
-    "linalg.solve_gmres.maxiter",
-    "linalg.solve_gmres.x0",
     "projections.RtProjectionWorkspace.__init__.geom",
     "scheme.SchemeConfig.rho_min",
     "scheme.SchemeConfig.rho_max",

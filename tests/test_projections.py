@@ -135,7 +135,7 @@ def test_rt_projection_gauge_independence():
         constraint = np.zeros(K.shape[0])
         constraint[len(ws.free) + pin_dof] = 1.0
         rhs = np.concatenate([b, np.zeros(ws.dg_space.n_dofs)])
-        x, _ = linalg.solve_constrained(linalg.LinearSystem(K, rhs, constraint))
+        x, _ = linalg.solve_constrained(K, rhs, constraint)
         assert np.abs(x[: len(ws.free)] - sigma.coeffs[ws.free]).max() < 1e-10
 
 

@@ -114,7 +114,7 @@ def test_density_mass_matches_the_assembled_mass(make_mesh, n):
     """The reference-block mass and its inverse against the assembled P2-dG
     mass matrix."""
     st = TimeStepper(make_mesh(n), _config())
-    M = assemble.mass_matrix(st.p2_lo)
+    M = assemble.mass_matrix(st.p2_lo, None)
     x = np.random.default_rng(7).standard_normal(st.rho_space.n_dofs)
     ref = M @ x
     got = st.rho_mass(x)
@@ -179,7 +179,7 @@ def test_density_step_pure_mass_is_identity():
     st = TimeStepper(m, _config())
     state = st.initialize(lambda x: case.rho(x, 0.0),
                           lambda x: np.zeros_like(x))
-    rho1 = st.density_step(state)
+    rho1, _ = st.density_step(state)
     assert np.abs(rho1.coeffs - state.rho.coeffs).max() < 1e-11
 
 
@@ -191,7 +191,7 @@ def test_density_step_constant_in_transport_kernel():
     state = st.initialize(lambda x: np.full(x.shape[:-1], 1.5),
                           lambda x: case.u(x, 0.0))
     assert np.abs(state.w.coeffs).max() > 1e-3  # transport really active
-    rho1 = st.density_step(state)
+    rho1, _ = st.density_step(state)
     assert np.abs(rho1.coeffs - 1.5).max() < 1e-10
 
 
@@ -210,7 +210,7 @@ def test_density_step_conserves_mass_two_cells():
     # keep the hand-made transport field admissible: zero boundary flux and
     # exactly divergence-free via one projection
     state.w = st.workspace.project(state.w)
-    rho1 = st.density_step(state)
+    rho1, _ = st.density_step(state)
     m0 = float(st.ones_rho @ state.rho.coeffs)
     m1 = float(st.ones_rho @ rho1.coeffs)
     assert abs(m1 - m0) < 1e-12
@@ -220,7 +220,7 @@ def test_density_step_conserves_mass_two_cells():
     # and opposite fluxes, so the total is what telescopes away
     flux = assemble.eval_rt_flux(st.rt_flux, state.w)
     wvals = assemble.eval_rt(st.rt_lo, state.w)
-    C = assemble.convection_matrix(st.p2_lo, wvals)
+    C = assemble.convection_matrix(st.p2_lo, wvals, None)
     U = assemble.upwind_matrix(st.trace, flux)
     ind_minus = np.zeros(st.rho_space.n_dofs)
     ind_minus[st.rho_space.cell_dofs[m.facet_minus[m.interior_facets[0]]]] = 1.0
@@ -236,7 +236,7 @@ def test_velocity_step_zero_data_zero_solution():
     st = TimeStepper(m, _config(rho_min=1.0, rho_max=2.0))
     state = st.initialize(lambda x: np.full(x.shape[:-1], 1.5),
                           lambda x: np.zeros_like(x))
-    u1, p1 = st.velocity_step(state, state.rho)
+    u1, p1, _ = st.velocity_step(state, state.rho)
     assert np.abs(u1.coeffs).max() < 1e-12
     assert np.abs(p1.coeffs).max() < 1e-12
 
@@ -250,8 +250,8 @@ def test_velocity_step_divergence_constraint():
                   f=src.f, g=src.g)
     st = TimeStepper(m, cfg)
     state = st.initialize(lambda x: case.rho(x, 0.0), lambda x: case.u(x, 0.0))
-    rho1 = st.density_step(state)
-    u1, p1 = st.velocity_step(state, rho1)
+    rho1, _ = st.density_step(state)
+    u1, p1, _ = st.velocity_step(state, rho1)
     assert np.abs(st.B.T @ u1.coeffs).max() <= 1e-10
     assert abs(float(st.c_p @ p1.coeffs)) <= 1e-10  # zero-mean pressure
 
@@ -303,9 +303,9 @@ def test_homogeneous_systems_have_zero_solution():
     state = st.initialize(lambda x: np.full(x.shape[:-1], 1.5),
                           lambda x: np.zeros_like(x))
     state.rho = zero_rho
-    rho1 = st.density_step(state)
+    rho1, _ = st.density_step(state)
     assert np.abs(rho1.coeffs).max() < 1e-12
-    u1, p1 = st.velocity_step(state, rho1)
+    u1, p1, _ = st.velocity_step(state, rho1)
     assert np.abs(u1.coeffs).max() < 1e-12
     assert np.abs(p1.coeffs).max() < 1e-12
 
@@ -579,10 +579,11 @@ def test_velocity_step_cached_mass_is_bit_identical():
     st = TimeStepper(m, cfg)
     state = st.initialize(lambda x: case.rho(x, 0.0), lambda x: case.u(x, 0.0))
     state, _ = st.step(state)
-    rho_new = st.density_step(state)
+    rho_new, _ = st.density_step(state)
 
-    def same(a, b):
-        return all(np.array_equal(x.coeffs, y.coeffs) for x, y in zip(a, b))
+    def same(a, b):  # the new velocity and pressure of two steps
+        return all(np.array_equal(x.coeffs, y.coeffs)
+                   for x, y in zip(a[:2], b[:2]))
 
     # every solve factors its own matrix afresh, as a new stepper does, so
     # both sides precondition GMRES with the same LU
@@ -601,6 +602,26 @@ def test_velocity_step_cached_mass_is_bit_identical():
         got = st.velocity_step(moved, rho_new)
         assert same(got, TimeStepper(m, cfg).velocity_step(moved, rho_new))
         assert not same(got, cached)
+
+
+def _returned_reports(st):
+    """The reports that ``st``'s density and velocity phases return, one
+    list per phase, appended to at every later step."""
+    reports = {"density": [], "velocity": []}
+    density_step, velocity_step = st.density_step, st.velocity_step
+
+    def density(state):
+        *out, report = density_step(state)
+        reports["density"].append(report)
+        return *out, report
+
+    def velocity(state, rho_new):
+        *out, report = velocity_step(state, rho_new)
+        reports["velocity"].append(report)
+        return *out, report
+
+    st.density_step, st.velocity_step = density, velocity
+    return reports
 
 
 # the same small problem on each dimension's mesh
@@ -629,17 +650,18 @@ def test_lagged_velocity_solve_matches_constrained_direct(name, mesh):
 
     st._solve_velocity_system = record
     state = st.initialize(lambda x: case.rho(x, 0.0), lambda x: case.u(x, 0.0))
+    reports = _returned_reports(st)
     for _ in range(2):
         state, _ = st.step(state)
-    assert st.last_reports["velocity"].iterations > 0  # GMRES on a lagged LU
+    assert reports["velocity"][-1].iterations > 0  # GMRES on a lagged LU
     nu = len(st.free_vel)
     B = st.B[st.free_vel]
     constraint = np.concatenate([np.zeros(nu), st.c_p])
     for K, b, x in solves:
         # the unpinned system, bordered by the zero-mean pressure constraint
         full = sp.bmat([[K[:nu, :nu], -B], [-B.T, None]], format="csr")
-        ref, _ = linalg.solve_constrained(linalg.LinearSystem(
-            full, np.append(b, 0.0), constraint))
+        ref, _ = linalg.solve_constrained(full, np.append(b, 0.0),
+                                          constraint)
         p = np.append(x[nu:], 0.0)
         p -= (st.c_p @ p) / st.c_p.sum()
         for got, want in ((x[:nu], ref[:nu]), (p, ref[nu:])):
@@ -658,10 +680,10 @@ def test_density_gmres_matches_direct(name, mesh, monkeypatch):
     solves = []
     inner = linalg.solve_gmres
 
-    def record(system, *args, **kwargs):
-        x, report = inner(system, *args, **kwargs)
-        if system.matrix.shape[0] == st.rho_space.n_dofs:
-            solves.append((system, x))
+    def record(A, b, **kwargs):
+        x, report = inner(A, b, **kwargs)
+        if A.shape[0] == st.rho_space.n_dofs:
+            solves.append((A, b, x))
         return x, report
 
     monkeypatch.setattr(linalg, "solve_gmres", record)
@@ -669,8 +691,8 @@ def test_density_gmres_matches_direct(name, mesh, monkeypatch):
     for _ in range(2):
         state, _ = st.step(state)
     assert len(solves) == 2
-    for system, x in solves:
-        ref, _ = linalg.solve_direct(system)
+    for A, b, x in solves:
+        ref, _ = linalg.solve_direct(A, b)
         assert np.abs(x - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
@@ -678,10 +700,11 @@ def test_step_records_solver_iterations_and_refreshes():
     case = make_case("square2d")
     st = TimeStepper(unit_square_mesh(4), _config(n_steps=3))
     state = st.initialize(lambda x: case.rho(x, 0.0), lambda x: case.u(x, 0.0))
+    reports = _returned_reports(st)
     for _ in range(3):
         state, diag = st.step(state)
-        density = st.last_reports["density"]
-        velocity = st.last_reports["velocity"]
+        density = reports["density"][-1]
+        velocity = reports["velocity"][-1]
         assert diag.extras["density_iterations"] == density.iterations > 0
         assert diag.extras["velocity_iterations"] == velocity.iterations > 0
         assert diag.extras["velocity_refreshed"] is False
@@ -695,13 +718,14 @@ def test_step_records_velocity_factor_fill():
     case = make_case("square2d")
     st = TimeStepper(unit_square_mesh(4), _config(n_steps=2))
     state = st.initialize(lambda x: case.rho(x, 0.0), lambda x: case.u(x, 0.0))
+    reports = _returned_reports(st)["velocity"]
     state, diag = st.step(state)
     fill = st._vel_lu.nnz
     assert diag.extras["velocity_factor_nnz"] == fill > 0
-    assert st.last_reports["velocity"].extras["velocity_factor_nnz"] == fill
+    assert reports[-1].extras["velocity_factor_nnz"] == fill
     state, diag = st.step(state)
     assert "velocity_factor_nnz" not in diag.extras
-    assert "velocity_factor_nnz" not in st.last_reports["velocity"].extras
+    assert "velocity_factor_nnz" not in reports[-1].extras
 
 
 def test_density_solve_converges_at_large_time_step():
@@ -785,9 +809,9 @@ def test_failed_velocity_refresh_names_the_step_and_residual(monkeypatch):
         st._vel_lu = SimpleNamespace(solve=lambda b: 0.5 * exact.solve(b))
         return fill
 
-    def fail_velocity(system, *args, **kwargs):
-        if kwargs.get("restart") != 40:  # the density solve runs first
-            return inner(system, *args, **kwargs)
+    def fail_velocity(A, b, **kwargs):
+        if kwargs["restart"] != 40:  # the density solve runs first
+            return inner(A, b, **kwargs)
         raise linalg.ResidualError("gmres: residual 1.0e-03 above 1.0e-12 "
                                    "after 40 iterations")
 
@@ -860,18 +884,21 @@ def test_run_raises_a_named_solver_failure_unchanged(inject, message,
 
 
 def test_step_reports_hold_no_arrays():
-    """After a step the stepper keeps the density and velocity reports
-    and no array of the step, such as the facet fluxes of the transport
-    field."""
+    """The density and velocity phases return one report each, holding
+    no array of the step, such as the facet fluxes of the transport
+    field; the stepper keeps no report."""
     case = make_case("square2d")
     st = TimeStepper(unit_square_mesh(4), _config(n_steps=2))
     state = st.initialize(lambda x: case.rho(x, 0.0), lambda x: case.u(x, 0.0))
+    reports = _returned_reports(st)
     st.step(state)
-    assert sorted(st.last_reports) == ["density", "velocity"]
-    for report in st.last_reports.values():
+    assert [len(r) for r in reports.values()] == [1, 1]
+    for [report] in reports.values():
         for value in [report.residual, report.iterations,
                       *report.extras.values()]:
             assert not isinstance(value, np.ndarray)
+    assert not any(isinstance(v, linalg.SolveReport)
+                   for v in vars(st).values())
 
 
 def test_stale_velocity_factor_is_refreshed_within_one_cycle(monkeypatch):
@@ -886,23 +913,25 @@ def test_stale_velocity_factor_is_refreshed_within_one_cycle(monkeypatch):
     state, _ = st.step(state)
     n = st._saddle.shape[0]
     scale = 10.0 ** np.random.default_rng(2).uniform(-3, 3, n)
-    st._vel_lu = stale = linalg.factorize(sp.diags(scale, format="csc"))
+    st._vel_lu = stale = linalg.factorize(sp.diags(scale, format="csc"),
+                                          "colamd")
 
     failures = []
     inner = linalg.solve_gmres
 
-    def record(system, *args, **kwargs):
+    def record(A, b, **kwargs):
         try:
-            return inner(system, *args, **kwargs)
+            return inner(A, b, **kwargs)
         except linalg.ResidualError as exc:
-            failures.append((kwargs.get("restart"), str(exc)))
+            failures.append((kwargs["restart"], str(exc)))
             raise
 
     monkeypatch.setattr(linalg, "solve_gmres", record)
+    reports = _returned_reports(st)
     state, diag = st.step(state)
     assert [restart for restart, _ in failures] == [40]
     assert "after 40 iterations" in failures[0][1]
-    report = st.last_reports["velocity"]
+    [report] = reports["velocity"]
     assert st._vel_lu is not stale
     assert report.extras["refreshed"] is True and report.iterations == 0
     assert report.wall_time > 0.0
