@@ -482,8 +482,7 @@ class DGFacetTrace:
     points, and ``table`` (nfi, 2) is the table of the minus and of the
     plus side of every interior facet, read off the cell connectivity.
     ``dofs`` (nfi, 2 n_local) stacks the minus side's dofs before the plus
-    side's.  ``groups[k]`` lists, for side k (0 minus, 1 plus), every table
-    with the facets whose side k uses it.
+    side's.
     """
 
     def __init__(self, space, fquad):
@@ -522,7 +521,6 @@ class DGFacetTrace:
             rank = mesh.cell_facet_ranks[cells, i]
             ids.append(i * len(perms) + perm_index[rank @ powers])
         self.table = np.stack(ids, axis=1)
-        self.groups = [_groups(self.table[:, k]) for k in (0, 1)]
 
     @functools.cached_property
     def _inflow_groups(self):
@@ -530,10 +528,11 @@ class DGFacetTrace:
 
         Facet side p = k nfi + f is side k of facet f.  Returns the sides
         sorted by group, the group boundaries in that order, the own and the
-        other cell of every side, and per group the (nq, 2 n_local^2)
-        product tensor [T_a[q, i] T_a[q, j] | T_a[q, i] T_b[q, j]], with
-        T_a the own side's table and T_b the other side's: the inflow
-        weights times it are the side's own and other block.
+        other cell of every side, per group the (nq, 2 n_local^2) product
+        tensor [T_a[q, i] T_a[q, j] | T_a[q, i] T_b[q, j]], with T_a the
+        own side's table and T_b the other side's, whose product with the
+        inflow weights is the side's own and other block, and for the
+        traces the table a per group and the sorted sides' own dofs.
         """
         ntab = len(self.tables)
         groups = _groups(self.table.T.ravel() * ntab
@@ -542,11 +541,12 @@ class DGFacetTrace:
         Ta, Tb = self.tables[keys // ntab], self.tables[keys % ntab]
         P = np.stack([Ta[..., :, None] * Ta[..., None, :],
                       Ta[..., :, None] * Tb[..., None, :]], axis=2)
-        return (np.concatenate([sides for _, sides in groups]),
-                np.cumsum([0] + [len(sides) for _, sides in groups]),
-                np.concatenate([self.minus, self.plus]),
-                np.concatenate([self.plus, self.minus]),
-                P.reshape(len(keys), P.shape[1], -1))
+        order = np.concatenate([sides for _, sides in groups])
+        own = np.concatenate([self.minus, self.plus])
+        return (order, np.cumsum([0] + [len(sides) for _, sides in groups]),
+                own, np.concatenate([self.plus, self.minus]),
+                P.reshape(len(keys), P.shape[1], -1),
+                keys // ntab, self.space.cell_dofs[own[order]])
 
 
 def _groups(ids):
@@ -780,7 +780,7 @@ def upwind_matrix(trace, flux):
     nloc = trace.tables.shape[2]
     nb = nloc * nloc
     nc = trace.space.mesh.n_cells
-    sides, ptr, own_cells, other_cells, P = trace._inflow_groups
+    sides, ptr, own_cells, other_cells, P, *_ = trace._inflow_groups
     sw = flux * trace.wscale
     # |w.nu| at the inflow points of every facet side, minus sides first
     inflow = np.concatenate([flux < 0.0, flux > 0.0])
@@ -851,18 +851,17 @@ def eval_rt(rt_tab, field):
 
 
 def eval_dg_traces(trace, field):
-    """Minus and plus side traces (nfi, nq) of a dG field, one GEMM per
-    side and reference table (``DGFacetTrace``)."""
-    nloc = trace.tables.shape[2]
-    coeffs = field.coeffs[trace.dofs]
-    out = []
-    for k, groups in enumerate(trace.groups):
-        side = coeffs[:, k * nloc:(k + 1) * nloc]
-        vals = np.empty(trace.wscale.shape)
-        for table, facets in groups:
-            vals[facets] = side[facets] @ trace.tables[table].T
-        out.append(vals)
-    return tuple(out)
+    """Minus and plus side traces (nfi, nq) of a dG field: the facet sides'
+    own coefficients, gathered once in group order, times each group's own
+    table (``DGFacetTrace._inflow_groups``), one GEMM per group."""
+    sides, ptr, *_, own_table, dofs = trace._inflow_groups
+    coeffs = field.coeffs[dofs]
+    out = np.empty((len(sides), trace.tables.shape[1]))
+    for g, table in enumerate(own_table):
+        s = slice(ptr[g], ptr[g + 1])
+        out[sides[s]] = coeffs[s] @ trace.tables[table].T
+    nfi = len(trace.facets)
+    return out[:nfi], out[nfi:]
 
 
 def eval_rt_flux(flux_tab, field):

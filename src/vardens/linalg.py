@@ -186,7 +186,7 @@ def solve_constrained(A, b, constraint):
 
 def solve_gmres(A, b, *, restart, maxiter, preconditioner, x0):
     """Restarted GMRES for A x = b, preconditioned on the right, from the
-    guess ``x0`` (None for zero).  A needs only ``A @ v``.
+    guess ``x0``.  A needs only ``A @ v``.
 
     ``preconditioner`` is any callable r -> z ~ A^-1 r (a ``LinearOperator``
     works too).  With right preconditioning the minimised residual is the
@@ -204,7 +204,7 @@ def solve_gmres(A, b, *, restart, maxiter, preconditioner, x0):
     t0 = time.perf_counter()
     nb = np.linalg.norm(b)
     target = max(SOLVER_TOL * 1e-2, 1e-14) * nb
-    if x0 is None or nb == 0.0:
+    if nb == 0.0:
         x, r = np.zeros(b.shape[0]), b.copy()
     else:
         x = np.array(x0, dtype=float)

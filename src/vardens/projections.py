@@ -1,14 +1,15 @@
 """Projection and interpolation operators used by the scheme.
 
-* elementwise L2 projection onto the discontinuous P2 space,
-* L2 projection onto the divergence-free, zero-normal-flux H(div) subspace,
-  computed by hybridizing its mixed system (a piecewise-linear
-  discontinuous multiplier for the divergence, facet multipliers for the
-  normal continuity): the cell unknowns are eliminated locally and one
-  symmetric positive definite facet system, its multipliers numbered in
-  the mesh's nested-dissection order of the facets and the last of them
-  pinned, is factorized once per mesh in that order and reused for every
-  time step,
+* elementwise L2 projection of point values onto a discontinuous space,
+* L2 projection of a MINI velocity or of point values onto the
+  divergence-free, zero-normal-flux H(div) subspace, computed by
+  hybridizing its mixed system (a piecewise-linear discontinuous
+  multiplier for the divergence, facet multipliers for the normal
+  continuity): the cell unknowns are eliminated locally and one symmetric
+  positive definite facet system, its multipliers numbered in the mesh's
+  nested-dissection order of the facets and the last of them pinned, is
+  factorized once per mesh in that order and reused for every time step;
+  each projection returns the field and its residual's report,
 * nodal interpolation into the P1+bubble velocity space.
 """
 
@@ -20,20 +21,20 @@ from . import assemble, linalg
 from .spaces import (FeField, MiniScalarSpace, MiniVectorSpace, P1DGSpace,
                      RT1Space)
 
+# the workspace's cell rule: degree 6 integrates the loads of MINI fields
+# on RT1 exactly
+CELL_DEGREE = 6
 
-def project_dg(tab, f):
-    """Elementwise L2 projection onto the dG space tabulated in ``tab``.
 
-    ``f`` is either a callable of physical points (vectorized over the last
-    axis) or point values of shape (nc, nq).  Cell K's mass block is |det
-    J_K| times the reference mass, so one solve with ``tab.ref_mass``
+def project_dg(tab, values):
+    """Elementwise L2 projection onto the dG space tabulated in ``tab`` of
+    point values (nc, nq) at ``tab.geom.points``.  Cell K's mass block is
+    |det J_K| times the reference mass, so one solve with ``tab.ref_mass``
     serves every cell.
     """
-    geom = tab.geom
-    values = f(geom.points) if callable(f) else np.asarray(f)
-    rhs = assemble.load_blocks(tab, values)
-    coeffs = np.linalg.solve(tab.ref_mass, rhs.T).T / geom.abs_dets[:, None]
-    return FeField(tab.space, coeffs.reshape(-1))
+    rhs = assemble.load_blocks(tab, np.asarray(values))
+    coeffs = np.linalg.solve(tab.ref_mass, rhs.T).T
+    return FeField(tab.space, (coeffs / tab.geom.abs_dets[:, None]).ravel())
 
 
 class RtProjectionWorkspace:
@@ -76,10 +77,9 @@ class RtProjectionWorkspace:
     B_K, scattered with ``np.bincount`` and restricted to the free dofs.
     """
 
-    def __init__(self, mesh, geom=None):
+    def __init__(self, mesh):
         self.mesh = mesh
-        # degree 6 integrates the loads of MINI fields on RT1 exactly
-        self.geom = geom or assemble.CellQuadrature(mesh, 6)
+        self.geom = assemble.CellQuadrature(mesh, CELL_DEGREE)
         self.rt_space = RT1Space(mesh)
         self.rt_tab = assemble.RTTab(self.rt_space, self.geom)
         self.dg_space = P1DGSpace(mesh)
@@ -131,35 +131,25 @@ class RtProjectionWorkspace:
         # every MINI space on the mesh has the same cell dofs and basis
         self.mini_tab = assemble.ScalarTab(MiniScalarSpace(mesh), self.geom)
         self.mini_load = assemble.MiniRTLoad(self.mini_tab, self.rt_tab)
-        self.last_report = None
 
     def _load_blocks(self, v):
         """Cell vectors (nc, n_local) of (v, eta): a MINI vector field from
-        its cell coefficients (``assemble.MiniRTLoad``), anything else from
-        its values at the rule's points."""
-        if callable(v):
-            values = v(self.geom.points)
-        elif isinstance(v, np.ndarray):
-            values = v
-        elif isinstance(v, FeField):
-            space = v.space
-            if getattr(space, "mesh", None) is not self.mesh:
-                raise ValueError("field lives on a different mesh")
-            if isinstance(space, MiniVectorSpace):
-                return self.mini_load.blocks(v)
-            if not isinstance(space, RT1Space):
-                raise ValueError(f"cannot project fields of kind {space.kind}")
-            values = assemble.eval_rt(self.rt_tab, v)
-        else:
-            raise ValueError("expected a callable, point values, or FeField")
-        return assemble.rt_load_blocks(self.rt_tab, values)
+        its cell coefficients (``assemble.MiniRTLoad``), point values from
+        the rule's points."""
+        if isinstance(v, np.ndarray):
+            return assemble.rt_load_blocks(self.rt_tab, v)
+        if not isinstance(getattr(v, "space", None), MiniVectorSpace):
+            raise ValueError("expected point values or a MINI vector field")
+        if v.space.mesh is not self.mesh:
+            raise ValueError("field lives on a different mesh")
+        return self.mini_load.blocks(v)
 
     def project(self, v):
-        """Divergence-free, zero-flux projection of a square-integrable field:
-        a callable of physical points, its values at the rule's points
-        (nc, nq, d), or an RT1 or MINI vector field on the mesh.  The load
-        of a MINI field is read off its cell coefficients, with no point
-        values (``assemble.MiniRTLoad``)."""
+        """Divergence-free, zero-flux projection of a MINI vector field on
+        the mesh, its load read off its cell coefficients with no point
+        values (``assemble.MiniRTLoad``), or of point values (nc, nq, d) at
+        ``geom.points``.  Returns the projected RT1 field and the
+        ``SolveReport`` of the mixed system's relative residual."""
         space = self.rt_space
         nfl, nmult = self._mult.shape[1], space.n_facet_dofs
         bk = self._load_blocks(v)
@@ -205,12 +195,12 @@ class RtProjectionWorkspace:
                 f"hybridized projection residual {rel:.3e} > "
                 f"{linalg.SOLVER_TOL:.1e}"
             )
-        self.last_report = linalg.SolveReport(rel)
-        return FeField(space, coeffs)
+        return FeField(space, coeffs), linalg.SolveReport(rel)
 
 
 def project_rt_divfree(workspace: RtProjectionWorkspace, v):
-    return workspace.project(v)
+    """The projected field of ``workspace.project(v)``, without its report."""
+    return workspace.project(v)[0]
 
 
 def rt_divergence_nodal(field):

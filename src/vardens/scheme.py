@@ -30,10 +30,11 @@ import scipy.sparse as sp
 
 from . import assemble, linalg
 from .mms import SourceEvaluator
-from .projections import RtProjectionWorkspace, interpolate_mini, project_dg
+from .projections import (CELL_DEGREE, RtProjectionWorkspace,
+                          interpolate_mini, project_dg)
 from .spaces import FeField, MiniVectorSpace, P1Space, P2DGSpace
 
-CELL_DEGREE_LOW = 6          # transport + mixed projection forms
+CELL_DEGREE_LOW = CELL_DEGREE  # the workspace's rule: transport + projection
 FACET_DEGREE = 6
 DENSITY_RESTART = 60         # GMRES restart length of the density solve
 WIDEN_FACTOR = 1.5           # the widened cut-off band's safety factor
@@ -196,7 +197,8 @@ class TimeStepper:
         self.vel_space = MiniVectorSpace(mesh)
         self.p_space = P1Space(mesh)
 
-        self.geom_lo = assemble.CellQuadrature(mesh, CELL_DEGREE_LOW)
+        self.workspace = RtProjectionWorkspace(mesh)
+        self.geom_lo = self.workspace.geom
         self.geom_hi = assemble.CellQuadrature(mesh, _cell_degree_high(d))
         self.fquad = assemble.FacetQuadrature(mesh, FACET_DEGREE)
 
@@ -208,7 +210,6 @@ class TimeStepper:
         self.weighted_forms = assemble.WeightedForms(self.mini_hi, self.p2_hi)
         self.trace = assemble.DGFacetTrace(self.rho_space, self.fquad)
 
-        self.workspace = RtProjectionWorkspace(mesh, geom=self.geom_lo)
         self.mini_lo = self.workspace.mini_tab
         self.rt_space = self.workspace.rt_space
         self.rt_lo = self.workspace.rt_tab
@@ -296,7 +297,7 @@ class TimeStepper:
         u_h = interpolate_mini(self.vel_space, u0)
         p_h = FeField(self.p_space, np.zeros(self.p_space.n_dofs))
         with _names_failure("projection", 0):
-            w_h = self.workspace.project(u_h)
+            w_h, _ = self.workspace.project(u_h)
         return StepState(0, 0.0, rho_h, u_h, p_h, w_h)
 
     # ------------------------------------------------------------------
@@ -553,17 +554,19 @@ class TimeStepper:
         with _names_failure("velocity solve", n):
             u_new, p_new, velocity = self.velocity_step(state, rho_new)
         with _names_failure("projection", n):
-            w_new = self.workspace.project(u_new)
+            w_new, projection = self.workspace.project(u_new)
         new_state = StepState(n, state.t + self.config.tau, rho_new, u_new,
                               p_new, w_new)
         return new_state, self._diagnostics(new_state, density, velocity,
+                                            projection,
                                             time.perf_counter() - t0)
 
-    def _diagnostics(self, new, density, velocity, wall):
+    def _diagnostics(self, new, density, velocity, projection, wall):
         """The record of the step that gave ``new``: energy, viscous
         dissipation and mass from ``new``, every other fact from the
-        ``density`` and ``velocity`` reports that the step's two solves
-        returned."""
+        reports that the step's three solves returned, their residuals as
+        ``density_residual``, ``velocity_residual`` and
+        ``projection_residual``."""
         cfg = self.config
         energy = self.energy(new)
         viscous = 0.0
@@ -578,11 +581,14 @@ class TimeStepper:
         extras = {
             "cutoff_fraction": fraction,
             "cutoff_cells": velocity.extras["cutoff_cells"],
+            "density_residual": density.residual,
             "density_iterations": density.iterations,
             "density_blocks": density.extras["blocks"],
+            "velocity_residual": velocity.residual,
             "velocity_iterations": velocity.iterations,
             "velocity_refreshed": velocity.extras.get("refreshed", False),
             "div_residual": velocity.extras["div_residual"],
+            "projection_residual": projection.residual,
         }
         fill = velocity.extras.get("velocity_factor_nnz")
         if fill is not None:

@@ -215,14 +215,14 @@ def test_criterion_07_postprocessing_invariants(make_mesh, label):
                            np.abs(rt_divergence_nodal(sigma)).max())
         worst["flux"] = max(worst["flux"],
                             np.abs(assemble.eval_rt_flux(bflux_tab, sigma)).max())
-        w = ws.project(FeField(ws.rt_space,
-                               rng.standard_normal(ws.rt_space.n_dofs)))
+        w, _ = ws.project(assemble.eval_rt(ws.rt_tab, FeField(
+            ws.rt_space, rng.standard_normal(ws.rt_space.n_dofs))))
         vv = assemble.eval_mini_vector(mini_tab, v)
         sv = assemble.eval_rt(ws.rt_tab, sigma)
         wv = assemble.eval_rt(ws.rt_tab, w)
         worst["ortho"] = max(worst["ortho"], abs(assemble.integrate(
             ws.geom, np.einsum("cqd,cqd->cq", vv - sv, wv))))
-        again = ws.project(sigma)
+        again, _ = ws.project(assemble.eval_rt(ws.rt_tab, sigma))
         worst["idem"] = max(worst["idem"],
                             np.abs(again.coeffs - sigma.coeffs).max())
     ok = (worst["div"] <= 1e-11 and worst["flux"] <= 1e-11
@@ -240,7 +240,7 @@ def test_criterion_08_rt_projection_rate():
     for n in (8, 16, 32):
         mesh = unit_square_mesh(n)
         ws = RtProjectionWorkspace(mesh)
-        sigma = ws.project(lambda x: case.u(x, 0.0))
+        sigma, _ = ws.project(case.u(ws.geom.points, 0.0))
         geom = assemble.CellQuadrature(mesh, 8)
         rt_tab = assemble.RTTab(ws.rt_space, geom)
         diff = assemble.eval_rt(rt_tab, sigma) - case.u(geom.points, 0.0)
@@ -258,16 +258,16 @@ def test_criterion_09_upwind_identity():
     rng = np.random.default_rng(99)
     for make_mesh, pairs in ((unit_square_mesh, 50), (unit_cube_mesh, 10)):
         mesh = make_mesh(4)
-        geom = assemble.CellQuadrature(mesh, 6)
+        ws = RtProjectionWorkspace(mesh)
+        geom = ws.geom
         p2 = P2DGSpace(mesh)
         tab = assemble.ScalarTab(p2, geom)
         fq = assemble.FacetQuadrature(mesh, 6)
         trace = assemble.DGFacetTrace(p2, fq)
-        ws = RtProjectionWorkspace(mesh, geom=geom)
         flux_tab = assemble.RTFacetFlux(ws.rt_space, fq, mesh.interior_facets)
         for _ in range(pairs):
-            w = ws.project(FeField(
-                ws.rt_space, rng.standard_normal(ws.rt_space.n_dofs)))
+            w, _ = ws.project(assemble.eval_rt(ws.rt_tab, FeField(
+                ws.rt_space, rng.standard_normal(ws.rt_space.n_dofs))))
             rho = FeField(p2, rng.standard_normal(p2.n_dofs))
             wv = assemble.eval_rt(ws.rt_tab, w)
             s = assemble.eval_rt_flux(flux_tab, w)

@@ -52,7 +52,7 @@ def test_mixed_div_matrix_kills_projected_fields(square8):
         out[..., 1] = -np.sin(2 * np.pi * x[..., 0]) * np.sin(np.pi * x[..., 1]) ** 2
         return out
 
-    sigma = ws.project(v)
+    sigma, _ = ws.project(v(ws.geom.points))
     assert np.abs(D @ sigma.coeffs).max() < 1e-11
 
 
@@ -147,12 +147,12 @@ def test_upwind_zero_field_gives_zero_matrix(square8):
 def test_upwind_annihilates_continuous_fields(square8):
     """Continuous densities have zero jumps, so the operator kills them."""
     m = square8
-    geom = assemble.CellQuadrature(m, 6)
+    ws = RtProjectionWorkspace(m)
+    geom = ws.geom
     p2 = P2DGSpace(m)
     tab = assemble.ScalarTab(p2, geom)
     fq = assemble.FacetQuadrature(m, 6)
     trace = assemble.DGFacetTrace(p2, fq)
-    ws = RtProjectionWorkspace(m, geom=geom)
 
     def stream_velocity(x):
         # curl of a smooth stream function vanishing on the boundary
@@ -163,11 +163,12 @@ def test_upwind_annihilates_continuous_fields(square8):
         out[..., 1] = -np.sin(2 * np.pi * x[..., 0]) * sy * np.pi
         return out
 
-    w = ws.project(stream_velocity)
+    w, _ = ws.project(stream_velocity(geom.points))
     flux_tab = assemble.RTFacetFlux(ws.rt_space, fq, m.interior_facets)
     U = assemble.upwind_matrix(trace, assemble.eval_rt_flux(flux_tab, w))
     # a globally continuous function, represented in the dG basis
-    rho = project_dg(tab, lambda x: 1.0 + x[..., 0] ** 2 + x[..., 1])
+    x = geom.points
+    rho = project_dg(tab, 1.0 + x[..., 0] ** 2 + x[..., 1])
     assert np.abs(U @ rho.coeffs).max() < 1e-12
 
 
@@ -288,18 +289,17 @@ def test_upwind_sign_change_matches_split_oracle():
 
 def test_upwind_skew_identity_random(square8):
     m = square8
-    geom = assemble.CellQuadrature(m, 6)
+    ws = RtProjectionWorkspace(m)
+    geom = ws.geom
     p2 = P2DGSpace(m)
     tab = assemble.ScalarTab(p2, geom)
     fq = assemble.FacetQuadrature(m, 6)
     trace = assemble.DGFacetTrace(p2, fq)
-    ws = RtProjectionWorkspace(m, geom=geom)
     rng = np.random.default_rng(11)
     flux_tab = assemble.RTFacetFlux(ws.rt_space, fq, m.interior_facets)
     for _ in range(3):
-        w = ws.project(
-            FeField(ws.rt_space, rng.standard_normal(ws.rt_space.n_dofs))
-        )
+        w, _ = ws.project(assemble.eval_rt(ws.rt_tab, FeField(
+            ws.rt_space, rng.standard_normal(ws.rt_space.n_dofs))))
         rho = FeField(p2, rng.standard_normal(p2.n_dofs))
         wv = assemble.eval_rt(ws.rt_tab, w)
         s = assemble.eval_rt_flux(flux_tab, w)
@@ -495,11 +495,6 @@ def test_trace_tables_match_reference_coordinates(kernel_setup):
     for k, ref in enumerate(_reference_traces(trace)):
         got = trace.tables[trace.table[:, k]]
         assert np.abs(got - ref).max() <= 1e-14
-        # ``groups`` lists every facet of side k once, under its table
-        facets = np.concatenate([f for _, f in trace.groups[k]])
-        assert np.array_equal(np.sort(facets), np.arange(len(trace.facets)))
-        for table, f in trace.groups[k]:
-            assert (trace.table[f, k] == table).all()
 
 
 @pytest.mark.parametrize("make_mesh,n",
@@ -640,8 +635,8 @@ def test_density_operator_matches_quadrature_reference(make_mesh, n):
     st = TimeStepper(make_mesh(n), SchemeConfig(tau=1 / 8, mu=1e-3,
                                                  n_steps=1))
     rng = np.random.default_rng(12)
-    w = st.workspace.project(
-        FeField(st.rt_space, rng.standard_normal(st.rt_space.n_dofs)))
+    w, _ = st.workspace.project(assemble.eval_rt(st.rt_lo, FeField(
+        st.rt_space, rng.standard_normal(st.rt_space.n_dofs))))
     A, flux = st.density_matrix(w)
     assert A.format == "bsr"
     C = assemble.convection_matrix(st.p2_lo, assemble.eval_rt(st.rt_lo, w),

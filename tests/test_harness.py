@@ -66,7 +66,7 @@ def test_l2_error_against_projection_oracle():
     def exact(x):
         return case.rho(x, 0.0)
 
-    field = project_dg(tab, exact)
+    field = project_dg(tab, exact(geom.points))
     vals = assemble.eval_scalar(tab, field)
     err = l2_error_at_step(geom, vals, exact(geom.points))
     resid = vals - exact(geom.points)

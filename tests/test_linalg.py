@@ -187,7 +187,8 @@ def test_gmres_with_ilu_matches_direct():
     ilu = spla.spilu(A.tocsc(), drop_tol=1e-5, fill_factor=10)
     xi, report = linalg.solve_gmres(
         A, b, restart=60, maxiter=400,
-        preconditioner=spla.LinearOperator(A.shape, ilu.solve), x0=None,
+        preconditioner=spla.LinearOperator(A.shape, ilu.solve),
+        x0=np.zeros_like(b),
     )
     assert report.iterations > 0
     assert np.abs(xd - xi).max() < 1e-8
@@ -217,7 +218,8 @@ def test_gmres_on_upwind_density_matches_direct(restart):
     assert abs(A - A.T).max() > 1e-3          # upwinding is not symmetric
     ref, _ = linalg.solve_direct(A, b)
     x, report = linalg.solve_gmres(
-        A, b, restart=restart, maxiter=400, preconditioner=precond, x0=None)
+        A, b, restart=restart, maxiter=400, preconditioner=precond,
+        x0=np.zeros_like(b))
     assert report.iterations > 0
     if restart == 4:
         assert report.iterations > restart    # it restarted and converged
@@ -229,7 +231,8 @@ def test_gmres_exact_preconditioner_takes_one_iteration():
     A, _, b = _density_system()
     lu = linalg.factorize(A, "colamd")
     _, report = linalg.solve_gmres(A, b, restart=60, maxiter=400,
-                                   preconditioner=lu.solve, x0=None)
+                                   preconditioner=lu.solve,
+                                   x0=np.zeros_like(b))
     assert report.iterations == 1
 
 
@@ -250,7 +253,7 @@ def test_gmres_from_the_solution_takes_no_iteration():
 
 def test_gmres_zero_rhs_returns_zeros():
     A, precond, b = _density_system()
-    for x0 in (None, b):
+    for x0 in (np.zeros_like(b), b):
         x, report = linalg.solve_gmres(
             A, np.zeros_like(b), restart=60, maxiter=400,
             preconditioner=precond, x0=x0)
@@ -262,7 +265,7 @@ def test_gmres_raises_when_maxiter_is_spent():
     A, precond, b = _density_system()
     with pytest.raises(linalg.ResidualError):
         linalg.solve_gmres(A, b, restart=60, maxiter=2,
-                           preconditioner=precond, x0=None)
+                           preconditioner=precond, x0=np.zeros_like(b))
 
 
 class _CountingOperator:
@@ -280,16 +283,16 @@ class _CountingOperator:
                                            (60, True)])
 def test_gmres_checks_the_residual_of_its_last_cycle(restart, start):
     """One product per inner iteration and one per cycle, for the cycle's
-    residual, which is also the one the contract is checked on; a guess
-    x0 adds the product of its residual.  No product is made only to
-    check the result."""
+    residual, which is also the one the contract is checked on, and one
+    for the residual of the guess x0, zero or (``start``) not.  No product
+    is made only to check the result."""
     A, precond, b = _density_system()
     counted = _CountingOperator(A)
-    x0 = np.zeros_like(b) if start else None
+    x0 = precond(b) if start else np.zeros_like(b)
     x, report = linalg.solve_gmres(counted, b, restart=restart, maxiter=400,
                                    preconditioner=precond, x0=x0)
     cycles = -(-report.iterations // restart)
-    assert counted.products == report.iterations + cycles + start
+    assert counted.products == report.iterations + cycles + 1
     r = b - A @ x
     assert report.residual == np.linalg.norm(r) / np.linalg.norm(b)
 

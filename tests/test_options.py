@@ -34,7 +34,6 @@ OPTIONS = {
     "linalg.SolveReport.iterations",
     "linalg.SolveReport.wall_time",
     "linalg.SolveReport.extras",
-    "projections.RtProjectionWorkspace.__init__.geom",
     "scheme.SchemeConfig.rho_min",
     "scheme.SchemeConfig.rho_max",
     "scheme.SchemeConfig.cutoff_mode",

@@ -23,7 +23,7 @@ def _p2_tab(mesh, degree=8):
 
 def test_project_dg_constant_exact():
     tab = _p2_tab(unit_square_mesh(2))
-    field = project_dg(tab, lambda x: np.full(x.shape[:-1], 3.25))
+    field = project_dg(tab, np.full(tab.geom.points.shape[:-1], 3.25))
     assert np.abs(field.coeffs - 3.25).max() < 1e-12
     vals = assemble.eval_scalar(tab, field)
     assert np.abs(vals - 3.25).max() < 1e-12
@@ -36,7 +36,7 @@ def test_project_dg_reproduces_quadratics():
         return 1.0 + 2 * x[..., 0] - x[..., 1] + x[..., 0] * x[..., 1] \
             + 0.5 * x[..., 0] ** 2
 
-    field = project_dg(tab, f)
+    field = project_dg(tab, f(tab.geom.points))
     vals = assemble.eval_scalar(tab, field)
     assert np.abs(vals - f(tab.geom.points)).max() < 1e-12
 
@@ -47,7 +47,7 @@ def test_project_dg_orthogonality():
     def f(x):
         return np.sin(3 * x[..., 0]) * np.cos(2 * x[..., 1])
 
-    field = project_dg(tab, f)
+    field = project_dg(tab, f(tab.geom.points))
     resid = assemble.eval_scalar(tab, field) - f(tab.geom.points)
     # (f - Pf, w) = 0 for every dG basis function
     defect = np.einsum("cq,cq,qi->ci", tab.geom.wdet, resid, tab.vals)
@@ -62,7 +62,7 @@ def test_project_dg_third_order():
         def f(x):
             return np.sin(np.pi * x[..., 0]) * np.sin(np.pi * x[..., 1])
 
-        field = project_dg(tab, f)
+        field = project_dg(tab, f(tab.geom.points))
         resid = assemble.eval_scalar(tab, field) - f(tab.geom.points)
         errs.append(math.sqrt(assemble.integrate(tab.geom, resid ** 2)))
     order1 = math.log(errs[0] / errs[1]) / math.log(2.0)
@@ -85,8 +85,8 @@ def test_rt_projection_invariants_random_fields(make, n):
         assert np.abs(rt_divergence_nodal(sigma)).max() < 1e-11
         assert np.abs(assemble.eval_rt_flux(flux_tab, sigma)).max() < 1e-11
         # L2 orthogonality against another projected (divergence-free) field
-        w = ws.project(FeField(ws.rt_space,
-                               rng.standard_normal(ws.rt_space.n_dofs)))
+        w, _ = ws.project(assemble.eval_rt(ws.rt_tab, FeField(
+            ws.rt_space, rng.standard_normal(ws.rt_space.n_dofs))))
         vv = assemble.eval_mini_vector(mini_tab, v)
         sv = assemble.eval_rt(ws.rt_tab, sigma)
         wv = assemble.eval_rt(ws.rt_tab, w)
@@ -94,14 +94,14 @@ def test_rt_projection_invariants_random_fields(make, n):
             ws.geom, np.einsum("cqd,cqd->cq", vv - sv, wv)
         )
         assert abs(ortho) < 1e-10
-        again = ws.project(sigma)
+        again, _ = ws.project(assemble.eval_rt(ws.rt_tab, sigma))
         assert np.abs(again.coeffs - sigma.coeffs).max() < 1e-10
 
 
 def test_rt_projection_zero_field():
     ws = RtProjectionWorkspace(unit_square_mesh(3))
     vel = MiniVectorSpace(ws.mesh)
-    sigma = ws.project(FeField(vel, np.zeros(vel.n_dofs)))
+    sigma, _ = ws.project(FeField(vel, np.zeros(vel.n_dofs)))
     assert np.abs(sigma.coeffs).max() < 1e-14
 
 
@@ -120,7 +120,7 @@ def test_rt_projection_gauge_independence():
     rng = np.random.default_rng(5)
     vel = MiniVectorSpace(mesh)
     v = FeField(vel, rng.standard_normal(vel.n_dofs))
-    sigma = ws.project(v)
+    sigma, _ = ws.project(v)
 
     M = assemble.rt_mass_matrix(ws.rt_tab)
     D = assemble.mixed_div_matrix(ws.rt_tab, ws.dg_tab)
@@ -145,7 +145,7 @@ def test_rt_projection_rate_on_exact_velocity():
     for n in (8, 16, 32):
         mesh = unit_square_mesh(n)
         ws = RtProjectionWorkspace(mesh)
-        sigma = ws.project(lambda x: case.u(x, 0.0))
+        sigma, _ = ws.project(case.u(ws.geom.points, 0.0))
         geom = assemble.CellQuadrature(mesh, 8)
         rt_tab = assemble.RTTab(ws.rt_space, geom)
         diff = assemble.eval_rt(rt_tab, sigma) - case.u(geom.points, 0.0)
@@ -237,7 +237,7 @@ def test_rt_projection_matches_global_mixed_system(make, n):
     rng = np.random.default_rng(17)
     for _ in range(3):
         v = FeField(vel, rng.standard_normal(vel.n_dofs))
-        sigma = ws.project(v)
+        sigma, _ = ws.project(v)
         ref = _bordered_mixed_projection(
             ws, assemble.eval_mini_vector(mini_tab, v)
         )
@@ -258,9 +258,9 @@ def test_rt_projection_contracts_cube_n8():
     flux_tab = assemble.RTFacetFlux(ws.rt_space, fq, mesh.boundary_facets)
     case = make_case("cube3d")
     rng = np.random.default_rng(8)
-    for v in (lambda x: case.u(x, 0.0),
+    for v in (case.u(ws.geom.points, 0.0),
               FeField(vel, rng.standard_normal(vel.n_dofs))):
-        sigma = ws.project(v)
+        sigma, _ = ws.project(v)
         assert np.abs(rt_divergence_nodal(sigma)).max() <= 1e-11
         assert np.abs(assemble.eval_rt_flux(flux_tab, sigma)).max() <= 1e-11
 
@@ -280,10 +280,10 @@ def test_mini_field_load_matches_its_point_values(make, n):
     flux_tab = assemble.RTFacetFlux(ws.rt_space, fq, mesh.boundary_facets)
     for v in (FeField(vel, rng.standard_normal(vel.n_dofs)),
               interpolate_mini(vel, lambda x: case.u(x, 0.0))):
-        got = ws.project(v).coeffs
-        ref = ws.project(assemble.eval_mini_vector(ws.mini_tab, v)).coeffs
+        got = ws.project(v)[0].coeffs
+        ref = ws.project(assemble.eval_mini_vector(ws.mini_tab, v))[0].coeffs
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
-    sigma = ws.project(v)
+    sigma, _ = ws.project(v)
     assert np.abs(rt_divergence_nodal(sigma)).max() <= 1e-11
     assert np.abs(assemble.eval_rt_flux(flux_tab, sigma)).max() <= 1e-11
 
@@ -326,10 +326,11 @@ def test_corrupted_divergence_blocks_fail_the_residual_check():
     """The projection is checked on the cell blocks it keeps: wrong
     divergence blocks are caught on a field with a gradient part."""
     ws = RtProjectionWorkspace(unit_square_mesh(4))
-    v = lambda x: np.stack([x[..., 0] + x[..., 1] ** 2,
-                            np.sin(x[..., 0]) * x[..., 1]], axis=-1)
-    ws.project(v)
-    assert ws.last_report.residual <= 1e-12
+    x = ws.geom.points
+    v = np.stack([x[..., 0] + x[..., 1] ** 2, np.sin(x[..., 0]) * x[..., 1]],
+                 axis=-1)
+    _, report = ws.project(v)
+    assert report.residual <= 1e-12
     ws._Bk = 2.0 * ws._Bk
     with pytest.raises(linalg.ResidualError,
                        match="hybridized projection residual"):
@@ -353,9 +354,30 @@ def test_project_makes_one_solve_of_the_factor():
             return getattr(self.lu, name)
 
     ws.lu = Counting(ws.lu)
-    v = lambda x: np.stack([np.sin(3 * x[..., 1]), x[..., 0] * x[..., 2],
-                            np.cos(x[..., 0])], axis=-1)
+    x = ws.geom.points
+    v = np.stack([np.sin(3 * x[..., 1]), x[..., 0] * x[..., 2],
+                  np.cos(x[..., 0])], axis=-1)
     for calls in (1, 2):
-        ws.project(v)
+        _, report = ws.project(v)
         assert ws.lu.solves == calls
-    assert ws.last_report.residual <= 1e-12
+    assert report.residual <= 1e-12
+
+
+def test_projection_leaves_no_report_on_the_workspace():
+    """The projection returns its report; no attribute of the workspace
+    holds one after it, so no projection's report outlives its call."""
+    mesh = unit_square_mesh(3)
+    ws = RtProjectionWorkspace(mesh)
+    vel = MiniVectorSpace(mesh)
+    v = FeField(vel, np.random.default_rng(2).standard_normal(vel.n_dofs))
+    ws.project(v)
+    assert not [name for name, value in vars(ws).items()
+                if isinstance(value, linalg.SolveReport)]
+
+
+def test_project_rejects_a_callable():
+    """The projection takes a MINI field or point values at the rule's
+    points; a callable is evaluated by its caller."""
+    ws = RtProjectionWorkspace(unit_square_mesh(2))
+    with pytest.raises(ValueError, match="point values or a MINI"):
+        ws.project(lambda x: np.zeros(x.shape))

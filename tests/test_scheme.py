@@ -209,7 +209,8 @@ def test_density_step_conserves_mass_two_cells():
     state.w.coeffs[:] = rng.standard_normal(st.rt_space.n_dofs)
     # keep the hand-made transport field admissible: zero boundary flux and
     # exactly divergence-free via one projection
-    state.w = st.workspace.project(state.w)
+    state.w, _ = st.workspace.project(
+        assemble.eval_rt(st.rt_lo, state.w))
     rho1, _ = st.density_step(state)
     m0 = float(st.ones_rho @ state.rho.coeffs)
     m1 = float(st.ones_rho @ rho1.coeffs)
@@ -447,7 +448,7 @@ def test_weighted_forms_match_the_pointwise_forms(make_mesh, n, density,
         cutoff_mode=mode, rho_min=1.0, rho_max=1.0))
     a, b = {"ramp": (0.6, 1.2), "band": (0.9, 0.2),
             "above": (2.0, 0.2)}[density]
-    rho = project_dg(st.p2_hi, lambda x: a + b * x[..., 0])
+    rho = project_dg(st.p2_hi, a + b * st.geom_hi.points[..., 0])
     u = FeField(st.vel_space, np.random.default_rng(n).standard_normal(
         st.vel_space.n_dofs))
     M = st._weighted_mass(rho)
@@ -605,10 +606,12 @@ def test_velocity_step_cached_mass_is_bit_identical():
 
 
 def _returned_reports(st):
-    """The reports that ``st``'s density and velocity phases return, one
-    list per phase, appended to at every later step."""
-    reports = {"density": [], "velocity": []}
+    """The reports that ``st``'s density and velocity phases and its
+    projection return, one list per phase, appended to at every later
+    step."""
+    reports = {"density": [], "velocity": [], "projection": []}
     density_step, velocity_step = st.density_step, st.velocity_step
+    project = st.workspace.project
 
     def density(state):
         *out, report = density_step(state)
@@ -620,7 +623,13 @@ def _returned_reports(st):
         reports["velocity"].append(report)
         return *out, report
 
+    def projection(v):
+        w, report = project(v)
+        reports["projection"].append(report)
+        return w, report
+
     st.density_step, st.velocity_step = density, velocity
+    st.workspace.project = projection
     return reports
 
 
@@ -884,21 +893,22 @@ def test_run_raises_a_named_solver_failure_unchanged(inject, message,
 
 
 def test_step_reports_hold_no_arrays():
-    """The density and velocity phases return one report each, holding
-    no array of the step, such as the facet fluxes of the transport
-    field; the stepper keeps no report."""
+    """The density and velocity phases and the projection return one
+    report each, holding no array of the step, such as the facet fluxes of
+    the transport field; neither the stepper nor its workspace keeps a
+    report."""
     case = make_case("square2d")
     st = TimeStepper(unit_square_mesh(4), _config(n_steps=2))
     state = st.initialize(lambda x: case.rho(x, 0.0), lambda x: case.u(x, 0.0))
     reports = _returned_reports(st)
     st.step(state)
-    assert [len(r) for r in reports.values()] == [1, 1]
+    assert [len(r) for r in reports.values()] == [1, 1, 1]
     for [report] in reports.values():
         for value in [report.residual, report.iterations,
                       *report.extras.values()]:
             assert not isinstance(value, np.ndarray)
     assert not any(isinstance(v, linalg.SolveReport)
-                   for v in vars(st).values())
+                   for v in [*vars(st).values(), *vars(st.workspace).values()])
 
 
 def test_stale_velocity_factor_is_refreshed_within_one_cycle(monkeypatch):
@@ -1004,3 +1014,25 @@ def test_source_loads_are_built_once(monkeypatch):
     for _ in range(3):
         state, _ = st.step(state)
     assert calls == []
+
+
+@_IN_2D_AND_3D
+def test_every_step_records_its_three_solve_residuals(name, mesh):
+    """Each step's record holds the relative residuals of its density,
+    velocity and projection solves, the ones their reports return, each
+    within the solver contract."""
+    case = make_case(name)
+    ev = case.make_source_evaluator(1e-3)
+    st = TimeStepper(mesh(), _config(n_steps=3, cutoff_mode="widened",
+                                     f=ev.f, g=ev.g))
+    reports = _returned_reports(st)
+    _, diags = st.run(lambda x: case.rho(x, 0.0), lambda x: case.u(x, 0.0))
+    assert len(diags) == 3
+    for k, diag in enumerate(diags):
+        got = [diag.extras[f"{phase}_residual"]
+               for phase in ("density", "velocity", "projection")]
+        # the projection of ``initialize`` comes first
+        assert got == [reports["density"][k].residual,
+                       reports["velocity"][k].residual,
+                       reports["projection"][k + 1].residual]
+        assert all(0.0 <= r <= linalg.SOLVER_TOL for r in got)
