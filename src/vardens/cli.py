@@ -23,6 +23,15 @@ def mesh_size(text):
     return h
 
 
+def output_path(text):
+    """A path that is not a directory, in a directory that exists, so a run
+    cannot die on writing its output after it has done the work."""
+    if os.path.isdir(text) or not os.path.isdir(os.path.dirname(text) or "."):
+        raise argparse.ArgumentTypeError(
+            f"{text}: not a file in an existing directory")
+    return text
+
+
 def _add_common(p):
     p.add_argument("--T", type=parse_fraction, default=StudySpec.T)
     p.add_argument("--mu", type=parse_fraction, default=StudySpec.mu)
@@ -43,8 +52,8 @@ def main(argv=None):
     runp.add_argument("--h", type=mesh_size, required=True,
                       help="mesh size as 1/n")
     runp.add_argument("--tau", type=parse_fraction, required=True)
-    runp.add_argument("--diag", default=None,
-                      help="write per-step diagnostics CSV here")
+    runp.add_argument("--trace", type=output_path, default=None,
+                      help="write one JSON record per step here")
     _add_common(runp)
 
     studyp = sub.add_parser("study", help="run a convergence study")
@@ -55,7 +64,7 @@ def main(argv=None):
                              " e.g. 1/8,1/10,1/12")
     studyp.add_argument("--tau", type=parse_fraction, default=StudySpec.tau,
                         help="fixed time step for space mode")
-    studyp.add_argument("--out", default=None,
+    studyp.add_argument("--out", type=output_path, default=None,
                         help="CSV output path; the rows of this study that "
                              "it already holds and that did not fail are "
                              "not run again, and a file of another study is "
@@ -70,15 +79,15 @@ def main(argv=None):
         except ValueError as exc:
             parser.error(str(exc))
         case = make_case(args.case)
-        diag = open(args.diag, "w") if args.diag else None
+        trace = open(args.trace, "w") if args.trace else None
         try:
             result = run_case(
                 case, args.h, args.tau, T=args.T, mu=args.mu,
-                cutoff_mode=args.cutoff, diag_stream=diag,
+                cutoff_mode=args.cutoff, trace=trace,
             )
         finally:
-            if diag:
-                diag.close()
+            if trace:
+                trace.close()
         print(f"case={args.case} h={args.h:.6g} tau={args.tau:.6g} "
               f"T={args.T} mu={args.mu}")
         print(f"E_rho={result['E_rho']:.6e} E_u={result['E_u']:.6e} "

@@ -9,6 +9,7 @@ subdivisions per side, so the nominal h reported in tables is 1/n.
 
 import csv
 import io
+import json
 import math
 import time
 import warnings
@@ -19,8 +20,7 @@ import numpy as np
 from . import assemble
 from .mesh import unit_cube_mesh, unit_square_mesh
 from .mms import make_case
-from .scheme import (SchemeConfig, StepDiagnostics, TimeStepper,
-                     horizon_steps)
+from .scheme import SchemeConfig, TimeStepper, horizon_steps
 
 UNDEFINED_ORDER = float("nan")
 
@@ -74,13 +74,14 @@ def build_mesh(case, h):
     return unit_cube_mesh(n)
 
 
-def run_case(case, h, tau, *, T, mu, cutoff_mode, diag_stream=None):
+def run_case(case, h, tau, *, T, mu, cutoff_mode, trace=None):
     """Time-march one manufactured problem; returns errors and timings.
 
     Tracks the max-over-steps L2 errors of density and velocity, evaluated
     every step on the over-integration rule.  ``seconds`` covers the whole
-    run, set-up included.  ``diag_stream`` receives the CSV header and
-    one ``StepDiagnostics.csv_row`` per step.
+    run, set-up included.  ``trace`` receives one JSON line per step: the
+    step's record (``TimeStepper.step``) with that step's ``E_rho`` and
+    ``E_u``.
     """
     t0 = time.perf_counter()
     mesh = build_mesh(case, h)
@@ -93,20 +94,19 @@ def run_case(case, h, tau, *, T, mu, cutoff_mode, diag_stream=None):
     geom = stepper.geom_lo
 
     errors = {"rho": 0.0, "u": 0.0}
-    if diag_stream is not None:
-        print(StepDiagnostics.csv_header(), file=diag_stream)
 
-    def track(state, diag):
-        if diag_stream is not None:
-            print(diag.csv_row(), file=diag_stream)
+    def track(state, record):
         rho_q = assemble.eval_scalar(stepper.p2_lo, state.rho)
         u_q = assemble.eval_mini_vector(stepper.mini_lo, state.u)
         e_rho = l2_error_at_step(geom, rho_q, case.rho(geom.points, state.t))
         e_u = l2_error_at_step(geom, u_q, case.u(geom.points, state.t))
         errors["rho"] = max(errors["rho"], e_rho)
         errors["u"] = max(errors["u"], e_u)
+        if trace is not None:
+            print(json.dumps({**record, "E_rho": e_rho, "E_u": e_u}),
+                  file=trace)
 
-    state, diagnostics = stepper.run(
+    state, records = stepper.run(
         lambda x: case.rho(x, 0.0),
         lambda x: case.u(x, 0.0),
         on_step=track,
@@ -117,7 +117,7 @@ def run_case(case, h, tau, *, T, mu, cutoff_mode, diag_stream=None):
         "E_u": errors["u"],
         "seconds": seconds,
         "state": state,
-        "diagnostics": diagnostics,
+        "records": records,
         "stepper": stepper,
     }
 

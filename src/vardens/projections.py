@@ -30,9 +30,14 @@ def project_dg(tab, values):
     """Elementwise L2 projection onto the dG space tabulated in ``tab`` of
     point values (nc, nq) at ``tab.geom.points``.  Cell K's mass block is
     |det J_K| times the reference mass, so one solve with ``tab.ref_mass``
-    serves every cell.
+    serves every cell.  ``ValueError`` on values of any other shape.
     """
-    rhs = assemble.load_blocks(tab, np.asarray(values))
+    values = np.asarray(values)
+    shape = (tab.geom.mesh.n_cells, tab.geom.npoints)
+    if values.shape != shape:
+        raise ValueError(f"expected point values of shape {shape} at "
+                         f"tab.geom.points, got {values.shape}")
+    rhs = assemble.load_blocks(tab, values)
     coeffs = np.linalg.solve(tab.ref_mass, rhs.T).T
     return FeField(tab.space, (coeffs / tab.geom.abs_dets[:, None]).ravel())
 

@@ -23,7 +23,7 @@ point values of chi(rho) - rho are added on the other cells only.
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -55,16 +55,23 @@ class NumericalBreakdownError(Exception):
 
 
 _SOLVER_ERRORS = (linalg.ResidualError, linalg.SingularMatrixError)
+# a step's phases, named as its record keys and as its failure messages
+PHASES = {"density": "density solve", "velocity": "velocity solve",
+          "projection": "projection"}
 
 
 @contextmanager
-def _names_failure(phase, step):
-    """Re-raise a solver's ``ResidualError`` or ``SingularMatrixError`` as
-    the same type, its message led by "<phase> at step <step>: "."""
+def _names_failure(phase, step, times):
+    """Time the phase ``phase`` (a key of ``PHASES``) into ``times[phase]``,
+    in seconds; re-raise a solver's ``ResidualError`` or
+    ``SingularMatrixError`` as the same type, its message led by
+    "<PHASES[phase]> at step <step>: "."""
+    t0 = time.perf_counter()
     try:
         yield
     except _SOLVER_ERRORS as exc:
-        raise type(exc)(f"{phase} at step {step}: {exc}") from exc
+        raise type(exc)(f"{PHASES[phase]} at step {step}: {exc}") from exc
+    times[phase] = time.perf_counter() - t0
 
 
 def horizon_steps(T, tau):
@@ -159,30 +166,6 @@ class StepState:
     u: FeField
     p: FeField
     w: FeField  # cached divergence-free post-processed velocity
-
-
-@dataclass
-class StepDiagnostics:
-    n: int
-    t: float
-    energy: float                 # 0.5||rho||^2 + int 0.5 chi(rho)|u|^2
-    viscous_dissipation: float    # tau * mu * ||grad u||^2
-    upwind_dissipation: float     # tau * (1/2) sum_F || |w.nu|^(1/2) [[rho]] ||^2
-    mass: float                   # int rho
-    cutoff_active: bool
-    wall_time: float = 0.0
-    extras: dict = field(default_factory=dict)
-
-    @staticmethod
-    def csv_header():
-        return "n,t,energy,dissipation,mass,cutoff_active"
-
-    def csv_row(self):
-        dissip = self.viscous_dissipation + self.upwind_dissipation
-        return (
-            f"{self.n},{self.t:.12g},{self.energy:.17g},"
-            f"{dissip:.17g},{self.mass:.17g},{int(self.cutoff_active)}"
-        )
 
 
 class TimeStepper:
@@ -296,7 +279,7 @@ class TimeStepper:
         rho_h = project_dg(self.p2_hi, rho_q)
         u_h = interpolate_mini(self.vel_space, u0)
         p_h = FeField(self.p_space, np.zeros(self.p_space.n_dofs))
-        with _names_failure("projection", 0):
+        with _names_failure("projection", 0, {}):
             w_h, _ = self.workspace.project(u_h)
         return StepState(0, 0.0, rho_h, u_h, p_h, w_h)
 
@@ -340,7 +323,8 @@ class TimeStepper:
         a density ratio of 100, the first step takes about 250 iterations
         at tau = 1/16 and 3,800 at tau = 1.  GMRES is therefore allowed 400
         restart cycles.  Its report holds the matrix's cell blocks and the
-        new density's upwind dissipation (``StepDiagnostics``) as extras.
+        new density's upwind dissipation, tau (1/2) sum_F
+        || |w.nu|^(1/2) [[rho]] ||^2, as extras.
         """
         cfg = self.config
         tau = cfg.tau
@@ -386,32 +370,30 @@ class TimeStepper:
         lagged velocity), so one factorization preconditions many
         subsequent solves.  When one cycle of 40 GMRES iterations does not
         converge, the matrix is refactored and solved directly; that report
-        has 0 iterations, the wall time of the whole solve and
-        ``extras["refreshed"]``.  The matrix is structurally symmetric, so
+        has 0 iterations.  Every report says in ``extras["refreshed"]``
+        whether it refactored.  The matrix is structurally symmetric, so
         it is factored with the minimum-degree ordering.  A report of a
         solve that factored carries the factor's fill as
-        ``extras["velocity_factor_nnz"]``: ``SuperLU.nnz``, the count of
+        ``extras["factor_nnz"]``: ``SuperLU.nnz``, the count of
         entries SuperLU stores for L and U (``_factor_velocity``).  The
         residual contract is enforced on GMRES and on the refresh alike; a
         refresh that misses it raises ``ResidualError`` with the refreshed
         residual.
         """
-        t0 = time.perf_counter()
         fill = self._factor_velocity(K) if self._vel_lu is None else None
         try:
             x, report = linalg.solve_gmres(
                 K, b, restart=40, maxiter=40,
                 preconditioner=self._vel_lu.solve, x0=x0,
             )
+            report.extras["refreshed"] = False
         except linalg.ResidualError:
             fill = self._factor_velocity(K)
             x = self._vel_lu.solve(b)
             res = linalg._check(b - K @ x, b, "refreshed factor")
-            report = linalg.SolveReport(
-                res, 0, time.perf_counter() - t0, {"refreshed": True}
-            )
+            report = linalg.SolveReport(res, 0, {"refreshed": True})
         if fill is not None:
-            report.extras["velocity_factor_nnz"] = fill
+            report.extras["factor_nnz"] = fill
         return x, report
 
     def _factor_velocity(self, K):
@@ -489,8 +471,9 @@ class TimeStepper:
         from the old pressure shifted to 0 there; the new pressure is then
         shifted to zero mean.  Every divergence row is checked, the pinned
         one too, so a pressure load that the velocity cannot meet is
-        caught.  Its report holds that residual and, for rho_new, the counts
-        of clamped samples and of cells where the cut-off may clamp.
+        caught.  Its report holds that residual and, for rho_new, the share
+        of its high-rule samples that the cut-off clamped and the count of
+        cells where the cut-off may clamp.
         """
         cfg = self.config
         tau = cfg.tau
@@ -537,67 +520,55 @@ class TimeStepper:
             raise linalg.ResidualError(
                 f"discrete divergence constraint {div_residual:.3e}")
         report.extras["div_residual"] = div_residual
-        report.extras["cutoff_clamped"] = clamped
+        report.extras["cutoff_fraction"] = clamped / (
+            self.mesh.n_cells * self.geom_hi.npoints)
         report.extras["cutoff_cells"] = len(chi.cells)
         return (FeField(self.vel_space, u_new), FeField(self.p_space, p_new),
                 report)
 
     # ------------------------------------------------------------------
     def step(self, state: StepState):
-        """One full step: density, velocity/pressure, post-processing.  Only
-        here is the step numbered: a solver's failure in a phase is raised
-        again naming the phase and the step (``_names_failure``)."""
+        """One full step: density, velocity/pressure, post-processing;
+        returns the new state and the step's record.  Only here is the step
+        numbered: a solver's failure in a phase is raised again naming the
+        phase and the step (``_names_failure``).
+
+        The record is one flat dict of JSON scalars, built by one rule.
+        From the new state: ``n``, ``t``, ``energy`` (0.5||rho||^2 + int
+        0.5 chi(rho)|u|^2), ``viscous_dissipation`` (tau mu ||grad u||^2)
+        and ``mass`` (int rho).  For each phase p of ``PHASES``: ``p_s``,
+        its wall time in seconds, ``p_residual`` and ``p_iterations`` from
+        the report it returned, and ``p_<key>`` for each key of that
+        report's extras.  Last, ``step_s``, the wall time of the step.
+        """
         t0 = time.perf_counter()
         n = state.n + 1
-        with _names_failure("density solve", n):
+        times = {}
+        with _names_failure("density", n, times):
             rho_new, density = self.density_step(state)
-        with _names_failure("velocity solve", n):
+        with _names_failure("velocity", n, times):
             u_new, p_new, velocity = self.velocity_step(state, rho_new)
-        with _names_failure("projection", n):
+        with _names_failure("projection", n, times):
             w_new, projection = self.workspace.project(u_new)
-        new_state = StepState(n, state.t + self.config.tau, rho_new, u_new,
-                              p_new, w_new)
-        return new_state, self._diagnostics(new_state, density, velocity,
-                                            projection,
-                                            time.perf_counter() - t0)
+        new = StepState(n, state.t + self.config.tau, rho_new, u_new, p_new,
+                        w_new)
 
-    def _diagnostics(self, new, density, velocity, projection, wall):
-        """The record of the step that gave ``new``: energy, viscous
-        dissipation and mass from ``new``, every other fact from the
-        reports that the step's three solves returned, their residuals as
-        ``density_residual``, ``velocity_residual`` and
-        ``projection_residual``."""
-        cfg = self.config
-        energy = self.energy(new)
         viscous = 0.0
-        for comp in new.u.coeffs.reshape(self.mesh.dim, -1):
+        for comp in u_new.coeffs.reshape(self.mesh.dim, -1):
             viscous += float(comp @ (self.K_s @ comp))
-        viscous *= cfg.tau * cfg.mu
-        mass = float(self.ones_rho @ new.rho.coeffs)
-
-        # share of the density samples the cut-off clamped
-        fraction = velocity.extras["cutoff_clamped"] / (
-            self.mesh.n_cells * self.geom_hi.npoints)
-        extras = {
-            "cutoff_fraction": fraction,
-            "cutoff_cells": velocity.extras["cutoff_cells"],
-            "density_residual": density.residual,
-            "density_iterations": density.iterations,
-            "density_blocks": density.extras["blocks"],
-            "velocity_residual": velocity.residual,
-            "velocity_iterations": velocity.iterations,
-            "velocity_refreshed": velocity.extras.get("refreshed", False),
-            "div_residual": velocity.extras["div_residual"],
-            "projection_residual": projection.residual,
+        record = {
+            "n": n, "t": new.t, "energy": self.energy(new),
+            "viscous_dissipation": self.config.tau * self.config.mu * viscous,
+            "mass": float(self.ones_rho @ rho_new.coeffs),
         }
-        fill = velocity.extras.get("velocity_factor_nnz")
-        if fill is not None:
-            extras["velocity_factor_nnz"] = fill
-        return StepDiagnostics(
-            new.n, new.t, energy, viscous,
-            density.extras["upwind_dissipation"], mass, fraction > 0, wall,
-            extras=extras,
-        )
+        for phase, report in zip(PHASES, (density, velocity, projection)):
+            record[f"{phase}_s"] = times[phase]
+            record[f"{phase}_residual"] = report.residual
+            record[f"{phase}_iterations"] = report.iterations
+            for key, value in report.extras.items():
+                record[f"{phase}_{key}"] = value
+        record["step_s"] = time.perf_counter() - t0
+        return new, record
 
     def energy(self, state: StepState):
         """0.5||rho||^2 + int 0.5 chi(rho)|u|^2 for an arbitrary state:
@@ -611,10 +582,11 @@ class TimeStepper:
         return e
 
     def run(self, rho0, u0, on_step=None):
-        """March n_steps steps; returns the final state and all diagnostics.
+        """March n_steps steps; returns the final state and every step's
+        record (``step``).
 
         Without sources (f and g None) the energy inequality is asserted
-        per step, to 1e-9 absolute; ``on_step(state, diag)`` follows each
+        per step, to 1e-9 absolute; ``on_step(state, record)`` follows each
         step.  A failed step raises ``NumericalBreakdownError`` with its
         ``step_index`` and the ``last_state`` before it, and the message of
         a solver error, which ``step`` named; other causes get "step N
@@ -623,11 +595,11 @@ class TimeStepper:
         cfg = self.config
         no_sources = cfg.f is None and cfg.g is None
         state = self.initialize(rho0, u0)
-        diagnostics = []
+        records = []
         prev_energy = self.energy(state)
         for _ in range(cfg.n_steps):
             try:
-                state, diag = self.step(state)
+                state, record = self.step(state)
             except Exception as exc:
                 message = (str(exc) if isinstance(exc, _SOLVER_ERRORS)
                            else f"step {state.n + 1} failed: {exc}")
@@ -635,15 +607,14 @@ class TimeStepper:
                 err.last_state = state
                 err.step_index = state.n + 1
                 raise err from exc
-            diagnostics.append(diag)
-            if no_sources:
-                if diag.energy + diag.viscous_dissipation > prev_energy + 1e-9:
-                    raise NumericalBreakdownError(
-                        f"energy inequality violated at step {diag.n}: "
-                        f"{diag.energy + diag.viscous_dissipation:.17g} > "
-                        f"{prev_energy:.17g}"
-                    )
-            prev_energy = diag.energy
+            records.append(record)
+            spent = record["energy"] + record["viscous_dissipation"]
+            if no_sources and spent > prev_energy + 1e-9:
+                raise NumericalBreakdownError(
+                    f"energy inequality violated at step {record['n']}: "
+                    f"{spent:.17g} > {prev_energy:.17g}"
+                )
+            prev_energy = record["energy"]
             if on_step is not None:
-                on_step(state, diag)
-        return state, diagnostics
+                on_step(state, record)
+        return state, records

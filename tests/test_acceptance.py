@@ -179,8 +179,8 @@ def test_criterion_05_energy_stability(stability_run):
     prev = energy0
     worst = -np.inf
     for d in diags:
-        worst = max(worst, d.energy + d.viscous_dissipation - prev)
-        prev = d.energy
+        worst = max(worst, d["energy"] + d["viscous_dissipation"] - prev)
+        prev = d["energy"]
     ok = worst <= 1e-9
     _report(
         "criterion 5 (energy stability, 32 zero-source steps)", ok,
@@ -190,7 +190,7 @@ def test_criterion_05_energy_stability(stability_run):
 
 def test_criterion_06_mass_conservation(stability_run):
     _, _, mass0, diags = stability_run
-    drift = max(abs(d.mass - mass0) for d in diags)
+    drift = max(abs(d["mass"] - mass0) for d in diags)
     ok = drift <= 1e-9
     _report("criterion 6 (discrete mass conservation)", ok,
             f"max |mass drift| = {drift:.3e}")

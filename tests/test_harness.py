@@ -2,6 +2,7 @@
 
 import csv
 import io
+import json
 import math
 import subprocess
 import sys
@@ -309,22 +310,23 @@ def test_csv_reproducibility_excluding_walltime():
     assert rows[0] == rows[1]  # identical apart from the seconds column
 
 
-def test_run_case_diag_stream(tmp_path):
-    """The stream holds the header and one CSV row per step, the step's
-    ``StepDiagnostics.csv_row``."""
-    case = make_case("square2d")
-    out = tmp_path / "diag.csv"
-    with open(out, "w") as fh:
-        result = run_case(case, 1 / 4, 1 / 16, T=0.25, mu=0.001,
-                          cutoff_mode="widened", diag_stream=fh)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "n,t,energy,dissipation,mass,cutoff_active"
-    assert len(lines) == 5
-    assert lines[1:] == [d.csv_row() for d in result["diagnostics"]]
-    fields = lines[1].split(",")
-    assert int(fields[0]) == 1
-    assert float(fields[1]) == pytest.approx(1 / 16)
-    assert fields[5] in ("0", "1")
+def test_run_case_trace(tmp_path):
+    """The trace holds one JSON line per step: the step's record with that
+    step's errors, whose maxima are the run's."""
+    for name, h in (("square2d", 1 / 4), ("cube3d", 1 / 2)):
+        out = tmp_path / f"{name}.jsonl"
+        with open(out, "w") as fh:
+            result = run_case(make_case(name), h, 1 / 16, T=0.25, mu=0.001,
+                              cutoff_mode="widened", trace=fh)
+        lines = [json.loads(ln) for ln in out.read_text().splitlines()]
+        assert len(lines) == 4
+        for line, record in zip(lines, result["records"]):
+            assert {k: v for k, v in line.items()
+                    if k not in ("E_rho", "E_u")} == record
+        assert [r["n"] for r in lines] == [1, 2, 3, 4]
+        assert lines[0]["t"] == pytest.approx(1 / 16)
+        assert max(r["E_rho"] for r in lines) == result["E_rho"]
+        assert max(r["E_u"] for r in lines) == result["E_u"]
 
 
 def test_markdown_table_shape():
@@ -336,13 +338,15 @@ def test_markdown_table_shape():
 
 
 def test_cli_run_and_study(tmp_path):
-    diag = tmp_path / "d.csv"
+    trace = tmp_path / "run.jsonl"
     rc = cli.main([
         "run", "--case", "square2d", "--h", "1/2", "--tau", "1/16",
-        "--T", "0.25", "--diag", str(diag),
+        "--T", "0.25", "--trace", str(trace),
     ])
     assert rc == 0
-    assert diag.exists()
+    lines = [json.loads(ln) for ln in trace.read_text().splitlines()]
+    assert [r["n"] for r in lines] == [1, 2, 3, 4]
+    assert lines[0]["t"] == pytest.approx(1 / 16)
     for bad in (["--h", "8"], ["--h", "0"], ["--h", "1/0"],
                 ["--h", "1/2", "--mu", "nan"], ["--h", "1/2", "--T", "-1"]):
         with pytest.raises(SystemExit) as exc:  # argparse's usage error
@@ -365,6 +369,30 @@ def test_cli_run_and_study(tmp_path):
     assert study.startswith("# study case=square2d mode=space ")
     assert lines[0] == "h,tau,E_rho,order_rho,E_u,order_u,seconds"
     assert len(lines) == 3
+
+
+def test_cli_output_in_a_missing_directory_is_a_usage_error(
+        monkeypatch, capsys, tmp_path):
+    """An ``--out`` or ``--trace`` path whose directory does not exist, or
+    that is a directory, is bad usage, reported before anything runs."""
+    import vardens.harness as hmod
+
+    def never(*args, **kwargs):
+        raise AssertionError("run_case called")
+
+    monkeypatch.setattr(hmod, "run_case", never)
+    monkeypatch.setattr(cli, "run_case", never)
+    missing = tmp_path / "nodir" / "t.csv"
+    for argv in (["study", "--case", "square2d", "--mode", "space",
+                  "--params", "1/2,1/4", "--tau", "1/16", "--out"],
+                 ["run", "--case", "square2d", "--h", "1/2", "--tau", "1/16",
+                  "--trace"]):
+        for path in (missing, tmp_path):
+            with pytest.raises(SystemExit) as exc:
+                cli.main([*argv, str(path)])
+            assert exc.value.code == 2
+            assert str(path) in capsys.readouterr().err
+    assert not missing.parent.exists()
 
 
 def test_cli_study_prints_the_markdown_table(capsys):

@@ -17,7 +17,7 @@ OPTIONS = {
     "assemble.eval_scalar.cells",
     "assemble.eval_mini_vector.cells",
     "cli.main.argv",
-    "harness.run_case.diag_stream",
+    "harness.run_case.trace",
     "harness.StudySpec.tau",
     "harness.StudySpec.T",
     "harness.StudySpec.mu",
@@ -32,15 +32,12 @@ OPTIONS = {
     "harness.run_study.progress",
     "harness.run_study.finished",
     "linalg.SolveReport.iterations",
-    "linalg.SolveReport.wall_time",
     "linalg.SolveReport.extras",
     "scheme.SchemeConfig.rho_min",
     "scheme.SchemeConfig.rho_max",
     "scheme.SchemeConfig.cutoff_mode",
     "scheme.SchemeConfig.f",
     "scheme.SchemeConfig.g",
-    "scheme.StepDiagnostics.wall_time",
-    "scheme.StepDiagnostics.extras",
     "scheme.TimeStepper._weighted_mass.weight",
     "scheme.TimeStepper.run.on_step",
 }

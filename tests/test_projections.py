@@ -29,6 +29,17 @@ def test_project_dg_constant_exact():
     assert np.abs(vals - 3.25).max() < 1e-12
 
 
+def test_project_dg_rejects_anything_but_point_values():
+    """A callable or point values of another shape are a ``ValueError``
+    naming the shape (nc, nq) expected at ``tab.geom.points``."""
+    tab = _p2_tab(unit_square_mesh(2))
+    nc, nq = tab.geom.points.shape[:-1]
+    for values in (lambda x: x[..., 0], np.ones((nc, nq + 1)),
+                   np.ones(nq)):
+        with pytest.raises(ValueError, match=rf"\({nc}, {nq}\)"):
+            project_dg(tab, values)
+
+
 def test_project_dg_reproduces_quadratics():
     tab = _p2_tab(unit_square_mesh(3))
 

@@ -1,6 +1,7 @@
 """The cut-off, the two solve steps, and full time-marching."""
 
 import io
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,8 +12,8 @@ from vardens import assemble, linalg
 from vardens.mesh import unit_cube_mesh, unit_square_mesh
 from vardens.mms import make_case
 from vardens.projections import project_dg
-from vardens.scheme import (NumericalBreakdownError, PositivityError,
-                            SchemeConfig, StepDiagnostics, StepState,
+from vardens.scheme import (PHASES, NumericalBreakdownError,
+                            PositivityError, SchemeConfig, StepState,
                             TimeStepper, cutoff, horizon_steps)
 from vardens.spaces import FeField
 
@@ -267,33 +268,29 @@ def test_run_energy_monotone_and_mass_constant():
     prev = st.energy(init)
     mass0 = float(st.ones_rho @ init.rho.coeffs)
     for d in diags:
-        assert d.energy + d.viscous_dissipation <= prev + 1e-9
-        assert d.upwind_dissipation >= 0.0
-        assert abs(d.mass - mass0) <= 1e-10
-        assert not d.cutoff_active
-        prev = d.energy
+        assert d["energy"] + d["viscous_dissipation"] <= prev + 1e-9
+        assert d["density_upwind_dissipation"] >= 0.0
+        assert abs(d["mass"] - mass0) <= 1e-10
+        assert d["velocity_cutoff_fraction"] == 0
+        prev = d["energy"]
     assert state.n == 16
 
 
-def test_run_streams_csv_diagnostics():
-    """``on_step`` sees every step's diagnostics as it is taken, so a
-    caller can stream the header and one CSV row per step."""
+def test_run_streams_step_records():
+    """``on_step`` sees every step's record as it is taken, so a caller
+    can stream one JSON line per step."""
     case = make_case("square2d")
     m = unit_square_mesh(4)
     st = TimeStepper(m, _config(n_steps=3))
     buf = io.StringIO()
-    print(StepDiagnostics.csv_header(), file=buf)
-    _, diagnostics = st.run(
+    _, records = st.run(
         lambda x: case.rho(x, 0.0), lambda x: case.u(x, 0.0),
-        on_step=lambda state, diag: print(diag.csv_row(), file=buf))
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == StepDiagnostics.csv_header()
-    assert len(lines) == 4
-    assert lines[1:] == [d.csv_row() for d in diagnostics]
-    fields = lines[1].split(",")
-    assert int(fields[0]) == 1
-    assert float(fields[1]) == pytest.approx(1 / 64)
-    assert fields[5] in ("0", "1")
+        on_step=lambda state, record: print(json.dumps(record), file=buf))
+    lines = [json.loads(ln) for ln in buf.getvalue().strip().splitlines()]
+    assert lines == records
+    assert [r["n"] for r in lines] == [1, 2, 3]
+    assert lines[0]["t"] == pytest.approx(1 / 64)
+    assert all(r["velocity_cutoff_fraction"] >= 0 for r in lines)
 
 
 def test_homogeneous_systems_have_zero_solution():
@@ -341,7 +338,7 @@ def test_3d_single_step_smoke():
     st = TimeStepper(m, cfg)
     state = st.initialize(lambda x: case.rho(x, 0.0), lambda x: case.u(x, 0.0))
     state, diag = st.step(state)
-    assert np.isfinite(diag.energy)
+    assert np.isfinite(diag["energy"])
     assert np.abs(st.B.T @ state.u.coeffs).max() <= 1e-10
     from vardens.projections import rt_divergence_nodal
     assert np.abs(rt_divergence_nodal(state.w)).max() < 1e-11
@@ -353,14 +350,14 @@ def test_3d_single_step_smoke():
     (0.4, "strict", True), (0.4, "widened", False), (0.3, "widened", True),
 ])
 def test_cutoff_active_follows_cutoff_mode(rho, mode, active):
-    """The flag reports clamping exactly where ``cutoff`` clamps: the strict
-    band is [0.5, 1.5] here, the widened one [1/3, 2.25], and off never
-    clamps."""
+    """The clamped fraction is positive exactly where ``cutoff`` clamps:
+    the strict band is [0.5, 1.5] here, the widened one [1/3, 2.25], and
+    off never clamps."""
     st = TimeStepper(unit_square_mesh(2), _config(
         n_steps=1, cutoff_mode=mode, rho_min=1.0, rho_max=1.0))
     _, diags = st.run(lambda x: np.full(x.shape[:-1], rho),
                       lambda x: np.zeros_like(x))
-    assert diags[0].cutoff_active is active
+    assert (diags[0]["velocity_cutoff_fraction"] > 0) is active
 
 
 @pytest.mark.parametrize("mode", ["strict", "widened", "off"])
@@ -375,10 +372,9 @@ def test_cutoff_fraction_counts_clamped_samples(mode):
     lo, hi = {"strict": (0.5, 1.5), "widened": (0.5 / 1.5, 2.25),
               "off": (-np.inf, np.inf)}[mode]
     expected = np.count_nonzero((rho_q < lo) | (rho_q > hi)) / rho_q.size
-    fraction = diags[0].extras["cutoff_fraction"]
+    fraction = diags[0]["velocity_cutoff_fraction"]
     assert fraction == expected
     assert (fraction > 0) is (mode != "off")
-    assert diags[0].cutoff_active is (fraction > 0)
 
 
 def test_step_records_cells_sent_to_the_pointwise_path():
@@ -389,8 +385,8 @@ def test_step_records_cells_sent_to_the_pointwise_path():
     st = TimeStepper(unit_square_mesh(4), _config(
         n_steps=2, cutoff_mode="widened"))
     _, diags = st.run(lambda x: case.rho(x, 0.0), lambda x: case.u(x, 0.0))
-    assert [d.extras["cutoff_cells"] for d in diags] == [0, 0]
-    assert not any(d.cutoff_active for d in diags)
+    assert [d["velocity_cutoff_cells"] for d in diags] == [0, 0]
+    assert not any(d["velocity_cutoff_fraction"] > 0 for d in diags)
     for mode in ("strict", "off"):
         st = TimeStepper(unit_square_mesh(4), _config(
             n_steps=1, cutoff_mode=mode, rho_min=1.0, rho_max=1.0))
@@ -398,7 +394,7 @@ def test_step_records_cells_sent_to_the_pointwise_path():
                               lambda x: np.zeros_like(x))
         rho_q = assemble.eval_scalar(st.p2_hi, state.rho)
         hit = np.count_nonzero(np.any((rho_q < 0.5) | (rho_q > 1.5), axis=1))
-        cells = diags[0].extras["cutoff_cells"]
+        cells = diags[0]["velocity_cutoff_cells"]
         if mode == "off":
             assert cells == 0
         else:
@@ -425,7 +421,7 @@ def test_clamped_step_samples_the_new_density_once(monkeypatch):
                           lambda x: case.u(x, 0.0))
     flagged = st._cutoff_cells(state.rho)
     assert 0 < len(flagged) < st.mesh.n_cells
-    assert diags[0].extras["cutoff_fraction"] > 0
+    assert diags[0]["velocity_cutoff_fraction"] > 0
     sampled = [np.arange(st.mesh.n_cells)[cells] for coeffs, cells in calls
                if np.array_equal(coeffs, state.rho.coeffs)]
     assert np.array_equal(np.sort(np.concatenate(sampled)), flagged)
@@ -521,7 +517,7 @@ def test_unclamped_step_samples_nothing_on_the_high_rule(monkeypatch):
         monkeypatch.setattr(assemble, name, counted)
     state, diag = st.step(state)
     assert calls == []
-    assert diag.extras["cutoff_cells"] == 0
+    assert diag["velocity_cutoff_cells"] == 0
     st.energy(state)
     assert calls == []
 
@@ -544,7 +540,7 @@ def test_step_with_sources_forms_no_point_weights(monkeypatch):
 
     monkeypatch.setattr(assemble.CellQuadrature, "weights_at", counted)
     state, diag = st.step(state)
-    assert diag.extras["cutoff_cells"] == 0
+    assert diag["velocity_cutoff_cells"] == 0
     assert calls == []
 
 
@@ -565,10 +561,10 @@ def test_energy_matches_diagnostics():
     st = TimeStepper(unit_square_mesh(4), cfg)
     state, diags = st.run(lambda x: case.rho(x, 0.0),
                           lambda x: case.u(x, 0.0))
-    assert abs(st.energy(state) - diags[-1].energy) <= 1e-14
+    assert abs(st.energy(state) - diags[-1]["energy"]) <= 1e-14
     # a stepper with no cached mass matrices agrees as well
     fresh = TimeStepper(st.mesh, cfg).energy(state)
-    assert abs(fresh - diags[-1].energy) <= 1e-14
+    assert abs(fresh - diags[-1]["energy"]) <= 1e-14
 
 
 def test_velocity_step_cached_mass_is_bit_identical():
@@ -714,11 +710,9 @@ def test_step_records_solver_iterations_and_refreshes():
         state, diag = st.step(state)
         density = reports["density"][-1]
         velocity = reports["velocity"][-1]
-        assert diag.extras["density_iterations"] == density.iterations > 0
-        assert diag.extras["velocity_iterations"] == velocity.iterations > 0
-        assert diag.extras["velocity_refreshed"] is False
-    assert StepDiagnostics.csv_header() == (
-        "n,t,energy,dissipation,mass,cutoff_active")
+        assert diag["density_iterations"] == density.iterations > 0
+        assert diag["velocity_iterations"] == velocity.iterations > 0
+        assert diag["velocity_refreshed"] is False
 
 
 def test_step_records_velocity_factor_fill():
@@ -730,11 +724,11 @@ def test_step_records_velocity_factor_fill():
     reports = _returned_reports(st)["velocity"]
     state, diag = st.step(state)
     fill = st._vel_lu.nnz
-    assert diag.extras["velocity_factor_nnz"] == fill > 0
-    assert reports[-1].extras["velocity_factor_nnz"] == fill
+    assert diag["velocity_factor_nnz"] == fill > 0
+    assert reports[-1].extras["factor_nnz"] == fill
     state, diag = st.step(state)
-    assert "velocity_factor_nnz" not in diag.extras
-    assert "velocity_factor_nnz" not in reports[-1].extras
+    assert "velocity_factor_nnz" not in diag
+    assert "factor_nnz" not in reports[-1].extras
 
 
 def test_density_solve_converges_at_large_time_step():
@@ -752,9 +746,9 @@ def test_density_solve_converges_at_large_time_step():
     init = st.initialize(rho0, lambda x: case.u(x, 0.0))
     mass0 = float(st.ones_rho @ init.rho.coeffs)
     assert state.n == 2
-    assert max(d.extras["density_iterations"] for d in diags) > 1000
+    assert max(d["density_iterations"] for d in diags) > 1000
     for d in diags:
-        assert abs(d.mass - mass0) <= 1e-9
+        assert abs(d["mass"] - mass0) <= 1e-9
 
 
 def test_step_records_density_blocks():
@@ -765,7 +759,7 @@ def test_step_records_density_blocks():
     for _ in range(2):
         A, _ = st.density_matrix(state.w)
         state, diag = st.step(state)
-        assert diag.extras["density_blocks"] == len(A.indices)
+        assert diag["density_blocks"] == len(A.indices)
         assert nc < len(A.indices) <= nc + 2 * nfi
 
 
@@ -944,13 +938,46 @@ def test_stale_velocity_factor_is_refreshed_within_one_cycle(monkeypatch):
     [report] = reports["velocity"]
     assert st._vel_lu is not stale
     assert report.extras["refreshed"] is True and report.iterations == 0
-    assert report.wall_time > 0.0
+    assert diag["velocity_s"] > 0.0
     assert report.residual <= 1e-10
-    assert diag.extras["div_residual"] <= 1e-10
+    assert diag["velocity_div_residual"] <= 1e-10
     assert np.abs(projections.rt_divergence_nodal(state.w)).max() <= 1e-11
-    assert diag.extras["velocity_refreshed"] is True
-    assert diag.extras["velocity_iterations"] == 0
-    assert diag.extras["velocity_factor_nnz"] == st._vel_lu.nnz
+    assert diag["velocity_refreshed"] is True
+    assert diag["velocity_iterations"] == 0
+    assert diag["velocity_factor_nnz"] == st._vel_lu.nnz
+
+
+@pytest.mark.parametrize("name,mesh,sourced", [
+    ("square2d", lambda: unit_square_mesh(4), False),
+    ("cube3d", lambda: unit_cube_mesh(2), True),
+], ids=["square2d-unsourced", "cube3d-sourced"])
+def test_step_record_is_built_from_the_phase_reports(name, mesh, sourced):
+    """Each record is flat JSON; its phase times fit in the step's, and its
+    phase keys are the fields of the reports the phases returned."""
+    case = make_case(name)
+    kw = {}
+    if sourced:
+        ev = case.make_source_evaluator(1e-3)
+        kw = dict(f=ev.f, g=ev.g)
+    st = TimeStepper(mesh(), _config(n_steps=3, cutoff_mode="widened", **kw))
+    reports = _returned_reports(st)
+    _, records = st.run(lambda x: case.rho(x, 0.0), lambda x: case.u(x, 0.0))
+    assert len(records) == 3
+    for k, record in enumerate(records):
+        assert json.loads(json.dumps(record)) == record
+        times = [record[f"{phase}_s"] for phase in PHASES]
+        assert min(times) >= 0.0 and sum(times) <= record["step_s"]
+        keys = {"n", "t", "energy", "viscous_dissipation", "mass", "step_s"}
+        # the projection of ``initialize`` comes first
+        for phase, report in (("density", reports["density"][k]),
+                              ("velocity", reports["velocity"][k]),
+                              ("projection", reports["projection"][k + 1])):
+            fields = {"residual": report.residual,
+                      "iterations": report.iterations, **report.extras}
+            for key, value in fields.items():
+                assert record[f"{phase}_{key}"] == value
+            keys |= {f"{phase}_{key}" for key in ("s", *fields)}
+        assert set(record) == keys
 
 
 # -- the sources' load matrices --------------------------------------------
@@ -1029,7 +1056,7 @@ def test_every_step_records_its_three_solve_residuals(name, mesh):
     _, diags = st.run(lambda x: case.rho(x, 0.0), lambda x: case.u(x, 0.0))
     assert len(diags) == 3
     for k, diag in enumerate(diags):
-        got = [diag.extras[f"{phase}_residual"]
+        got = [diag[f"{phase}_residual"]
                for phase in ("density", "velocity", "projection")]
         # the projection of ``initialize`` comes first
         assert got == [reports["density"][k].residual,
