@@ -6,10 +6,13 @@ The scheme's per-step systems go through ``solve_gmres``, a restarted GMRES
 (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 1986) with a preconditioner
 the caller builds for the system: inverse cell-mass blocks for the density,
 a lagged SuperLU factorization for the velocity.  It preconditions on the
-right, so it minimises and stops on the true residual, and it starts from a
-caller's guess, the previous step's solution.  Its ``maxiter`` counts inner
-iterations over all restart cycles: the velocity solve allows one cycle of
-40 and refactors its preconditioner when that does not converge.
+right, so it minimises and stops on the true residual.  It starts from the
+caller's guess, or from the best of a stack of candidates at one product
+each: the scheme passes the previous step's solution and the extrapolation
+through the last solutions, up to four, so the extrapolation is taken only
+when its residual is smaller.  Its ``maxiter`` counts inner iterations over all restart
+cycles: the velocity solve allows one cycle of 40 and refactors its
+preconditioner when that does not converge.
 ``factorize`` gives the velocity factorization and the one of the RT
 projection.  Both remove the constant null mode of their saddle systems by
 pinning one unknown.  The direct solves are the exact references the tests
@@ -184,26 +187,53 @@ def solve_gmres(A, b, *, restart, maxiter, preconditioner, x0):
     """Restarted GMRES for A x = b, preconditioned on the right, from the
     guess ``x0``.  A needs only ``A @ v``.
 
+    ``x0`` is one guess (n,) or a stack of candidates (k, n): GMRES starts
+    from the candidate of least residual, the first of equals, at one
+    product each.  The report's extras hold ``start``, the index of that
+    candidate, and ``start_residual``, its relative residual; a
+    ``ResidualError`` raised here carries the same dict as ``extras``, so a
+    caller that recovers from the failure can still say where it started.
     ``preconditioner`` is any callable r -> z ~ A^-1 r (a ``LinearOperator``
     works too).  With right preconditioning the minimised residual is the
     true one, b - A x, and GMRES stops once it is below max(SOLVER_TOL /
     100, 1e-14) ||b||; ``_check`` then asserts ``SOLVER_TOL`` on the
-    residual the last cycle formed, so no product is spent on it.  Arnoldi
-    orthogonalises by classical Gram-Schmidt applied twice, two GEMVs
-    against the basis (Giraud, Langou & Rozlozník, Comput. Math. Appl. 50,
-    2005).  The preconditioner is applied once per cycle to the combined
-    update, so no second basis is stored.  ``maxiter`` bounds the inner
-    iterations over all cycles, and the report counts them: 0 when ``x0``
-    already meets the target.  Raises ``ResidualError`` when it is spent,
-    and from ``_check`` when a NaN, say from the preconditioner, reached x.
+    residual the last cycle formed, so no product is spent on it.
+    ``maxiter`` bounds the inner iterations over all cycles, and the report
+    counts them: 0 when the start already meets the target.  Raises
+    ``ResidualError`` when it is spent, and from ``_check`` when a NaN, say
+    from the preconditioner, reached x.
     """
     nb = np.linalg.norm(b)
-    target = max(SOLVER_TOL * 1e-2, 1e-14) * nb
     if nb == 0.0:
-        x, r = np.zeros(b.shape[0]), b.copy()
+        start, x, r = 0, np.zeros(b.shape[0]), b.copy()
     else:
-        x = np.array(x0, dtype=float)
-        r = b - A @ x
+        X = np.atleast_2d(np.asarray(x0, dtype=float))
+        residuals = [b - A @ guess for guess in X]
+        start = int(np.argmin([np.linalg.norm(r) for r in residuals]))
+        x, r = X[start].copy(), residuals[start]
+    beta = np.linalg.norm(r)
+    extras = {"start": start,
+              "start_residual": float(beta / nb if nb > 0 else beta)}
+    try:
+        x, r, iters = _gmres_cycles(A, b, x, r, restart, maxiter,
+                                    preconditioner,
+                                    max(SOLVER_TOL * 1e-2, 1e-14) * nb)
+        res = _check(r, b, "gmres solve")
+    except ResidualError as exc:
+        exc.extras = extras
+        raise
+    return x, SolveReport(res, iters, extras)
+
+
+def _gmres_cycles(A, b, x, r, restart, maxiter, preconditioner, target):
+    """Restart cycles from x, whose residual is r, until the residual is at
+    most ``target``; returns x, its residual and the inner iterations.
+
+    Arnoldi orthogonalises by classical Gram-Schmidt applied twice, two
+    GEMVs against the basis (Giraud, Langou & Rozlozník, Comput. Math.
+    Appl. 50, 2005).  The preconditioner is applied once per cycle to the
+    combined update, so no second basis is stored.
+    """
     beta = np.linalg.norm(r)
     V = np.empty((restart + 1, b.shape[0]))
     R = np.zeros((restart, restart))
@@ -247,5 +277,4 @@ def solve_gmres(A, b, *, restart, maxiter, preconditioner, x0):
         x += preconditioner(y @ V[:k])
         r = b - A @ x
         beta = np.linalg.norm(r)
-    res = _check(r, b, "gmres solve")
-    return x, SolveReport(res, iters)
+    return x, r, iters

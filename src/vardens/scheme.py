@@ -21,6 +21,7 @@ The velocity forms are built from its coefficients on every cell, and the
 point values of chi(rho) - rho are added on the other cells only.
 """
 
+import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -37,6 +38,7 @@ from .spaces import FeField, MiniVectorSpace, P1Space, P2DGSpace
 CELL_DEGREE_LOW = CELL_DEGREE  # the workspace's rule: transport + projection
 FACET_DEGREE = 6
 DENSITY_RESTART = 60         # GMRES restart length of the density solve
+HISTORY = 3                  # earlier solutions a state keeps for GMRES starts
 WIDEN_FACTOR = 1.5           # the widened cut-off band's safety factor
 CUTOFF_MODES = ("strict", "widened", "off")
 
@@ -72,6 +74,32 @@ def _names_failure(phase, step, times):
     except _SOLVER_ERRORS as exc:
         raise type(exc)(f"{PHASES[phase]} at step {step}: {exc}") from exc
     times[phase] = time.perf_counter() - t0
+
+
+def _starts(now, earlier):
+    """The GMRES start candidates of a step's solve from the solutions of
+    the last steps, newest first (``linalg.solve_gmres``): ``now`` alone
+    while there is no earlier one, else a stack of ``now`` and the
+    polynomial extrapolation through ``now`` and ``earlier`` to the next
+    step, of degree len(earlier): 2 x^n - x^(n-1), 3 x^n - 3 x^(n-1) +
+    x^(n-2), then 4 x^n - 6 x^(n-1) + 4 x^(n-2) - x^(n-3).  The solutions
+    move by O(tau) per step, so the cubic one starts from an O(tau^4)
+    residual where smooth; GMRES keeps ``now`` whenever the extrapolation's
+    residual is not smaller, such as after a rough first step."""
+    if not earlier:
+        return now
+    k = len(earlier)
+    guess = (k + 1) * now
+    for j, x in enumerate(earlier, 1):
+        guess += (-1) ** j * math.comb(k + 1, j + 1) * x
+    return np.stack([now, guess])
+
+
+def _note_extrapolated(report):
+    """Replace the ``start`` of the report's extras, the index of the
+    candidate of ``_starts`` that GMRES started from, by ``extrapolated``,
+    whether it was the extrapolation."""
+    report.extras["extrapolated"] = report.extras.pop("start") == 1
 
 
 def horizon_steps(T, tau):
@@ -166,6 +194,10 @@ class StepState:
     u: FeField
     p: FeField
     w: FeField  # cached divergence-free post-processed velocity
+    # the (rho, u, p) of at most HISTORY earlier states, newest first: the
+    # same field objects, so the next step's GMRES starts (``_starts``)
+    # copy nothing and no state holds a chain of states
+    history: tuple
 
 
 class TimeStepper:
@@ -281,7 +313,7 @@ class TimeStepper:
         p_h = FeField(self.p_space, np.zeros(self.p_space.n_dofs))
         with _names_failure("projection", 0, {}):
             w_h, _ = self.workspace.project(u_h)
-        return StepState(0, 0.0, rho_h, u_h, p_h, w_h)
+        return StepState(0, 0.0, rho_h, u_h, p_h, w_h, ())
 
     # ------------------------------------------------------------------
     def rho_mass(self, x):
@@ -315,16 +347,19 @@ class TimeStepper:
 
     def density_step(self, state: StepState):
         """Upwind dG transport solve for the new density, by GMRES on the
-        inverse cell-mass blocks started from the old density; returns the
-        new density and the solve's report.
+        inverse cell-mass blocks; returns the new density and the solve's
+        report.  GMRES starts from the old density or from the extrapolation
+        through it and the densities of ``state.history``, whichever has the
+        smaller residual (``_starts``).
 
         The preconditioner ignores the transport, so the iteration count
         grows about linearly with tau: on the unit square at h = 1/16 with
         a density ratio of 100, the first step takes about 250 iterations
         at tau = 1/16 and 3,800 at tau = 1.  GMRES is therefore allowed 400
-        restart cycles.  Its report holds the matrix's cell blocks and the
-        new density's upwind dissipation, tau (1/2) sum_F
-        || |w.nu|^(1/2) [[rho]] ||^2, as extras.
+        restart cycles.  Its report holds, as extras, the relative residual
+        GMRES started from, whether that was the extrapolation, the
+        matrix's cell blocks and the new density's upwind dissipation,
+        tau (1/2) sum_F || |w.nu|^(1/2) [[rho]] ||^2.
         """
         cfg = self.config
         tau = cfg.tau
@@ -336,8 +371,10 @@ class TimeStepper:
         x, report = linalg.solve_gmres(
             A, rhs, restart=DENSITY_RESTART, maxiter=400 * DENSITY_RESTART,
             preconditioner=self.rho_mass_solve,
-            x0=state.rho.coeffs,
+            x0=_starts(state.rho.coeffs,
+                       [rho.coeffs for rho, _, _ in state.history]),
         )
+        _note_extrapolated(report)
         rho_new = FeField(self.rho_space, x)
         report.extras["blocks"] = len(A.indices)
         minus, plus = assemble.eval_dg_traces(self.trace, rho_new)
@@ -364,15 +401,19 @@ class TimeStepper:
         """GMRES preconditioned on the right by a lagged factorization.
 
         ``K`` is the saddle matrix with its last pressure dof pinned
-        (``_build_saddle_template``); ``x0`` is the starting guess, the
-        previous step's velocity and pressure.  The saddle matrix drifts
+        (``_build_saddle_template``); ``x0`` holds the start candidates in
+        its coordinates, the previous step's velocity and pressure and the
+        extrapolation through the last ones (``_starts``), and GMRES starts
+        from the one of smaller residual.  The saddle matrix drifts
         slowly from step to step (only through the cut-off density and
         lagged velocity), so one factorization preconditions many
         subsequent solves.  When one cycle of 40 GMRES iterations does not
         converge, the matrix is refactored and solved directly; that report
-        has 0 iterations.  Every report says in ``extras["refreshed"]``
-        whether it refactored.  The matrix is structurally symmetric, so
-        it is factored with the minimum-degree ordering.  A report of a
+        has 0 iterations and keeps the start of the failed GMRES.  Every
+        report says in ``extras["refreshed"]`` whether it refactored, and in
+        ``"start_residual"`` and ``"extrapolated"`` where GMRES started.
+        The matrix is structurally symmetric, so it is factored with the
+        minimum-degree ordering.  A report of a
         solve that factored carries the factor's fill as
         ``extras["factor_nnz"]``: ``SuperLU.nnz``, the count of
         entries SuperLU stores for L and U (``_factor_velocity``).  The
@@ -387,11 +428,13 @@ class TimeStepper:
                 preconditioner=self._vel_lu.solve, x0=x0,
             )
             report.extras["refreshed"] = False
-        except linalg.ResidualError:
+        except linalg.ResidualError as exc:
             fill = self._factor_velocity(K)
             x = self._vel_lu.solve(b)
             res = linalg._check(b - K @ x, b, "refreshed factor")
-            report = linalg.SolveReport(res, 0, {"refreshed": True})
+            report = linalg.SolveReport(res, 0,
+                                        {**exc.extras, "refreshed": True})
+        _note_extrapolated(report)
         if fill is not None:
             report.extras["factor_nnz"] = fill
         return x, report
@@ -467,8 +510,12 @@ class TimeStepper:
         plus point rows on the cells where the cut-off may clamp rho_new:
         there chi - rho and the old velocity are sampled on the high rule,
         chi - rho once for both forms (``_chi_weight``).  The saddle system
-        pins the last pressure dof (``_build_saddle_template``) and starts
-        from the old pressure shifted to 0 there; the new pressure is then
+        pins the last pressure dof (``_build_saddle_template``).  Its GMRES
+        starts from the old velocity and pressure or from the extrapolation
+        through them and those of ``state.history`` (``_starts``); the map
+        to the pinned coordinates, the free velocity dofs and the pressure
+        shifted to 0 at the pinned dof, is linear, so the extrapolation is
+        taken on the fields and mapped once.  The new pressure is then
         shifted to zero mean.  Every divergence row is checked, the pinned
         one too, so a pressure load that the velocity cannot meet is
         caught.  Its report holds that residual and, for rho_new, the share
@@ -500,12 +547,13 @@ class TimeStepper:
         F = (M_old @ state.u.coeffs.reshape(d, ns).T) / tau
         if cfg.g is not None:
             F += self._source_load("g", t_new)
-        p_old = state.p.coeffs
         b = np.concatenate(
-            [F[self.free_s].T.ravel(), np.zeros(len(p_old) - 1)]
+            [F[self.free_s].T.ravel(), np.zeros(self.p_space.n_dofs - 1)]
         )
+        u0 = _starts(state.u.coeffs, [u.coeffs for _, u, _ in state.history])
+        p0 = _starts(state.p.coeffs, [p.coeffs for _, _, p in state.history])
         x0 = np.concatenate(
-            [state.u.coeffs[self.free_vel], p_old[:-1] - p_old[-1]]
+            [u0[..., self.free_vel], p0[..., :-1] - p0[..., -1:]], axis=-1
         )
         x, report = self._solve_velocity_system(K, b, x0)
 
@@ -550,8 +598,9 @@ class TimeStepper:
             u_new, p_new, velocity = self.velocity_step(state, rho_new)
         with _names_failure("projection", n, times):
             w_new, projection = self.workspace.project(u_new)
+        history = ((state.rho, state.u, state.p), *state.history)[:HISTORY]
         new = StepState(n, state.t + self.config.tau, rho_new, u_new, p_new,
-                        w_new)
+                        w_new, history)
 
         viscous = 0.0
         for comp in u_new.coeffs.reshape(self.mesh.dim, -1):

@@ -262,10 +262,55 @@ def test_gmres_zero_rhs_returns_zeros():
 
 
 def test_gmres_raises_when_maxiter_is_spent():
+    """The error carries where GMRES started, as the report would."""
     A, precond, b = _density_system()
-    with pytest.raises(linalg.ResidualError):
+    with pytest.raises(linalg.ResidualError) as exc:
         linalg.solve_gmres(A, b, restart=60, maxiter=2,
                            preconditioner=precond, x0=np.zeros_like(b))
+    assert exc.value.extras == {"start": 0, "start_residual": 1.0}
+
+
+def _gmres(A, b, precond, x0):
+    return linalg.solve_gmres(A, b, restart=60, maxiter=400,
+                              preconditioner=precond, x0=x0)
+
+
+def test_gmres_single_guess_is_a_stack_of_one():
+    """One guess runs as before: as the one-row stack of it, bitwise, from
+    one product for its residual, which the report gives."""
+    A, precond, b = _density_system()
+    x0 = precond(b)
+    x, report = _gmres(A, b, precond, x0)
+    xs, stacked = _gmres(A, b, precond, x0[None])
+    assert np.array_equal(x, xs) and report == stacked
+    assert report.extras == {
+        "start": 0,
+        "start_residual": np.linalg.norm(b - A @ x0) / np.linalg.norm(b)}
+
+
+@pytest.mark.parametrize("good_first", [True, False],
+                         ids=["good-first", "poor-first"])
+def test_gmres_starts_from_the_candidate_of_least_residual(good_first):
+    """Of a good and a poor candidate, in either order, GMRES starts from
+    the good one, at one more product: the good one's iterations and
+    solution alone, and its index and start residual in the report."""
+    A, precond, b = _density_system()
+    ref, _ = linalg.solve_direct(A, b)
+    rng = np.random.default_rng(5)
+    good = ref + 1e-6 * np.abs(ref).max() * rng.standard_normal(len(b))
+    alone_x, alone = _gmres(A, b, precond, good)
+    candidates = [good, np.zeros_like(b)]
+    if not good_first:
+        candidates.reverse()
+    counted = _CountingOperator(A)
+    x, report = _gmres(counted, b, precond, np.stack(candidates))
+    assert report.iterations == alone.iterations > 0
+    assert np.linalg.norm(x - alone_x) <= 1e-12 * np.linalg.norm(alone_x)
+    assert report.extras["start"] == (0 if good_first else 1)
+    assert report.extras["start_residual"] == alone.extras["start_residual"]
+    assert report.extras["start_residual"] < 1e-3
+    cycles = -(-report.iterations // 60)
+    assert counted.products == report.iterations + cycles + 2
 
 
 class _CountingOperator:
