@@ -16,8 +16,8 @@ image of it, reordered and scaled per cell (Rognes, Kirby & Logg,
 "Efficient assembly of H(div) and H(curl) conforming finite elements",
 SISC 31, 2009).  So its evaluators and loads are one GEMM against the
 reference basis at the reference points, and its mass and divergence forms
-are reference tensors mapped by each cell's Piola matrix (``rt_blocks``);
-no physical basis is tabulated.
+are reference tensors mapped by each cell's Piola matrix, computed once
+per distinct cell (``rt_blocks``); no physical basis is tabulated.
 
 A form weighted by a finite element field needs no point values either.
 The rho-weighted MINI mass and convection are trilinear in the cell
@@ -168,6 +168,23 @@ class Pattern:
         return sp.csr_matrix((data, self.indices, self.indptr),
                              shape=self.shape)
 
+    def block_matrix(self, local):
+        """The block-sparse (BSR) matrix with local blocks ``local``,
+        (n_items, n_local, n_local, r, c): block (i, j) of item K is
+        summed into the block at its slot, in item order, one
+        ``np.bincount`` per block entry.  Each entry of the matrix is the
+        sum ``matrix`` would make of the same entries over the row dofs
+        r i + a and the column dofs c j + b."""
+        r, c = local.shape[-2:]
+        data = np.empty((self.nnz, r, c))
+        for a, b in itertools.product(range(r), range(c)):
+            data[:, a, b] = np.bincount(self.slot,
+                                        weights=local[..., a, b].ravel(),
+                                        minlength=self.nnz)
+        nrow, ncol = self.shape
+        return sp.bsr_matrix((data, self.indices, self.indptr),
+                             shape=(nrow * r, ncol * c))
+
     @functools.cached_property
     def transpose_perm(self):
         """``perm`` with ``A.T`` equal to ``with_data(A.data[perm])``;
@@ -199,16 +216,17 @@ class CellQuadrature:
         self.abs_dets = np.abs(mesh.dets)
         self.npoints = self.rule.npoints
 
-    def map_points(self):
-        """Physical points (nc, nq, d), a new array on every call."""
+    def map_points(self, cells):
+        """Physical points (n, nq, d) of the cells ``cells`` selects, a new
+        array on every call."""
         mesh = self.mesh
-        v0 = mesh.vertices[mesh.cells[:, 0]]
+        v0 = mesh.vertices[mesh.cells[cells, 0]]
         return v0[:, None, :] + self.rule.points @ np.swapaxes(
-            mesh.jacobians, 1, 2)
+            mesh.jacobians[cells], 1, 2)
 
     @functools.cached_property
     def points(self):
-        return self.map_points()
+        return self.map_points(slice(None))
 
     def weights_at(self, cells):
         """Weights times |det J| (n, nq) of the cells ``cells`` selects."""
@@ -634,9 +652,11 @@ def convection_matrix(tab, wvec, coef):
 
 
 def rt_blocks(rt_tab, dg_tab=None):
-    """Cell blocks of (sigma, eta) on the H(div) space, (nc, n_local,
-    n_local) and exactly symmetric, and with ``dg_tab`` those of
-    (div eta_j, psi_m), (nc, dG n_local, n_local), else None.
+    """Blocks of (sigma, eta) on the H(div) space, (k, n_local, n_local)
+    and exactly symmetric, and with ``dg_tab`` those of (div eta_j, psi_m),
+    (k, dG n_local, n_local), else None, on the k distinct cells
+    (``RT1Space.distinct_cells``): cell K's blocks are those at
+    ``inverse[K]``.
 
     Both are reference tensors mapped by each cell's Piola matrix T
     (``RT1Space.piola_map``).  The mass of the reference basis, R[(a, b),
@@ -648,40 +668,45 @@ def rt_blocks(rt_tab, dg_tab=None):
     """
     space, rule = rt_tab.space, rt_tab.geom.rule
     mesh, nl = space.mesh, space.n_local
+    reps, _ = space.distinct_cells
     vals, divs = space.reference_basis(rule.points)
     wvals = vals * rule.weights[:, None, None]
     R = np.einsum("qia,qjb->abij", wvals, vals).reshape(-1, nl * nl)
-    J = mesh.jacobians
-    G = np.swapaxes(J, 1, 2) @ J / mesh.dets[:, None, None]
+    J = mesh.jacobians[reps]
+    G = np.swapaxes(J, 1, 2) @ J / mesh.dets[reps, None, None]
     L = (G.reshape(len(G), -1) @ R).reshape(-1, nl, nl)
-    L = space.to_local(slice(None), np.swapaxes(
-        space.to_local(slice(None), L), 1, 2))
+    L = space.to_local(reps, np.swapaxes(space.to_local(reps, L), 1, 2))
     M = _symmetric(L)
     if dg_tab is None:
         return M, None
     B = (dg_tab.vals.T * rule.weights) @ divs
-    return M, space.to_local(slice(None),
-                             np.broadcast_to(B, (len(G),) + B.shape))
+    return M, space.to_local(reps, np.broadcast_to(B, (len(G),) + B.shape))
 
 
 def rt_mass_matrix(rt_tab):
     """(sigma, eta) on the H(div) space; bitwise symmetric (module docstring)."""
     n = rt_tab.space.n_dofs
     pattern = Pattern.build((n, n), rt_tab.cell_dofs, rt_tab.cell_dofs)
-    return pattern.matrix(rt_blocks(rt_tab)[0])
+    _, inverse = rt_tab.space.distinct_cells
+    return pattern.matrix(rt_blocks(rt_tab)[0][inverse])
 
 
 def mixed_div_matrix(rt_tab, dg_tab):
     """(div eta_j, psi_m): rows on the dG space, columns on the H(div) space."""
     shape = (dg_tab.space.n_dofs, rt_tab.space.n_dofs)
     pattern = Pattern.build(shape, dg_tab.cell_dofs, rt_tab.cell_dofs)
-    return pattern.matrix(rt_blocks(rt_tab, dg_tab)[1])
+    _, inverse = rt_tab.space.distinct_cells
+    return pattern.matrix(rt_blocks(rt_tab, dg_tab)[1][inverse])
 
 
 def div_coupling(mini_tab, p1_tab):
-    """B[(k,a), m] = (q_m, d_k psi_a), component-major velocity rows."""
+    """B[(k,a), m] = (q_m, d_k psi_a), component-major velocity rows.
+
+    The d component blocks (k, :) share one pattern, that of the MINI
+    scalar dofs against the P1 dofs, so it is built once and the blocks
+    are stacked; each entry sums its cells in cell order, as one pattern
+    over the component-major rows would."""
     _same_rule(mini_tab, p1_tab)
-    ns = mini_tab.space.n_dofs
     d = mini_tab.space.dim
     nc = len(mini_tab.cell_dofs)
     # K[(c, k), e] = |det J_c| invJ_cek; R[e, (a, m)] = sum_q w_q dpsi_qae q_qm
@@ -689,17 +714,17 @@ def div_coupling(mini_tab, p1_tab):
          * mini_tab.geom.abs_dets[:, None, None])
     wg = mini_tab.ref_grads * mini_tab.geom.rule.weights[:, None, None]
     R = np.einsum("qae,qm->eam", wg, p1_tab.vals).reshape(d, -1)
-    local = K.reshape(nc * d, d) @ R
-    rows = (mini_tab.cell_dofs[:, None, :]
-            + ns * np.arange(d)[:, None]).reshape(nc, -1)
-    shape = (d * ns, p1_tab.space.n_dofs)
-    pattern = Pattern.build(shape, rows, p1_tab.cell_dofs)
-    return pattern.matrix(local.reshape(nc, rows.shape[1], -1))
+    local = (K.reshape(nc * d, d) @ R).reshape(
+        nc, d, mini_tab.cell_dofs.shape[1], -1)
+    shape = (mini_tab.space.n_dofs, p1_tab.space.n_dofs)
+    pattern = Pattern.build(shape, mini_tab.cell_dofs, p1_tab.cell_dofs)
+    return sp.vstack([pattern.matrix(local[:, k]) for k in range(d)],
+                     format="csr")
 
 
-def _cell_loads(tab, values, cells):
+def load_blocks(tab, values, cells):
     """Cell vectors (..., n, nloc) of (f, v) on the cells ``cells``
-    selects, f at their points (..., n, nq)."""
+    selects, f at their points (..., n, nq) or constant."""
     geom = tab.geom
     return ((values * geom.rule.weights) @ tab.vals) * geom.abs_dets[cells, None]
 
@@ -710,14 +735,9 @@ def _scatter(tab, blocks):
                        minlength=tab.space.n_dofs)
 
 
-def load_blocks(tab, values):
-    """Cell vectors (nc, nloc) of (f, v), f at points (nc, nq) or constant."""
-    return _cell_loads(tab, values, slice(None))
-
-
 def load_vector(tab, values):
     """(f, v) with f given at quadrature points (``load_blocks``)."""
-    return _scatter(tab, load_blocks(tab, values))
+    return _scatter(tab, load_blocks(tab, values, slice(None)))
 
 
 def load_matrices(tabs, chunks):
@@ -733,7 +753,7 @@ def load_matrices(tabs, chunks):
     blocks = {}
     for s, columns in chunks:
         for name, tab in tabs.items():
-            b = _cell_loads(tab, columns[name], s)
+            b = load_blocks(tab, columns[name], s)
             if name not in blocks:
                 blocks[name] = np.empty(
                     b.shape[:-2] + (len(tab.cell_dofs), b.shape[-1]))

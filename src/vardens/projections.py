@@ -9,7 +9,10 @@
   positive definite facet system, its multipliers numbered in the mesh's
   nested-dissection order of the facets and the last of them pinned, is
   factorized once per mesh in that order and reused for every time step;
-  each projection returns the field and its residual's report,
+  each projection returns the field and its residual's report.  The
+  per-cell tables are set up once per distinct cell
+  (``RT1Space.distinct_cells``) and gathered, and the facet system is
+  summed in d x d blocks, one per pair of facets,
 * nodal interpolation into the P1+bubble velocity space.
 """
 
@@ -32,14 +35,22 @@ def project_dg(tab, values):
     |det J_K| times the reference mass, so one solve with ``tab.ref_mass``
     serves every cell.  ``ValueError`` on values of any other shape.
     """
+    return FeField(tab.space,
+                   project_dg_cells(tab, values, slice(None)).ravel())
+
+
+def project_dg_cells(tab, values, cells):
+    """The coefficients (n, nloc) of ``project_dg`` on the n cells
+    ``cells`` selects, from their point values (n, nq); each cell's are
+    its own, so the cells may be projected a part at a time."""
     values = np.asarray(values)
-    shape = (tab.geom.mesh.n_cells, tab.geom.npoints)
+    shape = (len(tab.geom.abs_dets[cells]), tab.geom.npoints)
     if values.shape != shape:
         raise ValueError(f"expected point values of shape {shape} at "
                          f"tab.geom.points, got {values.shape}")
-    rhs = assemble.load_blocks(tab, values)
+    rhs = assemble.load_blocks(tab, values, cells)
     coeffs = np.linalg.solve(tab.ref_mass, rhs.T).T
-    return FeField(tab.space, (coeffs / tab.geom.abs_dets[:, None]).ravel())
+    return coeffs / tab.geom.abs_dets[cells, None]
 
 
 class RtProjectionWorkspace:
@@ -56,8 +67,8 @@ class RtProjectionWorkspace:
     and imposed instead by one multiplier per facet dof: on an interior
     facet it makes the dofs of the two sides equal, on a boundary facet it
     makes the dof zero.  Each cell's RT1 and P1-dG unknowns are eliminated
-    through the inverse of its local block [M_K, B_K^T; B_K, 0], computed for
-    all cells in one batched call, which leaves the SPD facet system
+    through the inverse of its local block [M_K, B_K^T; B_K, 0], which
+    leaves the SPD facet system
 
         S = sum_K E_K H_K E_K^T,
 
@@ -70,6 +81,18 @@ class RtProjectionWorkspace:
     top separator, is pinned to remove it, and w does not depend on which
     one is.  The pinned S is ``system_matrix`` (bitwise symmetric) and
     ``lu`` is its factorization in that order, made once per mesh.
+
+    A cell's blocks, inverse and nodal divergences depend only on its
+    Jacobian, dof order and facet scales, and the structured meshes have
+    few distinct values of those (``RT1Space.distinct_cells``: 72 on the
+    cube at h = 1/4 and 1/8).  So they are computed for the distinct cells,
+    in one batched call each, and gathered into the per-cell arrays that
+    ``project`` reads; on a mesh whose cells all differ the gather is a
+    permutation.  S is summed over the facets' d x d blocks
+    (``Pattern.block_matrix``): the pattern is that of the facets, with
+    (d+1)^2 slots per cell, and each entry sums its cells in cell order,
+    so S is bit for bit the matrix summed entry by entry over the
+    multipliers.
 
     Each projection condenses the cell loads, solves for the multipliers
     with one solve of ``lu``, back-substitutes cell by cell, averages the
@@ -96,43 +119,47 @@ class RtProjectionWorkspace:
         mask[bdofs] = False
         self.free = np.flatnonzero(mask)
 
-        # local blocks, kept for the residual check, and the first nl
-        # columns of the inverse of every cell's mixed system
-        Mk, Bk = self._Mk, self._Bk = assemble.rt_blocks(self.rt_tab,
-                                                         self.dg_tab)
-        nl, nm = space.n_local, d + 1
-        A = np.zeros((nc, nl + nm, nl + nm))
-        A[:, :nl, :nl] = Mk
-        A[:, :nl, nl:] = np.swapaxes(Bk, 1, 2)
-        A[:, nl:, :nl] = Bk
-        self._solve_local = np.linalg.solve(A, np.eye(nl + nm)[:, :nl])
-
         # signed facet-dof -> multiplier map: +1 from the facet's minus
-        # cell; the multiplier of RT1 facet dof i is rank[i]
+        # cell; the multipliers of a facet are d consecutive ones, in the
+        # order of its RT1 dofs, from its rank in the dissection order
+        nf, nm = mesh.n_facets, d + 1
         nfl = d * nm
-        nmult = space.n_facet_dofs
-        by_facet = space.facet_dofs(mesh.facet_dissection_order)
-        rank = np.empty(nmult, dtype=np.int64)
-        rank[by_facet.ravel()] = np.arange(nmult)
-        self._mult = rank[space.cell_dofs[:, :nfl]]
+        facet_rank = np.empty(nf, dtype=np.int64)
+        facet_rank[mesh.facet_dissection_order] = np.arange(nf)
+        cell_ranks = facet_rank[mesh.cell_facets]
+        self._mult = (d * cell_ranks[:, :, None] + np.arange(d)).reshape(nc, -1)
         self._sign = np.repeat(mesh.cell_facet_signs, d, axis=1)
         # the averaging weights: 1/2 per side on interior facets, 0 on the
         # boundary, where the projected field's flux is zero exactly
         interior = mesh.facet_plus[mesh.cell_facets] >= 0
         self._facet_weight = np.repeat(np.where(interior, 0.5, 0.0), d, axis=1)
 
-        Hf = self._solve_local[:, :nfl, :nfl]
-        pattern = assemble.Pattern.build((nmult, nmult), self._mult,
-                                         self._mult)
-        S = pattern.matrix(assemble._symmetric(Hf)
-                           * self._sign[:, :, None] * self._sign[:, None, :])
-        self.system_matrix = S[:-1, :-1]  # the last multiplier pinned
+        # local blocks, kept for the residual check, the first nl columns
+        # of the inverse of every cell's mixed system and its facet-system
+        # blocks, set up on the distinct cells and gathered; on a mesh of
+        # distinct cells those tables are as large as the gathered ones, so
+        # they are dropped once gathered
+        reps, inverse = space.distinct_cells
+        Mk, Bk = assemble.rt_blocks(self.rt_tab, self.dg_tab)
+        H = _mixed_inverse(Mk, Bk)
+        sign = self._sign[reps]
+        Hf = (assemble._symmetric(H[:, :nfl, :nfl])
+              * sign[:, :, None] * sign[:, None, :])
+        Hf = np.swapaxes(Hf.reshape(-1, nm, d, nm, d), 2, 3)
+        self._Mk, self._Bk = Mk[inverse], Bk[inverse]
+        self._solve_local = H[inverse]
+        del Mk, Bk, H
+
+        pattern = assemble.Pattern.build((nf, nf), cell_ranks, cell_ranks)
+        # the last multiplier pinned
+        self.system_matrix = pattern.block_matrix(Hf[inverse]).tocsr()[:-1, :-1]
         self.lu = linalg.factorize(self.system_matrix, "given")
 
         # interior-dof correction: the pseudo-inverse of the interior dofs'
         # nodal divergences removes the non-constant part of div w
         self._nodal_div = space.nodal_divergences()
-        self._div_fix = np.linalg.pinv(self._nodal_div[:, :, nfl:])
+        self._div_fix = np.linalg.pinv(
+            self._nodal_div[reps, :, nfl:])[inverse]
         # every MINI space on the mesh has the same cell dofs and basis
         self.mini_tab = assemble.ScalarTab(MiniScalarSpace(mesh), self.geom)
         self.mini_load = assemble.MiniRTLoad(self.mini_tab, self.rt_tab)
@@ -201,6 +228,18 @@ class RtProjectionWorkspace:
                 f"{linalg.SOLVER_TOL:.1e}"
             )
         return FeField(space, coeffs), linalg.SolveReport(rel)
+
+
+def _mixed_inverse(Mk, Bk):
+    """The first n_local columns of the inverse of every local mixed
+    matrix [M_K, B_K^T; B_K, 0], for blocks M_K (k, nl, nl) and B_K
+    (k, nm, nl), in one batched solve."""
+    k, nm, nl = Bk.shape
+    A = np.zeros((k, nl + nm, nl + nm))
+    A[:, :nl, :nl] = Mk
+    A[:, :nl, nl:] = np.swapaxes(Bk, 1, 2)
+    A[:, nl:, :nl] = Bk
+    return np.linalg.solve(A, np.eye(nl + nm)[:, :nl])
 
 
 def project_rt_divfree(workspace: RtProjectionWorkspace, v):

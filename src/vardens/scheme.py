@@ -32,7 +32,7 @@ import scipy.sparse as sp
 from . import assemble, linalg
 from .mms import SourceEvaluator
 from .projections import (CELL_DEGREE, RtProjectionWorkspace,
-                          interpolate_mini, project_dg)
+                          interpolate_mini, project_dg_cells)
 from .spaces import FeField, MiniVectorSpace, P1Space, P2DGSpace
 
 CELL_DEGREE_LOW = CELL_DEGREE  # the workspace's rule: transport + projection
@@ -258,6 +258,7 @@ class TimeStepper:
         self._chi_cache = []
         self.sources = getattr(config.f, "__self__", None)  # f's evaluator
         self._loads = None  # built on the first step (``_source_load``)
+        self._weights = (None, None)  # the last (t, sources.weights(t))
 
     def _build_saddle_template(self):
         """Structure of the velocity saddle matrix, built once.
@@ -292,12 +293,22 @@ class TimeStepper:
         """Project the initial density, interpolate the initial velocity,
         auto-fill the cut-off bounds, and cache the post-processed field.
 
-        ``rho0`` is sampled once on the high rule, at points that are not
-        kept; those samples give the bounds and the projection.
+        ``rho0`` is sampled once at the vertices and once on the high rule,
+        ``assemble.CHUNK`` cells at a time at points that are not kept, so
+        no array spans the high rule's points on the mesh.  Each chunk's
+        samples give its least and greatest value for the bounds and its
+        cells' projection (``project_dg_cells``).
         """
-        rho_q = rho0(self.geom_hi.map_points())
-        samples = np.concatenate([rho_q.ravel(), rho0(self.mesh.vertices)])
-        smin, smax = float(samples.min()), float(samples.max())
+        nc, tab = self.mesh.n_cells, self.p2_hi
+        at_vertices = rho0(self.mesh.vertices)
+        lows, highs = [np.min(at_vertices)], [np.max(at_vertices)]
+        coeffs = np.empty((nc, tab.vals.shape[1]))
+        for s in assemble._chunks(nc):
+            rho_q = rho0(self.geom_hi.map_points(s))
+            lows.append(np.min(rho_q))
+            highs.append(np.max(rho_q))
+            coeffs[s] = project_dg_cells(tab, rho_q, s)
+        smin, smax = float(np.min(lows)), float(np.max(highs))
         if smin <= 0.0:
             raise PositivityError(
                 f"initial density sampled nonpositive (min {smin:.3e})"
@@ -308,7 +319,7 @@ class TimeStepper:
             self.config.rho_max = smax
         self.config.check_bounds()
 
-        rho_h = project_dg(self.p2_hi, rho_q)
+        rho_h = FeField(self.rho_space, coeffs.ravel())
         u_h = interpolate_mini(self.vel_space, u0)
         p_h = FeField(self.p_space, np.zeros(self.p_space.n_dofs))
         with _names_failure("projection", 0, {}):
@@ -390,12 +401,16 @@ class TimeStepper:
 
         It is the load matrix of ``name`` times its time weights at t.  The
         matrices of both sources come from one dual pass on the first step
-        (``mms.SourceEvaluator.loads``) and are kept.
+        (``mms.SourceEvaluator.loads``) and are kept.  Both sources of a
+        step are loaded at one t, so the weights of the last t are kept and
+        computed once per step.
         """
         if self._loads is None:
             self._loads = self.sources.loads({"f": self.p2_lo,
                                               "g": self.mini_lo})
-        return self._loads[name] @ self.sources.weights(t)[name]
+        if self._weights[0] != t:
+            self._weights = (t, self.sources.weights(t))
+        return self._loads[name] @ self._weights[1][name]
 
     def _solve_velocity_system(self, K, b, x0):
         """GMRES preconditioned on the right by a lagged factorization.

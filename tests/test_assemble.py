@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from vardens import assemble
+from vardens import assemble, linalg
 from vardens.mesh import Mesh, unit_cube_mesh, unit_square_mesh
 from vardens.projections import RtProjectionWorkspace, project_dg
 from vardens.scheme import SchemeConfig, TimeStepper
@@ -64,7 +64,7 @@ def test_map_points_is_the_affine_map(make_mesh, n, degree):
     domain."""
     mesh = make_mesh(n)
     geom = assemble.CellQuadrature(mesh, degree)
-    got = geom.map_points()
+    got = geom.map_points(slice(None))
     ref = mesh.vertices[mesh.cells[:, 0]][:, None, :] + np.einsum(
         "qk,cdk->cqd", geom.rule.points, mesh.jacobians)
     assert got.shape == ref.shape and got.flags.c_contiguous
@@ -118,8 +118,21 @@ def test_symmetric_forms_are_bitwise_symmetric(make_mesh, n):
 @pytest.mark.parametrize("make_mesh,n", [(unit_square_mesh, 8),
                                          (unit_cube_mesh, 3)])
 def test_rt_projection_system_is_bitwise_symmetric(make_mesh, n):
-    K = RtProjectionWorkspace(make_mesh(n)).system_matrix
+    """The facet system, summed in d x d blocks of a facet's multipliers,
+    is bitwise symmetric and bit for bit the one summed entry by entry over
+    the multipliers, so it factors with the same fill."""
+    ws = RtProjectionWorkspace(make_mesh(n))
+    K = ws.system_matrix
     assert abs(K - K.T).max() == 0.0
+    nfl, nmult = ws._mult.shape[1], ws.rt_space.n_facet_dofs
+    sign = ws._sign[:, :, None] * ws._sign[:, None, :]
+    pattern = assemble.Pattern.build((nmult, nmult), ws._mult, ws._mult)
+    S = pattern.matrix(assemble._symmetric(ws._solve_local[:, :nfl, :nfl])
+                       * sign)[:-1, :-1]
+    assert K.format == S.format == "csr"
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(K, attr), getattr(S, attr)), attr
+    assert ws.lu.nnz == linalg.factorize(S, "given").nnz
 
 
 def test_assembly_determinism(square8):
@@ -548,6 +561,50 @@ def test_successive_matrices_share_no_data(square8):
         assert not np.shares_memory(A1.data, A2.data)
         assert (A1.data == kept).all()
         assert (A1.data != A2.data).any()
+
+
+def test_div_coupling_equals_one_pattern_over_component_rows(kernel_setup):
+    """The divergence coupling, stacked from one component pattern, is bit
+    for bit the form scattered through one pattern over the component-major
+    rows."""
+    mesh, geom, _, _ = kernel_setup
+    d, nc = mesh.dim, mesh.n_cells
+    mini = assemble.ScalarTab(MiniScalarSpace(mesh), geom)
+    p1 = assemble.ScalarTab(P1Space(mesh), geom)
+    ns = mini.space.n_dofs
+    K = (np.swapaxes(mesh.inv_jacobians, 1, 2)
+         * geom.abs_dets[:, None, None])
+    wg = mini.ref_grads * geom.rule.weights[:, None, None]
+    R = np.einsum("qae,qm->eam", wg, p1.vals).reshape(d, -1)
+    rows = (mini.cell_dofs[:, None, :]
+            + ns * np.arange(d)[:, None]).reshape(nc, -1)
+    pattern = assemble.Pattern.build((d * ns, p1.space.n_dofs), rows,
+                                     p1.cell_dofs)
+    ref = pattern.matrix((K.reshape(nc * d, d) @ R).reshape(nc, -1))
+    got = assemble.div_coupling(mini, p1)
+    assert got.format == "csr" and got.shape == ref.shape
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, attr), getattr(ref, attr)), attr
+
+
+def test_block_matrix_sums_the_entries_of_matrix(kernel_setup):
+    """Blocks r x c summed per slot are the matrix of the same entries
+    scattered one by one over the dofs r i + a and c j + b."""
+    mesh, _, _, rng = kernel_setup
+    dofs = mesh.cell_facets
+    n = mesh.n_facets
+    pattern = assemble.Pattern.build((n, n), dofs, dofs)
+    r, c = 2, 3
+    local = rng.standard_normal(dofs.shape + (dofs.shape[1], r, c))
+    got = pattern.block_matrix(local)
+    assert got.format == "bsr" and got.shape == (n * r, n * c)
+    rows = (r * dofs[:, :, None] + np.arange(r)).reshape(len(dofs), -1)
+    cols = (c * dofs[:, :, None] + np.arange(c)).reshape(len(dofs), -1)
+    entries = np.swapaxes(local, 2, 3).reshape(len(dofs), rows.shape[1], -1)
+    ref = assemble.Pattern.build((n * r, n * c), rows, cols).matrix(entries)
+    got = got.tocsr()
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, attr), getattr(ref, attr)), attr
 
 
 def test_transpose_perm_transposes_convection(square8):

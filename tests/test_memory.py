@@ -10,6 +10,7 @@ import scipy.sparse as sp
 
 from vardens import assemble, mms
 from vardens.mesh import unit_cube_mesh, unit_square_mesh
+from vardens.projections import RtProjectionWorkspace
 from vardens.scheme import SchemeConfig, TimeStepper
 from vardens.spaces import (FeField, MiniScalarSpace, P1Space, P2DGSpace,
                             RT1Space)
@@ -177,6 +178,24 @@ def test_stepper_setup_allocation_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak / 1e6 <= SETUP_PEAK_BOUND_MB, peak / 1e6
+
+
+# Peak traced allocation of RtProjectionWorkspace(unit_cube_mesh(6)) was
+# 14.8 MB when this bound was set; the bound is 1.25 times that.  Every cell
+# of that mesh is distinct (``RT1Space.distinct_cells``), so the tables set
+# up on the distinct cells are as large as the gathered ones.
+WORKSPACE_PEAK_BOUND_MB = 1.25 * 14.8
+
+
+def test_workspace_setup_allocation_is_bounded(cube6):
+    assert len(RT1Space(cube6).distinct_cells[0]) == cube6.n_cells
+    tracemalloc.start()
+    try:
+        RtProjectionWorkspace(cube6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 1e6 <= WORKSPACE_PEAK_BOUND_MB, peak / 1e6
 
 
 @pytest.mark.parametrize("make_mesh, n", [(unit_square_mesh, 4),

@@ -8,12 +8,28 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from vardens import assemble, linalg
-from vardens.mesh import unit_cube_mesh, unit_square_mesh
+from vardens.mesh import Mesh, unit_cube_mesh, unit_square_mesh
 from vardens.mms import make_case
 from vardens.projections import (RtProjectionWorkspace, interpolate_mini,
                                  project_dg, project_rt_divfree,
                                  rt_divergence_nodal)
-from vardens.spaces import FeField, MiniVectorSpace, P2DGSpace
+from vardens.spaces import FeField, MiniVectorSpace, P2DGSpace, RT1Space
+
+
+def _jittered_cube(n):
+    """``unit_cube_mesh(n)`` with every interior vertex moved by up to a
+    tenth of h per axis, so that no two cells share their Piola data and
+    the map to distinct cells keeps every cell."""
+    mesh = unit_cube_mesh(n)
+    vertices = mesh.vertices.copy()
+    interior = np.setdiff1d(np.arange(mesh.n_vertices),
+                            mesh.boundary_vertices)
+    rng = np.random.default_rng(11)
+    vertices[interior] += rng.uniform(-0.1, 0.1, (len(interior), 3)) / n
+    mesh = Mesh(3, vertices, mesh.cells)
+    reps, inverse = RT1Space(mesh).distinct_cells
+    assert np.array_equal(reps[inverse], np.arange(mesh.n_cells))
+    return mesh
 
 
 def _p2_tab(mesh, degree=8):
@@ -81,7 +97,8 @@ def test_project_dg_third_order():
     assert order1 > 2.8 and order2 > 2.9
 
 
-@pytest.mark.parametrize("make,n", [(unit_square_mesh, 4), (unit_cube_mesh, 3)])
+@pytest.mark.parametrize("make,n", [(unit_square_mesh, 4), (unit_cube_mesh, 3),
+                                    (_jittered_cube, 3)])
 def test_rt_projection_invariants_random_fields(make, n):
     mesh = make(n)
     ws = RtProjectionWorkspace(mesh)
@@ -239,7 +256,8 @@ def _bordered_mixed_projection(ws, values):
     return coeffs
 
 
-@pytest.mark.parametrize("make,n", [(unit_square_mesh, 8), (unit_cube_mesh, 3)])
+@pytest.mark.parametrize("make,n", [(unit_square_mesh, 8), (unit_cube_mesh, 3),
+                                    (_jittered_cube, 3)])
 def test_rt_projection_matches_global_mixed_system(make, n):
     mesh = make(n)
     ws = RtProjectionWorkspace(mesh)
@@ -392,3 +410,36 @@ def test_project_rejects_a_callable():
     ws = RtProjectionWorkspace(unit_square_mesh(2))
     with pytest.raises(ValueError, match="point values or a MINI"):
         ws.project(lambda x: np.zeros(x.shape))
+
+
+def _per_cell_workspace(mesh, monkeypatch):
+    """The workspace with every table computed cell by cell: the map to
+    distinct cells replaced by the identity."""
+    nc = mesh.n_cells
+    with monkeypatch.context() as m:
+        m.setattr(RT1Space, "distinct_cells",
+                  property(lambda self: (np.arange(nc), np.arange(nc))))
+        ws = RtProjectionWorkspace(mesh)
+        assert len(ws.rt_space.distinct_cells[0]) == nc
+    return ws
+
+
+@pytest.mark.parametrize("make,n", [(unit_square_mesh, 16),
+                                    (unit_cube_mesh, 4),
+                                    (unit_cube_mesh, 8)])
+def test_gathered_tables_match_per_cell_tables(make, n, monkeypatch):
+    """The tables set up on the distinct cells and gathered are those of a
+    set-up cell by cell, to 1e-14 relative; the facet system has the same
+    structure."""
+    mesh = make(n)
+    ws = RtProjectionWorkspace(mesh)
+    ref = _per_cell_workspace(mesh, monkeypatch)
+    assert len(ws.rt_space.distinct_cells[0]) < mesh.n_cells
+    for name in ("_Mk", "_Bk", "_solve_local", "_nodal_div", "_div_fix"):
+        got, want = getattr(ws, name), getattr(ref, name)
+        assert got.shape == want.shape, name
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), name
+    S, R = ws.system_matrix, ref.system_matrix
+    assert np.array_equal(S.indptr, R.indptr)
+    assert np.array_equal(S.indices, R.indices)
+    assert np.abs(S.data - R.data).max() <= 1e-14 * np.abs(R.data).max()

@@ -167,6 +167,50 @@ def test_initialize_case_bounds_and_projection_error():
     assert np.abs(vals - case.rho(st.geom_hi.points, 0.0)).max() < 1e-11
 
 
+def test_initialize_samples_the_density_a_chunk_at_a_time(monkeypatch):
+    """rho0 is sampled at the vertices and then on ``assemble.CHUNK`` cells
+    of the high rule at a time; the bounds are those of all the samples and
+    the density is the projection of them all, to rounding."""
+    case = make_case("square2d")
+    st = TimeStepper(unit_square_mesh(8), _config())  # 128 cells
+    monkeypatch.setattr(assemble, "CHUNK", 40)
+    shapes = []
+
+    def rho0(x):
+        shapes.append(x.shape[:-1])
+        return case.rho(x, 0.0)
+
+    state = st.initialize(rho0, lambda x: case.u(x, 0.0))
+    nq = st.geom_hi.npoints
+    assert shapes == [(st.mesh.n_vertices,)] + [(40, nq)] * 3 + [(8, nq)]
+    values = case.rho(st.geom_hi.points, 0.0)
+    samples = np.concatenate([values.ravel(),
+                              case.rho(st.mesh.vertices, 0.0)])
+    assert (st.config.rho_min, st.config.rho_max) == (samples.min(),
+                                                      samples.max())
+    ref = project_dg(st.p2_hi, values).coeffs
+    assert np.abs(state.rho.coeffs - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_source_weights_are_computed_once_per_step(monkeypatch):
+    """f and g are loaded at one time per step, so the case's time weights
+    are computed once per sourced step, at that step's time."""
+    case = make_case("square2d")
+    src = case.make_source_evaluator(0.001)
+    st = TimeStepper(unit_square_mesh(4), _config(
+        n_steps=3, cutoff_mode="widened", f=src.f, g=src.g))
+    state = st.initialize(lambda x: case.rho(x, 0.0),
+                          lambda x: case.u(x, 0.0))
+    weights, times = case._weights, []
+    monkeypatch.setattr(case, "_weights",
+                        lambda t, *a: times.append(t) or weights(t, *a))
+    steps = []
+    for _ in range(3):
+        state, _ = st.step(state)
+        steps.append(state.t)
+    assert times == steps
+
+
 def test_initialize_rejects_nonpositive_density():
     m = unit_square_mesh(2)
     st = TimeStepper(m, _config())

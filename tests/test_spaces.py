@@ -210,6 +210,25 @@ def test_piola_map_matches_its_formula(make, n):
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("make,n,distinct", [(unit_square_mesh, 16, 8),
+                                              (unit_cube_mesh, 4, 72),
+                                              (unit_cube_mesh, 8, 72)])
+def test_distinct_cells_share_their_piola_data(make, n, distinct):
+    """Every cell's Jacobian, dof order and facet scales are bit for bit
+    those of its representative, and no two representatives share them;
+    the structured meshes have few distinct cells."""
+    mesh = make(n)
+    space = RT1Space(mesh)
+    reps, inverse = space.distinct_cells
+    assert len(reps) == distinct and inverse.shape == (mesh.n_cells,)
+    order, scale, adj = space.piola_map
+    rows = np.concatenate([mesh.jacobians.reshape(mesh.n_cells, -1),
+                           order, scale, adj.reshape(mesh.n_cells, -1)],
+                          axis=1)
+    assert np.array_equal(rows, rows[reps][inverse])
+    assert len(np.unique(rows[reps], axis=0)) == distinct
+
+
 @pytest.mark.parametrize("make,n", [(unit_square_mesh, 3), (unit_cube_mesh, 2)])
 def test_to_reference_is_the_transpose_of_to_local(make, n):
     """sum_K X_K . (T_K c) = sum_K (X_K T_K) . c_K for any reference-order
