@@ -11,8 +11,9 @@ caller's guess, or from the best of a stack of candidates at one product
 each: the scheme passes the previous step's solution and the extrapolation
 through the last solutions, up to four, so the extrapolation is taken only
 when its residual is smaller.  Its ``maxiter`` counts inner iterations over all restart
-cycles: the velocity solve allows one cycle of 40 and refactors its
-preconditioner when that does not converge.
+cycles: the velocity solve allows one cycle of 40, and when that does not
+converge it refactors its preconditioner and calls GMRES again.  A failed
+solve raises its error, which carries a message and no data.
 ``factorize`` gives the velocity factorization and the one of the RT
 projection.  Both remove the constant null mode of their saddle systems by
 pinning one unknown.  The direct solves are the exact references the tests
@@ -190,9 +191,7 @@ def solve_gmres(A, b, *, restart, maxiter, preconditioner, x0):
     ``x0`` is one guess (n,) or a stack of candidates (k, n): GMRES starts
     from the candidate of least residual, the first of equals, at one
     product each.  The report's extras hold ``start``, the index of that
-    candidate, and ``start_residual``, its relative residual; a
-    ``ResidualError`` raised here carries the same dict as ``extras``, so a
-    caller that recovers from the failure can still say where it started.
+    candidate, and ``start_residual``, its relative residual.
     ``preconditioner`` is any callable r -> z ~ A^-1 r (a ``LinearOperator``
     works too).  With right preconditioning the minimised residual is the
     true one, b - A x, and GMRES stops once it is below max(SOLVER_TOL /
@@ -214,15 +213,9 @@ def solve_gmres(A, b, *, restart, maxiter, preconditioner, x0):
     beta = np.linalg.norm(r)
     extras = {"start": start,
               "start_residual": float(beta / nb if nb > 0 else beta)}
-    try:
-        x, r, iters = _gmres_cycles(A, b, x, r, restart, maxiter,
-                                    preconditioner,
-                                    max(SOLVER_TOL * 1e-2, 1e-14) * nb)
-        res = _check(r, b, "gmres solve")
-    except ResidualError as exc:
-        exc.extras = extras
-        raise
-    return x, SolveReport(res, iters, extras)
+    x, r, iters = _gmres_cycles(A, b, x, r, restart, maxiter, preconditioner,
+                                max(SOLVER_TOL * 1e-2, 1e-14) * nb)
+    return x, SolveReport(_check(r, b, "gmres solve"), iters, extras)
 
 
 def _gmres_cycles(A, b, x, r, restart, maxiter, preconditioner, target):

@@ -258,7 +258,6 @@ class TimeStepper:
         self._chi_cache = []
         self.sources = getattr(config.f, "__self__", None)  # f's evaluator
         self._loads = None  # built on the first step (``_source_load``)
-        self._weights = (None, None)  # the last (t, sources.weights(t))
 
     def _build_saddle_template(self):
         """Structure of the velocity saddle matrix, built once.
@@ -401,16 +400,12 @@ class TimeStepper:
 
         It is the load matrix of ``name`` times its time weights at t.  The
         matrices of both sources come from one dual pass on the first step
-        (``mms.SourceEvaluator.loads``) and are kept.  Both sources of a
-        step are loaded at one t, so the weights of the last t are kept and
-        computed once per step.
+        (``mms.SourceEvaluator.loads``) and are kept.
         """
         if self._loads is None:
             self._loads = self.sources.loads({"f": self.p2_lo,
                                               "g": self.mini_lo})
-        if self._weights[0] != t:
-            self._weights = (t, self.sources.weights(t))
-        return self._loads[name] @ self._weights[1][name]
+        return self._loads[name] @ self.sources.weights(t)[name]
 
     def _solve_velocity_system(self, K, b, x0):
         """GMRES preconditioned on the right by a lagged factorization.
@@ -422,44 +417,41 @@ class TimeStepper:
         from the one of smaller residual.  The saddle matrix drifts
         slowly from step to step (only through the cut-off density and
         lagged velocity), so one factorization preconditions many
-        subsequent solves.  When one cycle of 40 GMRES iterations does not
-        converge, the matrix is refactored and solved directly; that report
-        has 0 iterations and keeps the start of the failed GMRES.  Every
-        report says in ``extras["refreshed"]`` whether it refactored, and in
-        ``"start_residual"`` and ``"extrapolated"`` where GMRES started.
-        The matrix is structurally symmetric, so it is factored with the
-        minimum-degree ordering.  A report of a
-        solve that factored carries the factor's fill as
-        ``extras["factor_nnz"]``: ``SuperLU.nnz``, the count of
-        entries SuperLU stores for L and U (``_factor_velocity``).  The
-        residual contract is enforced on GMRES and on the refresh alike; a
-        refresh that misses it raises ``ResidualError`` with the refreshed
-        residual.
+        subsequent solves.  The matrix is factored when there is no factor,
+        and again when one cycle of 40 GMRES iterations does not converge;
+        GMRES then runs again from the same candidates, so its report is
+        GMRES's own and says in ``"start_residual"`` and ``"extrapolated"``
+        where it started.  When GMRES fails on a factor of this very
+        matrix, its error is raised: refactoring would give the same
+        factor.  Every report says in ``extras["refreshed"]`` whether the
+        solve refactored.  The matrix
+        is structurally symmetric, so it is factored with the
+        minimum-degree ordering.  A report of a solve that factored carries
+        the factor's fill as ``extras["factor_nnz"]``: ``SuperLU.nnz``, the
+        count of entries SuperLU stores for L and U.  Reading ``L`` or
+        ``U`` instead would make scipy keep CSC copies of both for the
+        factor's life.
         """
-        fill = self._factor_velocity(K) if self._vel_lu is None else None
-        try:
-            x, report = linalg.solve_gmres(
-                K, b, restart=40, maxiter=40,
-                preconditioner=self._vel_lu.solve, x0=x0,
-            )
-            report.extras["refreshed"] = False
-        except linalg.ResidualError as exc:
-            fill = self._factor_velocity(K)
-            x = self._vel_lu.solve(b)
-            res = linalg._check(b - K @ x, b, "refreshed factor")
-            report = linalg.SolveReport(res, 0,
-                                        {**exc.extras, "refreshed": True})
+        refreshed = False
+        while True:
+            fresh = self._vel_lu is None
+            if fresh:
+                self._vel_lu = linalg.factorize(K, "mmd")
+            try:
+                x, report = linalg.solve_gmres(
+                    K, b, restart=40, maxiter=40,
+                    preconditioner=self._vel_lu.solve, x0=x0,
+                )
+                break
+            except linalg.ResidualError:
+                if fresh:
+                    raise
+                self._vel_lu, refreshed = None, True
+        report.extras["refreshed"] = refreshed
         _note_extrapolated(report)
-        if fill is not None:
-            report.extras["factor_nnz"] = fill
+        if fresh:
+            report.extras["factor_nnz"] = self._vel_lu.nnz
         return x, report
-
-    def _factor_velocity(self, K):
-        """Factor the pinned saddle matrix; returns ``SuperLU.nnz``, the
-        entries SuperLU stores for L and U.  Reading ``L`` or ``U`` instead
-        would make scipy keep CSC copies of both for the factor's life."""
-        self._vel_lu = linalg.factorize(K, "mmd")
-        return self._vel_lu.nnz
 
     def _cutoff_cells(self, rho):
         """The cells where the cut-off may clamp ``rho``, sorted: those with

@@ -46,8 +46,6 @@ def _bary_grads(dim):
 class ScalarSpace:
     """Base for affine-mapped nodal scalar spaces."""
 
-    kind = None
-
     def __init__(self, mesh):
         self.mesh = mesh
         self.dim = mesh.dim
@@ -67,8 +65,6 @@ class ScalarSpace:
 
 
 class P1Space(ScalarSpace):
-    kind = "P1"
-
     def _build_dofs(self, mesh):
         return mesh.cells.copy()
 
@@ -83,16 +79,12 @@ class P1Space(ScalarSpace):
 
 
 class P1DGSpace(P1Space):
-    kind = "P1_dG"
-
     def _build_dofs(self, mesh):
         nloc = mesh.dim + 1
         return np.arange(mesh.n_cells * nloc).reshape(mesh.n_cells, nloc)
 
 
 class P2DGSpace(ScalarSpace):
-    kind = "P2_dG"
-
     def _build_dofs(self, mesh):
         nloc = 6 if mesh.dim == 2 else 10
         return np.arange(mesh.n_cells * nloc).reshape(mesh.n_cells, nloc)
@@ -135,8 +127,6 @@ class P2DGSpace(ScalarSpace):
 class MiniScalarSpace(ScalarSpace):
     """P1 vertex dofs plus one interior bubble dof per cell."""
 
-    kind = "P1b"
-
     def _build_dofs(self, mesh):
         bub = mesh.n_vertices + np.arange(mesh.n_cells)
         return np.column_stack([mesh.cells, bub])
@@ -166,8 +156,6 @@ class MiniScalarSpace(ScalarSpace):
 
 class MiniVectorSpace:
     """d copies of the P1+bubble scalar space, component-major layout."""
-
-    kind = "P1b_vector"
 
     def __init__(self, mesh):
         self.mesh = mesh
@@ -225,8 +213,6 @@ class RT1Space:
     Piola image (``piola_map``), so the space stores O(n_local) numbers
     per cell and no basis coefficients.
     """
-
-    kind = "RT1"
 
     def __init__(self, mesh):
         self.mesh = mesh

@@ -412,7 +412,7 @@ def test_scalar_forms_match_einsum_references(kernel_setup):
         }
         for key, local in refs.items():
             ref = _ref_scatter(local, dofs, dofs, (n, n))
-            assert _close(got[key], ref), (space.kind, key)
+            assert _close(got[key], ref), (type(space).__name__, key)
         np.testing.assert_array_equal(tab.grads, G)
 
         f = rng.standard_normal(geom.wdet.shape)

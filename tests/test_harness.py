@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -179,6 +180,27 @@ def test_failed_row_recorded_and_study_continues(monkeypatch):
     assert "failed" in table
 
 
+def test_study_row_frees_its_stepper_before_the_next_row(monkeypatch):
+    """A row's result holds no stepper, so when the next row builds its
+    stepper no earlier row's is alive, nor its factors and tables."""
+    import vardens.harness as hmod
+
+    init = hmod.TimeStepper.__init__
+    steppers, alive = [], []
+
+    def tracked(self, *args, **kwargs):
+        alive.append([ref() is not None for ref in steppers])
+        init(self, *args, **kwargs)
+        steppers.append(weakref.ref(self))
+
+    monkeypatch.setattr(hmod.TimeStepper, "__init__", tracked)
+    spec = StudySpec(case="square2d", mode="space", params=[1 / 2, 1 / 4],
+                     tau=1 / 8, T=0.25)
+    records = hmod.run_study(spec)
+    assert not any(r.failed for r in records)
+    assert alive == [[], [False]]
+
+
 def test_failed_row_message_stays_in_one_csv_field():
     """A failure message with commas, as ``ConstraintConflictError`` writes
     it, is quoted: every row has the header's seven fields."""
@@ -318,6 +340,7 @@ def test_run_case_trace(tmp_path):
         with open(out, "w") as fh:
             result = run_case(make_case(name), h, 1 / 16, T=0.25, mu=0.001,
                               cutoff_mode="widened", trace=fh)
+        assert set(result) == {"E_rho", "E_u", "seconds", "records"}
         lines = [json.loads(ln) for ln in out.read_text().splitlines()]
         assert len(lines) == 4
         for line, record in zip(lines, result["records"]):

@@ -262,12 +262,14 @@ def test_gmres_zero_rhs_returns_zeros():
 
 
 def test_gmres_raises_when_maxiter_is_spent():
-    """The error carries where GMRES started, as the report would."""
+    """The error names the residual and the spent iterations in its
+    message, and carries no data."""
     A, precond, b = _density_system()
-    with pytest.raises(linalg.ResidualError) as exc:
+    with pytest.raises(linalg.ResidualError,
+                       match=r"^gmres: residual .* after 2 iterations$") as exc:
         linalg.solve_gmres(A, b, restart=60, maxiter=2,
                            preconditioner=precond, x0=np.zeros_like(b))
-    assert exc.value.extras == {"start": 0, "start_residual": 1.0}
+    assert not hasattr(exc.value, "extras")
 
 
 def _gmres(A, b, precond, x0):
