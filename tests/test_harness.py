@@ -11,7 +11,7 @@ import weakref
 import numpy as np
 import pytest
 
-from vardens import assemble, cli
+from vardens import assemble, cli, linalg
 from vardens.harness import (ConvergenceRecord, StudySpec, build_mesh,
                              compute_order, l2_error_at_step, parse_fraction,
                              records_from_csv, records_to_csv,
@@ -20,6 +20,7 @@ from vardens.harness import (ConvergenceRecord, StudySpec, build_mesh,
 from vardens.mesh import unit_square_mesh
 from vardens.mms import make_case
 from vardens.projections import project_dg
+from vardens.scheme import DENSITY_RESTART
 from vardens.spaces import P2DGSpace
 
 
@@ -178,6 +179,30 @@ def test_failed_row_recorded_and_study_continues(monkeypatch):
     assert math.isnan(records[1].order_rho)  # no order across a failed row
     table = records_to_table(records)
     assert "failed" in table
+
+
+def test_failed_row_message_keeps_the_solver_error(monkeypatch):
+    """A density GMRES failure on a row's second step reaches the row's
+    message as the solver's own type, naming the phase and the step."""
+    import vardens.harness as hmod
+
+    solve = linalg.solve_gmres
+    density_calls = []
+
+    def failing(A, b, *, restart, **kwargs):
+        if restart == DENSITY_RESTART:
+            density_calls.append(1)
+            if len(density_calls) == 2:
+                raise linalg.ResidualError("gmres: injected")
+        return solve(A, b, restart=restart, **kwargs)
+
+    monkeypatch.setattr(linalg, "solve_gmres", failing)
+    spec = StudySpec(case="square2d", mode="space", params=[1 / 4],
+                     tau=1 / 8, T=0.25)
+    [rec] = hmod.run_study(spec)
+    assert rec.failed
+    assert rec.message.startswith(
+        "ResidualError: density solve at step 2: gmres: injected")
 
 
 def test_study_row_frees_its_stepper_before_the_next_row(monkeypatch):

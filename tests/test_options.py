@@ -39,7 +39,6 @@ OPTIONS = {
     "scheme.SchemeConfig.f",
     "scheme.SchemeConfig.g",
     "scheme.TimeStepper._weighted_mass.weight",
-    "scheme.TimeStepper.run.on_step",
 }
 
 

@@ -1,7 +1,6 @@
 """The cut-off, the two solve steps, and full time-marching."""
 
 import dataclasses
-import io
 import json
 from types import SimpleNamespace
 
@@ -23,6 +22,17 @@ def _config(**kw):
     base = dict(tau=1 / 64, mu=0.001, n_steps=4, cutoff_mode="strict")
     base.update(kw)
     return SchemeConfig(**base)
+
+
+def _run(st, rho0, u0):
+    """Initialize ``st`` from ``rho0`` and ``u0`` and take its n_steps
+    steps; returns the last state and every step's record."""
+    state = st.initialize(rho0, u0)
+    records = []
+    for _ in range(st.config.n_steps):
+        state, record = st.step(state)
+        records.append(record)
+    return state, records
 
 
 def test_config_validation():
@@ -288,8 +298,8 @@ def test_run_energy_monotone_and_mass_constant():
     case = make_case("square2d")
     m = unit_square_mesh(8)
     st = TimeStepper(m, _config(n_steps=16))
-    state, diags = st.run(lambda x: case.rho(x, 0.0),
-                          lambda x: case.u(x, 0.0))
+    state, diags = _run(st, lambda x: case.rho(x, 0.0),
+                        lambda x: case.u(x, 0.0))
     init = st.initialize(lambda x: case.rho(x, 0.0), lambda x: case.u(x, 0.0))
     prev = st.energy(init)
     mass0 = float(st.ones_rho @ init.rho.coeffs)
@@ -302,21 +312,69 @@ def test_run_energy_monotone_and_mass_constant():
     assert state.n == 16
 
 
-def test_run_streams_step_records():
-    """``on_step`` sees every step's record as it is taken, so a caller
-    can stream one JSON line per step."""
+def _inflate_velocity(st, monkeypatch):
+    """Make every velocity phase of ``st`` return 1.5 times its velocity."""
+    solve = st.velocity_step
+
+    def inflated(state, rho_new):
+        u, p, report = solve(state, rho_new)
+        return FeField(st.vel_space, 1.5 * u.coeffs), p, report
+
+    monkeypatch.setattr(st, "velocity_step", inflated)
+
+
+def test_step_without_sources_checks_the_energy_inequality(monkeypatch):
+    """Without sources a step whose energy and viscous dissipation exceed
+    the energy before it raises, naming the step: a velocity scaled by 1.5
+    takes E from about 1.87 to about 2.09 here."""
     case = make_case("square2d")
-    m = unit_square_mesh(4)
-    st = TimeStepper(m, _config(n_steps=3))
-    buf = io.StringIO()
-    _, records = st.run(
-        lambda x: case.rho(x, 0.0), lambda x: case.u(x, 0.0),
-        on_step=lambda state, record: print(json.dumps(record), file=buf))
-    lines = [json.loads(ln) for ln in buf.getvalue().strip().splitlines()]
-    assert lines == records
-    assert [r["n"] for r in lines] == [1, 2, 3]
-    assert lines[0]["t"] == pytest.approx(1 / 64)
-    assert all(r["velocity_cutoff_fraction"] >= 0 for r in lines)
+    st = TimeStepper(unit_square_mesh(4), _config(n_steps=1))
+    state = st.initialize(lambda x: case.rho(x, 0.0), lambda x: case.u(x, 0.0))
+    _inflate_velocity(st, monkeypatch)
+    with pytest.raises(NumericalBreakdownError,
+                       match=r"^energy inequality violated at step 1: "):
+        st.step(state)
+
+
+def test_step_with_sources_does_not_check_the_energy(monkeypatch):
+    """Sources may add energy, so the same inflated step completes."""
+    case = make_case("square2d")
+    ev = case.make_source_evaluator(1e-3)
+    st = TimeStepper(unit_square_mesh(4), _config(
+        n_steps=1, cutoff_mode="widened", f=ev.f, g=ev.g))
+    state = st.initialize(lambda x: case.rho(x, 0.0), lambda x: case.u(x, 0.0))
+    _inflate_velocity(st, monkeypatch)
+    _, record = st.step(state)
+    spent = record["energy"] + record["viscous_dissipation"]
+    assert spent > st.energy(state) + 1e-9
+
+
+@pytest.mark.parametrize("sourced", [False, True])
+def test_energy_check_builds_no_form(sourced, monkeypatch):
+    """After the first step a step builds one chi-weighted mass, the new
+    density's, with sources or without: the check reads cached masses."""
+    case = make_case("square2d")
+    kw = {}
+    if sourced:
+        ev = case.make_source_evaluator(1e-3)
+        kw = dict(f=ev.f, g=ev.g)
+    st = TimeStepper(unit_square_mesh(4), _config(
+        n_steps=3, cutoff_mode="widened", **kw))
+    state = st.initialize(lambda x: case.rho(x, 0.0), lambda x: case.u(x, 0.0))
+    calls = []
+    inner = assemble.mass_matrix
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(assemble, "mass_matrix", counted)
+    per_step = []
+    for _ in range(3):
+        state, _ = st.step(state)
+        per_step.append(len(calls))
+        calls.clear()
+    assert per_step == [2, 1, 1]
 
 
 def test_homogeneous_systems_have_zero_solution():
@@ -332,27 +390,6 @@ def test_homogeneous_systems_have_zero_solution():
     u1, p1, _ = st.velocity_step(state, rho1)
     assert np.abs(u1.coeffs).max() < 1e-12
     assert np.abs(p1.coeffs).max() < 1e-12
-
-
-def test_run_abort_carries_step_index_and_state():
-    case = make_case("square2d")
-    m = unit_square_mesh(4)
-    cfg = _config(n_steps=4)
-    st = TimeStepper(m, cfg)
-    calls = {"n": 0}
-    orig = st.density_step
-
-    def failing(state):
-        if calls["n"] == 2:
-            raise RuntimeError("injected failure")
-        calls["n"] += 1
-        return orig(state)
-
-    st.density_step = failing
-    with pytest.raises(NumericalBreakdownError, match="step 3 failed") as exc:
-        st.run(lambda x: case.rho(x, 0.0), lambda x: case.u(x, 0.0))
-    assert exc.value.step_index == 3
-    assert exc.value.last_state.n == 2
 
 
 def test_3d_single_step_smoke():
@@ -381,7 +418,7 @@ def test_cutoff_active_follows_cutoff_mode(rho, mode, active):
     off never clamps."""
     st = TimeStepper(unit_square_mesh(2), _config(
         n_steps=1, cutoff_mode=mode, rho_min=1.0, rho_max=1.0))
-    _, diags = st.run(lambda x: np.full(x.shape[:-1], rho),
+    _, diags = _run(st, lambda x: np.full(x.shape[:-1], rho),
                       lambda x: np.zeros_like(x))
     assert (diags[0]["velocity_cutoff_fraction"] > 0) is active
 
@@ -392,8 +429,8 @@ def test_cutoff_fraction_counts_clamped_samples(mode):
     the density ranges over [0.2, 2.7], so both clamp a part of it."""
     st = TimeStepper(unit_square_mesh(4), _config(
         n_steps=1, cutoff_mode=mode, rho_min=1.0, rho_max=1.0))
-    state, diags = st.run(lambda x: 0.2 + 2.5 * x[..., 0],
-                          lambda x: np.zeros_like(x))
+    state, diags = _run(st, lambda x: 0.2 + 2.5 * x[..., 0],
+                        lambda x: np.zeros_like(x))
     rho_q = assemble.eval_scalar(st.p2_hi, state.rho)
     lo, hi = {"strict": (0.5, 1.5), "widened": (0.5 / 1.5, 2.25),
               "off": (-np.inf, np.inf)}[mode]
@@ -410,14 +447,14 @@ def test_step_records_cells_sent_to_the_pointwise_path():
     case = make_case("square2d")
     st = TimeStepper(unit_square_mesh(4), _config(
         n_steps=2, cutoff_mode="widened"))
-    _, diags = st.run(lambda x: case.rho(x, 0.0), lambda x: case.u(x, 0.0))
+    _, diags = _run(st, lambda x: case.rho(x, 0.0), lambda x: case.u(x, 0.0))
     assert [d["velocity_cutoff_cells"] for d in diags] == [0, 0]
     assert not any(d["velocity_cutoff_fraction"] > 0 for d in diags)
     for mode in ("strict", "off"):
         st = TimeStepper(unit_square_mesh(4), _config(
             n_steps=1, cutoff_mode=mode, rho_min=1.0, rho_max=1.0))
-        state, diags = st.run(lambda x: 0.2 + 2.5 * x[..., 0],
-                              lambda x: np.zeros_like(x))
+        state, diags = _run(st, lambda x: 0.2 + 2.5 * x[..., 0],
+                            lambda x: np.zeros_like(x))
         rho_q = assemble.eval_scalar(st.p2_hi, state.rho)
         hit = np.count_nonzero(np.any((rho_q < 0.5) | (rho_q > 1.5), axis=1))
         cells = diags[0]["velocity_cutoff_cells"]
@@ -443,8 +480,8 @@ def test_clamped_step_samples_the_new_density_once(monkeypatch):
 
     monkeypatch.setattr(assemble, "eval_scalar", record)
     case = make_case("square2d")
-    state, diags = st.run(lambda x: 0.2 + 2.5 * x[..., 0],
-                          lambda x: case.u(x, 0.0))
+    state, diags = _run(st, lambda x: 0.2 + 2.5 * x[..., 0],
+                        lambda x: case.u(x, 0.0))
     flagged = st._cutoff_cells(state.rho)
     assert 0 < len(flagged) < st.mesh.n_cells
     assert diags[0]["velocity_cutoff_fraction"] > 0
@@ -585,8 +622,8 @@ def test_energy_matches_diagnostics():
     case = make_case("square2d")
     cfg = _config(n_steps=3)
     st = TimeStepper(unit_square_mesh(4), cfg)
-    state, diags = st.run(lambda x: case.rho(x, 0.0),
-                          lambda x: case.u(x, 0.0))
+    state, diags = _run(st, lambda x: case.rho(x, 0.0),
+                        lambda x: case.u(x, 0.0))
     assert abs(st.energy(state) - diags[-1]["energy"]) <= 1e-14
     # a stepper with no cached mass matrices agrees as well
     fresh = TimeStepper(st.mesh, cfg).energy(state)
@@ -765,11 +802,11 @@ def _rho_ratio_100(x):
 def test_density_solve_converges_at_large_time_step():
     """A density ratio of 100 transported at tau = 1: the mass-block
     preconditioner ignores transport, so each density solve takes well
-    over a thousand GMRES iterations, and it must still converge.  ``run``
-    asserts the energy inequality (zero sources)."""
+    over a thousand GMRES iterations, and it must still converge.  Each
+    ``step`` checks the energy inequality (zero sources)."""
     case = make_case("square2d")
     st = TimeStepper(unit_square_mesh(8), _config(tau=1.0, n_steps=2))
-    state, diags = st.run(_rho_ratio_100, lambda x: case.u(x, 0.0))
+    state, diags = _run(st, _rho_ratio_100, lambda x: case.u(x, 0.0))
     init = st.initialize(_rho_ratio_100, lambda x: case.u(x, 0.0))
     mass0 = float(st.ones_rho @ init.rho.coeffs)
     assert state.n == 2
@@ -1003,16 +1040,18 @@ def test_step_names_the_failed_phase_and_step(inject, error, message,
 ], ids=["density-gmres", "projection", "nan-preconditioner"])
 def test_run_raises_a_named_solver_failure_unchanged(inject, message,
                                                      monkeypatch):
-    """A solver failure that ``step`` named leaves ``run`` as
-    ``NumericalBreakdownError`` with the same message, not led by a second
-    "step N failed: "; the step index and the last good state are kept."""
+    """A solver failure on a later step of a march leaves ``step`` as the
+    solver's own ``ResidualError``, wrapped in nothing, its message led
+    once by the phase and the step."""
     case = make_case("square2d")
     st = TimeStepper(unit_square_mesh(4), _config(n_steps=3))
-    with pytest.raises(NumericalBreakdownError, match="^" + message) as exc:
-        st.run(lambda x: case.rho(x, 0.0), lambda x: case.u(x, 0.0),
-               on_step=lambda state, diag: inject(st, monkeypatch))
-    assert str(exc.value) == str(exc.value.__cause__)
-    assert exc.value.step_index == 2 and exc.value.last_state.n == 1
+    state = st.initialize(lambda x: case.rho(x, 0.0), lambda x: case.u(x, 0.0))
+    state, _ = st.step(state)
+    inject(st, monkeypatch)
+    with pytest.raises(linalg.ResidualError, match="^" + message) as exc:
+        st.step(state)
+    assert type(exc.value) is linalg.ResidualError
+    assert str(exc.value).count(" at step ") == 1
 
 
 def test_step_reports_hold_no_arrays():
@@ -1098,7 +1137,8 @@ def test_step_record_is_built_from_the_phase_reports(name, mesh, sourced):
         kw = dict(f=ev.f, g=ev.g)
     st = TimeStepper(mesh(), _config(n_steps=3, cutoff_mode="widened", **kw))
     reports = _returned_reports(st)
-    _, records = st.run(lambda x: case.rho(x, 0.0), lambda x: case.u(x, 0.0))
+    _, records = _run(st, lambda x: case.rho(x, 0.0),
+                      lambda x: case.u(x, 0.0))
     assert len(records) == 3
     for k, record in enumerate(records):
         assert json.loads(json.dumps(record)) == record
@@ -1190,7 +1230,7 @@ def test_every_step_records_its_three_solve_residuals(name, mesh):
     st = TimeStepper(mesh(), _config(n_steps=3, cutoff_mode="widened",
                                      f=ev.f, g=ev.g))
     reports = _returned_reports(st)
-    _, diags = st.run(lambda x: case.rho(x, 0.0), lambda x: case.u(x, 0.0))
+    _, diags = _run(st, lambda x: case.rho(x, 0.0), lambda x: case.u(x, 0.0))
     assert len(diags) == 3
     for k, diag in enumerate(diags):
         got = [diag[f"{phase}_residual"]
