@@ -75,7 +75,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .quadrature import facet_rule, reference_simplex_measure, simplex_rule
+from .quadrature import reference_simplex_measure, simplex_rule
 from .spaces import barycentric
 
 # Cells or facets per chunk in the loops that bound temporaries.
@@ -469,7 +469,7 @@ class FacetQuadrature:
 
     def __init__(self, mesh, degree):
         self.mesh = mesh
-        self.rule = facet_rule(mesh.dim, degree)
+        self.rule = simplex_rule(mesh.dim - 1, degree)
         refmeas = reference_simplex_measure(mesh.dim - 1)
         self.wscale = (
             mesh.facet_measures[:, None] / refmeas

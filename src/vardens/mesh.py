@@ -248,13 +248,19 @@ _SQUARE_SPLIT = np.array([
 ])
 
 
-def _grid_cells(n, dim, offsets):
-    """Cells of the grid squares or subcubes in C order of their lower
-    corners, from each one's corner offsets ``offsets(corner)``."""
+def _unit_grid_mesh(n, dim, offsets):
+    """The mesh of the n^dim grid of the unit square or cube whose grid
+    squares or subcubes, in C order of their lower corners, are split into
+    the cells with corner offsets ``offsets(corner)``."""
+    if n < 1:
+        raise ValueError("need at least one subdivision per side")
+    xs = np.linspace(0.0, 1.0, n + 1)
+    vertices = np.column_stack(
+        [g.ravel() for g in np.meshgrid(*[xs] * dim, indexing="ij")])
     corner = np.indices((n,) * dim).reshape(dim, -1).T
     local = corner[:, None, None, :] + offsets(corner)
     strides = (n + 1) ** np.arange(dim - 1, -1, -1)
-    return (local @ strides).reshape(-1, dim + 1)
+    return Mesh(dim, vertices, (local @ strides).reshape(-1, dim + 1))
 
 
 def unit_square_mesh(n: int) -> Mesh:
@@ -265,14 +271,7 @@ def unit_square_mesh(n: int) -> Mesh:
     transported fields (a uniform-diagonal mesh measurably degrades the
     velocity convergence order of the flow scheme).
     """
-    if n < 1:
-        raise ValueError("need at least one subdivision per side")
-    xs = np.linspace(0.0, 1.0, n + 1)
-    X, Y = np.meshgrid(xs, xs, indexing="ij")
-    vertices = np.column_stack([X.ravel(), Y.ravel()])
-
-    cells = _grid_cells(n, 2, lambda c: _SQUARE_SPLIT[c.sum(axis=1) % 2])
-    return Mesh(2, vertices, cells)
+    return _unit_grid_mesh(n, 2, lambda c: _SQUARE_SPLIT[c.sum(axis=1) % 2])
 
 
 # corner offsets (tet, vertex, axis) of the Kuhn split of a unit subcube:
@@ -293,13 +292,6 @@ def unit_cube_mesh(n: int) -> Mesh:
     conforming, and the reflection removes the directional bias of the
     translation-invariant split.
     """
-    if n < 1:
-        raise ValueError("need at least one subdivision per side")
-    xs = np.linspace(0.0, 1.0, n + 1)
-    X, Y, Z = np.meshgrid(xs, xs, xs, indexing="ij")
-    vertices = np.column_stack([X.ravel(), Y.ravel(), Z.ravel()])
-
     # mirror the odd-parity axes inside each subcube
-    cells = _grid_cells(n, 3, lambda c: np.where(
+    return _unit_grid_mesh(n, 3, lambda c: np.where(
         c[:, None, None, :] % 2 == 1, 1 - _KUHN_STEPS, _KUHN_STEPS))
-    return Mesh(3, vertices, cells)

@@ -14,9 +14,9 @@ and u.grad a_k, weighted by theta_k' and theta_k.  Those of each
 component of the scheme's g are a_k (u.grad)u, grad b_j, lap u, a_k u and
 (u.grad a_k) u, weighted by theta_k, phi_j, -mu, theta_k'/2 and
 theta_k/2.  The columns come from one forward-mode dual-number pass over
-space (first partials and the pure second spatial partials), which avoids
-hand-transcribing the 3D nonlinear terms; the weights come from the time
-factors, as duals on a 0-d time variable.
+space (first partials and the Laplacian), which avoids hand-transcribing
+the 3D nonlinear terms; the weights come from the time factors, as duals
+on a 0-d time variable.
 
 A run loads its sources at the same quadrature points every step, so
 ``SourceEvaluator.loads`` integrates every column against the test
@@ -58,24 +58,26 @@ CHUNK_POINTS = 8192
 
 
 class Dual:
-    """Vectorized dual number: a value, its first partials and its pure
-    second spatial partials, each partial in a leading axis.
+    """Vectorized dual number: a value, its first partials and its spatial
+    Laplacian.
 
-    ``d1`` (m, *shape) holds the d spatial first partials and, in a number
-    with a time slot, the time partial after them (m = d + 1); the pass
-    over space alone carries no time slot (m = d).  ``d2`` (d, *shape)
-    holds the pure second spatial partials.  With the partials first every
-    operation runs over contiguous arrays of the points.  A result may
-    share a partials array with an operand, and no operation writes into
-    an operand: products and chains add into arrays of their own.
+    ``d1`` (m, *shape) holds the d spatial first partials, the partial axis
+    first, and, in a number with a time slot, the time partial after them
+    (m = d + 1); the pass over space alone carries no time slot (m = d).
+    ``lap`` (*shape) holds the Laplacian, the only second-order quantity
+    the sources read: a product takes lap(fg) = f lap g + g lap f
+    + 2 grad f . grad g, a composition lap phi(u) = phi'(u) lap u
+    + phi''(u) |grad u|^2.  A result may share an array with an operand,
+    and no operation writes into an operand: products and chains add into
+    arrays of their own.
     """
 
-    __slots__ = ("val", "d1", "d2", "dim")
+    __slots__ = ("val", "d1", "lap", "dim")
 
-    def __init__(self, val, d1, d2, dim):
+    def __init__(self, val, d1, lap, dim):
         self.val = val
         self.d1 = d1
-        self.d2 = d2
+        self.lap = lap
         self.dim = dim
 
     @classmethod
@@ -84,12 +86,7 @@ class Dual:
         values = np.array(values, dtype=float)
         d1 = np.zeros((slots,) + values.shape)
         d1[slot] = 1.0
-        return cls(values, d1, np.zeros((dim,) + values.shape), dim)
-
-    @classmethod
-    def space_var(cls, values, axis, dim):
-        """The coordinate ``axis`` at ``values``, with a time slot."""
-        return cls._seed(values, axis, dim + 1, dim)
+        return cls(values, d1, np.zeros(values.shape), dim)
 
     @classmethod
     def time_var(cls, t, shape, dim):
@@ -100,19 +97,19 @@ class Dual:
         if isinstance(other, Dual):
             return other
         return Dual(np.full(self.val.shape, float(other)),
-                    np.zeros(self.d1.shape), np.zeros(self.d2.shape),
+                    np.zeros(self.d1.shape), np.zeros(self.val.shape),
                     self.dim)
 
     def __add__(self, other):
         if isinstance(other, Dual):
             return Dual(self.val + other.val, self.d1 + other.d1,
-                        self.d2 + other.d2, self.dim)
-        return Dual(self.val + other, self.d1, self.d2, self.dim)
+                        self.lap + other.lap, self.dim)
+        return Dual(self.val + other, self.d1, self.lap, self.dim)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Dual(-self.val, -self.d1, -self.d2, self.dim)
+        return Dual(-self.val, -self.d1, -self.lap, self.dim)
 
     def __sub__(self, other):
         return self + (-other)
@@ -122,18 +119,16 @@ class Dual:
 
     def __mul__(self, other):
         if not isinstance(other, Dual):
-            return Dual(self.val * other, self.d1 * other, self.d2 * other,
+            return Dual(self.val * other, self.d1 * other, self.lap * other,
                         self.dim)
         d = self.dim
         d1 = self.d1 * other.val
         d1 += self.val * other.d1
-        d2 = self.d2 * other.val
-        cross = self.d1[:d] * other.d1[:d]
-        cross *= 2.0
-        d2 += cross
-        np.multiply(self.val, other.d2, out=cross)
-        d2 += cross
-        return Dual(self.val * other.val, d1, d2, d)
+        lap = (self.d1[:d] * other.d1[:d]).sum(axis=0)
+        lap *= 2.0
+        lap += self.lap * other.val
+        lap += self.val * other.lap
+        return Dual(self.val * other.val, d1, lap, d)
 
     __rmul__ = __mul__
 
@@ -141,24 +136,15 @@ class Dual:
         """Unary composition f(self), given f, f' and f'' at ``self.val``.
 
         An unbounded second derivative (the |.|^c kink) propagates as
-        inf/nan in the second partials only; values and first partials
-        stay finite, so the quiet arithmetic is intentional.
+        inf/nan in the Laplacian only; values and first partials stay
+        finite, so the quiet arithmetic is intentional.
         """
         d = self.dim
-        d2 = np.square(self.d1[:d])
+        lap = np.square(self.d1[:d]).sum(axis=0)
         with np.errstate(invalid="ignore"):
-            d2 *= d2fdu2
-            d2 += self.d2 * dfdu
-        return Dual(val, self.d1 * dfdu, d2, d)
-
-    # partials with the partial axis last, as callers index them
-    @property
-    def grad(self):
-        return np.moveaxis(self.d1, 0, -1)
-
-    @property
-    def hess(self):
-        return np.moveaxis(self.d2, 0, -1)
+            lap *= d2fdu2
+            lap += self.lap * dfdu
+        return Dual(val, self.d1 * dfdu, lap, d)
 
     # spatial gradient, time derivative, spatial Laplacian
     def spatial_grad(self):
@@ -171,7 +157,7 @@ class Dual:
         return self.d1[self.dim]
 
     def laplacian(self):
-        return self.d2.sum(axis=0)
+        return self.lap
 
 
 def dsin(u: Dual) -> Dual:

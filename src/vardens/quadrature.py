@@ -1,9 +1,10 @@
 """Quadrature rules on reference simplices.
 
-Rules are built as conical products of Gauss--Jacobi lines (collapsed
-coordinates), so a rule requested for polynomial degree ``p`` is exact for
-all monomials of total degree <= p, with strictly positive weights.  The
-reference cells are
+A rule is the conical product of Gauss--Jacobi lines, one per axis, in
+collapsed coordinates (``simplex_rule``), so a rule requested for
+polynomial degree ``p`` is exact for all monomials of total degree <= p,
+with strictly positive weights and interior points.  A facet rule is the
+rule of the simplex one dimension down.  The reference cells are
 
     segment:     {0 <= t <= 1}
     triangle:    {x, y >= 0, x + y <= 1}
@@ -42,41 +43,28 @@ def _gauss_jacobi_01(n, alpha):
 
 
 def simplex_rule(dim: int, degree: int) -> QuadratureRule:
-    """Conical-product rule on the reference simplex, exact to ``degree``."""
+    """Conical-product rule on the reference simplex, exact to ``degree``.
+
+    Axis k carries an n-point Gauss--Jacobi line with alpha = k, and the
+    point with line coordinates t is x_k = t_k prod_{j>k} (1 - t_j)."""
     if dim not in (1, 2, 3):
         raise ValueError(f"unsupported simplex dimension {dim}")
     if degree < 0:
         raise ValueError("quadrature degree must be nonnegative")
     n = max(1, (degree + 2) // 2)  # 2n - 1 >= degree
-
-    if dim == 1:
-        a, wa = _gauss_jacobi_01(n, 0.0)
-        return QuadratureRule(1, 2 * n - 1, a[:, None].copy(), wa.copy())
-
-    if dim == 2:
-        a, wa = _gauss_jacobi_01(n, 0.0)
-        b, wb = _gauss_jacobi_01(n, 1.0)
-        A, B = np.meshgrid(a, b, indexing="ij")
-        x = (A * (1.0 - B)).ravel()
-        y = B.ravel()
-        w = np.outer(wa, wb).ravel()
-        return QuadratureRule(2, 2 * n - 1, np.column_stack([x, y]), w)
-
-    a, wa = _gauss_jacobi_01(n, 0.0)
-    b, wb = _gauss_jacobi_01(n, 1.0)
-    c, wc = _gauss_jacobi_01(n, 2.0)
-    A, B, C = np.meshgrid(a, b, c, indexing="ij")
-    x = (A * (1.0 - B) * (1.0 - C)).ravel()
-    y = (B * (1.0 - C)).ravel()
-    z = C.ravel()
-    w = (wa[:, None, None] * wb[None, :, None] * wc[None, None, :]).ravel()
-    return QuadratureRule(3, 2 * n - 1, np.column_stack([x, y, z]), w)
+    lines = [_gauss_jacobi_01(n, float(k)) for k in range(dim)]
+    grid = np.meshgrid(*(t for t, _ in lines), indexing="ij")
+    points = []
+    for k in range(dim):
+        x = grid[k]
+        for t in grid[k + 1:]:
+            x = x * (1.0 - t)
+        points.append(x.ravel())
+    w = lines[0][1]
+    for _, wk in lines[1:]:
+        w = w[..., None] * wk
+    return QuadratureRule(dim, 2 * n - 1, np.column_stack(points), w.ravel())
 
 
 def reference_simplex_measure(dim: int) -> float:
     return 1.0 / math.factorial(dim)
-
-
-def facet_rule(cell_dim: int, degree: int) -> QuadratureRule:
-    """Rule on the reference facet (segment for 2D cells, triangle for 3D)."""
-    return simplex_rule(cell_dim - 1, degree)

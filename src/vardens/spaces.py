@@ -16,6 +16,7 @@ The bubble is the barycentric product scaled to value 1 at the barycenter
 """
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -32,8 +33,11 @@ def barycentric(points, dim):
     return np.column_stack([lam0] + [pts[:, k] for k in range(dim)])
 
 
-_P2_EDGES = {2: [(0, 1), (0, 2), (1, 2)],
-             3: [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]}
+def _edges(dim):
+    """The local vertex pairs (a, b), a < b, of the edges of a simplex, in
+    the order of the P2 edge dofs."""
+    return list(itertools.combinations(range(dim + 1), 2))
+
 
 # gradient of barycentric coordinate i w.r.t. reference coordinates
 def _bary_grads(dim):
@@ -56,12 +60,6 @@ class ScalarSpace:
     def boundary_dofs(self):
         """Dofs with support on the domain boundary (vertex dofs only)."""
         return self.mesh.boundary_vertices
-
-    def ref_values(self, points):
-        raise NotImplementedError
-
-    def ref_grads(self, points):
-        raise NotImplementedError
 
 
 class P1Space(ScalarSpace):
@@ -86,24 +84,23 @@ class P1DGSpace(P1Space):
 
 class P2DGSpace(ScalarSpace):
     def _build_dofs(self, mesh):
-        nloc = 6 if mesh.dim == 2 else 10
+        nloc = mesh.dim + 1 + len(_edges(mesh.dim))
         return np.arange(mesh.n_cells * nloc).reshape(mesh.n_cells, nloc)
 
     def ref_values(self, points):
         lam = barycentric(points, self.dim)
         vert = lam * (2.0 * lam - 1.0)
-        edge = [4.0 * lam[:, a] * lam[:, b] for a, b in _P2_EDGES[self.dim]]
+        edge = [4.0 * lam[:, a] * lam[:, b] for a, b in _edges(self.dim)]
         return np.column_stack([vert] + edge)
 
     def ref_grads(self, points):
         lam = barycentric(points, self.dim)
         g = _bary_grads(self.dim)
         nq = lam.shape[0]
-        nloc = 6 if self.dim == 2 else 10
-        out = np.zeros((nq, nloc, self.dim))
+        out = np.zeros((nq, self.n_local, self.dim))
         for i in range(self.dim + 1):
             out[:, i, :] = (4.0 * lam[:, i] - 1.0)[:, None] * g[i]
-        for m, (a, b) in enumerate(_P2_EDGES[self.dim]):
+        for m, (a, b) in enumerate(_edges(self.dim)):
             out[:, self.dim + 1 + m, :] = 4.0 * (
                 lam[:, a][:, None] * g[b] + lam[:, b][:, None] * g[a]
             )
@@ -117,7 +114,7 @@ class P2DGSpace(ScalarSpace):
         cell the field lies between the least and the greatest of them
         (Ainsworth, Andriamaro & Davydov, SISC 33, 2011)."""
         c = coeffs.reshape(-1, self.n_local)
-        a, b = np.array(_P2_EDGES[self.dim]).T
+        a, b = np.array(_edges(self.dim)).T
         out = c.copy()
         out[:, self.dim + 1:] = 2.0 * c[:, self.dim + 1:] - 0.5 * (
             c[:, a] + c[:, b])
@@ -362,6 +359,3 @@ class FeField:
                 f"coefficient vector has length {self.coeffs.shape}, "
                 f"space has {self.space.n_dofs} dofs"
             )
-
-    def copy(self):
-        return FeField(self.space, self.coeffs.copy())

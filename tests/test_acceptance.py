@@ -7,7 +7,9 @@ upwind dissipation identity, discrete incompressibility, and the
 source-term oracles.  The full-scale 3D regimes run only with
 VARDENS_EXTENDED=1: side by side on a 2-core host, one BLAS thread each,
 criterion 3 took 9.5 minutes and criterion 4 9.7 minutes, each process
-peaking near 1.5 GB (results/README.md).
+peaking near 1.5 GB (results/README.md).  Each of their rows prints its h,
+errors and seconds as it finishes, and each report ends with the study's
+CSV, the file ``vardens study`` writes.
 
 Run as: pytest tests/test_acceptance.py -v -s
 """
@@ -19,7 +21,8 @@ import numpy as np
 import pytest
 
 from vardens import assemble
-from vardens.harness import StudySpec, compute_order, run_study
+from vardens.harness import (StudySpec, compute_order, records_to_csv,
+                             run_study, study_line)
 from vardens.mesh import unit_cube_mesh, unit_square_mesh
 from vardens.mms import hand_coded_square2d_f, make_case
 from vardens.projections import (RtProjectionWorkspace, project_rt_divfree,
@@ -35,14 +38,13 @@ def _report(name, ok, detail):
     assert ok, f"{name}: {detail}"
 
 
-def _orders(records, scale):
-    out = []
-    for prev, rec in zip(records, records[1:]):
-        out.append(compute_order(
-            getattr(prev, "E_rho"), getattr(prev, scale),
-            rec.E_rho, getattr(rec, scale),
-        ))
-    return out
+def _extended_study(spec):
+    """The records of ``spec``, each row printed as it finishes, and the
+    study's CSV as ``vardens study`` writes it, for the report."""
+    records = run_study(spec, progress=lambda r: print(
+        f"\n  h={r.h:.6g} E_rho={r.E_rho:.6e} E_u={r.E_u:.6e} "
+        f"seconds={r.seconds:.1f}", flush=True))
+    return records, "\n" + study_line(spec) + records_to_csv(records)
 
 
 @pytest.mark.slow
@@ -138,11 +140,12 @@ def test_criterion_03_extended_full_table_regime():
     spec = StudySpec(case="cube3d", mode="space",
                      params=[1 / 10, 1 / 12, 1 / 14, 1 / 16],
                      tau=1 / 2048, T=0.25, mu=0.001)
-    records = run_study(spec)
+    records, csv = _extended_study(spec)
     orders = [r.order_rho for r in records[1:]] + \
              [r.order_u for r in records[1:]]
     ok = all(1.7 <= o <= 2.4 for o in orders)
-    _report("criterion 3 extended (full 3D regime)", ok, f"orders={orders}")
+    _report("criterion 3 extended (full 3D regime)", ok,
+            f"orders={orders}{csv}")
 
 
 @pytest.mark.extended
@@ -152,11 +155,11 @@ def test_criterion_04_extended_full_table_regime():
     spec = StudySpec(case="cube3d_nonsmooth", mode="space",
                      params=[1 / 10, 1 / 12, 1 / 14, 1 / 16],
                      tau=1 / 2048, T=0.25, mu=0.001)
-    records = run_study(spec)
+    records, csv = _extended_study(spec)
     orders = [r.order_rho for r in records[1:]]
     ok = all(1.8 <= o <= 2.2 for o in orders)
     _report("criterion 4 extended (full 3D regime)", ok,
-            f"rho orders={orders}")
+            f"rho orders={orders}{csv}")
 
 
 @pytest.fixture(scope="module")

@@ -651,7 +651,7 @@ def test_velocity_step_cached_mass_is_bit_identical():
     cached = st.velocity_step(state, rho_new)
     assert same(cached, TimeStepper(m, cfg).velocity_step(state, rho_new))
     # a different old density, first as a new array, then changed in place
-    other = state.rho.copy()
+    other = FeField(state.rho.space, state.rho.coeffs.copy())
     other.coeffs *= 1.01
     for rho_old in (other, state.rho):
         if rho_old is state.rho:
