@@ -499,8 +499,8 @@ class DGFacetTrace:
     n_local) holds them, tabulated at the reference images of the rule's
     points, and ``table`` (nfi, 2) is the table of the minus and of the
     plus side of every interior facet, read off the cell connectivity.
-    ``dofs`` (nfi, 2 n_local) stacks the minus side's dofs before the plus
-    side's.
+    ``minus`` and ``plus`` are the two cells of every interior facet; their
+    dofs are the space's ``cell_dofs`` of those cells.
     """
 
     def __init__(self, space, fquad):
@@ -512,9 +512,6 @@ class DGFacetTrace:
         self.facets = fi
         self.minus = mesh.facet_minus[fi]
         self.plus = mesh.facet_plus[fi]
-        self.dofs = np.concatenate(
-            [space.cell_dofs[self.minus], space.cell_dofs[self.plus]], axis=1
-        )
         self.wscale = fquad.wscale[fi]
         # table (i, perm) holds the basis on local facet i whose sorted
         # vertex s is the facet's local vertex perm[s]; local vertex j sits

@@ -18,8 +18,9 @@ solve raises its error, which carries a message and no data.
 projection.  Both remove the constant null mode of their saddle systems by
 pinning one unknown.  The direct solves are the exact references the tests
 compare against; ``solve_constrained`` imposes a zero-mean constraint
-instead, by bordering the system with one Lagrange multiplier row/column,
-which keeps the matrix symmetric whenever the blocks are.
+instead: it borders the system with one Lagrange multiplier row and column,
+which keeps the matrix symmetric whenever the blocks are, and solves the
+bordered system through ``solve_direct``.
 
 Every solve asserts its relative residual, at most ``SOLVER_TOL``, on the
 residual vector b - A x (``_check``).
@@ -148,40 +149,33 @@ def solve_direct(A, b):
     return x, SolveReport(_check(b - A @ x, b, "direct solve"))
 
 
-def augment_with_constraint(matrix, rhs, constraint):
-    """Border the system with one multiplier row/column for the constraint.
-
-    The augmented matrix [[A, -c], [-c^T, 0]] stays symmetric when A is.
-    """
-    c = sp.csr_matrix(-constraint[:, None])
-    K = sp.bmat([[matrix, c], [c.T, None]], format="csc")
-    b = np.concatenate([rhs, [0.0]])
-    return K, b
-
-
 def solve_constrained(A, b, constraint):
     """Direct solve of A x = b under one linear constraint functional,
-    c . x = 0, bordered by its multiplier (``augment_with_constraint``).
+    c . x = 0: ``solve_direct`` on the system bordered by its multiplier,
+    [[A, -c], [-c^T, 0]], which stays symmetric when A is.
 
     The tests' reference for the saddle-point steps: the constraint fixes
     the zero-mean pressure (or the multiplier's constant mode in the mixed
     projection).  A nonzero multiplier lam means the constraint fights the
     equations: A x - b = lam c.  So unless the unbordered residual is at
-    most 1e-8 max(||b||, 1), ``ConstraintConflictError`` is raised.
-    ``ValueError`` when A is not square or b or c does not match it.
+    most 1e-8 max(||b||, 1), ``ConstraintConflictError`` is raised.  The
+    report is ``solve_direct``'s, on the bordered system, with lam as its
+    ``multiplier``.  ``ValueError`` when A is not square or b or c does not
+    match it.
     """
     _check_shapes(A, b, constraint)
-    K, bk = augment_with_constraint(A, b, constraint)
-    xl = factorize(K, "colamd").solve(bk)
+    c = sp.csr_matrix(-constraint[:, None])
+    xl, report = solve_direct(sp.bmat([[A, c], [c.T, None]], format="csc"),
+                              np.append(b, 0.0))
     x, lam = xl[:-1], xl[-1]
-    res = _check(bk - K @ xl, bk, "constrained solve")
     conflict = np.linalg.norm(A @ x - b) / max(np.linalg.norm(b), 1.0)
     if conflict > 1e-8:
         raise ConstraintConflictError(
             f"constraint is inconsistent with the equations "
             f"(original residual {conflict:.3e}, multiplier {lam:.3e})"
         )
-    return x, SolveReport(res, 0, {"multiplier": float(lam)})
+    report.extras["multiplier"] = float(lam)
+    return x, report
 
 
 def solve_gmres(A, b, *, restart, maxiter, preconditioner, x0):

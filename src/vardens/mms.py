@@ -29,11 +29,12 @@ the references the loads are checked against.
 
 The plain (non-dual) rho, u and p are an independent transcription, used
 for initial data, error tracking and tests.  The plain rho is its own list
-of (time factor) x (space factor) terms.  ``ExactCase`` keeps, for the
-last point set only, the plain rho's space factors and the values of the
-steady u, so a run that tracks its errors at one set of quadrature points
-evaluates no trigonometric or power function of the points after the
-first step.  The terms are summed in the order of the closed-form
+of (time factor) x (space factor) terms; the plain p has zero mean by
+construction (the dual p enters only through grad p).  ``ExactCase`` keeps,
+for the last point set only, the plain rho's space factors and the values
+of the steady u, so a run that tracks its errors at one set of quadrature
+points evaluates no trigonometric or power function of the points after
+the first step.  The terms are summed in the order of the closed-form
 formulas, so the cached values equal those formulas bit for bit.
 
 Cases:
@@ -47,7 +48,6 @@ Cases:
 import math
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from . import assemble
 
@@ -238,7 +238,7 @@ class ExactCase:
     of the same fields: ``rho_plain_terms`` are (time factor, space factor)
     pairs of a float time and of points (..., d), either of which may be a
     constant; ``u_plain`` maps points to the steady velocity and ``p_plain``
-    maps (points, time) to the pressure.
+    maps (points, time) to the pressure of zero mean over the unit domain.
     """
 
     def __init__(self, name, dim, rho_terms, u_space, p_terms,
@@ -272,20 +272,12 @@ class ExactCase:
         return self._cache("u", np.asarray(x, dtype=float)).copy()
 
     def p(self, x, t):
-        """Pressure re-centered to zero mean over the unit domain."""
-        x = np.asarray(x, dtype=float)
-        return self._p(x, t) - self.p_mean(t)
-
-    def p_mean(self, t):
-        pts, w = _unit_box_rule(self.dim, 12)
-        return float(w @ self._p(pts, t))
+        """The pressure, of zero mean over the unit domain by construction."""
+        return self._p(np.asarray(x, dtype=float), t)
 
     # dual closures composed from the terms -----------------------------
     def _rho_dual(self, X, T):
         return sum(_at(a, T) * _at(b, X) for a, b in self._rho_terms)
-
-    def _u_dual(self, X, T):
-        return self._u_space(X)
 
     def _p_dual(self, X, T):
         return sum(_at(a, T) * _at(b, X) for a, b in self._p_terms)
@@ -382,7 +374,7 @@ class ExactCase:
         return self._g(x, t, mu, 0.5)
 
     def div_u(self, x, t):
-        u = self._u_dual(*make_vars(x, t))
+        u = self._u_space(make_vars(x, t)[0])
         return sum(u[k].spatial_grad()[..., k] for k in range(self.dim))
 
     def make_source_evaluator(self, mu):
@@ -430,16 +422,6 @@ class SourceEvaluator:
         cells = [slice(a, a + step) for a in range(0, len(points), step)]
         return assemble.load_matrices(
             tabs, ((s, self.case._spatial(points[s])) for s in cells))
-
-
-def _unit_box_rule(dim, n):
-    x, w = roots_legendre(n)
-    x = 0.5 * (x + 1.0)
-    w = 0.5 * w
-    pts = np.stack([g.ravel() for g in np.meshgrid(*[x] * dim, indexing="ij")],
-                   axis=-1)
-    weights = np.meshgrid(*[w] * dim, indexing="ij")
-    return pts, np.prod([g.ravel() for g in weights], axis=0)
 
 
 # --------------------------------------------------------------------------
@@ -507,7 +489,7 @@ def _cube_velocity(x):
     ], axis=-1)
 
 
-# p = t (x + y - 1/2) + (z - 1/2) in both 3D cases
+# p = t (x + y - 1/2) + (z - 1/2) in both 3D cases, up to a constant
 _CUBE_PRESSURE_TERMS = (
     (lambda T: T, lambda X: X[0] + X[1] - 0.5),
     (1.0, lambda X: X[2] - 0.5),
@@ -515,7 +497,7 @@ _CUBE_PRESSURE_TERMS = (
 
 
 def _cube_pressure(x, t):
-    return t * (x[..., 0] + x[..., 1]) + x[..., 2] - 0.5 * (t + 1.0)
+    return t * (x[..., 0] + x[..., 1] - 1.0) + x[..., 2] - 0.5
 
 
 def _cube3d():

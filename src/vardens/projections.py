@@ -211,16 +211,14 @@ class RtProjectionWorkspace:
 
         # residual of the mixed system from the cell blocks, p recovered per
         # cell; w is zero on the boundary dofs, so only the free rows remain
-        def scatter(local):
-            return np.bincount(space.cell_dofs.ravel(), weights=local.ravel(),
-                               minlength=space.n_dofs)[self.free]
-
         p = x[:, nl:]
         r = (np.einsum("cij,cj->ci", self._Mk, local)
              + np.einsum("cmi,cm->ci", self._Bk, p) - bk)
         div = np.einsum("cmi,ci->cm", self._Bk, local)  # P1-dG is cellwise
-        res = np.hypot(np.linalg.norm(scatter(r)), np.linalg.norm(div))
-        nrm = np.linalg.norm(scatter(bk))
+        res = np.hypot(
+            np.linalg.norm(assemble._scatter(self.rt_tab, r)[self.free]),
+            np.linalg.norm(div))
+        nrm = np.linalg.norm(assemble._scatter(self.rt_tab, bk)[self.free])
         rel = res / nrm if nrm > 0 else res
         if not rel <= linalg.SOLVER_TOL:
             raise linalg.ResidualError(

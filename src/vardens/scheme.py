@@ -124,7 +124,12 @@ class SchemeConfig:
     The horizon is ``n_steps``, a positive integer (``horizon_steps`` turns
     a time T into steps).  The sources ``f`` and ``g`` are both None or are
     the bound ``f`` and ``g`` of one ``mms.SourceEvaluator``, which the
-    stepper loads them from (``TimeStepper._source_load``).
+    stepper loads them from (``TimeStepper._source_load``).  ``initialize``
+    fills a ``rho_min`` or ``rho_max`` left None from the sampled initial
+    density, as every shipped caller does.  They stay inputs because that
+    density lies inside its own band: only a narrower band reaches the
+    clamped path (``_cutoff_cells``, the point rows of a
+    ``assemble.FieldWeight``), and the tests of that path set one here.
     """
 
     tau: float

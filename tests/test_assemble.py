@@ -361,9 +361,9 @@ def _reference_traces(trace):
 
 def _upwind_reference(trace, s):
     """The upwind matrix for the flux ``s``, one einsum per pair of sides."""
-    nloc = trace.space.n_local
     Tm, Tp = _reference_traces(trace)
-    md, pd = trace.dofs[:, :nloc], trace.dofs[:, nloc:]
+    dofs = trace.space.cell_dofs
+    md, pd = dofs[trace.minus], dofs[trace.plus]
     sw = s * trace.wscale
     sm, spos = np.where(s < 0, sw, 0.0), np.where(s > 0, sw, 0.0)
     shape = (trace.space.n_dofs,) * 2
@@ -488,9 +488,8 @@ def test_facet_forms_match_einsum_references(kernel_setup):
 
     assert _close(assemble.upwind_matrix(trace, s), _upwind_reference(trace, s))
 
-    nloc = p2.n_local
     Tm, Tp = _reference_traces(trace)
-    md, pd = trace.dofs[:, :nloc], trace.dofs[:, nloc:]
+    md, pd = p2.cell_dofs[trace.minus], p2.cell_dofs[trace.plus]
     rho = FeField(p2, rng.standard_normal(p2.n_dofs))
     minus, plus = assemble.eval_dg_traces(trace, rho)
     assert _close(minus, np.einsum("fi,fqi->fq", rho.coeffs[md], Tm))
@@ -615,6 +614,14 @@ def test_transpose_perm_transposes_convection(square8):
         None)
     assert (tab.pattern.with_data(N.data[tab.pattern.transpose_perm])
             != N.T).nnz == 0
+
+
+def test_transpose_perm_rejects_an_unsymmetric_pattern():
+    # entries (0, 1) and (1, 1): the transpose of (0, 1) is not stored
+    pattern = assemble.Pattern.build((2, 2), np.array([[0], [1]]),
+                                     np.array([[1], [1]]))
+    with pytest.raises(ValueError, match="not structurally symmetric"):
+        pattern.transpose_perm
 
 
 # -- the block-sparse density operator ------------------------------------

@@ -251,6 +251,8 @@ def test_csv_round_trip():
     assert records_from_csv("") == []
     with pytest.raises(ValueError, match="not a study CSV"):
         records_from_csv("n,t,energy\n1,2,3\n")
+    with pytest.raises(ValueError, match="study CSV row with 2 fields"):
+        records_from_csv(records_to_csv(recs) + "0.0625,0.1\n")
 
 
 def _counting_run_case(monkeypatch):
@@ -281,9 +283,11 @@ _SPEC = StudySpec(case="square2d", mode="space", params=[1 / 2], tau=1 / 16,
 
 def test_cli_study_resumes_from_its_out_file(monkeypatch, tmp_path):
     """Rows already in ``--out`` are read back, not run again, and the next
-    row's orders are taken against the row read back."""
+    row's orders are taken against the row read back; an empty ``--out``
+    file holds no rows."""
     calls = _counting_run_case(monkeypatch)
     out = tmp_path / "study.csv"
+    out.write_text("")
     assert _study(out, "1/2") == 0
     assert calls == [(0.5, 1 / 16)]
     first = out.read_text().splitlines()[2]

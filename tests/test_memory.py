@@ -33,11 +33,13 @@ def test_pattern_build_matches_one_batch_unique(cube6):
     p2 = P2DGSpace(cube6)
     trace = assemble.DGFacetTrace(p2, assemble.FacetQuadrature(cube6, 6))
     n = p2.n_dofs
-    r = trace.dofs.astype(np.int64)[:, :, None]
-    c = trace.dofs.astype(np.int64)[:, None, :]
+    dofs = np.concatenate([p2.cell_dofs[trace.minus],
+                           p2.cell_dofs[trace.plus]], axis=1)
+    r = dofs.astype(np.int64)[:, :, None]
+    c = dofs.astype(np.int64)[:, None, :]
     uniq, slot = np.unique((r * n + c).ravel(), return_inverse=True)
     row, col = np.divmod(uniq, n)
-    pattern = assemble.Pattern.build((n, n), trace.dofs, trace.dofs)
+    pattern = assemble.Pattern.build((n, n), dofs, dofs)
     assert np.array_equal(pattern.indptr,
                           np.searchsorted(row, np.arange(n + 1)))
     assert np.array_equal(pattern.indices, col)

@@ -144,6 +144,11 @@ def test_reflected_cell_is_reoriented():
     assert raw < 0  # the unfixed ordering really was reflected
 
 
+def test_zero_volume_cell_is_rejected():
+    with pytest.raises(MeshError, match="zero volume"):
+        Mesh(2, [(0, 0), (1, 0), (2, 0)], [(0, 1, 2)])
+
+
 def test_invalid_subdivisions():
     with pytest.raises(ValueError):
         unit_square_mesh(0)

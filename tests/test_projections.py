@@ -209,6 +209,12 @@ def test_interpolate_mini_vertex_values_and_bubbles():
     assert np.abs(field.coeffs[bverts]).max() == 0.0
 
 
+def test_interpolate_mini_rejects_values_of_the_wrong_shape():
+    vel = MiniVectorSpace(unit_square_mesh(2))
+    with pytest.raises(ValueError, match="one d-vector per vertex"):
+        interpolate_mini(vel, lambda x: x[:, 0])
+
+
 def test_interpolate_mini_warns_on_nonzero_boundary():
     mesh = unit_square_mesh(2)
     vel = MiniVectorSpace(mesh)
@@ -237,7 +243,7 @@ def test_interpolate_mini_rate():
 
 def _bordered_mixed_projection(ws, values):
     """The projection through the global mixed system, bordered by the
-    multiplier's mean and factored by SuperLU."""
+    multiplier's mean (``linalg.solve_constrained``)."""
     M = assemble.rt_mass_matrix(ws.rt_tab)
     D = assemble.mixed_div_matrix(ws.rt_tab, ws.dg_tab)
     Mff = M[ws.free, :][:, ws.free]
@@ -245,12 +251,9 @@ def _bordered_mixed_projection(ws, values):
     K = sp.bmat([[Mff, Df.T], [Df, None]], format="csr")
     mean = assemble.load_vector(ws.dg_tab, np.ones_like(ws.geom.wdet))
     constraint = np.concatenate([np.zeros(len(ws.free)), mean])
-    Kc, _ = linalg.augment_with_constraint(
-        K, np.zeros(K.shape[0]), constraint
-    )
     b = assemble.rt_load(ws.rt_tab, values)
-    rhs = np.concatenate([b[ws.free], np.zeros(ws.dg_space.n_dofs), [0.0]])
-    x = spla.splu(Kc.tocsc()).solve(rhs)
+    rhs = np.concatenate([b[ws.free], np.zeros(ws.dg_space.n_dofs)])
+    x, _ = linalg.solve_constrained(K, rhs, constraint)
     coeffs = np.zeros(ws.rt_space.n_dofs)
     coeffs[ws.free] = x[: len(ws.free)]
     return coeffs

@@ -14,7 +14,8 @@ from vardens.mms import make_case
 from vardens.projections import project_dg
 from vardens.scheme import (PHASES, NumericalBreakdownError,
                             PositivityError, SchemeConfig, StepState,
-                            TimeStepper, cutoff, horizon_steps)
+                            TimeStepper, cutoff, cutoff_bounds,
+                            horizon_steps)
 from vardens.spaces import FeField
 
 
@@ -51,6 +52,8 @@ def test_config_validation():
             horizon_steps(T, 0.1)
     with pytest.raises(ValueError):
         SchemeConfig(tau=0.1, mu=1.0, n_steps=1, cutoff_mode="sideways")
+    with pytest.raises(ValueError, match="rho_min must be positive"):
+        SchemeConfig(tau=0.1, mu=1.0, n_steps=1, rho_min=0.0)
     assert horizon_steps(0.25, 0.05) == 5
 
 
@@ -148,6 +151,8 @@ def test_cutoff_branches():
     assert cutoff(10.0, wide) == 4.5
     off = _config(rho_min=1.0, rho_max=2.0, cutoff_mode="off")
     assert cutoff(-3.0, off) == -3.0
+    with pytest.raises(ValueError, match="initialize first"):
+        cutoff_bounds(_config(rho_min=1.0))
 
 
 def test_initialize_constant_state():
