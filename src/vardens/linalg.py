@@ -186,11 +186,12 @@ def solve_gmres(A, b, *, restart, maxiter, preconditioner, x0):
     from the candidate of least residual, the first of equals, at one
     product each.  The report's extras hold ``start``, the index of that
     candidate, and ``start_residual``, its relative residual.
-    ``preconditioner`` is any callable r -> z ~ A^-1 r (a ``LinearOperator``
-    works too).  With right preconditioning the minimised residual is the
-    true one, b - A x, and GMRES stops once it is below max(SOLVER_TOL /
-    100, 1e-14) ||b||; ``_check`` then asserts ``SOLVER_TOL`` on the
-    residual the last cycle formed, so no product is spent on it.
+    ``preconditioner`` is any callable r -> z ~ A^-1 r that returns a new
+    array on every call, such as a ``LinearOperator``.  With right
+    preconditioning the minimised residual is the true one, b - A x, and
+    GMRES stops once it is below max(SOLVER_TOL / 100, 1e-14) ||b||;
+    ``_check`` then asserts ``SOLVER_TOL`` on the residual the last cycle
+    formed, so no product is spent on it.
     ``maxiter`` bounds the inner iterations over all cycles, and the report
     counts them: 0 when the start already meets the target.  Raises
     ``ResidualError`` when it is spent, and from ``_check`` when a NaN, say
@@ -218,8 +219,9 @@ def _gmres_cycles(A, b, x, r, restart, maxiter, preconditioner, target):
 
     Arnoldi orthogonalises by classical Gram-Schmidt applied twice, two
     GEMVs against the basis (Giraud, Langou & Rozlozník, Comput. Math.
-    Appl. 50, 2005).  The preconditioner is applied once per cycle to the
-    combined update, so no second basis is stored.
+    Appl. 50, 2005).  The vectors z_j = P v_j that the products A z_j
+    need are kept as the preconditioner returned them, one per iteration
+    taken, so a cycle ends with x += sum_j y_j z_j and no further call.
     """
     beta = np.linalg.norm(r)
     V = np.empty((restart + 1, b.shape[0]))
@@ -233,9 +235,10 @@ def _gmres_cycles(A, b, x, r, restart, maxiter, preconditioner, target):
             )
         V[0] = r / beta
         g = [beta]
-        cs, sn = [], []
+        cs, sn, Z = [], [], []
         for j in range(min(restart, maxiter - iters)):
-            w = A @ preconditioner(V[j])
+            Z.append(preconditioner(V[j]))
+            w = A @ Z[j]
             h = V[: j + 1] @ w
             w -= h @ V[: j + 1]
             h2 = V[: j + 1] @ w
@@ -261,7 +264,8 @@ def _gmres_cycles(A, b, x, r, restart, maxiter, preconditioner, target):
             V[j + 1] = w / hn
         k = len(cs)
         y = sla.solve_triangular(R[:k, :k], g[:k], check_finite=False)
-        x += preconditioner(y @ V[:k])
+        for yj, z in zip(y, Z):
+            x += yj * z
         r = b - A @ x
         beta = np.linalg.norm(r)
     return x, r, iters

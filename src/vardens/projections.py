@@ -8,11 +8,11 @@
   continuity): the cell unknowns are eliminated locally and one symmetric
   positive definite facet system, its multipliers numbered in the mesh's
   nested-dissection order of the facets and the last of them pinned, is
-  factorized once per mesh in that order and reused for every time step;
-  each projection returns the field and its residual's report.  The
-  per-cell tables are set up once per distinct cell
+  factorized once per mesh in that order, and only the factor is kept for
+  every time step; each projection returns the field and its residual's
+  report.  The per-cell tables are set up once per distinct cell
   (``RT1Space.distinct_cells``) and gathered, and the facet system is
-  summed in d x d blocks, one per pair of facets,
+  summed from them in d x d blocks, one per pair of facets,
 * nodal interpolation into the P1+bubble velocity space.
 """
 
@@ -79,8 +79,8 @@ class RtProjectionWorkspace:
     dissection comes after the two halves it separates.  S has one null
     mode, which comes from the constant in p; the last multiplier, on the
     top separator, is pinned to remove it, and w does not depend on which
-    one is.  The pinned S is ``system_matrix`` (bitwise symmetric) and
-    ``lu`` is its factorization in that order, made once per mesh.
+    one is.  ``lu`` factors the pinned S in that order, once per mesh, and
+    S itself (``system_matrix()``, bitwise symmetric) is not kept.
 
     A cell's blocks, inverse and nodal divergences depend only on its
     Jacobian, dof order and facet scales, and the structured meshes have
@@ -88,10 +88,10 @@ class RtProjectionWorkspace:
     cube at h = 1/4 and 1/8).  So they are computed for the distinct cells,
     in one batched call each, and gathered into the per-cell arrays that
     ``project`` reads; on a mesh whose cells all differ the gather is a
-    permutation.  S is summed over the facets' d x d blocks
-    (``Pattern.block_matrix``): the pattern is that of the facets, with
-    (d+1)^2 slots per cell, and each entry sums its cells in cell order,
-    so S is bit for bit the matrix summed entry by entry over the
+    permutation.  S is summed from the gathered H_K over the facets' d x d
+    blocks (``Pattern.block_matrix``): the pattern is that of the facets,
+    with (d+1)^2 slots per cell, and each entry sums its cells in cell
+    order, so S is bit for bit the matrix summed entry by entry over the
     multipliers.
 
     Each projection condenses the cell loads, solves for the multipliers
@@ -122,8 +122,7 @@ class RtProjectionWorkspace:
         # signed facet-dof -> multiplier map: +1 from the facet's minus
         # cell; the multipliers of a facet are d consecutive ones, in the
         # order of its RT1 dofs, from its rank in the dissection order
-        nf, nm = mesh.n_facets, d + 1
-        nfl = d * nm
+        nf = mesh.n_facets
         facet_rank = np.empty(nf, dtype=np.int64)
         facet_rank[mesh.facet_dissection_order] = np.arange(nf)
         cell_ranks = facet_rank[mesh.cell_facets]
@@ -134,35 +133,39 @@ class RtProjectionWorkspace:
         interior = mesh.facet_plus[mesh.cell_facets] >= 0
         self._facet_weight = np.repeat(np.where(interior, 0.5, 0.0), d, axis=1)
 
-        # local blocks, kept for the residual check, the first nl columns
-        # of the inverse of every cell's mixed system and its facet-system
-        # blocks, set up on the distinct cells and gathered; on a mesh of
-        # distinct cells those tables are as large as the gathered ones, so
-        # they are dropped once gathered
+        # local blocks, kept for the residual check, and the first nl
+        # columns of every cell's mixed inverse, set up on the distinct
+        # cells and gathered; on a mesh of distinct cells those tables are
+        # as large as the gathered ones, so they are dropped once gathered
         reps, inverse = space.distinct_cells
         Mk, Bk = assemble.rt_blocks(self.rt_tab, self.dg_tab)
         H = _mixed_inverse(Mk, Bk)
-        sign = self._sign[reps]
-        Hf = (assemble._symmetric(H[:, :nfl, :nfl])
-              * sign[:, :, None] * sign[:, None, :])
-        Hf = np.swapaxes(Hf.reshape(-1, nm, d, nm, d), 2, 3)
         self._Mk, self._Bk = Mk[inverse], Bk[inverse]
         self._solve_local = H[inverse]
         del Mk, Bk, H
-
-        pattern = assemble.Pattern.build((nf, nf), cell_ranks, cell_ranks)
-        # the last multiplier pinned
-        self.system_matrix = pattern.block_matrix(Hf[inverse]).tocsr()[:-1, :-1]
-        self.lu = linalg.factorize(self.system_matrix, "given")
+        self.lu = linalg.factorize(self.system_matrix(), "given")
 
         # interior-dof correction: the pseudo-inverse of the interior dofs'
         # nodal divergences removes the non-constant part of div w
         self._nodal_div = space.nodal_divergences()
         self._div_fix = np.linalg.pinv(
-            self._nodal_div[reps, :, nfl:])[inverse]
+            self._nodal_div[reps, :, d * (d + 1):])[inverse]
         # every MINI space on the mesh has the same cell dofs and basis
         self.mini_tab = assemble.ScalarTab(MiniScalarSpace(mesh), self.geom)
         self.mini_load = assemble.MiniRTLoad(self.mini_tab, self.rt_tab)
+
+    def system_matrix(self):
+        """The pinned facet system S (CSR), summed from the kept per-cell
+        tables as the class docstring says; ``lu`` is its factor."""
+        d, nf, nfl = self.mesh.dim, self.mesh.n_facets, self._mult.shape[1]
+        Hf = assemble._symmetric(self._solve_local[:, :nfl, :nfl])
+        Hf *= self._sign[:, :, None]
+        Hf *= self._sign[:, None, :]
+        Hf = np.swapaxes(Hf.reshape(-1, d + 1, d, d + 1, d), 2, 3)
+        ranks = self._mult[:, ::d] // d  # the ranks of each cell's facets
+        pattern = assemble.Pattern.build((nf, nf), ranks, ranks)
+        # the last multiplier pinned
+        return pattern.block_matrix(Hf).tocsr()[:-1, :-1]
 
     def _load_blocks(self, v):
         """Cell vectors (nc, n_local) of (v, eta): a MINI vector field from

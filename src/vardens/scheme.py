@@ -267,6 +267,7 @@ class TimeStepper:
         self._chi_cache = []
         self.sources = getattr(config.f, "__self__", None)  # f's evaluator
         self._loads = None  # built on the first step (``_source_load``)
+        self._weights = (None, None)  # the last (t, sources.weights(t))
 
     def _build_saddle_template(self):
         """Structure of the velocity saddle matrix, built once.
@@ -278,8 +279,9 @@ class TimeStepper:
         constant, and with u = 0 on the boundary and sum_m q_m = 1 the
         divergence row of the pinned dof is minus the sum of the others,
         so the pinned system is nonsingular and loses no equation.  It is
-        built once with entry numbers in place of values; each step then
-        fills its data with one gather from [A_s.data, -B.data].
+        built once with entry numbers in place of values, and only its
+        structure and the gather are kept: each step fills its data with one
+        gather from [A_s.data, -B.data].
         """
         d = self.mesh.dim
         pattern = self.mini_hi.pattern
@@ -292,7 +294,8 @@ class TimeStepper:
         A_free = A[self.free_s][:, self.free_s]
         K = sp.bmat([[sp.block_diag([A_free] * d), B], [B.T, None]],
                     format="csc")
-        self._saddle = K
+        self._saddle_shape = K.shape
+        self._saddle_index = (K.indices, K.indptr)
         self._saddle_gather = K.data.astype(np.intp) - 1
         self._saddle_fixed = -self.B.data
 
@@ -409,37 +412,34 @@ class TimeStepper:
 
         It is the load matrix of ``name`` times its time weights at t.  The
         matrices of both sources come from one dual pass on the first step
-        (``mms.SourceEvaluator.loads``) and are kept.
+        (``mms.SourceEvaluator.loads``) and are kept, and so are the last
+        t's weights, which both phases of a step read.
         """
         if self._loads is None:
             self._loads = self.sources.loads({"f": self.p2_lo,
                                               "g": self.mini_lo})
-        return self._loads[name] @ self.sources.weights(t)[name]
+        if self._weights[0] != t:
+            self._weights = (t, self.sources.weights(t))
+        return self._loads[name] @ self._weights[1][name]
 
     def _solve_velocity_system(self, K, b, x0):
         """GMRES preconditioned on the right by a lagged factorization.
 
         ``K`` is the saddle matrix with its last pressure dof pinned
         (``_build_saddle_template``); ``x0`` holds the start candidates in
-        its coordinates, the previous step's velocity and pressure and the
-        extrapolation through the last ones (``_starts``), and GMRES starts
-        from the one of smaller residual.  The saddle matrix drifts
-        slowly from step to step (only through the cut-off density and
-        lagged velocity), so one factorization preconditions many
-        subsequent solves.  The matrix is factored when there is no factor,
-        and again when one cycle of 40 GMRES iterations does not converge;
-        GMRES then runs again from the same candidates, so its report is
-        GMRES's own and says in ``"start_residual"`` and ``"extrapolated"``
-        where it started.  When GMRES fails on a factor of this very
-        matrix, its error is raised: refactoring would give the same
-        factor.  Every report says in ``extras["refreshed"]`` whether the
-        solve refactored.  The matrix
-        is structurally symmetric, so it is factored with the
-        minimum-degree ordering.  A report of a solve that factored carries
-        the factor's fill as ``extras["factor_nnz"]``: ``SuperLU.nnz``, the
-        count of entries SuperLU stores for L and U.  Reading ``L`` or
-        ``U`` instead would make scipy keep CSC copies of both for the
-        factor's life.
+        its coordinates (``_starts``).  The saddle matrix drifts slowly
+        from step to step (only through the cut-off density and lagged
+        velocity), so one factorization preconditions many solves.  The
+        matrix is factored, with the minimum-degree ordering as it is
+        structurally symmetric, when there is no factor, and again when one
+        cycle of 40 GMRES iterations does not converge; GMRES then runs
+        again from the same candidates, so its report is GMRES's own.  When
+        GMRES fails on a factor of this very matrix, its error is raised:
+        refactoring would give the same factor.  Every report says in
+        ``extras["refreshed"]`` whether the solve refactored, and one that
+        factored carries the factor's fill as ``extras["factor_nnz"]``,
+        ``SuperLU.nnz``: reading ``L`` or ``U`` instead would make scipy
+        keep CSC copies of both for the factor's life.
         """
         refreshed = False
         while True:
@@ -496,24 +496,20 @@ class TimeStepper:
                                       chi - rho_q)
         return weight, int(np.count_nonzero(chi != rho_q))
 
-    def _weighted_mass(self, rho, weight=None):
-        """The MINI mass matrix weighted by chi = cutoff(rho).
-
-        ``weight`` is chi as ``_chi_weight(rho)[0]``, formed here when not
-        given.  The matrix is cached on the values of ``rho`` and the
-        cut-off band, so the mass matrix of the new density of one step is
-        the old one of the next; the weight is not kept.
-        """
+    def _weighted_mass(self, rho):
+        """The MINI mass matrix weighted by chi = cutoff(rho), and chi and
+        its clamped count (``_chi_weight``), cached on the values of ``rho``
+        and the band for the last two densities, so what one step builds
+        for its new density serves the next step's old one."""
         band = cutoff_bounds(self.config)
-        for hit_band, coeffs, M in self._chi_cache:
+        for hit_band, coeffs, hit in self._chi_cache:
             if hit_band == band and np.array_equal(coeffs, rho.coeffs):
-                return M
-        if weight is None:
-            weight, _ = self._chi_weight(rho)
-        M = assemble.mass_matrix(self.mini_hi, weight)
+                return hit
+        weight, clamped = self._chi_weight(rho)
+        hit = (assemble.mass_matrix(self.mini_hi, weight), weight, clamped)
         self._chi_cache = self._chi_cache[-1:] + [
-            (band, rho.coeffs.copy(), M)]
-        return M
+            (band, rho.coeffs.copy(), hit)]
+        return hit
 
     # ------------------------------------------------------------------
     def velocity_step(self, state: StepState, rho_new: FeField):
@@ -543,9 +539,8 @@ class TimeStepper:
         d = self.mesh.dim
         t_new = state.t + tau
 
-        M_old = self._weighted_mass(state.rho)
-        chi, clamped = self._chi_weight(rho_new)
-        M_new = self._weighted_mass(rho_new, chi)
+        M_old, _, _ = self._weighted_mass(state.rho)
+        M_new, chi, clamped = self._weighted_mass(rho_new)
         N = assemble.convection_matrix(self.mini_hi, state.u, coef=chi)
 
         A_s = (
@@ -554,10 +549,8 @@ class TimeStepper:
             + cfg.mu * self.K_s.data
         )
         source = np.concatenate([A_s, self._saddle_fixed])
-        K = sp.csc_matrix(
-            (source[self._saddle_gather], self._saddle.indices,
-             self._saddle.indptr), shape=self._saddle.shape,
-        )
+        K = sp.csc_matrix((source[self._saddle_gather], *self._saddle_index),
+                          shape=self._saddle_shape)
 
         ns = self.vel_space.scalar.n_dofs
         F = (M_old @ state.u.coeffs.reshape(d, ns).T) / tau
@@ -650,7 +643,7 @@ class TimeStepper:
         """0.5||rho||^2 + int 0.5 chi(rho)|u|^2 for an arbitrary state:
         0.5 rho . rho_mass(rho) + 0.5 sum_k u_k^T M u_k, M the chi-weighted
         mass (cached on the density, ``_weighted_mass``)."""
-        M = self._weighted_mass(state.rho)
+        M, _, _ = self._weighted_mass(state.rho)
         rho = state.rho.coeffs
         e = 0.5 * float(rho @ self.rho_mass(rho))
         for comp in state.u.coeffs.reshape(self.mesh.dim, -1):

@@ -122,7 +122,7 @@ def test_rt_projection_system_is_bitwise_symmetric(make_mesh, n):
     is bitwise symmetric and bit for bit the one summed entry by entry over
     the multipliers, so it factors with the same fill."""
     ws = RtProjectionWorkspace(make_mesh(n))
-    K = ws.system_matrix
+    K = ws.system_matrix()
     assert abs(K - K.T).max() == 0.0
     nfl, nmult = ws._mult.shape[1], ws.rt_space.n_facet_dofs
     sign = ws._sign[:, :, None] * ws._sign[:, None, :]

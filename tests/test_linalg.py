@@ -377,3 +377,63 @@ def test_saddle_factor_keeps_its_fill_reducing_order(
     b = np.random.default_rng(7).standard_normal(K.shape[0])
     x = lu.solve(b)
     assert np.linalg.norm(K @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+
+def _update_once_gmres(A, b, precond, x0, k):
+    """k right-preconditioned Arnoldi steps from x0, by modified
+    Gram-Schmidt, and one preconditioner call on the combined update,
+    x0 + P (V_k y): how GMRES once ended a cycle."""
+    r = b - A @ x0
+    beta = np.linalg.norm(r)
+    V = np.zeros((k + 1, len(b)))
+    H = np.zeros((k + 1, k))
+    V[0] = r / beta
+    for j in range(k):
+        w = A @ precond(V[j])
+        for i in range(j + 1):
+            H[i, j] = V[i] @ w
+            w -= H[i, j] * V[i]
+        H[j + 1, j] = np.linalg.norm(w)
+        if H[j + 1, j] > 0:
+            V[j + 1] = w / H[j + 1, j]
+    e1 = np.zeros(k + 1)
+    e1[0] = beta
+    y = np.linalg.lstsq(H, e1, rcond=None)[0]
+    return x0 + precond(y @ V[:k])
+
+
+def test_gmres_applies_the_preconditioner_once_per_iteration(monkeypatch):
+    """The density and velocity solves of a step on the square, run again
+    with a counting preconditioner: one call per iteration, and the
+    solution that of one preconditioner call on the combined update, to
+    1e-13 relative."""
+    case = mms.make_case("square2d")
+    st = TimeStepper(unit_square_mesh(8), SchemeConfig(
+        tau=1 / 64, mu=1e-3, n_steps=2, cutoff_mode="widened"))
+    state = st.initialize(lambda x: case.rho(x, 0.0),
+                          lambda x: case.u(x, 0.0))
+    state, _ = st.step(state)
+    systems, solve_gmres = [], linalg.solve_gmres
+
+    def record(A, b, **kw):
+        systems.append((A, b, kw))
+        return solve_gmres(A, b, **kw)
+
+    monkeypatch.setattr(linalg, "solve_gmres", record)
+    st.step(state)
+    assert len(systems) == 2  # the density and the velocity solve
+    for A, b, kw in systems:
+        x0 = np.atleast_2d(kw["x0"])
+        calls = []
+
+        def counted(v, precond=kw["preconditioner"]):
+            calls.append(1)
+            return precond(v)
+
+        x, report = solve_gmres(A, b, **{**kw, "preconditioner": counted})
+        k = report.iterations
+        assert 0 < k < kw["restart"]  # one cycle
+        assert len(calls) == k
+        ref = _update_once_gmres(A, b, kw["preconditioner"],
+                                 x0[report.extras["start"]], k)
+        assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)

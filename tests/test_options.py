@@ -38,7 +38,6 @@ OPTIONS = {
     "scheme.SchemeConfig.cutoff_mode",
     "scheme.SchemeConfig.f",
     "scheme.SchemeConfig.g",
-    "scheme.TimeStepper._weighted_mass.weight",
 }
 
 

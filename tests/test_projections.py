@@ -10,9 +10,9 @@ import scipy.sparse.linalg as spla
 from vardens import assemble, linalg
 from vardens.mesh import Mesh, unit_cube_mesh, unit_square_mesh
 from vardens.mms import make_case
-from vardens.projections import (RtProjectionWorkspace, interpolate_mini,
-                                 project_dg, project_rt_divfree,
-                                 rt_divergence_nodal)
+from vardens.projections import (RtProjectionWorkspace, _mixed_inverse,
+                                 interpolate_mini, project_dg,
+                                 project_rt_divfree, rt_divergence_nodal)
 from vardens.spaces import FeField, MiniVectorSpace, P2DGSpace, RT1Space
 
 
@@ -275,7 +275,7 @@ def test_rt_projection_matches_global_mixed_system(make, n):
         )
         assert np.abs(sigma.coeffs - ref).max() <= 1e-10 * np.abs(ref).max()
     # the pinned facet system is symmetric positive definite
-    S = ws.system_matrix.toarray()
+    S = ws.system_matrix().toarray()
     assert (S == S.T).all()
     eig = np.linalg.eigvalsh(S)
     assert eig[0] > 1e-10 * eig[-1]
@@ -326,7 +326,7 @@ def test_rt_factor_in_dissection_order_keeps_fill_and_accuracy():
     RT1 facet dofs, and it solves a random right-hand side to rounding."""
     mesh = unit_cube_mesh(8)
     ws = RtProjectionWorkspace(mesh)
-    S = ws.system_matrix.tocsc()
+    S = ws.system_matrix().tocsc()
     d = mesh.dim
     # RT1 facet dof of every multiplier but the pinned last one
     dofs = (mesh.facet_dissection_order[:, None] * d
@@ -442,7 +442,43 @@ def test_gathered_tables_match_per_cell_tables(make, n, monkeypatch):
         got, want = getattr(ws, name), getattr(ref, name)
         assert got.shape == want.shape, name
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), name
-    S, R = ws.system_matrix, ref.system_matrix
+    S, R = ws.system_matrix(), ref.system_matrix()
     assert np.array_equal(S.indptr, R.indptr)
     assert np.array_equal(S.indices, R.indices)
     assert np.abs(S.data - R.data).max() <= 1e-14 * np.abs(R.data).max()
+
+
+def _kept_system_matrix(ws):
+    """The pinned facet system as set-up once kept it: the signed blocks
+    formed on the distinct cells, gathered per cell and summed over the
+    facets' d x d blocks, the facets ranked from the dissection order."""
+    mesh, d = ws.mesh, ws.mesh.dim
+    nf, nfl = mesh.n_facets, d * (d + 1)
+    reps, inverse = ws.rt_space.distinct_cells
+    H = _mixed_inverse(*assemble.rt_blocks(ws.rt_tab, ws.dg_tab))
+    sign = ws._sign[reps]
+    Hf = (assemble._symmetric(H[:, :nfl, :nfl])
+          * sign[:, :, None] * sign[:, None, :])
+    Hf = np.swapaxes(Hf.reshape(-1, d + 1, d, d + 1, d), 2, 3)
+    rank = np.empty(nf, dtype=np.int64)
+    rank[mesh.facet_dissection_order] = np.arange(nf)
+    ranks = rank[mesh.cell_facets]
+    pattern = assemble.Pattern.build((nf, nf), ranks, ranks)
+    return pattern.block_matrix(Hf[inverse]).tocsr()[:-1, :-1]
+
+
+@pytest.mark.parametrize("make,n", [(unit_square_mesh, 8), (unit_cube_mesh, 3)])
+def test_system_matrix_is_the_kept_system_bit_for_bit(make, n):
+    """The facet system assembled from the per-cell tables the workspace
+    keeps is bitwise symmetric, bit for bit the one set-up built on the
+    distinct cells, and ``lu`` solves it to ``SOLVER_TOL``."""
+    ws = RtProjectionWorkspace(make(n))
+    S = ws.system_matrix()
+    assert abs(S - S.T).max() == 0.0
+    ref = _kept_system_matrix(ws)
+    assert S.format == ref.format == "csr"
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(S, attr), getattr(ref, attr)), attr
+    b = np.random.default_rng(n).standard_normal(S.shape[0])
+    x = ws.lu.solve(b)
+    assert np.linalg.norm(b - S @ x) <= linalg.SOLVER_TOL * np.linalg.norm(b)

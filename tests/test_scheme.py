@@ -515,8 +515,7 @@ def test_weighted_forms_match_the_pointwise_forms(make_mesh, n, density,
     rho = project_dg(st.p2_hi, a + b * st.geom_hi.points[..., 0])
     u = FeField(st.vel_space, np.random.default_rng(n).standard_normal(
         st.vel_space.n_dofs))
-    M = st._weighted_mass(rho)
-    weight, clamped = st._chi_weight(rho)
+    M, weight, clamped = st._weighted_mass(rho)
     cells = weight.cells
     N = assemble.convection_matrix(st.mini_hi, u, coef=weight)
 
@@ -946,7 +945,7 @@ def _stale_velocity_factor(st):
     """A factor of a random diagonal matrix of the velocity system's size,
     which preconditions the saddle matrix so poorly that one cycle of 40
     GMRES iterations stalls."""
-    n = st._saddle.shape[0]
+    n = st._saddle_shape[0]
     scale = 10.0 ** np.random.default_rng(2).uniform(-3, 3, n)
     return linalg.factorize(sp.diags(scale, format="csc"), "colamd")
 
@@ -1245,3 +1244,57 @@ def test_every_step_records_its_three_solve_residuals(name, mesh):
                        reports["velocity"][k].residual,
                        reports["projection"][k + 1].residual]
         assert all(0.0 <= r <= linalg.SOLVER_TOL for r in got)
+
+
+def test_cached_chi_forms_equal_a_fresh_build():
+    """With a narrowed band the cut-off flags some cells; the chi weight,
+    clamped count and mass that a step cached for its new density are
+    those a fresh build gives, and the convection by the cached weight is
+    bit for bit the one by the fresh weight."""
+    st = TimeStepper(unit_square_mesh(4), _config(
+        n_steps=1, rho_min=1.0, rho_max=1.0))
+    case = make_case("square2d")
+    state, _ = _run(st, lambda x: 0.2 + 2.5 * x[..., 0],
+                    lambda x: case.u(x, 0.0))
+    M, chi, clamped = st._weighted_mass(state.rho)
+    assert st._weighted_mass(state.rho)[0] is M  # a cache hit
+    fresh, count = st._chi_weight(state.rho)
+    assert 0 < len(fresh.cells) < st.mesh.n_cells and count > 0
+    assert clamped == count
+    assert np.array_equal(chi.cells, fresh.cells)
+    assert np.array_equal(chi.values, fresh.values)
+    M_ref = assemble.mass_matrix(st.mini_hi, fresh)
+    assert np.array_equal(M.indices, M_ref.indices)
+    assert np.array_equal(M.data, M_ref.data)
+    got, ref = (assemble.convection_matrix(st.mini_hi, state.u, coef=w)
+                for w in (chi, fresh))
+    assert np.array_equal(got.data, ref.data)
+
+
+def test_source_weights_are_evaluated_once_per_step(monkeypatch):
+    """Both phases of a step load their source at the step's new time, so
+    the evaluator's time weights are computed once per step."""
+    from vardens import mms
+
+    calls = []
+    weights = mms.SourceEvaluator.weights
+    monkeypatch.setattr(mms.SourceEvaluator, "weights",
+                        lambda self, t: calls.append(t) or weights(self, t))
+    case = make_case("square2d")
+    ev = case.make_source_evaluator(0.001)
+    st = TimeStepper(unit_square_mesh(4), _config(
+        n_steps=3, cutoff_mode="widened", f=ev.f, g=ev.g))
+    state, records = _run(st, lambda x: case.rho(x, 0.0),
+                          lambda x: case.u(x, 0.0))
+    assert calls == [record["t"] for record in records]
+
+
+def test_saddle_template_holds_structure_only():
+    """The velocity saddle's template is its shape, its index arrays and
+    the gather that fills it: no matrix, and no float array of entry
+    numbers."""
+    st = TimeStepper(unit_square_mesh(4), _config())
+    assert not [name for name, value in vars(st).items()
+                if name.startswith("_saddle") and sp.issparse(value)]
+    for a in (*st._saddle_index, st._saddle_gather):
+        assert a.dtype.kind == "i"
