@@ -307,18 +307,16 @@ class RTTab:
     are det J_K times the reference weights, which cancel the 1/det J_K,
     so ``ref_loads`` (nq d, n_local) carries the reference weights.
 
-    Besides those two tables the tab holds d^2 numbers per cell,
-    ``piola_t`` = J_K^T / det J_K; the map from local to reference
-    coefficients is the space's (``RT1Space.to_reference``).
+    The tab holds those two tables only: the map from local to reference
+    coefficients is the space's (``RT1Space.to_reference``), and
+    ``eval_rt`` forms J_K^T / det J_K on each call.
     """
 
     def __init__(self, space, geom):
         self.space = space
         self.geom = geom
         self.cell_dofs = space.cell_dofs
-        mesh, nl = space.mesh, space.n_local
-        self.piola_t = np.ascontiguousarray(
-            np.swapaxes(mesh.jacobians, 1, 2) / mesh.dets[:, None, None])
+        nl = space.n_local
         vals = np.swapaxes(space.reference_basis(geom.rule.points)[0], 0, 1)
         self.ref_vals = vals.reshape(nl, -1)
         self.ref_loads = (vals * geom.rule.weights[:, None]).reshape(nl, -1).T
@@ -463,17 +461,13 @@ class FacetQuadrature:
     """Shared physical quadrature on every facet.
 
     Points are parametrized from the facet's sorted global vertices, so the
-    two adjacent cells see the same physical points; ``wscale`` carries the
-    quadrature weight times the facet measure.
+    two adjacent cells see the same physical points; ``points`` is its one
+    per-facet array, and ``DGFacetTrace`` forms the facet weights.
     """
 
     def __init__(self, mesh, degree):
         self.mesh = mesh
         self.rule = simplex_rule(mesh.dim - 1, degree)
-        refmeas = reference_simplex_measure(mesh.dim - 1)
-        self.wscale = (
-            mesh.facet_measures[:, None] / refmeas
-        ) * self.rule.weights[None, :]
         self.npoints = self.rule.npoints
 
     @functools.cached_property
@@ -500,7 +494,8 @@ class DGFacetTrace:
     points, and ``table`` (nfi, 2) is the table of the minus and of the
     plus side of every interior facet, read off the cell connectivity.
     ``minus`` and ``plus`` are the two cells of every interior facet; their
-    dofs are the space's ``cell_dofs`` of those cells.
+    dofs are the space's ``cell_dofs`` of those cells; ``wscale`` (nfi,
+    nq) holds their quadrature weights.
     """
 
     def __init__(self, space, fquad):
@@ -512,7 +507,8 @@ class DGFacetTrace:
         self.facets = fi
         self.minus = mesh.facet_minus[fi]
         self.plus = mesh.facet_plus[fi]
-        self.wscale = fquad.wscale[fi]
+        self.wscale = (mesh.facet_measures[fi, None]
+                       / reference_simplex_measure(d - 1)) * fquad.rule.weights
         # table (i, perm) holds the basis on local facet i whose sorted
         # vertex s is the facet's local vertex perm[s]; local vertex j sits
         # at reference vertex j
@@ -863,8 +859,10 @@ def eval_mini_vector(tab, field, cells=slice(None)):
 
 def eval_rt(rt_tab, field):
     """Point values (nc, nq, d) of an H(div) field (``RTTab``)."""
+    mesh = rt_tab.space.mesh
     U = rt_tab.space.to_reference(field.coeffs) @ rt_tab.ref_vals
-    return U.reshape(len(U), -1, rt_tab.space.dim) @ rt_tab.piola_t
+    return U.reshape(len(U), -1, mesh.dim) @ np.ascontiguousarray(
+        np.swapaxes(mesh.jacobians, 1, 2) / mesh.dets[:, None, None])
 
 
 def eval_dg_traces(trace, field):

@@ -12,7 +12,6 @@ elimination order of the RT projection's facet system.
 
 import functools
 import itertools
-import math
 
 import numpy as np
 
@@ -31,14 +30,11 @@ class Mesh:
     cells : (nc, dim+1) int array, positively oriented
     jacobians, inv_jacobians : (nc, dim, dim) affine map data, x = v0 + B xi
     dets : (nc,) signed determinants (positive after orientation fix)
-    volumes : (nc,) cell measures
-    h : max cell diameter
     facet_vertices : (nf, dim) int array (sorted global indices), facets
         numbered by first appearance in the cells
     facet_minus, facet_plus : (nf,) cell indices, plus = -1 on the boundary
     facet_normals : (nf, dim) unit normals, minus -> plus
     facet_measures : (nf,) length/area of the facet
-    facet_centers : (nf, dim) facet barycenters
     interior_facets, boundary_facets : facets with and without a plus side
     boundary_vertices : sorted vertices of the boundary facets
     local_facet_vertices : (dim+1, dim) local vertices of local facet i,
@@ -59,10 +55,6 @@ class Mesh:
         cells = np.asarray(cells, dtype=np.int64)
         self._orient_and_map(cells)
         self._build_facets()
-        a, b = np.triu_indices(dim + 1, 1)  # every edge of a cell
-        corners = self.vertices[self.cells]  # (nc, d+1, d)
-        self.h = float(np.linalg.norm(corners[:, a] - corners[:, b],
-                                      axis=2).max())
 
     @property
     def n_vertices(self):
@@ -96,7 +88,6 @@ class Mesh:
         self.jacobians = B
         self.inv_jacobians = np.linalg.inv(B)
         self.dets = det
-        self.volumes = det / math.factorial(self.dim)
 
     def _build_facets(self):
         d = self.dim
@@ -157,7 +148,6 @@ class Mesh:
         )
         normals[outward < 0] *= -1.0
         self.facet_normals = normals
-        self.facet_centers = centers
 
     @functools.cached_property
     def facet_dissection_order(self):

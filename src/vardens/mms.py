@@ -415,13 +415,14 @@ class SourceEvaluator:
         ``ExactCase._spatial`` against the tab's basis, (n_dofs, 2K) for f
         and (n_dofs, d, 3K + Kp + 1) for g.  A source's load at time t is
         its matrix times ``weights(t)``'s vector.  The dual pass runs over
-        about ``CHUNK_POINTS`` points of whole cells at a time
-        (``assemble.load_matrices``), and nothing is kept here."""
-        points = next(iter(tabs.values())).geom.points
-        step = max(1, CHUNK_POINTS // points.shape[1])
-        cells = [slice(a, a + step) for a in range(0, len(points), step)]
+        about ``CHUNK_POINTS`` points of whole cells at a time, mapped per
+        chunk (``assemble.load_matrices``), and nothing is kept here."""
+        geom = next(iter(tabs.values())).geom
+        step = max(1, CHUNK_POINTS // geom.npoints)
+        n = geom.mesh.n_cells
+        cells = [slice(a, a + step) for a in range(0, n, step)]
         return assemble.load_matrices(
-            tabs, ((s, self.case._spatial(points[s])) for s in cells))
+            tabs, ((s, self.case._spatial(geom.map_points(s))) for s in cells))
 
 
 # --------------------------------------------------------------------------

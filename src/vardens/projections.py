@@ -218,16 +218,11 @@ class RtProjectionWorkspace:
         r = (np.einsum("cij,cj->ci", self._Mk, local)
              + np.einsum("cmi,cm->ci", self._Bk, p) - bk)
         div = np.einsum("cmi,ci->cm", self._Bk, local)  # P1-dG is cellwise
-        res = np.hypot(
-            np.linalg.norm(assemble._scatter(self.rt_tab, r)[self.free]),
-            np.linalg.norm(div))
-        nrm = np.linalg.norm(assemble._scatter(self.rt_tab, bk)[self.free])
-        rel = res / nrm if nrm > 0 else res
-        if not rel <= linalg.SOLVER_TOL:
-            raise linalg.ResidualError(
-                f"hybridized projection residual {rel:.3e} > "
-                f"{linalg.SOLVER_TOL:.1e}"
-            )
+        rel = linalg._check(
+            np.concatenate([assemble._scatter(self.rt_tab, r)[self.free],
+                            div.ravel()]),
+            assemble._scatter(self.rt_tab, bk)[self.free],
+            "hybridized projection")
         return FeField(space, coeffs), linalg.SolveReport(rel)
 
 

@@ -28,7 +28,7 @@ point values of chi(rho) - rho are added on the other cells only.
 import math
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -122,13 +122,14 @@ class SchemeConfig:
     """Time step, viscosity, horizon, cut-off and source settings.
 
     The horizon is ``n_steps``, a positive integer (``horizon_steps`` turns
-    a time T into steps).  The sources ``f`` and ``g`` are both None or are
-    the bound ``f`` and ``g`` of one ``mms.SourceEvaluator``, which the
-    stepper loads them from (``TimeStepper._source_load``).  ``initialize``
-    fills a ``rho_min`` or ``rho_max`` left None from the sampled initial
-    density, as every shipped caller does.  They stay inputs because that
-    density lies inside its own band: only a narrower band reaches the
-    clamped path (``_cutoff_cells``, the point rows of a
+    a time T into steps), which the caller's loop reads and the stepper
+    does not.  The sources ``f`` and ``g`` are both None or are the bound
+    ``f`` and ``g`` of one ``mms.SourceEvaluator``, which the stepper loads
+    them from (``TimeStepper._source_load``).  ``TimeStepper.initialize``
+    fills a ``rho_min`` or ``rho_max`` left None on the stepper's own copy
+    of the config, from the sampled initial density.  They stay inputs
+    because that density lies inside its own band: only a narrower band
+    reaches the clamped path (``_cutoff_cells``, the point rows of a
     ``assemble.FieldWeight``), and the tests of that path set one here.
     """
 
@@ -214,7 +215,7 @@ class TimeStepper:
 
     def __init__(self, mesh, config: SchemeConfig):
         self.mesh = mesh
-        self.config = config
+        self.config = replace(config)  # ``initialize`` fills its band
         d = mesh.dim
 
         self.rho_space = P2DGSpace(mesh)
@@ -302,7 +303,7 @@ class TimeStepper:
     # ------------------------------------------------------------------
     def initialize(self, rho0, u0) -> StepState:
         """Project the initial density, interpolate the initial velocity,
-        auto-fill the cut-off bounds, and cache the post-processed field.
+        fill its config's cut-off bounds, and cache the post-processed field.
 
         ``rho0`` is sampled once at the vertices and once on the high rule,
         ``assemble.CHUNK`` cells at a time at points that are not kept, so

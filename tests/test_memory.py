@@ -159,6 +159,15 @@ def test_rt_tabs_hold_no_basis_tables(make_mesh, n):
     assert arrays
     for a in arrays:
         assert a.size < mesh.n_cells * space.n_local ** 2, a.shape
+    # the tab keeps no per-cell array of its own (``eval_rt`` forms the
+    # Piola factors), and the facet rule no per-facet array but the points
+    # it was asked for (``DGFacetTrace`` forms its weights)
+    fquad.points
+    for obj, items, own in ((tab, mesh.n_cells, []),
+                            (fquad, mesh.n_facets, ["points"])):
+        assert [name for name, v in vars(obj).items()
+                if isinstance(v, np.ndarray) and len(v) == items
+                and v is not space.cell_dofs] == own, type(obj).__name__
 
 
 # Peak traced allocation of TimeStepper(unit_cube_mesh(6)) plus initialize
@@ -235,6 +244,21 @@ def test_stepper_forms_no_facet_points():
                           lambda x: case.u(x, 0.0))
     st.step(state)
     assert "points" not in vars(st.fquad)
+
+
+def test_stepper_forms_no_cell_points():
+    """The source loads map their points one chunk of cells at a time, so
+    set-up and a step with sources never form the low rule's points on
+    the whole mesh."""
+    case = mms.make_case("cube3d")
+    sources = case.make_source_evaluator(0.001)
+    st = TimeStepper(unit_cube_mesh(2), SchemeConfig(
+        tau=1 / 64, mu=0.001, n_steps=1, cutoff_mode="widened",
+        f=sources.f, g=sources.g))
+    state = st.initialize(lambda x: case.rho(x, 0.0),
+                          lambda x: case.u(x, 0.0))
+    st.step(state)
+    assert "points" not in vars(st.geom_lo)
 
 
 def _arrays(value):

@@ -365,7 +365,7 @@ def test_corrupted_divergence_blocks_fail_the_residual_check():
     assert report.residual <= 1e-12
     ws._Bk = 2.0 * ws._Bk
     with pytest.raises(linalg.ResidualError,
-                       match="hybridized projection residual"):
+                       match="hybridized projection: relative residual"):
         ws.project(v)
 
 

@@ -207,6 +207,34 @@ def test_initialize_samples_the_density_a_chunk_at_a_time(monkeypatch):
     assert np.abs(state.rho.coeffs - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
+def test_steppers_on_one_config_each_fill_their_own_band():
+    """``initialize`` fills the band on the stepper's own copy of the
+    config: a second stepper on the same config takes its band from its
+    own density, and the caller's config keeps its band unset."""
+    m = unit_square_mesh(4)
+    cfg = _config()
+    first = TimeStepper(m, cfg)
+    first.initialize(lambda x: np.full(x.shape[:-1], 2.0),
+                     lambda x: np.zeros_like(x))
+    second = TimeStepper(m, cfg)
+    state = second.initialize(lambda x: 10.0 + 5.0 * x[..., 0],
+                              lambda x: np.zeros_like(x))
+    assert (first.config.rho_min, first.config.rho_max) == (2.0, 2.0)
+    assert second.config.rho_min == pytest.approx(10.0)
+    assert second.config.rho_max == pytest.approx(15.0)
+    assert cfg.rho_min is None and cfg.rho_max is None
+    _, record = second.step(state)
+    assert record["velocity_cutoff_cells"] == 0
+
+
+def test_widened_band_is_the_strict_band_widened_by_the_factor():
+    strict = _config(rho_min=1.0, rho_max=2.0)
+    wide = dataclasses.replace(strict, cutoff_mode="widened")
+    lo, hi = cutoff_bounds(strict)
+    assert cutoff_bounds(wide) == (lo / wide.widen_factor,
+                                   hi * wide.widen_factor)
+
+
 def test_initialize_rejects_nonpositive_density():
     m = unit_square_mesh(2)
     st = TimeStepper(m, _config())
@@ -629,8 +657,9 @@ def test_energy_matches_diagnostics():
     state, diags = _run(st, lambda x: case.rho(x, 0.0),
                         lambda x: case.u(x, 0.0))
     assert abs(st.energy(state) - diags[-1]["energy"]) <= 1e-14
-    # a stepper with no cached mass matrices agrees as well
-    fresh = TimeStepper(st.mesh, cfg).energy(state)
+    # a stepper with no cached mass matrices, on the band the first one
+    # filled, agrees as well
+    fresh = TimeStepper(st.mesh, st.config).energy(state)
     assert abs(fresh - diags[-1]["energy"]) <= 1e-14
 
 
@@ -653,7 +682,8 @@ def test_velocity_step_cached_mass_is_bit_identical():
     # both sides precondition GMRES with the same LU
     st._vel_lu = None
     cached = st.velocity_step(state, rho_new)
-    assert same(cached, TimeStepper(m, cfg).velocity_step(state, rho_new))
+    assert same(cached,
+                TimeStepper(m, st.config).velocity_step(state, rho_new))
     # a different old density, first as a new array, then changed in place
     other = FeField(state.rho.space, state.rho.coeffs.copy())
     other.coeffs *= 1.01
@@ -664,7 +694,8 @@ def test_velocity_step_cached_mass_is_bit_identical():
                           state.w, state.history)
         st._vel_lu = None
         got = st.velocity_step(moved, rho_new)
-        assert same(got, TimeStepper(m, cfg).velocity_step(moved, rho_new))
+        assert same(got,
+                    TimeStepper(m, st.config).velocity_step(moved, rho_new))
         assert not same(got, cached)
 
 
@@ -1002,8 +1033,8 @@ def test_failed_projection_names_the_step(monkeypatch):
     state = st.initialize(lambda x: case.rho(x, 0.0), lambda x: case.u(x, 0.0))
     _fail_projection(st, monkeypatch)
     with pytest.raises(linalg.ResidualError,
-                       match=r"^projection at step 1: hybridized projection "
-                             r"residual"):
+                       match=r"^projection at step 1: hybridized projection: "
+                             r"relative residual"):
         st.step(state)
     # initialize's projection is step 0
     with pytest.raises(linalg.ResidualError, match=r"^projection at step 0: "):
@@ -1016,7 +1047,7 @@ def test_failed_projection_names_the_step(monkeypatch):
     (_fail_velocity_factorization, linalg.SingularMatrixError,
      r"velocity solve at step 1: singular factorization"),
     (_fail_projection, linalg.ResidualError,
-     r"projection at step 1: hybridized projection residual"),
+     r"projection at step 1: hybridized projection: relative residual"),
     (_nan_density_preconditioner, linalg.ResidualError,
      r"density solve at step 1: gmres solve: relative residual nan > "),
 ], ids=["density-gmres", "velocity-singular", "projection",
@@ -1037,7 +1068,8 @@ def test_step_names_the_failed_phase_and_step(inject, error, message,
 
 @pytest.mark.parametrize("inject,message", [
     (_fail_density_gmres, r"density solve at step 2: gmres: residual"),
-    (_fail_projection, r"projection at step 2: hybridized projection residual"),
+    (_fail_projection,
+     r"projection at step 2: hybridized projection: relative residual"),
     (_nan_density_preconditioner,
      r"density solve at step 2: gmres solve: relative residual nan > "
      r"1\.0e-10$"),

@@ -108,8 +108,9 @@ def test_rt_facet_moments_reproduce_dofs(make, n):
         rows.append(f[:, None] * d + np.arange(d))
     geom = assemble.CellQuadrature(mesh, 2)
     vals, _ = space.tabulate(cells, geom.points)
+    volumes = geom.abs_dets / math.factorial(d)
     got.append(np.einsum("cq,cqik->cki", geom.wdet, vals)
-               / mesh.volumes[:, None, None])
+               / volumes[:, None, None])
     rows.append(space.n_facet_dofs + d * cells[:, None] + np.arange(d))
     got, rows = np.concatenate(got, axis=1), np.concatenate(rows, axis=1)
     # row r of cell c is the functional of global dof rows[c, r]
@@ -141,6 +142,10 @@ def test_rt_divergence_theorem_per_basis_function():
     space = RT1Space(mesh)
     geom = assemble.CellQuadrature(mesh, 6)
     fq = assemble.FacetQuadrature(mesh, 6)
+    # the facet weights: the rule's, times the facet's measure over the
+    # reference facet's
+    wscale = (mesh.facet_measures[:, None] / reference_simplex_measure(1)
+              * fq.rule.weights)
     for c in (0, 3, 5):
         _, divs = space.tabulate(np.array([c]), geom.points[c][None])
         vol = np.einsum("q,qi->i", geom.wdet[c], divs[0])
@@ -148,7 +153,7 @@ def test_rt_divergence_theorem_per_basis_function():
         for f in mesh.cell_facets[c]:
             sign = 1.0 if mesh.facet_minus[f] == c else -1.0
             vals, _ = space.tabulate(np.array([c]), fq.points[f][None])
-            bnd += sign * np.einsum("q,qid,d->i", fq.wscale[f], vals[0],
+            bnd += sign * np.einsum("q,qid,d->i", wscale[f], vals[0],
                                     mesh.facet_normals[f])
         assert np.abs(vol - bnd).max() < 1e-13
 
